@@ -423,7 +423,6 @@ func TestPublicAPIExecConfig(t *testing.T) {
 	// them in unit files and CI workflows.
 	for name, want := range map[string]string{
 		glescompute.EnvDisableFusion: "GLESCOMPUTE_NO_FUSION",
-		glescompute.EnvDisableVec4:   "GLESCOMPUTE_NO_VEC4",
 		glescompute.EnvRasterWorkers: "GLESCOMPUTE_RASTER_WORKERS",
 	} {
 		if name != want {
@@ -449,9 +448,9 @@ func TestPublicAPIExecConfig(t *testing.T) {
 
 	// Out-of-domain values must be rejected at Open, not coerced.
 	bad := glescompute.Config{}
-	bad.Exec.Vec4Lanes = 3
+	bad.Exec.RasterWorkers = -1
 	if _, err := glescompute.Open(bad); err == nil {
-		t.Error("Open accepted Vec4Lanes=3")
+		t.Error("Open accepted RasterWorkers=-1")
 	}
 
 	// The queue takes pool-wide Exec defaults.

@@ -8,7 +8,7 @@
 //	paperbench [-exp all|list|<comma-separated experiment names>]
 //	           [-sum-n N] [-sum-exec N] [-sgemm-n N] [-pipeline-n N]
 //	           [-serve-jobs N] [-serve-n N] [-nn-requests N] [-nn-batch N]
-//	           [-lanes 1|4] [-chaos-jobs N] [-chaos-seed S] [-chaos-devices N]
+//	           [-chaos-jobs N] [-chaos-seed S] [-chaos-devices N]
 //	           [-raster-n N] [-raster-reps N] [-workers N]
 //	           [-sl-jobs N] [-sl-seed S]
 //	           [-trace FILE] [-metrics] [-json]
@@ -105,7 +105,6 @@ func main() {
 	serveN := flag.Int("serve-n", 8, "serve: elements per small sum request")
 	nnRequests := flag.Int("nn-requests", 24, "nn: inference requests in the serve sweep")
 	nnBatch := flag.Int("nn-batch", 8, "nn: images coalesced per batched launch")
-	nnLanes := flag.Int("lanes", 4, "nn: int8 texel lane width, 1 (scalar) or 4 (vec4 packing; GLESCOMPUTE_NO_VEC4 also forces 1)")
 	chaosJobs := flag.Int("chaos-jobs", 10000, "chaos: requests in the faulted stream")
 	chaosSeed := flag.Int64("chaos-seed", 20160316, "chaos: fault schedule seed (env GLESCOMPUTE_FAULT_SEED also sets it; the flag wins)")
 	chaosDevices := flag.Int("chaos-devices", 4, "chaos: device pool width")
@@ -521,7 +520,7 @@ func main() {
 	})
 
 	run("nn", func() error {
-		res, err := paper.RunNN(*nnRequests, *nnBatch, nil, *nnLanes, ob)
+		res, err := paper.RunNN(*nnRequests, *nnBatch, nil, ob)
 		if err != nil {
 			return err
 		}
@@ -562,13 +561,8 @@ func main() {
 			res.FusionEnabled, res.FusedPasses, res.UnfusedPasses,
 			res.NetGPUUS, res.UnfusedNetGPUUS, res.FusionSpeedupX, res.FusionValidated)
 		fmt.Printf("  fused passes: %s\n", strings.Join(res.FusedStages, ", "))
-		if res.Int8Lanes == 4 {
-			fmt.Printf("  int8 vec4 packing (%d layers, batch %d, warm): scalar %.0fµs vs vec4 %.0fµs, %.2fx; both lowerings bit-identical to refcpu: %v\n",
-				res.Int8Layers, 4, res.Int8ScalarUS, res.Int8Vec4US, res.Vec4SpeedupX, res.Vec4Validated)
-		} else {
-			fmt.Printf("  int8 scalar path (lanes=1, vec4 packing off): %d layers bit-identical to refcpu, net %.0fµs\n",
-				res.Int8Layers, res.Int8ScalarUS)
-		}
+		fmt.Printf("  int8 vec4 packing (%d layers, batch %d, warm): scalar %.0fµs vs vec4 %.0fµs, %.2fx; both lowerings bit-identical to refcpu: %v\n",
+			res.Int8Layers, 4, res.Int8ScalarUS, res.Int8Vec4US, res.Vec4SpeedupX, res.Vec4Validated)
 		return nil
 	})
 

@@ -217,8 +217,6 @@ const (
 const (
 	// EnvDisableFusion disables pipeline fusion process-wide when set.
 	EnvDisableFusion = core.EnvDisableFusion
-	// EnvDisableVec4 disables default int8x4 lane packing when set.
-	EnvDisableVec4 = core.EnvDisableVec4
 	// EnvRasterWorkers sets the default rasterizer worker count.
 	EnvRasterWorkers = core.EnvRasterWorkers
 )

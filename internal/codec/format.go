@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Format describes how logical elements are laid out in RGBA8 texels: the
 // element type plus the lane width (values per texel). It subsumes the old
@@ -12,17 +9,12 @@ import (
 // count for n elements is ceil(n/lanes).
 //
 // Scalar formats are the paper's §IV codecs unchanged (one value per
-// texel). The packed formats are this repo's extension (PHWC4-style, after
-// the mobile-GPU inference literature in PAPERS.md):
-//
-//   - Int8x4: four int8 lanes, one per RGBA channel, stored excess-128
-//     (byte = value + 128). Excess-128 instead of §IV-B two's complement
-//     makes the 4-wide GLSL decode a single vec4 subtract — no per-lane
-//     sign select. Documented as a deviation in DESIGN.md §6f.
-//   - Float16x2: two IEEE fp16 lanes per texel (lane 0 in R=lo,G=hi;
-//     lane 1 in B=lo,A=hi), preserving ±0 and fp16 denormals. It is a
-//     storage/transfer format: kernels read it through a scalar accessor,
-//     but kernel outputs cannot use it (outputs are 1- or 4-lane).
+// texel). The packed format Int8x4 is this repo's extension (PHWC4-style,
+// after the mobile-GPU inference literature in PAPERS.md): four int8
+// lanes, one per RGBA channel, stored excess-128 (byte = value + 128).
+// Excess-128 instead of §IV-B two's complement makes the 4-wide GLSL
+// decode a single vec4 subtract — no per-lane sign select. Documented as
+// a deviation in DESIGN.md §6f.
 type Format int
 
 // Formats. The zero value FmtAuto means "derive the scalar format from the
@@ -35,7 +27,6 @@ const (
 	FmtInt32
 	FmtFloat32
 	FmtInt8x4
-	FmtFloat16x2
 )
 
 // FormatOf returns the scalar (1 lane per texel) format for an element type.
@@ -80,11 +71,8 @@ func (f Format) Elem() ElemType {
 
 // Lanes returns how many logical values one RGBA texel carries.
 func (f Format) Lanes() int {
-	switch f {
-	case FmtInt8x4:
+	if f == FmtInt8x4 {
 		return 4
-	case FmtFloat16x2:
-		return 2
 	}
 	return 1
 }
@@ -104,8 +92,6 @@ func (f Format) String() string {
 		return "auto"
 	case FmtInt8x4:
 		return "int8x4"
-	case FmtFloat16x2:
-		return "float16x2"
 	}
 	return f.Elem().String()
 }
@@ -146,105 +132,6 @@ func UnpackInt8x4(dst []int8, src []byte) error {
 	return nil
 }
 
-// ---- Float16x2 host packing ----
-
-// float32ToHalfBitsKeepDenorm converts fp32 to fp16 bits with
-// round-to-nearest-even, PRESERVING fp16 denormals (unlike
-// Float32ToHalfBits, which models flush-to-zero hardware). The packed
-// storage format keeps them so tiny values survive a round-trip.
-func float32ToHalfBitsKeepDenorm(f float32) uint16 {
-	bits := math.Float32bits(f)
-	sign := uint16(bits>>16) & 0x8000
-	exp := int32(bits>>23&0xFF) - 127
-	mant := bits & 0x7FFFFF
-
-	switch {
-	case exp == 128: // Inf or NaN
-		if mant != 0 {
-			return sign | 0x7E00
-		}
-		return sign | 0x7C00
-	case exp > 15: // overflow → Inf
-		return sign | 0x7C00
-	case exp >= -14: // normal half
-		break
-	default:
-		// Subnormal half: value = d·2⁻²⁴ with d ∈ [0,1023]. The real
-		// d is (2²³+mant)·2^(exp+1)/2²³; round it to nearest-even.
-		// fp32 values below 2⁻²⁵ (including fp32 denormals) round to ±0.
-		shift := uint(-exp - 1) // ≥ 14 here
-		if shift >= 32 {
-			return sign
-		}
-		m := mant | 0x800000
-		d := m >> shift
-		rem := m & (1<<shift - 1)
-		half := uint32(1) << (shift - 1)
-		if rem > half || (rem == half && d&1 == 1) {
-			d++
-		}
-		if d >= 0x400 { // rounded up into the smallest normal
-			return sign | 1<<10
-		}
-		return sign | uint16(d)
-	}
-	halfExp := uint16(exp+15) << 10
-	halfMant := uint16(mant >> 13)
-	rem := mant & 0x1FFF
-	if rem > 0x1000 || (rem == 0x1000 && halfMant&1 == 1) {
-		halfMant++
-		if halfMant == 0x400 {
-			halfMant = 0
-			halfExp += 1 << 10
-			if halfExp >= 0x7C00 {
-				return sign | 0x7C00
-			}
-		}
-	}
-	return sign | halfExp | halfMant
-}
-
-// CPUEncodeFloat16x2 maps one float lane to its two storage bytes (lo, hi).
-func CPUEncodeFloat16x2(f float32) (lo, hi byte) {
-	h := float32ToHalfBitsKeepDenorm(f)
-	return byte(h), byte(h >> 8)
-}
-
-// CPUDecodeFloat16x2 inverts CPUEncodeFloat16x2.
-func CPUDecodeFloat16x2(lo, hi byte) float32 {
-	return HalfBitsToFloat32(uint16(lo) | uint16(hi)<<8)
-}
-
-// PackFloat16x2 packs two fp16 values per RGBA texel: lane 0 in R(lo),G(hi),
-// lane 1 in B(lo),A(hi). dst needs 4·ceil(len(src)/2) bytes; a missing tail
-// lane stores +0.
-func PackFloat16x2(dst []byte, src []float32) error {
-	texels := FmtFloat16x2.TexelsFor(len(src))
-	if len(dst) < texels*4 {
-		return fmt.Errorf("codec: dst too small: %d < %d", len(dst), texels*4)
-	}
-	for i, f := range src {
-		lo, hi := CPUEncodeFloat16x2(f)
-		dst[i*2+0] = lo
-		dst[i*2+1] = hi
-	}
-	for i := len(src) * 2; i < texels*4; i++ {
-		dst[i] = 0
-	}
-	return nil
-}
-
-// UnpackFloat16x2 inverts PackFloat16x2 for the first len(dst) lanes.
-func UnpackFloat16x2(dst []float32, src []byte) error {
-	if len(src) < len(dst)*2 {
-		return fmt.Errorf("codec: src too small: %d < %d", len(src), len(dst)*2)
-	}
-	for i := range dst {
-		dst[i] = CPUDecodeFloat16x2(src[i*2], src[i*2+1])
-	}
-	return nil
-}
-
 // ---- Packed GLSL codecs ----
 
 // GLSLDecoderInt8x4 returns `vec4 <name>(vec4 t)` decoding all four int8
@@ -265,27 +152,4 @@ func GLSLEncoderInt8x4(name string, style EncodeStyle) string {
 		"\tvec4 b = clamp(floor(v + vec4(0.5)), vec4(-128.0), vec4(127.0)) + vec4(128.0);\n"+
 		"\treturn (b + vec4(%s)) / 255.0;\n"+
 		"}\n", name, bias)
-}
-
-// GLSLDecoderFloat16x2 returns `vec2 <name>(vec4 t)` decoding both fp16
-// lanes of a texel. Denormals (exponent 0) decode as mant·2⁻²⁴; the
-// Inf/NaN exponent (31) saturates to ±2¹⁶ — GLSL ES 1.00 has no portable
-// Inf literal, and the format is storage-side only, so saturation is the
-// documented behaviour for specials.
-func GLSLDecoderFloat16x2(name string) string {
-	return fmt.Sprintf(`float %s_lane(float lo, float hi) {
-	float s = step(128.0, hi);
-	float h = hi - s * 128.0;
-	float e = floor(h / 4.0);
-	float m = (h - e * 4.0) * 256.0 + lo;
-	float sgn = 1.0 - 2.0 * s;
-	if (e == 0.0) { return sgn * m * exp2(-24.0); }
-	if (e == 31.0) { return sgn * 65536.0; }
-	return sgn * (1.0 + m / 1024.0) * exp2(e - 15.0);
-}
-vec2 %s(vec4 t) {
-	vec4 b = floor(t * 255.0 + vec4(0.5));
-	return vec2(%s_lane(b.r, b.g), %s_lane(b.b, b.a));
-}
-`, name, name, name, name)
 }

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,7 +18,6 @@ func TestFormatLanesAndTexels(t *testing.T) {
 		{FmtInt32, 1, Int32},
 		{FmtFloat32, 1, Float32},
 		{FmtInt8x4, 4, Int8},
-		{FmtFloat16x2, 2, Float32},
 	}
 	for _, c := range cases {
 		if got := c.f.Lanes(); got != c.lanes {
@@ -37,9 +35,6 @@ func TestFormatLanesAndTexels(t *testing.T) {
 	for n := 0; n <= 9; n++ {
 		if got, want := FmtInt8x4.TexelsFor(n), (n+3)/4; got != want {
 			t.Errorf("int8x4 TexelsFor(%d) = %d, want %d", n, got, want)
-		}
-		if got, want := FmtFloat16x2.TexelsFor(n), (n+1)/2; got != want {
-			t.Errorf("float16x2 TexelsFor(%d) = %d, want %d", n, got, want)
 		}
 		if got := FmtInt32.TexelsFor(n); got != n {
 			t.Errorf("int32 TexelsFor(%d) = %d", n, got)
@@ -109,83 +104,6 @@ func TestInt8x4RoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestFloat16x2RoundTripProperty: pack→unpack equals fp16 quantization for
-// random values, is idempotent, and is exact for fp16-representable values
-// including ±0 and fp16 denormals.
-func TestFloat16x2RoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(33) // tails n%2 ∈ {0,1}
-		src := make([]float32, n)
-		for i := range src {
-			src[i] = float32(rng.NormFloat64()) * float32(math.Pow(2, float64(rng.Intn(24)-12)))
-		}
-		texels := FmtFloat16x2.TexelsFor(n)
-		raw := make([]byte, texels*4)
-		if err := PackFloat16x2(raw, src); err != nil {
-			t.Fatalf("pack n=%d: %v", n, err)
-		}
-		got := make([]float32, n)
-		if err := UnpackFloat16x2(got, raw); err != nil {
-			t.Fatalf("unpack n=%d: %v", n, err)
-		}
-		for i := range src {
-			if CPUDecodeFloat16x2(CPUEncodeFloat16x2(src[i])) != got[i] {
-				t.Fatalf("CPU mirror disagrees with Pack/Unpack at lane %d", i)
-			}
-			// Idempotence: a second trip through the format is exact.
-			if again := CPUDecodeFloat16x2(CPUEncodeFloat16x2(got[i])); again != got[i] {
-				t.Fatalf("round trip not idempotent: %g -> %g", got[i], again)
-			}
-			// Within fp16 normal range the error is bounded by half an
-			// fp16 ULP (11 significant bits, comfortably inside the
-			// paper's 15-mantissa-bit budget for the f32 codec).
-			af := math.Abs(float64(src[i]))
-			if af >= math.Pow(2, -14) && af < 65504 {
-				ulp := math.Pow(2, math.Floor(math.Log2(af))-10)
-				if math.Abs(float64(got[i]-src[i])) > ulp/2+1e-30 {
-					t.Fatalf("lane %d: %g -> %g exceeds half ULP %g", i, src[i], got[i], ulp)
-				}
-			}
-		}
-	}
-
-	// Float specials: ±0 keeps its sign, fp16 denormals round-trip exactly.
-	pz := CPUDecodeFloat16x2(CPUEncodeFloat16x2(0))
-	nz := CPUDecodeFloat16x2(CPUEncodeFloat16x2(float32(math.Copysign(0, -1))))
-	if math.Signbit(float64(pz)) || !math.Signbit(float64(nz)) || pz != 0 || nz != 0 {
-		t.Errorf("±0 not preserved: +0 -> %g (signbit %v), -0 -> %g (signbit %v)",
-			pz, math.Signbit(float64(pz)), nz, math.Signbit(float64(nz)))
-	}
-	for d := uint16(1); d < 0x400; d += 37 {
-		for _, s := range []uint16{0, 0x8000} {
-			v := HalfBitsToFloat32(s | d) // fp16 denormal: d·2⁻²⁴
-			if got := CPUDecodeFloat16x2(CPUEncodeFloat16x2(v)); got != v {
-				t.Fatalf("denormal bits %#x: %g -> %g", s|d, v, got)
-			}
-		}
-	}
-	// Smallest denormal and the normal/denormal boundary.
-	for _, v := range []float32{
-		HalfBitsToFloat32(0x0001),          // 2⁻²⁴
-		HalfBitsToFloat32(0x03FF),          // largest denormal
-		HalfBitsToFloat32(0x0400),          // smallest normal 2⁻¹⁴
-		float32(math.Pow(2, -25)),          // below: rounds to even → 0
-		float32(math.Pow(2, -24) * 1.4999), // rounds down to 2⁻²⁴... area
-	} {
-		got := CPUDecodeFloat16x2(CPUEncodeFloat16x2(v))
-		if again := CPUDecodeFloat16x2(CPUEncodeFloat16x2(got)); again != got {
-			t.Fatalf("boundary value %g not stable: %g -> %g", v, got, again)
-		}
-	}
-	if got := CPUDecodeFloat16x2(CPUEncodeFloat16x2(float32(math.Pow(2, -25)))); got != 0 {
-		t.Errorf("2^-25 should round to zero, got %g", got)
-	}
-	if got := CPUDecodeFloat16x2(CPUEncodeFloat16x2(1e9)); !math.IsInf(float64(got), 1) {
-		t.Errorf("overflow should saturate to +Inf, got %g", got)
-	}
-}
-
 // TestPackedGLSLSourcesWellFormed pins the generated packed codec GLSL.
 func TestPackedGLSLSourcesWellFormed(t *testing.T) {
 	dec := GLSLDecoderInt8x4("dec4")
@@ -198,12 +116,6 @@ func TestPackedGLSLSourcesWellFormed(t *testing.T) {
 	}
 	if !contains(enc, "0.25") {
 		t.Error("int8x4 encoder missing robust bias")
-	}
-	decF := GLSLDecoderFloat16x2("decf")
-	for _, want := range []string{"vec2 decf(vec4 t)", "decf_lane", "exp2(-24.0)"} {
-		if !contains(decF, want) {
-			t.Errorf("float16x2 decoder missing %q:\n%s", want, decF)
-		}
 	}
 }
 

@@ -208,9 +208,8 @@ func (b *Buffer) checkElem(op string, t codec.ElemType) error {
 	return nil
 }
 
-// WriteFloat32 uploads float data. Scalar buffers pack per the paper's
-// Fig. 2 byte re-arrangement; Float16x2 buffers quantize two fp16 lanes
-// into each texel (half the upload bytes).
+// WriteFloat32 uploads float data, packed per the paper's Fig. 2 byte
+// re-arrangement.
 func (b *Buffer) WriteFloat32(src []float32) error {
 	if err := b.checkElem("WriteFloat32", codec.Float32); err != nil {
 		return err
@@ -219,11 +218,7 @@ func (b *Buffer) WriteFloat32(src []float32) error {
 		return err
 	}
 	buf := make([]byte, b.fmt.TexelsFor(len(src))*4)
-	if b.fmt == codec.FmtFloat16x2 {
-		if err := codec.PackFloat16x2(buf, src); err != nil {
-			return err
-		}
-	} else if err := codec.PackFloat32(buf, src); err != nil {
+	if err := codec.PackFloat32(buf, src); err != nil {
 		return err
 	}
 	return b.upload(buf)
@@ -239,12 +234,6 @@ func (b *Buffer) ReadFloat32() ([]float32, error) {
 		return nil, err
 	}
 	out := make([]float32, b.n)
-	if b.fmt == codec.FmtFloat16x2 {
-		if err := codec.UnpackFloat16x2(out, texels); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	if err := codec.UnpackFloat32(out, texels[:b.n*4]); err != nil {
 		return nil, err
 	}

@@ -32,8 +32,6 @@ func generateFragmentShader(spec KernelSpec, out OutputSpec) string {
 		switch in.Fmt {
 		case codec.FmtInt8x4:
 			b.WriteString(codec.GLSLDecoderInt8x4(decoderName(in.Fmt)))
-		case codec.FmtFloat16x2:
-			b.WriteString(codec.GLSLDecoderFloat16x2(decoderName(in.Fmt)))
 		default:
 			b.WriteString(codec.GLSLDecoder(in.Type, decoderName(in.Fmt)))
 		}
@@ -61,16 +59,6 @@ func generateFragmentShader(spec KernelSpec, out OutputSpec) string {
 			b.WriteString("\tfloat l = idx - t * 4.0;\n")
 			fmt.Fprintf(&b, "\tvec4 v = gc_%s4(t);\n", in.Name)
 			b.WriteString("\treturn l < 0.5 ? v.r : (l < 1.5 ? v.g : (l < 2.5 ? v.b : v.a));\n")
-			b.WriteString("}\n\n")
-		case codec.FmtFloat16x2:
-			fmt.Fprintf(&b, "float gc_%s(float idx) {\n", in.Name)
-			b.WriteString("\tfloat t = floor((idx + 0.5) / 2.0);\n")
-			b.WriteString("\tfloat l = idx - t * 2.0;\n")
-			fmt.Fprintf(&b, "\tfloat row = floor((t + 0.5) / gc_%s_dims.x);\n", in.Name)
-			fmt.Fprintf(&b, "\tfloat col = t - row * gc_%s_dims.x;\n", in.Name)
-			fmt.Fprintf(&b, "\tvec2 st = vec2((col + 0.5) / gc_%s_dims.x, (row + 0.5) / gc_%s_dims.y);\n", in.Name, in.Name)
-			fmt.Fprintf(&b, "\tvec2 v = %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Fmt), in.Name)
-			b.WriteString("\treturn l < 0.5 ? v.x : v.y;\n")
 			b.WriteString("}\n\n")
 		default:
 			// Linear fetch: index -> texel centre -> decode. The +0.5 inside
@@ -158,8 +146,6 @@ func decoderName(f codec.Format) string {
 		return "gc_decode_i32"
 	case codec.FmtInt8x4:
 		return "gc_decode4_i8x4"
-	case codec.FmtFloat16x2:
-		return "gc_decode2_f16x2"
 	default:
 		return "gc_decode_f32"
 	}

@@ -1,9 +1,10 @@
 package core
 
 // The unified execution-config surface. The knobs that steer how kernels
-// execute — fusion planning, vec4 lane packing, rasterizer parallelism,
-// the reference interpreter — historically accreted as scattered env vars
-// (GLESCOMPUTE_NO_FUSION, GLESCOMPUTE_NO_VEC4) and loose Config fields.
+// execute — fusion planning, rasterizer parallelism, the reference
+// interpreter — historically accreted as scattered env vars
+// (GLESCOMPUTE_NO_FUSION, GLESCOMPUTE_RASTER_WORKERS) and loose Config
+// fields.
 // ExecConfig consolidates them: explicit field values always win; the
 // zero value of every field preserves the legacy env-var behaviour, so
 // existing deployments keep working unchanged.
@@ -63,11 +64,6 @@ type ExecConfig struct {
 	// "on unless GLESCOMPUTE_NO_FUSION is set" (the legacy behaviour);
 	// Pipeline.SetFusion still overrides per pipeline.
 	Fusion Toggle
-	// Vec4Lanes selects the default texel lane width for consumers that
-	// pick one by default (nn.Model.Build): 1 forces the scalar lowering,
-	// 4 forces int8x4 packing, 0 means "4 unless GLESCOMPUTE_NO_VEC4 is
-	// set". Explicit BuildLanes calls are never affected.
-	Vec4Lanes int
 	// RasterWorkers bounds the tile-rasterizer goroutine pool per draw:
 	// 1 forces the sequential rasterizer, 0 means "GLESCOMPUTE_RASTER_WORKERS
 	// if set, else GOMAXPROCS". Output is bit-identical at every worker
@@ -88,18 +84,6 @@ func (e ExecConfig) FusionEnabled() bool {
 		return false
 	}
 	return !fusionEnvDisabled()
-}
-
-// Lanes resolves the default lane width against the environment: 1 or 4.
-func (e ExecConfig) Lanes() int {
-	switch e.Vec4Lanes {
-	case 1, 4:
-		return e.Vec4Lanes
-	}
-	if Vec4EnvDisabled() {
-		return 1
-	}
-	return 4
 }
 
 // Workers resolves the rasterizer worker count against the environment:
@@ -138,11 +122,6 @@ func (e ExecConfig) validate() error {
 	default:
 		return fmt.Errorf("core: ExecConfig.Fusion %d: use DefaultToggle, Enabled or Disabled", e.Fusion)
 	}
-	switch e.Vec4Lanes {
-	case 0, 1, 4:
-	default:
-		return fmt.Errorf("core: ExecConfig.Vec4Lanes %d: supported widths are 0 (auto), 1 and 4", e.Vec4Lanes)
-	}
 	if e.RasterWorkers < 0 {
 		return fmt.Errorf("core: ExecConfig.RasterWorkers %d: must be >= 0", e.RasterWorkers)
 	}
@@ -156,9 +135,6 @@ func MergeExec(dst, def ExecConfig) ExecConfig {
 	if dst.Fusion == DefaultToggle {
 		dst.Fusion = def.Fusion
 	}
-	if dst.Vec4Lanes == 0 {
-		dst.Vec4Lanes = def.Vec4Lanes
-	}
 	if dst.RasterWorkers == 0 {
 		dst.RasterWorkers = def.RasterWorkers
 	}
@@ -169,6 +145,6 @@ func MergeExec(dst, def ExecConfig) ExecConfig {
 }
 
 // Exec returns the device's execution configuration, Config.Exec.
-// Environment fallbacks (fusion, vec4 lanes) stay dynamic — they are consulted where the
+// Environment fallbacks (fusion, raster workers) stay dynamic — they are consulted where the
 // feature is engaged, so tests may toggle the env vars after Open.
 func (d *Device) Exec() ExecConfig { return d.cfg.Exec }

@@ -28,23 +28,6 @@ func TestExecFusionPrecedence(t *testing.T) {
 	}
 }
 
-func TestExecLanesPrecedence(t *testing.T) {
-	t.Setenv(EnvDisableVec4, "1")
-	if got := (ExecConfig{Vec4Lanes: 4}).Lanes(); got != 4 {
-		t.Errorf("Lanes() = %d with explicit 4, want 4 (env var must lose)", got)
-	}
-	if got := (ExecConfig{}).Lanes(); got != 1 {
-		t.Errorf("Lanes() = %d with env set, want 1", got)
-	}
-	t.Setenv(EnvDisableVec4, "")
-	if got := (ExecConfig{Vec4Lanes: 1}).Lanes(); got != 1 {
-		t.Errorf("Lanes() = %d with explicit 1, want 1", got)
-	}
-	if got := (ExecConfig{}).Lanes(); got != 4 {
-		t.Errorf("Lanes() = %d, want the built-in default 4", got)
-	}
-}
-
 func TestExecWorkersPrecedence(t *testing.T) {
 	t.Setenv(EnvRasterWorkers, "3")
 	if got := (ExecConfig{RasterWorkers: 7}).Workers(); got != 7 {
@@ -76,15 +59,15 @@ func TestExecWorkersPrecedence(t *testing.T) {
 }
 
 func TestExecMergePoolDefaults(t *testing.T) {
-	def := ExecConfig{Fusion: Disabled, Vec4Lanes: 1, RasterWorkers: 3, UseInterpreter: true}
+	def := ExecConfig{Fusion: Disabled, RasterWorkers: 3, UseInterpreter: true}
 	// Zero dst inherits everything.
 	if got := MergeExec(ExecConfig{}, def); got != def {
 		t.Errorf("MergeExec(zero, def) = %+v, want %+v", got, def)
 	}
 	// Set dst fields always win.
-	dst := ExecConfig{Fusion: Enabled, Vec4Lanes: 4, RasterWorkers: 8}
+	dst := ExecConfig{Fusion: Enabled, RasterWorkers: 8}
 	got := MergeExec(dst, def)
-	if got.Fusion != Enabled || got.Vec4Lanes != 4 || got.RasterWorkers != 8 {
+	if got.Fusion != Enabled || got.RasterWorkers != 8 {
 		t.Errorf("MergeExec overrode explicit dst fields: %+v", got)
 	}
 	if !got.UseInterpreter {
@@ -99,7 +82,6 @@ func TestExecValidateAtOpen(t *testing.T) {
 		want string
 	}{
 		{"bad-toggle", ExecConfig{Fusion: 3}, "Fusion"},
-		{"bad-lanes", ExecConfig{Vec4Lanes: 2}, "Vec4Lanes"},
 		{"negative-workers", ExecConfig{RasterWorkers: -1}, "RasterWorkers"},
 	}
 	for _, tc := range cases {

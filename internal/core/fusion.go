@@ -63,17 +63,6 @@ const EnvDisableFusion = "GLESCOMPUTE_NO_FUSION"
 // fusionEnvDisabled reports whether EnvDisableFusion suppresses fusion.
 func fusionEnvDisabled() bool { return os.Getenv(EnvDisableFusion) != "" }
 
-// EnvDisableVec4 is the environment variable that, when set non-empty,
-// steers consumers that pick a lane width by default (nn.Model.Build)
-// to the scalar lanes=1 lowering — the vec4 analogue of
-// EnvDisableFusion, so CI can smoke the scalar path. Core itself never
-// reads it when a caller asks for 4-wide kernels explicitly.
-const EnvDisableVec4 = "GLESCOMPUTE_NO_VEC4"
-
-// Vec4EnvDisabled reports whether EnvDisableVec4 suppresses the default
-// 4-wide path.
-func Vec4EnvDisabled() bool { return os.Getenv(EnvDisableVec4) != "" }
-
 // uniBind maps one uniform of the fused program back to the member stage
 // whose source it came from: at Run, the value is resolved exactly as the
 // member's standalone pass would have resolved its original name (stage

@@ -22,8 +22,7 @@ type Param struct {
 // OutputSpec describes one kernel output. A kernel with multiple outputs
 // is compiled into one fragment-shader pass per output (challenge #8: a
 // fragment shader has a single color output in ES 2.0). Fmt follows the
-// same FmtAuto convention as Param; output formats are restricted to 1- or
-// 4-lane (codec.FmtFloat16x2 is storage-side only).
+// same FmtAuto convention as Param.
 type OutputSpec struct {
 	Name string
 	Type codec.ElemType
@@ -51,7 +50,6 @@ type OutputSpec struct {
 //	vec4 gc_<I>4(float tidx)         — whole-texel fetch (4 lanes, texel index)
 //
 // and the scalar gc_<I>(idx) accessor selects the lane of texel idx/4.
-// Float16x2 inputs provide the scalar accessor only.
 //
 // A kernel with Lanes == 4 (equivalently, a 4-lane output format) computes
 // four consecutive elements per fragment: its kernel function takes the
@@ -132,9 +130,6 @@ func (s KernelSpec) validate() error {
 		return fmt.Errorf("core: kernel %q: output lane width %d unsupported (1 or 4)", s.Name, s.Lanes)
 	}
 	for _, out := range s.Outputs {
-		if out.Fmt == codec.FmtFloat16x2 {
-			return fmt.Errorf("core: kernel %q: output %q: float16x2 is a storage format, not a render target", s.Name, out.Name)
-		}
 		if out.Fmt.Lanes() != s.Lanes {
 			return fmt.Errorf("core: kernel %q: output %q format %s is %d-lane but kernel declares Lanes=%d",
 				s.Name, out.Name, out.Fmt, out.Fmt.Lanes(), s.Lanes)

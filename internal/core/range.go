@@ -28,10 +28,7 @@ func packAny(f codec.Format, src interface{}) (int, []byte, error) {
 		if t != codec.Float32 {
 			return mismatch("[]float32")
 		}
-		buf := make([]byte, f.TexelsFor(len(s))*4)
-		if f == codec.FmtFloat16x2 {
-			return len(s), buf, codec.PackFloat16x2(buf, s)
-		}
+		buf := make([]byte, len(s)*4)
 		return len(s), buf, codec.PackFloat32(buf, s)
 	case []int32:
 		if t != codec.Int32 {
@@ -68,15 +65,12 @@ func packAny(f codec.Format, src interface{}) (int, []byte, error) {
 // unpackAny decodes n elements of format f from texel bytes into a freshly
 // allocated typed slice. For packed formats, texels must start at the byte
 // of the first requested LANE (lanes are byte-addressable: 1 byte/lane for
-// Int8x4, 2 for Float16x2), which lets ReadRange serve unaligned spans.
+// Int8x4), which lets ReadRange serve unaligned spans.
 func unpackAny(f codec.Format, texels []byte, n int) (interface{}, error) {
 	switch f {
 	case codec.FmtFloat32:
 		out := make([]float32, n)
 		return out, codec.UnpackFloat32(out, texels[:n*4])
-	case codec.FmtFloat16x2:
-		out := make([]float32, n)
-		return out, codec.UnpackFloat16x2(out, texels)
 	case codec.FmtInt32:
 		out := make([]int32, n)
 		return out, codec.UnpackInt32(out, texels[:n*4])

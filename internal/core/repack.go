@@ -15,9 +15,8 @@ import (
 // chargeable to the layout decision that caused it.
 //
 // Supported conversions keep the element type and change only the
-// packing: Int8 <-> Int8x4, and Float16x2 -> Float32 (half-float
-// storage is upload-side only, so the reverse direction has no output
-// encoder and is rejected, as is any width-preserving "conversion").
+// packing: Int8 <-> Int8x4. Any width-preserving "conversion" is
+// rejected.
 //
 // The returned kernel deliberately declares neither ElementWise nor
 // FusableEpilogue: a repack must materialize both sides of the seam,

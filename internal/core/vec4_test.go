@@ -37,7 +37,7 @@ float gc_kernel(float idx) {
 }
 `
 
-func buildInt8Kernel(t *testing.T, d *Device, name, src string, packed bool) *Kernel {
+func int8Kernel(t *testing.T, d *Device, name, src string, packed bool) *Kernel {
 	t.Helper()
 	f := codec.FmtInt8
 	if packed {
@@ -82,8 +82,8 @@ func cpuDouble(v int8) int8 {
 func TestVec4KernelMatchesScalarWithTails(t *testing.T) {
 	d := openTest(t)
 	defer d.Close()
-	k4 := buildInt8Kernel(t, d, "double4", double4Source, true)
-	k1 := buildInt8Kernel(t, d, "double1", doubleScalarSource, false)
+	k4 := int8Kernel(t, d, "double4", double4Source, true)
+	k1 := int8Kernel(t, d, "double1", doubleScalarSource, false)
 	if k4.spec.Lanes != 4 || k1.spec.Lanes != 1 {
 		t.Fatalf("derived lanes: packed %d scalar %d, want 4/1", k4.spec.Lanes, k1.spec.Lanes)
 	}
@@ -127,8 +127,7 @@ func TestVec4KernelMatchesScalarWithTails(t *testing.T) {
 }
 
 // TestPackedBufferRoundTrips checks the packed upload/readback paths in
-// isolation (no kernel): int8 through FmtInt8x4 and float32 through
-// FmtFloat16x2 storage.
+// isolation (no kernel): int8 through FmtInt8x4.
 func TestPackedBufferRoundTrips(t *testing.T) {
 	d := openTest(t)
 	defer d.Close()
@@ -149,73 +148,6 @@ func TestPackedBufferRoundTrips(t *testing.T) {
 			if got[i] != xs[i] {
 				t.Fatalf("int8x4 n=%d element %d: got %d, want %d", n, i, got[i], xs[i])
 			}
-		}
-	}
-	for _, n := range []int{1, 2, 7, 130} {
-		b, err := d.NewBufferFmt(codec.FmtFloat16x2, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Exactly representable in fp16: small integers and halves.
-		xs := make([]float32, n)
-		for i := range xs {
-			xs[i] = float32(i%100-50) + 0.5
-		}
-		if err := b.WriteFloat32(xs); err != nil {
-			t.Fatal(err)
-		}
-		got, err := b.ReadFloat32()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, fmt.Sprintf("float16x2 n=%d", n), xs, got)
-	}
-}
-
-// TestFloat16x2KernelInput feeds a half-float packed buffer into a
-// scalar float32 kernel, exercising the GLSL fp16 decoder and the lane
-// select on an odd length.
-func TestFloat16x2KernelInput(t *testing.T) {
-	d := openTest(t)
-	defer d.Close()
-	k, err := d.BuildKernel(KernelSpec{
-		Name:    "f16add1",
-		Inputs:  []Param{{Name: "x", Fmt: codec.FmtFloat16x2}},
-		Outputs: []OutputSpec{{Name: "out", Type: codec.Float32}},
-		Source:  "float gc_kernel(float idx) { return gc_x(idx) + 1.0; }",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 51
-	xs := make([]float32, n)
-	for i := range xs {
-		xs[i] = float32(i%200 - 100) // integers: exact in fp16 and the float codec
-	}
-	in, err := d.NewBufferFmt(codec.FmtFloat16x2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := d.NewBuffer(codec.Float32, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.WriteFloat32(xs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Run1(out, []*Buffer{in}, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := out.ReadFloat32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fp16 decode is exact for these values; the float32 OUTPUT codec
-	// is the lossy step (~15 accurate mantissa bits, paper §V), so hold
-	// the same bar as TestSumFloat32EndToEnd.
-	for i := range xs {
-		if bits := codec.MantissaBitsAgreement(xs[i]+1, got[i]); bits < 13 {
-			t.Fatalf("element %d: got %g, want %g (%d mantissa bits agree)", i, got[i], xs[i]+1, bits)
 		}
 	}
 }
@@ -283,9 +215,6 @@ func TestRepackKernel(t *testing.T) {
 	if _, err := d.BuildRepackKernel(codec.FmtFloat32, codec.FmtInt8x4); err == nil {
 		t.Error("cross-type repack built, want error")
 	}
-	if _, err := d.BuildRepackKernel(codec.FmtFloat32, codec.FmtFloat16x2); err == nil {
-		t.Error("repack into half-float storage built, want error (no f16 encoder)")
-	}
 }
 
 // TestFusionVec4Chain verifies that two 4-wide element-wise stages fuse
@@ -294,8 +223,8 @@ func TestRepackKernel(t *testing.T) {
 func TestFusionVec4Chain(t *testing.T) {
 	d := openTest(t)
 	defer d.Close()
-	k1 := buildInt8Kernel(t, d, "double4", double4Source, true)
-	k2 := buildInt8Kernel(t, d, "relu4", relu4Source, true)
+	k1 := int8Kernel(t, d, "double4", double4Source, true)
+	k2 := int8Kernel(t, d, "relu4", relu4Source, true)
 	const n = 258 // tail texel
 	xs := int8Ramp(n)
 
@@ -368,12 +297,12 @@ func TestFusionVec4Chain(t *testing.T) {
 func TestFusionRefusesLaneBoundary(t *testing.T) {
 	d := openTest(t)
 	defer d.Close()
-	k1 := buildInt8Kernel(t, d, "double1", doubleScalarSource, false)
+	k1 := int8Kernel(t, d, "double1", doubleScalarSource, false)
 	pack, err := d.BuildRepackKernel(codec.FmtInt8, codec.FmtInt8x4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2 := buildInt8Kernel(t, d, "relu4", relu4Source, true)
+	k2 := int8Kernel(t, d, "relu4", relu4Source, true)
 	const n = 37
 	xs := int8Ramp(n)
 

@@ -190,3 +190,48 @@ func TestProgramBinaryInterpreterReject(t *testing.T) {
 		t.Fatal("interpreter context accepted a program binary")
 	}
 }
+
+// TestLinkFailsWhenBytecodeCannotLower: a VM context must not silently
+// run a stage on the interpreter. A stage the bytecode compiler rejects
+// (here a call through a never-defined prototype) fails the link with the
+// compiler's error in the info log; an interpreter context links it as
+// before and refuses to export a binary.
+func TestLinkFailsWhenBytecodeCannotLower(t *testing.T) {
+	const fs = `precision mediump float;
+float f(float x);
+void main() { gl_FragColor = vec4(f(1.0)); }`
+	link := func(c *Context) uint32 {
+		vs := c.CreateShader(VERTEX_SHADER)
+		c.ShaderSource(vs, passVS)
+		c.CompileShader(vs)
+		f := c.CreateShader(FRAGMENT_SHADER)
+		c.ShaderSource(f, fs)
+		c.CompileShader(f)
+		if c.GetShaderiv(f, COMPILE_STATUS) != 1 {
+			t.Fatalf("fragment shader rejected before link:\n%s", c.GetShaderInfoLog(f))
+		}
+		p := c.CreateProgram()
+		c.AttachShader(p, vs)
+		c.AttachShader(p, f)
+		c.LinkProgram(p)
+		return p
+	}
+
+	vm := newTestContext(4, 4)
+	p := link(vm)
+	if vm.GetProgramiv(p, LINK_STATUS) != 0 {
+		t.Fatal("VM context linked a program its bytecode compiler cannot lower")
+	}
+	if log := vm.GetProgramInfoLog(p); !strings.Contains(log, "never defined") {
+		t.Errorf("info log %q does not carry the compile error", log)
+	}
+
+	in := NewContext(Config{Width: 4, Height: 4, SFU: shader.ExactSFU, UseInterpreter: true})
+	p = link(in)
+	if in.GetProgramiv(p, LINK_STATUS) != 1 {
+		t.Fatalf("interpreter context failed the link:\n%s", in.GetProgramInfoLog(p))
+	}
+	if blob := in.GetProgramBinary(p); blob != nil || in.GetError() != INVALID_OPERATION {
+		t.Error("interpreter context exported a program binary")
+	}
+}

@@ -151,7 +151,7 @@ type Program struct {
 
 	// Bytecode compiled once at link time and shared by every draw and
 	// worker (the VM register machine replaces the AST interpreter on the
-	// hot path; a nil entry falls back to the interpreter).
+	// hot path). Nil on interpreter contexts, which never run it.
 	vsCode *shader.Compiled
 	fsCode *shader.Compiled
 
@@ -281,10 +281,20 @@ func (c *Context) LinkProgram(id uint32) {
 	}
 
 	// Lower both stages to bytecode once per link; every draw call and
-	// fragment worker reuses the compiled form. Compilation failure is not
-	// a link error — the AST interpreter remains as fallback.
-	p.vsCode, _ = shader.Compile(p.vsProg)
-	p.fsCode, _ = shader.Compile(p.fsProg)
+	// fragment worker reuses the compiled form. A VM context cannot run a
+	// stage the compiler rejects, so that is a link error — never a
+	// silent drop to the (5-8x slower) interpreter.
+	if !c.cfg.UseInterpreter {
+		var err error
+		if p.vsCode, err = shader.Compile(p.vsProg); err != nil {
+			fail("link error: vertex shader: %v", err)
+			return
+		}
+		if p.fsCode, err = shader.Compile(p.fsProg); err != nil {
+			fail("link error: fragment shader: %v", err)
+			return
+		}
+	}
 
 	p.linked = true
 }
@@ -424,9 +434,9 @@ func (c *Context) linkTables(p *Program, fail func(format string, args ...interf
 // GetProgramBinary serializes a linked program's two bytecode stages plus
 // the interface stubs the link tables need; ProgramBinary restores such a
 // blob into a program object without running the GLSL front-end or the
-// bytecode compiler — the expensive half of link. Binary-restored programs
-// carry no AST, so they execute on the VM only; a context configured with
-// UseInterpreter rejects them.
+// bytecode compiler — the expensive half of link. Binary programs are
+// bytecode, so only VM contexts produce or accept them; a context
+// configured with UseInterpreter rejects both directions.
 
 // programBinaryMagic frames the two-stage container around the per-stage
 // shader blobs (which carry their own magic and format version).
@@ -434,7 +444,8 @@ var programBinaryMagic = [4]byte{'G', 'C', 'P', '2'}
 
 // GetProgramBinary mirrors glGetProgramBinaryOES: it returns a blob that
 // ProgramBinary can restore on a compatible context, or nil with a GL
-// error when the program is not linked or has no bytecode lowering.
+// error when the program is not linked or the context runs the
+// interpreter.
 func (c *Context) GetProgramBinary(id uint32) []byte {
 	p := c.programs[id]
 	if p == nil {
@@ -445,10 +456,8 @@ func (c *Context) GetProgramBinary(id uint32) []byte {
 		c.setErr(INVALID_OPERATION, "GetProgramBinary: program %d is not linked", id)
 		return nil
 	}
-	if p.vsCode == nil || p.fsCode == nil {
-		// A stage the bytecode compiler could not lower runs on the AST
-		// interpreter; there is no binary form of that.
-		c.setErr(INVALID_OPERATION, "GetProgramBinary: program %d has no bytecode lowering", id)
+	if c.cfg.UseInterpreter {
+		c.setErr(INVALID_OPERATION, "GetProgramBinary: binary programs require the bytecode VM (context is configured with UseInterpreter)")
 		return nil
 	}
 	vsBlob, err := p.vsCode.MarshalBinary()
@@ -551,13 +560,12 @@ func (c *Context) ProgramBinary(id uint32, blob []byte) {
 }
 
 // newExecutor builds a shader executor for one stage of a linked program:
-// the bytecode VM by default, the AST interpreter when configured (or when
-// bytecode compilation failed).
+// the bytecode VM by default, the AST interpreter when configured.
 func (c *Context) newExecutor(prog *glsl.Program, code *shader.Compiled) shader.Executor {
-	if code != nil && !c.cfg.UseInterpreter {
-		return shader.NewVM(code, c, c.cfg.SFU)
+	if c.cfg.UseInterpreter {
+		return shader.NewExec(prog, c, c.cfg.SFU)
 	}
-	return shader.NewExec(prog, c, c.cfg.SFU)
+	return shader.NewVM(code, c, c.cfg.SFU)
 }
 
 // addUniformLeaves recursively enumerates location-addressable leaves.

@@ -360,18 +360,12 @@ vec4 gc_kernel(float tidx) {
 }
 `
 
-// kernelFor compiles (through the device's compile-once cache) one nn
-// kernel for the given element type. ew and epilogue are the fusion
-// declarations forwarded to core.KernelSpec (see DESIGN.md §6d): ew marks
-// strict element-wise kernels (fusable as chain members), epilogue marks
-// kernels whose body may host fused element-wise epilogues.
-func kernelFor(dev *core.Device, name string, elem codec.ElemType, inputs []string, uniforms []string, src string, ew, epilogue bool) (*core.Kernel, error) {
-	return kernelFmt(dev, name, codec.FormatOf(elem), inputs, uniforms, src, ew, epilogue, 1)
-}
-
-// kernelFmt is kernelFor with an explicit texel format and lane width —
-// the int8 path's entry point (FmtInt8 for the scalar lowering, FmtInt8x4
-// for the 4-wide one; all of an nn kernel's tensors share one format).
+// kernelFmt compiles (through the device's compile-once cache) one nn
+// kernel whose tensors all share one texel format, at the given lane
+// width. ew and epilogue are the fusion declarations forwarded to
+// core.KernelSpec (see DESIGN.md §6d): ew marks strict element-wise
+// kernels (fusable as chain members), epilogue marks kernels whose body
+// may host fused element-wise epilogues.
 func kernelFmt(dev *core.Device, name string, f codec.Format, inputs []string, uniforms []string, src string, ew, epilogue bool, lanes int) (*core.Kernel, error) {
 	params := make([]core.Param, len(inputs))
 	for i, in := range inputs {

@@ -6,7 +6,7 @@
 // compute runtime.
 //
 // A Model is a device-independent description: layer topology plus host
-// weights, in float32 or int32. Build compiles it into a Network — one
+// weights, in float32, int32 or int8. Build compiles it into a Network — one
 // device-resident core.Pipeline whose stages chain entirely on the GPU
 // (weights are uploaded once into device buffers; between layers not a
 // single byte crosses the host boundary). Conv2D lowers to the classic

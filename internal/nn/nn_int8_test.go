@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"glescompute/internal/codec"
-	"glescompute/internal/core"
 )
 
 // nn_int8_test.go pins the int8 path's acceptance contract: the 4-wide
@@ -140,23 +139,6 @@ func TestInt8FoldValidation(t *testing.T) {
 	mf := DemoLeNetFloat32(1)
 	if _, err := mf.BuildLanes(dev, 1, false, 4); err == nil {
 		t.Error("4-wide float32 build succeeded, want error")
-	}
-}
-
-// TestInt8EnvDisableVec4 checks the scalar-path env escape hatch that CI
-// smokes: with GLESCOMPUTE_NO_VEC4 set, Build falls back to lanes=1.
-func TestInt8EnvDisableVec4(t *testing.T) {
-	dev := openTest(t)
-	defer dev.Close()
-	m := DemoLeNetInt8(7)
-	t.Setenv(core.EnvDisableVec4, "1")
-	net, err := m.Build(dev, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	if net.Lanes() != 1 {
-		t.Fatalf("Lanes() = %d with %s set, want 1", net.Lanes(), core.EnvDisableVec4)
 	}
 }
 

@@ -131,13 +131,10 @@ type NNResult struct {
 	// same LeNet topology quantized to int8, lowered once per lane width.
 	// The lanes=4 lowering packs 4 values per RGBA8 texel, so every
 	// element-wise pass reads/writes a quarter of the texels and the GEMM
-	// inner loop retires 16 MACs per 5 texture fetches. Int8Lanes records
-	// the width this run exercised (1 when -lanes 1 or GLESCOMPUTE_NO_VEC4
-	// forces the scalar smoke path — the vec4 figures are then omitted).
-	// Vec4Validated holds only when every layer of BOTH lowerings is
-	// bit-identical to the int8 CPU reference AND the vec4 network's
-	// modeled time beats the scalar one by ≥ 2x.
-	Int8Lanes     int     `json:"int8_lanes,omitempty"`
+	// inner loop retires 16 MACs per 5 texture fetches. Vec4Validated
+	// holds only when every layer of BOTH lowerings is bit-identical to
+	// the int8 CPU reference AND the vec4 network's modeled time beats the
+	// scalar one by ≥ 2x.
 	Int8Layers    int     `json:"int8_layers,omitempty"`
 	Int8ScalarUS  float64 `json:"n1_int8_scalar_us,omitempty"`
 	Int8Vec4US    float64 `json:"n1_int8_vec4_us,omitempty"`
@@ -324,29 +321,25 @@ func validateNNInt(res *NNResult) error {
 const vec4Batch = 4
 
 // validateNNInt8 runs the quantized int8 network and fills the vec4
-// section. lanes=4 compares the packed lowering against the scalar one
+// section: it compares the packed lowering against the scalar one
 // (bit-identity per layer against refcpu, then a warm modeled-time
-// race); lanes=1 smokes the scalar lowering only.
-func validateNNInt8(res *NNResult, lanes int) error {
+// race).
+func validateNNInt8(res *NNResult) error {
 	dev, err := core.Open(deviceConfig())
 	if err != nil {
 		return err
 	}
 	defer dev.Close()
 	m := nn.DemoLeNetInt8(20160316)
-	res.Int8Lanes = lanes
 	res.Int8Layers = len(m.Layers())
 
-	// Per-layer bit-identity of every exercised lowering against refcpu
-	// (which also proves the lowerings identical to each other).
+	// Per-layer bit-identity of both lowerings against refcpu (which also
+	// proves the lowerings identical to each other).
 	refs, _, err := m.Reference(nn.DemoInputInt8(11, 1), 1)
 	if err != nil {
 		return err
 	}
-	widths := []int{1}
-	if lanes == 4 {
-		widths = []int{1, 4}
-	}
+	widths := []int{1, 4}
 	for _, w := range widths {
 		net, err := m.BuildLanes(dev, 1, true, w)
 		if err != nil {
@@ -387,11 +380,7 @@ func validateNNInt8(res *NNResult, lanes int) error {
 		times[w] = float64(run.Stats.Time.Total().Nanoseconds()) / 1000
 		net.Close()
 	}
-	res.Int8ScalarUS = times[1]
-	if lanes != 4 {
-		return nil
-	}
-	res.Int8Vec4US = times[4]
+	res.Int8ScalarUS, res.Int8Vec4US = times[1], times[4]
 	if times[4] > 0 {
 		res.Vec4SpeedupX = times[1] / times[4]
 	}
@@ -527,12 +516,8 @@ func measureContinuousBatching(res *NNResult) error {
 		return fmt.Errorf("paper: nn: continuous batching coalesced %d requests into %d launches, want %d",
 			cbRequests, launches, want)
 	}
-	// The tentpole bar. Under GLESCOMPUTE_NO_VEC4 the int8 network runs
-	// the scalar lowering — per-image execute grows 4x, the launch share
-	// shrinks, and the coalescing win with it — so the bar (not the
-	// measurement) is waived on that smoke path, as for the other vec4
-	// figures.
-	if !core.Vec4EnvDisabled() && res.BatchModelSpeedupX < 1.5 {
+	// The tentpole bar: coalescing must beat solo serving by 1.5x.
+	if res.BatchModelSpeedupX < 1.5 {
 		return fmt.Errorf("paper: nn: continuous-batching speedup %.3fx, want >= 1.5x (solo %.0fµs, batched %.0fµs)",
 			res.BatchModelSpeedupX, solo, batched)
 	}
@@ -737,24 +722,14 @@ func runNNServePoint(m *nn.Model, images []float32, want []float32,
 // RunNN executes N1: per-layer and whole-network validation + modeled
 // times, the int8 lane-width comparison, then the queue sweep over
 // devicesList × {solo, batch}. batch must be ≥ 2; devicesList defaults
-// to {1, 2}. lanes selects the int8 lowering width (1 or 4; 0 defaults
-// to 4); GLESCOMPUTE_NO_VEC4 forces 1 — the scalar smoke path CI runs.
-// ob, when carrying a tracer or registry, attaches to the sweep's queues
-// (the sweep is small, so its wall numbers are not asserted); the trace
-// then shows per-pass children inside each inference launch.
-func RunNN(requests, batch int, devicesList []int, lanes int, ob *Obs) (NNResult, error) {
+// to {1, 2}. ob, when carrying a tracer or registry, attaches to the
+// sweep's queues (the sweep is small, so its wall numbers are not
+// asserted); the trace then shows per-pass children inside each inference
+// launch.
+func RunNN(requests, batch int, devicesList []int, ob *Obs) (NNResult, error) {
 	res := NNResult{InShape: nn.DemoShape.String(), Requests: requests, Batch: batch}
 	if requests <= 0 || batch < 2 || requests%batch != 0 {
 		return res, fmt.Errorf("paper: nn: need requests >= 1, batch >= 2, requests divisible by batch")
-	}
-	if lanes == 0 {
-		lanes = 4
-	}
-	if lanes != 1 && lanes != 4 {
-		return res, fmt.Errorf("paper: nn: lanes must be 1 or 4, got %d", lanes)
-	}
-	if core.Vec4EnvDisabled() {
-		lanes = 1
 	}
 	if len(devicesList) == 0 {
 		devicesList = []int{1, 2}
@@ -765,7 +740,7 @@ func RunNN(requests, batch int, devicesList []int, lanes int, ob *Obs) (NNResult
 	if err := validateNNInt(&res); err != nil {
 		return res, err
 	}
-	if err := validateNNInt8(&res, lanes); err != nil {
+	if err := validateNNInt8(&res); err != nil {
 		return res, err
 	}
 

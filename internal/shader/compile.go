@@ -212,6 +212,11 @@ func Compile(prog *glsl.Program) (c *Compiled, err error) {
 
 	reach := cc.reachableFunctions()
 	for _, fd := range reach {
+		if fd.Body == nil {
+			// Called through a prototype that is never defined — a link
+			// error in GLSL ES, and nothing to lay out.
+			cc.fail(fd.Pos, "function %q is called but never defined", fd.Name)
+		}
 		fi := &funcInfo{fd: fd}
 		cc.funcIdx[fd] = int32(len(c.funcs))
 		c.funcs = append(c.funcs, fi)

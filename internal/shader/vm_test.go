@@ -625,6 +625,21 @@ void main() {
 	}
 }
 
+// undefinedFuncFS calls a function that is declared but never defined:
+// sema-valid GLSL ES (the missing body is a link-time error).
+const undefinedFuncFS = `precision mediump float;
+float f(float x);
+void main() { gl_FragColor = vec4(f(1.0)); }`
+
+// TestCompileUndefinedFunction: the bytecode compiler rejects a call
+// through a never-defined prototype with an error, not a panic.
+func TestCompileUndefinedFunction(t *testing.T) {
+	prog := compileSrc(t, undefinedFuncFS, glsl.StageFragment)
+	if _, err := Compile(prog); err == nil || !strings.Contains(err.Error(), "never defined") {
+		t.Fatalf("Compile error = %v, want a never-defined error", err)
+	}
+}
+
 // TestVMZeroAllocRun verifies the VM's per-invocation path does not
 // allocate (the whole point of the bytecode engine).
 func TestVMZeroAllocRun(t *testing.T) {

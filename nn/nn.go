@@ -50,8 +50,11 @@ const (
 	KindRescale = inn.KindRescale
 )
 
-// NewModel starts a model over elem (Float32 or Int32) activations with
-// the given input image shape.
+// NewModel starts a model over elem (Float32, Int32 or Int8) activations
+// with the given input image shape. In an Int8 model every Conv2D, Dense
+// and DepthwiseConv layer must be followed by a Rescale (Build folds the
+// requantization into the layer's kernel), and Build packs four values
+// per texel.
 func NewModel(elem codec.ElemType, in Shape) *Model { return inn.NewModel(elem, in) }
 
 // NewService wraps a queue in an inference service for the model.
