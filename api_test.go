@@ -410,53 +410,27 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 }
 
-// TestPublicAPIExecConfig pins the unified execution-config surface: the
-// type aliases, the Toggle constants, the env-var names, and the
-// precedence story — an explicit field beats its environment variable —
-// all reachable through the public package.
-func TestPublicAPIExecConfig(t *testing.T) {
-	// The Toggle constants must keep their tri-state identities.
-	if glescompute.DefaultToggle != 0 || glescompute.Enabled == glescompute.Disabled {
-		t.Fatal("Toggle constants lost their identities")
-	}
-	// The documented env-var names are part of the API: deployments set
-	// them in unit files and CI workflows.
-	for name, want := range map[string]string{
-		glescompute.EnvDisableFusion: "GLESCOMPUTE_NO_FUSION",
-		glescompute.EnvRasterWorkers: "GLESCOMPUTE_RASTER_WORKERS",
-	} {
-		if name != want {
-			t.Errorf("env var constant = %q, want %q", name, want)
-		}
-	}
-
-	// Explicit RasterWorkers wins over the env var, through Open.
-	t.Setenv(glescompute.EnvRasterWorkers, "2")
-	cfg := glescompute.Config{}
-	cfg.Exec = glescompute.ExecConfig{
-		Fusion:        glescompute.Enabled,
-		RasterWorkers: 3,
-	}
-	dev, err := glescompute.Open(cfg)
+// TestPublicAPIRasterWorkers pins the one execution setting of the public
+// Config: an explicit rasterizer worker count opens, on a device and on a
+// queue's pool, and an out-of-domain value is rejected at Open instead of
+// coerced.
+func TestPublicAPIRasterWorkers(t *testing.T) {
+	dev, err := glescompute.Open(glescompute.Config{RasterWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dev.Close()
-	if got := dev.Exec().RasterWorkers; got != 3 {
-		t.Errorf("Device.Exec().RasterWorkers = %d, want the explicit 3", got)
-	}
+	dev.Close()
 
-	// Out-of-domain values must be rejected at Open, not coerced.
-	bad := glescompute.Config{}
-	bad.Exec.RasterWorkers = -1
-	if _, err := glescompute.Open(bad); err == nil {
+	if _, err := glescompute.Open(glescompute.Config{RasterWorkers: -1}); err == nil {
 		t.Error("Open accepted RasterWorkers=-1")
 	}
+	if _, err := glescompute.OpenQueue(glescompute.QueueConfig{Device: glescompute.Config{RasterWorkers: -1}}); err == nil {
+		t.Error("OpenQueue accepted Device.RasterWorkers=-1")
+	}
 
-	// The queue takes pool-wide Exec defaults.
 	q, err := glescompute.OpenQueue(glescompute.QueueConfig{
 		Devices: 1,
-		Exec:    glescompute.ExecConfig{RasterWorkers: 1},
+		Device:  glescompute.Config{RasterWorkers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -101,15 +101,6 @@ type (
 	OutputSpec = core.OutputSpec
 	// Config configures a device.
 	Config = core.Config
-	// ExecConfig is the unified execution configuration (fusion, vec4
-	// lane defaults, rasterizer parallelism, interpreter fallback),
-	// embedded in Config as Config.Exec and in QueueConfig as
-	// QueueConfig.Exec. Explicit fields win over the legacy environment
-	// variables; zero fields fall back to them. See the README knob table.
-	ExecConfig = core.ExecConfig
-	// Toggle is the tri-state switch used by ExecConfig fields whose
-	// default comes from a legacy environment variable.
-	Toggle = core.Toggle
 	// RunStats reports one kernel execution.
 	RunStats = core.RunStats
 	// Timeline is the modeled wall-clock breakdown of device work.
@@ -120,8 +111,7 @@ type (
 	// texture feeds the next stage's sampler with no host round-trip.
 	// Its fusion planner merges chains of element-wise stages and
 	// declared epilogues into single fragment passes (DESIGN.md §6d);
-	// disable per pipeline with SetFusion(false) or process-wide with
-	// the GLESCOMPUTE_NO_FUSION environment variable.
+	// SetFusion(false) selects the unfused reference path per pipeline.
 	Pipeline = core.Pipeline
 	// PipelineStats reports one pipeline execution, including the
 	// host-traffic counters proving the chain stayed on-device and the
@@ -201,24 +191,6 @@ const (
 	PriorityBatch       = sched.PriorityBatch
 	PriorityNormal      = sched.PriorityNormal
 	PriorityInteractive = sched.PriorityInteractive
-)
-
-// Toggle states for ExecConfig fields.
-const (
-	// DefaultToggle defers to the feature's legacy environment variable.
-	DefaultToggle = core.DefaultToggle
-	// Enabled forces the feature on regardless of environment.
-	Enabled = core.Enabled
-	// Disabled forces the feature off regardless of environment.
-	Disabled = core.Disabled
-)
-
-// Environment variables consulted by ExecConfig's zero-value fallbacks.
-const (
-	// EnvDisableFusion disables pipeline fusion process-wide when set.
-	EnvDisableFusion = core.EnvDisableFusion
-	// EnvRasterWorkers sets the default rasterizer worker count.
-	EnvRasterWorkers = core.EnvRasterWorkers
 )
 
 // Sentinel errors.

@@ -205,21 +205,24 @@ var (
 	envCaches  = map[string]*CompileCache{}
 )
 
-// envCompileCache resolves the environment-configured cache, or nil.
-func envCompileCache() *CompileCache {
+// envCompileCache resolves the environment-configured cache: nil when
+// the variable is unset, an error naming the variable and the path when
+// the directory is unusable (a typo would otherwise silently cost every
+// cold start its cache).
+func envCompileCache() (*CompileCache, error) {
 	dir := os.Getenv(EnvCompileCache)
 	if dir == "" {
-		return nil
+		return nil, nil
 	}
 	envCacheMu.Lock()
 	defer envCacheMu.Unlock()
 	if cc, ok := envCaches[dir]; ok {
-		return cc
+		return cc, nil
 	}
 	cc, err := NewCompileCache(dir)
 	if err != nil {
-		cc = nil // unusable dir: disable rather than fail device open
+		return nil, fmt.Errorf("core: %s=%q: %w", EnvCompileCache, dir, err)
 	}
 	envCaches[dir] = cc
-	return cc
+	return cc, nil
 }

@@ -76,7 +76,7 @@ func TestCompileCacheSharedAcrossDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc}
+	cfg := Config{RasterWorkers: 2, CompileCache: cc}
 
 	d1, err := Open(cfg)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestCompileCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc1})
+	d1, err := Open(Config{RasterWorkers: 2, CompileCache: cc1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCompileCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc2})
+	d2, err := Open(Config{RasterWorkers: 2, CompileCache: cc2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCompileCacheDiskPersistence(t *testing.T) {
 func TestCompileCacheCorruptionFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	cc1, _ := NewCompileCache(dir)
-	d1, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc1})
+	d1, err := Open(Config{RasterWorkers: 2, CompileCache: cc1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCompileCacheCorruptionFallsBack(t *testing.T) {
 		}
 	}
 	cc2, _ := NewCompileCache(dir)
-	d2, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc2})
+	d2, err := Open(Config{RasterWorkers: 2, CompileCache: cc2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCompileCacheCorruptionFallsBack(t *testing.T) {
 		cc3.put(key, []byte("not a program binary"))
 	}
 	cc4, _ := NewCompileCache(dir)
-	d3, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc4})
+	d3, err := Open(Config{RasterWorkers: 2, CompileCache: cc4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +230,14 @@ func TestCompileCacheCorruptionFallsBack(t *testing.T) {
 }
 
 // TestCompileCacheEnvDefault: GLESCOMPUTE_COMPILE_CACHE wires a default
-// cache into devices with no explicit Config.CompileCache; interpreter
-// devices never cache (binaries carry bytecode the interpreter cannot
-// run).
+// cache into devices with no explicit Config.CompileCache; reference
+// (interpreter) devices never cache (binaries carry bytecode the
+// interpreter cannot run); an unusable directory fails Open with an error
+// naming the variable and the path instead of silently running uncached.
 func TestCompileCacheEnvDefault(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv(EnvCompileCache, dir)
-	d, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}})
+	d, err := Open(Config{RasterWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +253,34 @@ func TestCompileCacheEnvDefault(t *testing.T) {
 		t.Fatal("env-configured cache wrote nothing")
 	}
 
-	di, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2, UseInterpreter: true}})
+	di, err := OpenReference(Config{RasterWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer di.Close()
 	if di.CompileCache() != nil {
 		t.Fatal("interpreter device must not cache binaries")
+	}
+	k, err := di.BuildKernel(ccTestSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	if di.GL().GetProgramBinary(k.passes[0].prog) != nil {
+		t.Fatal("OpenReference device exported a program binary: it runs on the bytecode VM, not the interpreter")
+	}
+
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(EnvCompileCache, notDir)
+	bad, err := Open(Config{})
+	if err == nil {
+		bad.Close()
+		t.Fatal("Open succeeded with the compile-cache variable naming a regular file")
+	}
+	if msg := err.Error(); !strings.Contains(msg, EnvCompileCache) || !strings.Contains(msg, notDir) {
+		t.Fatalf("error %q must name %s and the path %q", msg, EnvCompileCache, notDir)
 	}
 }

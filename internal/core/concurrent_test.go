@@ -269,7 +269,7 @@ func TestConcurrentIndependentDevices(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			dev, err := Open(Config{Exec: ExecConfig{RasterWorkers: 1}})
+			dev, err := Open(Config{RasterWorkers: 1})
 			if err != nil {
 				errs <- err
 				return
@@ -317,7 +317,7 @@ func TestConcurrentTiledDevices(t *testing.T) {
 
 	ref := make(map[string][]uint32)
 	refCfg := Config{}
-	refCfg.Exec.RasterWorkers = 1
+	refCfg.RasterWorkers = 1
 	refDev, err := Open(refCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestConcurrentTiledDevices(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			cfg := Config{}
-			cfg.Exec.RasterWorkers = 4
+			cfg.RasterWorkers = 4
 			// Tiny tiles force many tiles per draw even on the small
 			// textures these kernels render to.
 			cfg.TileSize = 4

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"glescompute/internal/codec"
@@ -11,11 +12,24 @@ import (
 
 func openTest(t *testing.T) *Device {
 	t.Helper()
-	d, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}})
+	d, err := Open(Config{RasterWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestExecValidateAtOpen: an out-of-domain execution setting is rejected
+// at Open and OpenReference, not silently coerced.
+func TestExecValidateAtOpen(t *testing.T) {
+	t.Run("negative-workers", func(t *testing.T) {
+		for _, open := range []func(Config) (*Device, error){Open, OpenReference} {
+			_, err := open(Config{RasterWorkers: -1})
+			if err == nil || !strings.Contains(err.Error(), "RasterWorkers") {
+				t.Errorf("open(RasterWorkers: -1) = %v, want an error naming RasterWorkers", err)
+			}
+		}
+	})
 }
 
 const sumSource = `

@@ -58,10 +58,11 @@ type Config struct {
 	// FloorConversion selects the paper's eq. (2) floor rule for
 	// framebuffer conversion instead of the GL round-to-nearest rule.
 	FloorConversion bool
-	// Exec is the unified execution configuration: fusion planning, vec4
-	// lane defaults, rasterizer parallelism, interpreter fallback.
-	// Explicit fields win over the legacy env vars; see ExecConfig.
-	Exec ExecConfig
+	// RasterWorkers bounds the tile-rasterizer goroutine pool per draw:
+	// 0 means GOMAXPROCS and 1 forces the sequential rasterizer. Output is
+	// bit-identical at every worker count (tiles are disjoint framebuffer
+	// regions; see DESIGN.md §6h). Negative values are rejected at Open.
+	RasterWorkers int
 	// StrictAppendixA enforces GLSL ES Appendix A loop restrictions.
 	StrictAppendixA bool
 	// TileSize overrides the edge length (pixels) of the framebuffer
@@ -75,7 +76,7 @@ type Config struct {
 	// cache restore through the program-binary path instead of compiling.
 	// nil falls back to the process-wide cache named by the
 	// GLESCOMPUTE_COMPILE_CACHE environment variable, or no cache when
-	// that is unset. Ignored on interpreter devices (binaries carry
+	// that is unset. Ignored on OpenReference devices (binaries carry
 	// bytecode only).
 	CompileCache *CompileCache
 }
@@ -150,9 +151,27 @@ type Device struct {
 }
 
 // Open creates a compute device over a fresh simulated ES 2.0 context.
-func Open(cfg Config) (*Device, error) {
-	if err := cfg.Exec.validate(); err != nil {
-		return nil, err
+func Open(cfg Config) (*Device, error) { return open(cfg, false) }
+
+// OpenReference opens a device whose shaders run on the reference AST
+// interpreter instead of the bytecode VM. Results and shader.Stats are
+// bit-identical to Open's; it exists as the oracle of the executor
+// differential tests. Reference devices never use a compile cache
+// (program binaries carry bytecode only).
+func OpenReference(cfg Config) (*Device, error) { return open(cfg, true) }
+
+func open(cfg Config, interp bool) (*Device, error) {
+	if cfg.RasterWorkers < 0 {
+		return nil, fmt.Errorf("core: Config.RasterWorkers %d: must be >= 0", cfg.RasterWorkers)
+	}
+	var cc *CompileCache
+	if !interp {
+		if cc = cfg.CompileCache; cc == nil {
+			var err error
+			if cc, err = envCompileCache(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	sfu := shader.DefaultSFU
 	if cfg.SFUMantissaBits > 0 {
@@ -169,17 +188,12 @@ func Open(cfg Config) (*Device, error) {
 		Height:          4,
 		SFU:             sfu,
 		Conv:            conv,
-		Workers:         cfg.Exec.Workers(),
+		Workers:         cfg.RasterWorkers,
 		TileSize:        cfg.TileSize,
 		StrictAppendixA: cfg.StrictAppendixA,
-		UseInterpreter:  cfg.Exec.UseInterpreter,
+		UseInterpreter:  interp,
 	})
-	d := &Device{ctx: ctx, gpu: vc4.DefaultModel(), cfg: cfg}
-	if !cfg.Exec.UseInterpreter {
-		if d.ccache = cfg.CompileCache; d.ccache == nil {
-			d.ccache = envCompileCache()
-		}
-	}
+	d := &Device{ctx: ctx, gpu: vc4.DefaultModel(), cfg: cfg, ccache: cc}
 	if d.cfg.MaxGridWidth <= 0 || d.cfg.MaxGridWidth > ctx.Caps().MaxTextureSize {
 		d.cfg.MaxGridWidth = ctx.Caps().MaxTextureSize
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -53,15 +52,6 @@ import (
 // precision result (each skipped round trip removes a ~15-mantissa-bit
 // quantization) — "better" still means re-tolerancing differential tests
 // that assumed the quantized value.
-
-// EnvDisableFusion is the environment variable that, when set non-empty,
-// disables automatic kernel fusion in every subsequently created
-// Pipeline. CI uses it to exercise the unfused reference path so it
-// cannot rot; SetFusion overrides it per pipeline.
-const EnvDisableFusion = "GLESCOMPUTE_NO_FUSION"
-
-// fusionEnvDisabled reports whether EnvDisableFusion suppresses fusion.
-func fusionEnvDisabled() bool { return os.Getenv(EnvDisableFusion) != "" }
 
 // uniBind maps one uniform of the fused program back to the member stage
 // whose source it came from: at Run, the value is resolved exactly as the

@@ -66,12 +66,10 @@ type Pipeline struct {
 	closed bool
 }
 
-// NewPipeline creates an empty pipeline on the device. Automatic kernel
-// fusion follows the device's ExecConfig.Fusion toggle (by default: on
-// unless the EnvDisableFusion environment variable is set); SetFusion
-// overrides either default per pipeline.
+// NewPipeline creates an empty pipeline on the device with automatic
+// kernel fusion on; SetFusion(false) selects the unfused reference path.
 func (d *Device) NewPipeline() *Pipeline {
-	return &Pipeline{dev: d, pool: NewBufferPool(d), fusion: d.cfg.Exec.FusionEnabled()}
+	return &Pipeline{dev: d, pool: NewBufferPool(d), fusion: true}
 }
 
 // Err returns the first builder error, if any.
@@ -87,10 +85,6 @@ func (p *Pipeline) SetFusion(on bool) {
 	}
 	p.fusion = on
 }
-
-// FusionEnabled reports whether the planner may fuse this pipeline's
-// stages.
-func (p *Pipeline) FusionEnabled() bool { return p.fusion }
 
 // Label names the most recently added stage for fusion and stats
 // reporting ("conv1", "softmax/lse"); unlabeled stages report their

@@ -175,7 +175,7 @@ func TestOutputTypeMismatch(t *testing.T) {
 func TestFloorConversionDevice(t *testing.T) {
 	// Ablation A3 at the device level: a device configured with the
 	// paper's eq. (2) floor conversion still round-trips all codecs.
-	d, err := Open(Config{FloorConversion: true, Exec: ExecConfig{RasterWorkers: 2}})
+	d, err := Open(Config{FloorConversion: true, RasterWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestIncarnationBudget(t *testing.T) {
 // readback surfaces as an error rather than wrong data.
 func TestDeviceClassification(t *testing.T) {
 	t.Run("context-lost", func(t *testing.T) {
-		dev, err := core.Open(core.Config{Exec: core.ExecConfig{RasterWorkers: 1}})
+		dev, err := core.Open(core.Config{RasterWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestDeviceClassification(t *testing.T) {
 		}
 	})
 	t.Run("transient-oom", func(t *testing.T) {
-		dev, err := core.Open(core.Config{Exec: core.ExecConfig{RasterWorkers: 1}})
+		dev, err := core.Open(core.Config{RasterWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestDeviceClassification(t *testing.T) {
 		}
 	})
 	t.Run("corrupt-readback", func(t *testing.T) {
-		dev, err := core.Open(core.Config{Exec: core.ExecConfig{RasterWorkers: 1}})
+		dev, err := core.Open(core.Config{RasterWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestDeviceClassification(t *testing.T) {
 		}
 	})
 	t.Run("disabled-injector-is-clean", func(t *testing.T) {
-		dev, err := core.Open(core.Config{Exec: core.ExecConfig{RasterWorkers: 1}})
+		dev, err := core.Open(core.Config{RasterWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,7 +94,6 @@ func loweringCases() []loweringCase {
 // lowering.
 func TestLoweringGolden(t *testing.T) {
 	t.Setenv(core.EnvCompileCache, "")
-	t.Setenv(core.EnvDisableFusion, "")
 	var recs []loweringRecord
 	for _, tc := range loweringCases() {
 		for _, tapAll := range []bool{true, false} {
@@ -133,7 +132,7 @@ func lowerOnce(t *testing.T, tc loweringCase, tapAll bool) loweringRecord {
 	if !tapAll {
 		name += "/out"
 	}
-	dev, err := core.Open(core.Config{Exec: core.ExecConfig{Fusion: core.Enabled}})
+	dev, err := core.Open(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -455,17 +455,14 @@ func relayout(x interface{}, rows, cols, rowsTo, colsTo int) interface{} {
 }
 
 // SetFusion enables or disables the pipeline's automatic kernel fusion
-// for this network; call it between Build and the first Run. The default
-// follows core's fusion default (on unless core.EnvDisableFusion is set).
+// for this network; call it between Build and the first Run. Fusion is on
+// by default.
 // With fusion on, element-wise layers (ReLU, Rescale) merge into the pass
 // of the layer producing their input, non-overlapping pools absorb their
 // producing GEMM chain, and the softmax normalize absorbs its row scan —
 // a LeNet-scale float network drops from 15 builder stages to 8 fragment
 // passes — with int32 outputs bit-identical either way.
 func (n *Network) SetFusion(on bool) { n.p.SetFusion(on) }
-
-// FusionEnabled reports whether the network's pipeline may fuse stages.
-func (n *Network) FusionEnabled() bool { return n.p.FusionEnabled() }
 
 // PlannedPasses reports the pipeline's planned fragment passes
 // post-fusion (labels like "conv1+relu1"); it freezes the plan exactly

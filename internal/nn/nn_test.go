@@ -408,34 +408,55 @@ func TestLeNetFusedPassCounts(t *testing.T) {
 }
 
 // TestLeNetIntFusedBitIdentical pins the fusion correctness obligation on
-// the real workload: the fused integer network's output is bit-identical
-// to the unfused path and to the refcpu reference.
+// the real workload: for int32 at one lane and int8 at one and four lanes,
+// the fused and the unfused integer networks are both bit-identical to the
+// refcpu reference, and fusion runs fewer passes.
 func TestLeNetIntFusedBitIdentical(t *testing.T) {
-	dev := openTest(t)
-	defer dev.Close()
-	m := DemoLeNetInt32(20160316)
-	x := DemoInputInt32(11, 2)
-	want, _, err := m.Reference(x, 2)
-	if err != nil {
-		t.Fatal(err)
+	const batch = 2
+	cases := []struct {
+		name  string
+		m     *Model
+		x     interface{}
+		lanes int
+		equal func(got, want interface{}) bool
+	}{
+		{"int32/lanes1", DemoLeNetInt32(20160316), DemoInputInt32(11, batch), 1, Int32Equal},
+		{"int8/lanes1", DemoLeNetInt8(20160316), DemoInputInt8(11, batch), 1, Int8Equal},
+		{"int8/lanes4", DemoLeNetInt8(20160316), DemoInputInt8(11, batch), 4, Int8Equal},
 	}
-
-	run := func(fuse bool) []int32 {
-		net, err := m.Build(dev, 2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer net.Close()
-		net.SetFusion(fuse)
-		res, err := net.Run(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Output.([]int32)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := openTest(t)
+			defer dev.Close()
+			refs, _, err := tc.m.Reference(tc.x, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(fuse bool) *Result {
+				net, err := tc.m.BuildLanes(dev, batch, false, tc.lanes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer net.Close()
+				net.SetFusion(fuse)
+				res, err := net.Run(tc.x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			fused, unfused := run(true), run(false)
+			if fused.Stats.Passes >= unfused.Stats.Passes {
+				t.Errorf("fused ran %d passes, unfused %d: want fewer fused passes", fused.Stats.Passes, unfused.Stats.Passes)
+			}
+			if !tc.equal(unfused.Output, refs[len(refs)-1]) {
+				t.Error("unfused output not bit-identical to refcpu")
+			}
+			if !tc.equal(fused.Output, refs[len(refs)-1]) {
+				t.Error("fused output not bit-identical to refcpu")
+			}
+		})
 	}
-	fused, unfused := run(true), run(false)
-	checkInt32Exact(t, "fused vs refcpu", fused, want[len(want)-1])
-	checkInt32Exact(t, "fused vs unfused", fused, unfused)
 }
 
 // TestModelBuilderErrors pins the deferred-error discipline.

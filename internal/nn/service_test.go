@@ -42,7 +42,7 @@ func TestServiceSoloAndBatched(t *testing.T) {
 	dev.Close()
 
 	for _, batch := range []int{1, B} {
-		q, err := sched.OpenQueue(sched.Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}})
+		q, err := sched.OpenQueue(sched.Config{Devices: 2, Device: core.Config{RasterWorkers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestServicePassSpans(t *testing.T) {
 	m := DemoLeNetFloat32(20160316)
 	wantPasses := fusedPasses(t, m, 1)
 	tr := obs.NewTracer(20160316)
-	q, err := sched.OpenQueue(sched.Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}, Tracer: tr})
+	q, err := sched.OpenQueue(sched.Config{Devices: 1, Device: core.Config{RasterWorkers: 1}, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestServiceCoalescedPassSpans(t *testing.T) {
 	m := DemoLeNetInt8(20160316)
 	wantPasses := fusedPasses(t, m, 4)
 	tr := obs.NewTracer(20160316)
-	q, err := sched.OpenQueue(sched.Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1},
+	q, err := sched.OpenQueue(sched.Config{Devices: 1, Device: core.Config{RasterWorkers: 1},
 		MaxBatch: 16, BatchWindow: 50 * time.Millisecond, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func countTraceEvents(events []map[string]interface{}, prefix string) int {
 
 // TestServiceInputValidation pins submit-time validation.
 func TestServiceInputValidation(t *testing.T) {
-	q, err := sched.OpenQueue(sched.Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := sched.OpenQueue(sched.Config{Devices: 1, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestServiceRetryThroughFaults(t *testing.T) {
 		OOMsPerIncarnation:   1,
 		StallFor:             time.Microsecond,
 	})
-	cfg := sched.Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}}
+	cfg := sched.Config{Devices: 2, Device: core.Config{RasterWorkers: 1}}
 	cfg.OpenDevice = func(slot int, dcfg core.Config) (*core.Device, error) {
 		d, err := core.Open(dcfg)
 		if err != nil {
@@ -391,7 +391,7 @@ func TestServiceContinuousBatching(t *testing.T) {
 	net.Close()
 	dev.Close()
 
-	q, err := sched.OpenQueue(sched.Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1},
+	q, err := sched.OpenQueue(sched.Config{Devices: 1, Device: core.Config{RasterWorkers: 1},
 		MaxBatch: 16, BatchWindow: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

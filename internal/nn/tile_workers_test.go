@@ -24,9 +24,7 @@ func TestLeNetTiledWorkersBitIdentical(t *testing.T) {
 
 	var ref []interface{}
 	for _, workers := range []int{1, 2, 4, 8} {
-		cfg := core.Config{}
-		cfg.Exec.RasterWorkers = workers
-		dev, err := core.Open(cfg)
+		dev, err := core.Open(core.Config{RasterWorkers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

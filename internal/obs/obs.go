@@ -62,7 +62,7 @@ type instant struct {
 
 // NewTracer creates a tracer. seed brands the trace (exported in the
 // trace metadata and available via TraceID) so artifacts produced under a
-// fixed seed — GLESCOMPUTE_FAULT_SEED runs, say — are attributable to it;
+// fixed seed — paperbench -chaos-seed runs, say — are attributable to it;
 // span IDs are sequence numbers, deterministic for a deterministic
 // sequence of operations.
 func NewTracer(seed int64) *Tracer {

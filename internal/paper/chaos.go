@@ -90,7 +90,7 @@ func RunChaos(jobs, n int, seed int64, devices int, ob *Obs) (ChaosResult, error
 	cfg := sched.Config{
 		Devices:  devices,
 		MaxBatch: 32,
-		Exec:     core.ExecConfig{RasterWorkers: 1},
+		Device:   core.Config{RasterWorkers: 1},
 		OpenDevice: func(slot int, dcfg core.Config) (*core.Device, error) {
 			dev, err := core.Open(dcfg)
 			if err != nil {

@@ -14,17 +14,13 @@ import (
 	"glescompute/internal/core"
 )
 
-// withInterpreter runs fn twice — once per executor — and returns both
+// withBothExecutors runs fn twice — once per executor — and returns both
 // results.
 func withBothExecutors(t *testing.T, fn func() interface{}) (vm, interp interface{}) {
 	t.Helper()
-	saved := baseDeviceConfig
-	defer func() { baseDeviceConfig = saved }()
-
-	baseDeviceConfig = saved
-	baseDeviceConfig.Exec.UseInterpreter = false
 	vm = fn()
-	baseDeviceConfig.Exec.UseInterpreter = true
+	openDevice = core.OpenReference
+	defer func() { openDevice = core.Open }()
 	interp = fn()
 	return vm, interp
 }
@@ -125,8 +121,8 @@ func TestDifferentialRawStats(t *testing.T) {
 		Frag, Vert interface{}
 		Out        []int32
 	}
-	run := func(useInterp bool) capture {
-		dev, err := core.Open(core.Config{Exec: core.ExecConfig{UseInterpreter: useInterp}})
+	run := func(open func(core.Config) (*core.Device, error)) capture {
+		dev, err := open(core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,8 +165,8 @@ func TestDifferentialRawStats(t *testing.T) {
 		}
 		return capture{Frag: stats.Draw.FragmentStats, Vert: stats.Draw.VertexStats, Out: out}
 	}
-	vm := run(false)
-	interp := run(true)
+	vm := run(core.Open)
+	interp := run(core.OpenReference)
 	assertIdentical(t, "fragment stats", vm.Frag, interp.Frag)
 	assertIdentical(t, "vertex stats", vm.Vert, interp.Vert)
 	assertIdentical(t, "output bytes", vm.Out, interp.Out)

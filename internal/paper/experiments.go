@@ -30,19 +30,11 @@ import (
 	"glescompute/internal/vc4"
 )
 
-// baseDeviceConfig is the device configuration shared by every experiment.
-// The differential test harness swaps it to replay the entire evaluation
-// on the reference AST interpreter and assert byte-identical metrics
-// against the default bytecode VM.
-var baseDeviceConfig core.Config
-
-func deviceConfig() core.Config { return baseDeviceConfig }
-
-func deviceConfigSFU(bits int) core.Config {
-	cfg := baseDeviceConfig
-	cfg.SFUMantissaBits = bits
-	return cfg
-}
+// openDevice opens every experiment device. The differential test harness
+// swaps it for core.OpenReference to replay the entire evaluation on the
+// reference AST interpreter and assert byte-identical metrics against the
+// default bytecode VM.
+var openDevice = core.Open
 
 // Speedup is the outcome of one speedup experiment (T1.1–T1.4).
 type Speedup struct {
@@ -101,7 +93,7 @@ func RunSum(elem codec.ElemType, targetN, execN int) (Speedup, error) {
 		return s, fmt.Errorf("paper: sum is specified for int32 and float32")
 	}
 
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return s, err
 	}
@@ -261,7 +253,7 @@ func RunSgemm(elem codec.ElemType, targetN, execN1, execN2 int) (Speedup, error)
 // runSgemmAt executes sgemm at size n, validates, and returns the
 // fragment-stage statistics.
 func runSgemmAt(elem codec.ElemType, n int) (shader.Stats, bool, error) {
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return shader.Stats{}, false, err
 	}
@@ -392,7 +384,7 @@ type PrecisionResult struct {
 // round trips of the same transformation.
 func RunPrecision(samples int) (PrecisionResult, error) {
 	res := PrecisionResult{Samples: samples, PaperBits: 15, CPUExact: true}
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return res, err
 	}
@@ -459,7 +451,7 @@ type Int24Result struct {
 // RunInt24 executes P2.
 func RunInt24() (Int24Result, error) {
 	var res Int24Result
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return res, err
 	}
@@ -506,7 +498,7 @@ func RunInt24() (Int24Result, error) {
 // simulated pipeline (programmable stages bracketed, as the paper dashes
 // them).
 func Fig1Trace() (string, error) {
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return "", err
 	}
@@ -598,7 +590,7 @@ type SFUSweepPoint struct {
 func RunSFUSweep(samples int) ([]SFUSweepPoint, error) {
 	var out []SFUSweepPoint
 	for _, bits := range []int{8, 10, 12, 14, 16, 18, 20, -1} {
-		dev, err := core.Open(deviceConfigSFU(bits))
+		dev, err := openDevice(core.Config{SFUMantissaBits: bits})
 		if err != nil {
 			return nil, err
 		}
@@ -666,7 +658,7 @@ type HalfFloatResult struct {
 // far outside fp16's ±65504 / 6e-5 normal range.
 func RunHalfFloatComparison(samples int) (HalfFloatResult, error) {
 	res := HalfFloatResult{Samples: samples, MinBitsFP16: 23, MinBitsCodec: 23}
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return res, err
 	}
@@ -746,7 +738,7 @@ type CodecOverhead struct {
 // RunCodecOverhead executes A1 on the integer sum kernel.
 func RunCodecOverhead(n int) (CodecOverhead, error) {
 	var res CodecOverhead
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return res, err
 	}
@@ -840,7 +832,7 @@ func (p PipelineChain) SpeedupX() float64 {
 // RunPipelineChain executes both chaining strategies at n elements.
 func RunPipelineChain(n int) (PipelineChain, error) {
 	res := PipelineChain{N: n}
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return res, err
 	}

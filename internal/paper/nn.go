@@ -116,10 +116,7 @@ type NNResult struct {
 	// both the per-launch fixed costs and the RGBA8 codec round trips of
 	// the eliminated intermediates. FusionValidated: the fused integer
 	// network's output is bit-identical to the unfused path and to
-	// refcpu. When fusion is disabled (core.EnvDisableFusion), the
-	// comparison degenerates (FusionEnabled records it) and the planner
-	// bars are not asserted.
-	FusionEnabled   bool     `json:"fusion_enabled"`
+	// refcpu.
 	FusedPasses     int      `json:"fused_passes"`
 	UnfusedPasses   int      `json:"unfused_passes"`
 	UnfusedNetGPUUS float64  `json:"unfused_net_gpu_model_us"`
@@ -145,7 +142,7 @@ type NNResult struct {
 // validateNNFloat runs the float network with every layer tapped and
 // fills the per-layer table.
 func validateNNFloat(res *NNResult) error {
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return err
 	}
@@ -199,15 +196,14 @@ func validateNNFloat(res *NNResult) error {
 
 	// Whole-network end-to-end time on a warm network: input upload +
 	// every layer + final readback (tap readbacks excluded — rebuild
-	// without taps). The default path runs with the fusion planner (on
-	// unless core.EnvDisableFusion); an explicitly unfused build prices
-	// the same chain pass-per-stage for the fusion on/off comparison.
+	// without taps). The default path runs with the fusion planner; an
+	// explicitly unfused build prices the same chain pass-per-stage for
+	// the fusion on/off comparison.
 	e2e, err := m.Build(dev, 1, false)
 	if err != nil {
 		return err
 	}
 	defer e2e.Close()
-	res.FusionEnabled = e2e.FusionEnabled()
 	if _, err := e2e.Run(x); err != nil { // warm-up (kernels already cached; pool warmed)
 		return err
 	}
@@ -242,21 +238,19 @@ func validateNNFloat(res *NNResult) error {
 	if res.NetGPUUS > 0 {
 		res.FusionSpeedupX = res.UnfusedNetGPUUS / res.NetGPUUS
 	}
-	if res.FusionEnabled {
-		// Deterministic planner bars (vc4 model, fixed demo network):
-		// the fused chain must hit the pass budget and must strictly
-		// beat the unfused chain — fewer launches, no codec work for
-		// the eliminated intermediates.
-		if res.FusedPasses > 11 {
-			return fmt.Errorf("paper: nn: fused LeNet ran %d passes, want <= 11", res.FusedPasses)
-		}
-		if fusedRun.Stats.FusionFallbacks != 0 {
-			return fmt.Errorf("paper: nn: %d fusion fallbacks, want 0", fusedRun.Stats.FusionFallbacks)
-		}
-		if res.FusionSpeedupX < 1.2 {
-			return fmt.Errorf("paper: nn: fusion speedup %.3fx, want >= 1.2x (unfused %.0fµs, fused %.0fµs)",
-				res.FusionSpeedupX, res.UnfusedNetGPUUS, res.NetGPUUS)
-		}
+	// Deterministic planner bars (vc4 model, fixed demo network): the
+	// fused chain must hit the pass budget and must strictly beat the
+	// unfused chain — fewer launches, no codec work for the eliminated
+	// intermediates.
+	if res.FusedPasses > 11 {
+		return fmt.Errorf("paper: nn: fused LeNet ran %d passes, want <= 11", res.FusedPasses)
+	}
+	if fusedRun.Stats.FusionFallbacks != 0 {
+		return fmt.Errorf("paper: nn: %d fusion fallbacks, want 0", fusedRun.Stats.FusionFallbacks)
+	}
+	if res.FusionSpeedupX < 1.2 {
+		return fmt.Errorf("paper: nn: fusion speedup %.3fx, want >= 1.2x (unfused %.0fµs, fused %.0fµs)",
+			res.FusionSpeedupX, res.UnfusedNetGPUUS, res.NetGPUUS)
 	}
 	return nil
 }
@@ -264,7 +258,7 @@ func validateNNFloat(res *NNResult) error {
 // validateNNInt runs the integer network with every layer tapped and
 // asserts bit-identity.
 func validateNNInt(res *NNResult) error {
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return err
 	}
@@ -308,10 +302,7 @@ func validateNNInt(res *NNResult) error {
 	if !nn.Int32Equal(fusedRun.Output, refs[len(refs)-1]) {
 		return fmt.Errorf("paper: nn: fused int32 network not bit-identical to the unfused path / refcpu")
 	}
-	// Only claim the fusion equivalence was validated when fusion actually
-	// ran: with core.EnvDisableFusion set the comparison above degenerates
-	// to unfused-vs-unfused and proves nothing about the planner.
-	res.FusionValidated = fused.FusionEnabled()
+	res.FusionValidated = true
 	return nil
 }
 
@@ -325,7 +316,7 @@ const vec4Batch = 4
 // (bit-identity per layer against refcpu, then a warm modeled-time
 // race).
 func validateNNInt8(res *NNResult) error {
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return err
 	}
@@ -418,7 +409,7 @@ func measureContinuousBatching(res *NNResult) error {
 
 	// Ground truth: each image alone through a standalone batch-1 network
 	// — the bits every coalesced output must reproduce.
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return err
 	}
@@ -441,7 +432,7 @@ func measureContinuousBatching(res *NNResult) error {
 	dev.Close()
 
 	runCfg := func(continuous bool) (modeledUS float64, launches uint64, err error) {
-		cfg := sched.Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}}
+		cfg := sched.Config{Devices: 1, Device: core.Config{RasterWorkers: 1}}
 		if continuous {
 			// The window is a flush deadline, not a delay: the 16-request
 			// burst hits the early-flush bound long before it expires, so a
@@ -546,9 +537,7 @@ func measureCompileCacheWin(res *NNResult) error {
 			if err != nil {
 				return 0, err
 			}
-			cfg := deviceConfig()
-			cfg.CompileCache = cc
-			dev, err := core.Open(cfg)
+			dev, err := openDevice(core.Config{CompileCache: cc})
 			if err != nil {
 				return 0, err
 			}
@@ -626,7 +615,7 @@ func measureCompileCacheWin(res *NNResult) error {
 func runNNServePoint(m *nn.Model, images []float32, want []float32,
 	requests, batch, devices int, ob *Obs) (NNServePoint, error) {
 	pt := NNServePoint{Devices: devices, Batch: batch}
-	cfg := sched.Config{Devices: devices, Exec: core.ExecConfig{RasterWorkers: 1}}
+	cfg := sched.Config{Devices: devices, Device: core.Config{RasterWorkers: 1}}
 	ob.apply(&cfg)
 	q, err := sched.OpenQueue(cfg)
 	if err != nil {
@@ -748,7 +737,7 @@ func RunNN(requests, batch int, devicesList []int, ob *Obs) (NNResult, error) {
 	// device (bit-identical is the bar: batching never changes bits).
 	m := nn.DemoLeNetFloat32(20160316)
 	images := nn.DemoInputFloat32(23, requests)
-	dev, err := core.Open(deviceConfig())
+	dev, err := openDevice(core.Config{})
 	if err != nil {
 		return res, err
 	}

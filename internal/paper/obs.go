@@ -92,7 +92,7 @@ func RunServeModel(jobs, n int) (ServeModelResult, error) {
 	q, err := sched.OpenQueue(sched.Config{
 		Devices:  1,
 		MaxBatch: 1,
-		Exec:     core.ExecConfig{RasterWorkers: 1},
+		Device:   core.Config{RasterWorkers: 1},
 	})
 	if err != nil {
 		return res, err

@@ -97,9 +97,7 @@ func RunRaster(n, reps int) (RasterResult, error) {
 	var ref []float32
 	res.Validated = true
 	for _, workers := range []int{1, 2, 4, 8} {
-		cfg := deviceConfig()
-		cfg.Exec.RasterWorkers = workers
-		dev, err := core.Open(cfg)
+		dev, err := openDevice(core.Config{RasterWorkers: workers})
 		if err != nil {
 			return res, err
 		}

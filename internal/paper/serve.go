@@ -142,7 +142,7 @@ func payloadFor(payloads []servePayload, i int) *servePayload {
 // serveReference computes the synchronous ground truth for every payload
 // with plain Kernel.Run on a dedicated device.
 func serveReference(payloads []servePayload) error {
-	dev, err := core.Open(core.Config{Exec: core.ExecConfig{RasterWorkers: 1}})
+	dev, err := core.Open(core.Config{RasterWorkers: 1})
 	if err != nil {
 		return err
 	}
@@ -224,7 +224,7 @@ func runServePoint(payloads []servePayload, jobs, devices int, batching bool, ob
 	cfg := sched.Config{
 		Devices:  devices,
 		MaxBatch: 1,
-		Exec:     core.ExecConfig{RasterWorkers: 1},
+		Device:   core.Config{RasterWorkers: 1},
 	}
 	if batching {
 		cfg.MaxBatch = 32

@@ -189,7 +189,7 @@ func measureServiceTimes(payloads []servePayload) ([]float64, error) {
 	q, err := sched.OpenQueue(sched.Config{
 		Devices:  1,
 		MaxBatch: 1,
-		Exec:     core.ExecConfig{RasterWorkers: 1},
+		Device:   core.Config{RasterWorkers: 1},
 	})
 	if err != nil {
 		return nil, err
@@ -222,7 +222,7 @@ func runServeLoadLive(payloads []servePayload, requests int, sloUS float64, ob *
 		Devices:     2,
 		MaxBatch:    16,
 		BatchWindow: 500 * time.Microsecond,
-		Exec:        core.ExecConfig{RasterWorkers: 1},
+		Device:      core.Config{RasterWorkers: 1},
 		Admission:   sched.AdmissionPolicy{TargetDelay: time.Duration(sloUS) * time.Microsecond},
 	}
 	ob.apply(&cfg)

@@ -36,7 +36,7 @@ func TestAdmissionShedsByClass(t *testing.T) {
 	q, err := OpenQueue(Config{
 		Devices:   1,
 		MaxBatch:  1,
-		Exec:      core.ExecConfig{RasterWorkers: 1},
+		Device:    core.Config{RasterWorkers: 1},
 		Admission: AdmissionPolicy{TargetDelay: 25 * time.Millisecond},
 	})
 	if err != nil {
@@ -113,7 +113,7 @@ func TestAdmissionShedsByClass(t *testing.T) {
 // TestAdmissionDisabledNeverSheds: the zero AdmissionPolicy admits
 // everything no matter how deep the backlog gets.
 func TestAdmissionDisabledNeverSheds(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 1, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestAdmissionDisabledNeverSheds(t *testing.T) {
 // ahead of a batch-class one buffered earlier in the same window.
 func TestPriorityOrdersBatchFlush(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, BatchWindow: 30 * time.Millisecond,
-		Exec: core.ExecConfig{RasterWorkers: 1}})
+		Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

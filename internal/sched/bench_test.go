@@ -18,7 +18,7 @@ var benchSum = core.KernelSpec{
 func benchQueue(b *testing.B, maxBatch int) {
 	q, err := OpenQueue(Config{
 		Devices: 1, MaxBatch: maxBatch,
-		Exec: core.ExecConfig{RasterWorkers: 1},
+		Device: core.Config{RasterWorkers: 1},
 	})
 	if err != nil {
 		b.Fatal(err)

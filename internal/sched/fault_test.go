@@ -50,7 +50,7 @@ func wantInt(i int) []int32 {
 // failure instead of crashing the pool, the device is replaced, and later
 // jobs run normally.
 func TestPanicRecovery(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRetryThroughContextLoss(t *testing.T) {
 	})
 	// Small batches so each device performs enough draws for the whole
 	// fault schedule (early + terminal events) to fire.
-	q := faultQueue(t, plan, Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}, MaxBatch: 4})
+	q := faultQueue(t, plan, Config{Devices: 2, Device: core.Config{RasterWorkers: 1}, MaxBatch: 4})
 	defer q.Close()
 	const n = 200
 	jobs := make([]*Job, n)
@@ -154,7 +154,7 @@ func TestRetryThroughContextLoss(t *testing.T) {
 // devices eventually fails with the underlying error.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	calls := int32(0)
-	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}, MaxReopens: 100})
+	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{RasterWorkers: 1}, MaxReopens: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // TestDeadline: a job whose deadline expires before it runs completes with
 // an error wrapping context.DeadlineExceeded, and is never retried.
 func TestDeadline(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestGracefulDegradation(t *testing.T) {
 	})
 	// Only slot 0 faults: give slot 1 a clean injector by budgeting one
 	// faulty incarnation and asking for slot 1's injector first.
-	cfg := Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}, MaxReopens: -1}
+	cfg := Config{Devices: 2, Device: core.Config{RasterWorkers: 1}, MaxReopens: -1}
 	cfg.OpenDevice = func(slot int, dcfg core.Config) (*core.Device, error) {
 		dev, err := core.Open(dcfg)
 		if err != nil {
@@ -299,7 +299,7 @@ func TestGracefulDegradation(t *testing.T) {
 // submitted job completes, and Drain returns only with zero jobs in
 // flight at that instant.
 func TestDrainSubmitRace(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 2, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestDrainSubmitRace(t *testing.T) {
 // number of later waiters observe its result, whether the cancellation
 // happened before, during, or after completion.
 func TestWaitDetach(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

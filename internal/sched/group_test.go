@@ -56,7 +56,7 @@ func (g *groupRecorder) snapshot() [][]int {
 // submission order, each job receiving its own output.
 func TestGroupCoalescesWithinWindow(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, BatchWindow: 50 * time.Millisecond,
-		Exec: core.ExecConfig{RasterWorkers: 1}})
+		Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGroupCoalescesWithinWindow(t *testing.T) {
 // queue runs a lone group job immediately as its own launch — continuous
 // batching is strictly opt-in.
 func TestGroupWindowZeroStaysAdaptive(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestGroupWindowZeroStaysAdaptive(t *testing.T) {
 // coalesce per key — no launch ever mixes payloads across keys.
 func TestGroupKeysStayDisjoint(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, BatchWindow: 50 * time.Millisecond,
-		Exec: core.ExecConfig{RasterWorkers: 1}})
+		Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGroupValidation(t *testing.T) {
 	}
 
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, BatchWindow: 20 * time.Millisecond,
-		Exec: core.ExecConfig{RasterWorkers: 1}})
+		Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestGroupValidation(t *testing.T) {
 // output count fails every member with a diagnostic.
 func TestGroupFailuresFanOut(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 8, BatchWindow: 20 * time.Millisecond,
-		Exec: core.ExecConfig{RasterWorkers: 1}})
+		Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestGroupFailuresFanOut(t *testing.T) {
 // in-flight — and every job must complete with its own output.
 func TestDrainRacesBatchWindow(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 2, MaxBatch: 8, BatchWindow: 2 * time.Millisecond,
-		Exec: core.ExecConfig{RasterWorkers: 1}})
+		Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

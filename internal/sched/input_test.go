@@ -21,7 +21,7 @@ func TestTypedInputsRetryBatching(t *testing.T) {
 		OpHorizon:          24,
 		FaultyIncarnations: 1,
 	})
-	q := faultQueue(t, plan, Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1},
+	q := faultQueue(t, plan, Config{Devices: 2, Device: core.Config{RasterWorkers: 1},
 		MaxBatch: 8, BatchWindow: time.Millisecond})
 	defer q.Close()
 	const n = 120

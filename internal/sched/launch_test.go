@@ -166,7 +166,7 @@ func TestLaunchAccounting(t *testing.T) {
 	for _, tc := range cases {
 		cfg := tc.cfg
 		cfg.Devices = 1
-		cfg.Exec.RasterWorkers = 1
+		cfg.Device.RasterWorkers = 1
 		q, err := OpenQueue(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +211,7 @@ func TestLaunchAccounting(t *testing.T) {
 		{"group runner", soloJob(func(dev *core.Device) (interface{}, core.RunStats, error) { panic("group kaboom") })},
 	}
 	for _, tc := range panics {
-		cfg := Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}}
+		cfg := Config{Devices: 1, Device: core.Config{RasterWorkers: 1}}
 		opened := 0
 		cfg.OpenDevice = func(slot int, dcfg core.Config) (*core.Device, error) {
 			dev, err := core.Open(dcfg)

@@ -45,7 +45,7 @@ func countEvents(events []map[string]interface{}, prefix string) int {
 // end-to-end and queue-wait quantiles after a burst of jobs, with no
 // Tracer or Registry attached.
 func TestLatencyQuantiles(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 2, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestLatencyQuantiles(t *testing.T) {
 // MaxPending.
 func TestMaxPendingSeen(t *testing.T) {
 	const maxPending = 4
-	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}, MaxPending: maxPending})
+	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{RasterWorkers: 1}, MaxPending: maxPending})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMaxPendingSeen(t *testing.T) {
 func TestTraceExport(t *testing.T) {
 	tr := obs.NewTracer(7)
 	reg := obs.NewRegistry()
-	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}, Tracer: tr, Metrics: reg})
+	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{RasterWorkers: 1}, Tracer: tr, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestTraceFaultAnnotations(t *testing.T) {
 	tr := obs.NewTracer(99)
 	reg := obs.NewRegistry()
 	q := faultQueue(t, plan, Config{
-		Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}, MaxBatch: 4,
+		Devices: 2, Device: core.Config{RasterWorkers: 1}, MaxBatch: 4,
 		Tracer: tr, Metrics: reg,
 	})
 	for i := 0; i < 200; i++ {
@@ -219,7 +219,7 @@ func TestObsConcurrent(t *testing.T) {
 	tr := obs.NewTracer(3)
 	reg := obs.NewRegistry()
 	q := faultQueue(t, plan, Config{
-		Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}, MaxBatch: 4,
+		Devices: 2, Device: core.Config{RasterWorkers: 1}, MaxBatch: 4,
 		Tracer: tr, Metrics: reg,
 	})
 	var wg sync.WaitGroup

@@ -70,16 +70,11 @@ var ErrQueueClosed = fmt.Errorf("sched: queue is closed: %w", core.ErrClosed)
 type Config struct {
 	// Devices is the size of the device pool; 0 means 1.
 	Devices int
-	// Device configures every pooled device. When no rasterizer worker
-	// count is pinned anywhere (Device.Exec.RasterWorkers, Exec below, or
-	// GLESCOMPUTE_RASTER_WORKERS) and Devices > 1, each device's
-	// fragment-stage parallelism is capped to GOMAXPROCS/Devices so the
-	// pool does not oversubscribe the host.
+	// Device configures every pooled device. When Device.RasterWorkers is
+	// 0 and Devices > 1, each device's fragment-stage parallelism is
+	// capped to GOMAXPROCS/Devices so the pool does not oversubscribe the
+	// host.
 	Device core.Config
-	// Exec is the pool-wide execution-config default: fields left zero in
-	// Device.Exec are filled from it before devices open. A field set in
-	// Device.Exec always wins.
-	Exec core.ExecConfig
 	// MaxPending bounds the submission queue; Submit blocks when it is
 	// full (backpressure). 0 means 1024.
 	MaxPending int
@@ -183,7 +178,6 @@ func OpenQueue(cfg Config) (*Queue, error) {
 		cfg.MaxBatch = 64
 	}
 	dcfg := cfg.Device
-	dcfg.Exec = core.MergeExec(dcfg.Exec, cfg.Exec)
 	if dcfg.CompileCache == nil && os.Getenv(core.EnvCompileCache) == "" {
 		// Pool devices share one in-memory compile cache by default, so a
 		// kernel is compiled once per pool, not once per device — every
@@ -195,12 +189,8 @@ func OpenQueue(cfg Config) (*Queue, error) {
 			dcfg.CompileCache = cc
 		}
 	}
-	if !dcfg.Exec.WorkersPinned() && cfg.Devices > 1 {
-		if w := runtime.GOMAXPROCS(0) / cfg.Devices; w > 1 {
-			dcfg.Exec.RasterWorkers = w
-		} else {
-			dcfg.Exec.RasterWorkers = 1
-		}
+	if dcfg.RasterWorkers == 0 && cfg.Devices > 1 {
+		dcfg.RasterWorkers = max(runtime.GOMAXPROCS(0)/cfg.Devices, 1)
 	}
 	maxReopens := cfg.MaxReopens
 	if maxReopens == 0 {

@@ -501,7 +501,7 @@ func TestSubmitBackpressure(t *testing.T) {
 	}
 	q, err := OpenQueue(Config{
 		Devices: 1, MaxPending: 1, MaxBatch: 1,
-		Exec: core.ExecConfig{RasterWorkers: 1},
+		Device: core.Config{RasterWorkers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +614,7 @@ func TestKeylessGroupJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := OpenQueue(Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 2, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +654,7 @@ func TestKeylessGroupJobs(t *testing.T) {
 // its own closure on the device) is rejected at Submit when it also carries
 // batching or kernel fields.
 func TestDirectJobValidation(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
