@@ -16,8 +16,8 @@
 // compile_cache_speedup_x, ...). Every gated metric present in the
 // baseline must exist in the current report at ≥ (1 - max-regress) of
 // the baseline value; booleans named *validated must be true in the
-// current report. The serve-model latency quantiles
-// (s1_p50/p95/p99_modeled_us) and the serve-load reference tail
+// current report. The serve-load service-time quantiles
+// (s1_p50/p95/p99_modeled_us) and its reference tail
 // (s3_p99_modeled_us) are gated the other way — lower is better — with
 // the same budget mirrored. A top-level "schema" number is tolerated and
 // reported, never gated. A result carrying `"wall_gate_skipped": true`
@@ -30,7 +30,7 @@
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_BASELINE.json -current BENCH_PR5.json
+//	benchgate -baseline BENCH_BASELINE.json -current bench_capture.json
 //	          [-max-regress 0.10] [-wall-margin 0.25] [-update]
 //
 // Improvements are reported (and counted) alongside regressions. With
@@ -75,7 +75,7 @@ var wallGatedKeys = map[string]bool{
 	"wall_frags_per_s_seq": true,
 }
 
-// lowerGatedKeys are the lower-is-better modeled metrics: the serve-model
+// lowerGatedKeys are the lower-is-better modeled metrics: the serve-load
 // latency quantiles, which regress by going UP. The same -max-regress
 // budget applies, mirrored.
 var lowerGatedKeys = map[string]bool{

@@ -181,17 +181,17 @@ func TestGateWallMetricsWithMargin(t *testing.T) {
 
 const latencyJSON = `{
 	"schema": 1,
-	"serve-model": {"s1_p50_modeled_us": 100.0, "s1_p95_modeled_us": 200.0, "s1_p99_modeled_us": 900.0, "s1_mean_modeled_us": 150.0, "validated": true}
+	"serve-load": {"s1_p50_modeled_us": 100.0, "s1_p95_modeled_us": 200.0, "s1_p99_modeled_us": 900.0, "mean_service_modeled_us": 150.0, "s3_validated": true}
 }`
 
 func TestGateLowerIsBetterKeys(t *testing.T) {
 	// p99 rising 50% must fail; the ungated mean rising must not.
 	cur := report(t, strings.ReplaceAll(strings.ReplaceAll(latencyJSON,
 		"\"s1_p99_modeled_us\": 900.0", "\"s1_p99_modeled_us\": 1350.0"),
-		"\"s1_mean_modeled_us\": 150.0", "\"s1_mean_modeled_us\": 400.0"))
+		"\"mean_service_modeled_us\": 150.0", "\"mean_service_modeled_us\": 400.0"))
 	failures, _ := compare(report(t, latencyJSON), cur, 0.10, 0.25)
-	if len(failures) != 1 || !strings.Contains(failures[0], "serve-model.s1_p99_modeled_us") {
-		t.Fatalf("failures = %v, want one on serve-model.s1_p99_modeled_us", failures)
+	if len(failures) != 1 || !strings.Contains(failures[0], "serve-load.s1_p99_modeled_us") {
+		t.Fatalf("failures = %v, want one on serve-load.s1_p99_modeled_us", failures)
 	}
 	// A drop is an improvement, not a failure.
 	cur = report(t, strings.ReplaceAll(latencyJSON, "\"s1_p99_modeled_us\": 900.0", "\"s1_p99_modeled_us\": 500.0"))
@@ -209,7 +209,7 @@ func TestGateLowerIsBetterKeys(t *testing.T) {
 		t.Fatalf("latency improvement not reported: %v", info)
 	}
 	// Vanishing from the current report still fails.
-	cur = report(t, `{"schema": 1, "serve-model": {"s1_p50_modeled_us": 100.0, "s1_p95_modeled_us": 200.0, "validated": true}}`)
+	cur = report(t, `{"schema": 1, "serve-load": {"s1_p50_modeled_us": 100.0, "s1_p95_modeled_us": 200.0, "s3_validated": true}}`)
 	failures, _ = compare(report(t, latencyJSON), cur, 0.10, 0.25)
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing from current report") {
 		t.Fatalf("failures = %v, want one missing-metric failure", failures)
@@ -234,5 +234,51 @@ func TestGateToleratesAndReportsSchema(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("schema not reported: %v", info)
+	}
+}
+
+// uncapturedGatedKeys are gated keys that only S1 (serve) reports. S1
+// stays out of the committed capture because its adaptive batching makes
+// launch counts timing-dependent, so the baseline cannot hold them.
+var uncapturedGatedKeys = map[string]bool{
+	"model_jobs_per_sec":        true,
+	"occupancy_jobs_per_launch": true,
+}
+
+// TestBaselineCoversGatedKeys: the committed baseline holds every gated
+// key at least once and every validation flag in it is true, so a
+// re-mapped baseline cannot silently drop a gate.
+func TestBaselineCoversGatedKeys(t *testing.T) {
+	base, err := readReport("../../BENCH_BASELINE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nums, bools := map[string]float64{}, map[string]bool{}
+	walk("", base, nums, bools)
+	seen := map[string]bool{}
+	for p := range nums {
+		seen[leafKey(p)] = true
+	}
+	for _, keys := range []map[string]bool{gatedKeys, lowerGatedKeys, wallGatedKeys} {
+		for k := range keys {
+			switch {
+			case uncapturedGatedKeys[k] && seen[k]:
+				t.Errorf("gated key %q is now in the baseline; drop it from uncapturedGatedKeys", k)
+			case !uncapturedGatedKeys[k] && !seen[k]:
+				t.Errorf("gated key %q appears nowhere in BENCH_BASELINE.json", k)
+			}
+		}
+	}
+	validated := 0
+	for p, v := range bools {
+		if isValidatedKey(leafKey(p)) {
+			validated++
+			if !v {
+				t.Errorf("%s: false in the committed baseline", p)
+			}
+		}
+	}
+	if validated == 0 {
+		t.Error("BENCH_BASELINE.json holds no validation flag")
 	}
 }

@@ -92,19 +92,95 @@ func unpackAny(f codec.Format, texels []byte, n int) (interface{}, error) {
 // HostLen returns the length of a supported host slice ([]float32,
 // []int32, []uint32, []int8, []uint8), or -1 for any other type.
 func HostLen(src interface{}) int {
+	_, n := HostElem(src)
+	return n
+}
+
+// HostElem returns the element type and length of a supported host
+// slice, or length -1 for any other type.
+func HostElem(src interface{}) (codec.ElemType, int) {
 	switch s := src.(type) {
 	case []float32:
-		return len(s)
+		return codec.Float32, len(s)
 	case []int32:
-		return len(s)
+		return codec.Int32, len(s)
 	case []uint32:
-		return len(s)
+		return codec.Uint32, len(s)
 	case []int8:
-		return len(s)
+		return codec.Int8, len(s)
 	case []uint8:
-		return len(s)
+		return codec.Uint8, len(s)
 	}
-	return -1
+	return 0, -1
+}
+
+// NewHostSlice allocates a host slice of n elements of type t.
+func NewHostSlice(t codec.ElemType, n int) interface{} {
+	switch t {
+	case codec.Float32:
+		return make([]float32, n)
+	case codec.Int32:
+		return make([]int32, n)
+	case codec.Uint32:
+		return make([]uint32, n)
+	case codec.Int8:
+		return make([]int8, n)
+	default:
+		return make([]uint8, n)
+	}
+}
+
+// CopyHostSlice copies src into dst starting at element off; both must be
+// host slices of the same element type.
+func CopyHostSlice(dst interface{}, off int, src interface{}) {
+	switch d := dst.(type) {
+	case []float32:
+		copy(d[off:], src.([]float32))
+	case []int32:
+		copy(d[off:], src.([]int32))
+	case []uint32:
+		copy(d[off:], src.([]uint32))
+	case []int8:
+		copy(d[off:], src.([]int8))
+	case []uint8:
+		copy(d[off:], src.([]uint8))
+	}
+}
+
+// SubHostSlice returns elements [off, off+n) of a host slice without
+// copying, capacity capped so the caller cannot scribble past them.
+func SubHostSlice(src interface{}, off, n int) interface{} {
+	switch s := src.(type) {
+	case []float32:
+		return s[off : off+n : off+n]
+	case []int32:
+		return s[off : off+n : off+n]
+	case []uint32:
+		return s[off : off+n : off+n]
+	case []int8:
+		return s[off : off+n : off+n]
+	case []uint8:
+		return s[off : off+n : off+n]
+	}
+	return nil
+}
+
+// CloneHostSlice returns a fresh copy of elements [off, off+n) of a host
+// slice, so the copy outlives any reuse of src.
+func CloneHostSlice(src interface{}, off, n int) interface{} {
+	switch s := src.(type) {
+	case []float32:
+		return append([]float32(nil), s[off:off+n]...)
+	case []int32:
+		return append([]int32(nil), s[off:off+n]...)
+	case []uint32:
+		return append([]uint32(nil), s[off:off+n]...)
+	case []int8:
+		return append([]int8(nil), s[off:off+n]...)
+	case []uint8:
+		return append([]uint8(nil), s[off:off+n]...)
+	}
+	return nil
 }
 
 // WriteRange uploads src into elements [off, off+len(src)) through one

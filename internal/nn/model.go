@@ -29,6 +29,7 @@ import (
 
 	"glescompute/internal/armtime"
 	"glescompute/internal/codec"
+	"glescompute/internal/core"
 	"glescompute/internal/refcpu"
 )
 
@@ -126,31 +127,11 @@ func (m *Model) checkWeights(layer, param string, w interface{}, want int) {
 	if m.err != nil {
 		return
 	}
-	var n int
-	switch s := w.(type) {
-	case []float32:
-		if m.elem != codec.Float32 {
-			m.fail("%s: %s is []float32, model is %s", layer, param, m.elem)
-			return
-		}
-		n = len(s)
-	case []int32:
-		if m.elem != codec.Int32 {
-			m.fail("%s: %s is []int32, model is %s", layer, param, m.elem)
-			return
-		}
-		n = len(s)
-	case []int8:
-		if m.elem != codec.Int8 {
-			m.fail("%s: %s is []int8, model is %s", layer, param, m.elem)
-			return
-		}
-		n = len(s)
-	default:
-		m.fail("%s: %s has unsupported type %T", layer, param, w)
-		return
-	}
-	if n != want {
+	t, n := core.HostElem(w)
+	switch {
+	case n < 0 || t != m.elem:
+		m.fail("%s: %s is %T, model is %s", layer, param, w, m.elem)
+	case n != want:
 		m.fail("%s: %s has %d elements, want %d", layer, param, n, want)
 	}
 }
@@ -336,8 +317,8 @@ func (m *Model) Reference(input interface{}, batch int) ([]interface{}, []armtim
 	if batch <= 0 {
 		return nil, nil, fmt.Errorf("nn: Reference: non-positive batch %d", batch)
 	}
-	if got, want := hostLen(input), batch*m.in.N(); got != want {
-		return nil, nil, fmt.Errorf("nn: Reference: input has %d elements, want %d", got, want)
+	if err := m.checkInput("Reference", input, batch); err != nil {
+		return nil, nil, err
 	}
 	if m.elem == codec.Int8 {
 		return m.referenceInt8(input.([]int8), batch)
@@ -401,18 +382,17 @@ func (m *Model) Reference(input interface{}, batch int) ([]interface{}, []armtim
 	return outs, counts, nil
 }
 
-// hostLen returns the length of a []float32 / []int32 / []int8 host
-// slice, -1 otherwise.
-func hostLen(src interface{}) int {
-	switch s := src.(type) {
-	case []float32:
-		return len(s)
-	case []int32:
-		return len(s)
-	case []int8:
-		return len(s)
+// checkInput rejects input unless it is a host slice of the model's
+// element type holding batch·In().N() elements.
+func (m *Model) checkInput(op string, input interface{}, batch int) error {
+	t, n := core.HostElem(input)
+	if n < 0 || t != m.elem {
+		return fmt.Errorf("nn: %s: %T input for %s model", op, input, m.elem)
 	}
-	return -1
+	if want := batch * m.in.N(); n != want {
+		return fmt.Errorf("nn: %s: input has %d elements, want %d", op, n, want)
+	}
+	return nil
 }
 
 // matmulKind reports whether a layer kind accumulates a matmul (and so

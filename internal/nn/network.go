@@ -171,7 +171,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 	// weightInput uploads a host weight slice into a device-resident
 	// buffer and declares it as a pipeline input.
 	weightInput := func(layer, param string, w interface{}) (core.Ref, error) {
-		n := hostLen(w)
+		n := core.HostLen(w)
 		if err := checkN(layer+" "+param, n); err != nil {
 			return -1, err
 		}
@@ -220,7 +220,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		if err != nil {
 			return -1, err
 		}
-		bRef, err := weightInput(l.name, "bias", relayout(l.bias, 1, hostLen(l.bias), 1, cols))
+		bRef, err := weightInput(l.name, "bias", relayout(l.bias, 1, core.HostLen(l.bias), 1, cols))
 		if err != nil {
 			return -1, err
 		}
@@ -485,8 +485,8 @@ func (n *Network) Run(input interface{}) (*Result, error) {
 	if n.closed {
 		return nil, fmt.Errorf("nn: Run: %w", core.ErrClosed)
 	}
-	if got, want := hostLen(input), n.batch*n.model.in.N(); got != want {
-		return nil, fmt.Errorf("nn: Run: input has %d elements, want %d", got, want)
+	if err := n.model.checkInput("Run", input, n.batch); err != nil {
+		return nil, err
 	}
 	// The network runs on the padded layout: widen the input's channels
 	// host-side (zero-filled; the identity at lanes=1) before upload.

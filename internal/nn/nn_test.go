@@ -479,13 +479,37 @@ func TestModelBuilderErrors(t *testing.T) {
 			t.Errorf("%s: Build succeeded, want error", tc.name)
 		}
 	}
+	// Bad inputs fail at Reference and Run with an error, never a panic —
+	// including a right-sized slice of an element type no model holds,
+	// on the scalar and the packed (int8x4) lowering alike.
 	m := NewModel(codec.Float32, Shape{2, 2, 1}).ReLU("r")
+	m8 := NewModel(codec.Int8, Shape{2, 2, 3}).ReLU("r")
+	inputs := []struct {
+		name string
+		m    *Model
+		in   interface{}
+	}{
+		{"short", m, make([]float32, 3)},
+		{"int32-for-float", m, make([]int32, 4)},
+		{"uint8-image", m, make([]uint8, 4)},
+		{"uint8-image-int8x4", m8, make([]uint8, 12)},
+	}
+	for _, tc := range inputs {
+		if _, _, err := tc.m.Reference(tc.in, 1); err == nil {
+			t.Errorf("%s: Reference succeeded, want error", tc.name)
+		}
+		net, err := tc.m.Build(dev, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Run(tc.in); err == nil {
+			t.Errorf("%s: Run succeeded, want error", tc.name)
+		}
+		net.Close()
+	}
 	net, err := m.Build(dev, 1, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := net.Run(make([]float32, 3)); err == nil {
-		t.Error("Run with wrong input length succeeded, want error")
 	}
 	net.Close()
 	if _, err := net.Run(make([]float32, 4)); err == nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"glescompute/internal/codec"
 	"glescompute/internal/core"
 	"glescompute/internal/obs"
 	"glescompute/internal/sched"
@@ -131,24 +130,8 @@ func (s *Service) InferBatch(ctx context.Context, images interface{}, count int)
 	if count <= 0 {
 		return nil, fmt.Errorf("nn: InferBatch: non-positive count %d", count)
 	}
-	switch images.(type) {
-	case []float32:
-		if s.model.elem != codec.Float32 {
-			return nil, fmt.Errorf("nn: InferBatch: []float32 input for %s model", s.model.elem)
-		}
-	case []int32:
-		if s.model.elem != codec.Int32 {
-			return nil, fmt.Errorf("nn: InferBatch: []int32 input for %s model", s.model.elem)
-		}
-	case []int8:
-		if s.model.elem != codec.Int8 {
-			return nil, fmt.Errorf("nn: InferBatch: []int8 input for %s model", s.model.elem)
-		}
-	default:
-		return nil, fmt.Errorf("nn: InferBatch: unsupported input type %T", images)
-	}
-	if got, want := hostLen(images), count*s.model.in.N(); got != want {
-		return nil, fmt.Errorf("nn: InferBatch: %d elements for %d images, want %d", got, count, want)
+	if err := s.model.checkInput("InferBatch", images, count); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	retry, deadline, bucketCap := s.retry, s.deadline, s.maxBucket
@@ -226,11 +209,11 @@ func (s *Service) runCoalesced(dev *core.Device, payloads []interface{}, bucketC
 		}
 		rs.Draw.Add(&res.Stats.Draw)
 		passAt = attachPassSpans(sp, res.Stats, passAt)
-		perImage := hostLen(res.Output) / batch
+		perImage := core.HostLen(res.Output) / batch
 		off := 0
 		for i := start; i < end; i++ {
 			n := reqs[i].count * perImage
-			outs[i] = hostSlice(res.Output, off, n)
+			outs[i] = core.SubHostSlice(res.Output, off, n)
 			off += n
 		}
 		start = end
@@ -246,43 +229,13 @@ func (s *Service) packInput(reqs []*inferRequest, batch int) interface{} {
 		return reqs[0].images
 	}
 	inN := s.model.in.N()
-	switch s.model.elem {
-	case codec.Int32:
-		buf := make([]int32, batch*inN)
-		off := 0
-		for _, r := range reqs {
-			off += copy(buf[off:], r.images.([]int32))
-		}
-		return buf
-	case codec.Int8:
-		buf := make([]int8, batch*inN)
-		off := 0
-		for _, r := range reqs {
-			off += copy(buf[off:], r.images.([]int8))
-		}
-		return buf
-	default:
-		buf := make([]float32, batch*inN)
-		off := 0
-		for _, r := range reqs {
-			off += copy(buf[off:], r.images.([]float32))
-		}
-		return buf
+	buf := core.NewHostSlice(s.model.elem, batch*inN)
+	off := 0
+	for _, r := range reqs {
+		core.CopyHostSlice(buf, off, r.images)
+		off += r.count * inN
 	}
-}
-
-// hostSlice carves [off, off+n) out of a typed host slice, capping
-// capacity so callers cannot scribble into a neighbour's output.
-func hostSlice(v interface{}, off, n int) interface{} {
-	switch s := v.(type) {
-	case []float32:
-		return s[off : off+n : off+n]
-	case []int32:
-		return s[off : off+n : off+n]
-	case []int8:
-		return s[off : off+n : off+n]
-	}
-	return nil
+	return buf
 }
 
 // nextPow2 returns the smallest power of two ≥ n.

@@ -251,14 +251,20 @@ func TestServiceInputValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, err := svc.Infer(nil, make([]float32, 3)); err == nil {
-		t.Error("short input accepted")
+	cases := []struct {
+		name   string
+		images interface{}
+		count  int
+	}{
+		{"short input", make([]float32, 3), 1},
+		{"int input for float model", make([]int32, DemoShape.N()), 1},
+		{"uint8 image", make([]uint8, DemoShape.N()), 1},
+		{"zero count", make([]float32, DemoShape.N()), 0},
 	}
-	if _, err := svc.Infer(nil, make([]int32, DemoShape.N())); err == nil {
-		t.Error("int input accepted by float model")
-	}
-	if _, err := svc.InferBatch(nil, make([]float32, DemoShape.N()), 0); err == nil {
-		t.Error("zero count accepted")
+	for _, tc := range cases {
+		if _, err := svc.InferBatch(nil, tc.images, tc.count); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -166,5 +166,9 @@ func RunChaos(jobs, n int, seed int64, devices int, ob *Obs) (ChaosResult, error
 	res.FaultsInjected = res.Injected.ContextLost > 0 && res.Injected.CorruptReadbacks > 0 &&
 		res.Injected.OutOfMemory > 0 && res.Injected.Stalls > 0
 	res.ChaosValidated = res.ZeroLost && res.BitIdentical && res.Recovered && res.FaultsInjected
+	if !res.ChaosValidated {
+		return res, fmt.Errorf("chaos: validation failed: zero_lost=%v bit_identical=%v recovered=%v faults_injected=%v",
+			res.ZeroLost, res.BitIdentical, res.Recovered, res.FaultsInjected)
+	}
 	return res, nil
 }

@@ -1,15 +1,11 @@
 package paper
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"time"
 
 	"glescompute/internal/armtime"
 	"glescompute/internal/core"
 	"glescompute/internal/nn"
-	"glescompute/internal/sched"
 )
 
 // ---- N1: neural-network inference (workload, not a paper artifact) ----
@@ -20,10 +16,10 @@ import (
 // LeNet-scale MNIST-style CNN through internal/nn — every layer a
 // fragment kernel, the whole network one device-resident pipeline — and
 // reports, per layer and whole-network, modeled VideoCore IV time against
-// the modeled ARM1176 scalar baseline, plus a serving sweep pushing
-// inference requests through the sched.Queue device pool solo
-// (one image per launch) and batched (B images coalesced into one
-// batch-B network execution).
+// the modeled ARM1176 scalar baseline, the kernel-fusion on/off race and
+// the int8 lane-width race. Serving the network through the queue is
+// nn-serve (nnserve.go); its cold start is compile-cache
+// (compilecache.go).
 //
 // Validation is differential at every layer boundary: the integer
 // configuration (requantized through Rescale layers, paper §IV-C's exact
@@ -43,30 +39,9 @@ type NNLayer struct {
 	MaxErr   float64 `json:"max_err"` // worst hybrid error vs refcpu (abs for softmax)
 }
 
-// NNServePoint is one configuration of the queue sweep.
-type NNServePoint struct {
-	Devices int `json:"devices"`
-	Batch   int `json:"batch"` // images per launch (1 = solo)
-
-	ModelMS        float64 `json:"model_ms"` // modeled pool makespan
-	WallMS         float64 `json:"wall_ms"`
-	ModelInfPerSec float64 `json:"model_inf_per_sec"`
-	WallInfPerSec  float64 `json:"wall_inf_per_sec"`
-	Launches       uint64  `json:"launches"`
-	Validated      bool    `json:"validated"`
-	// CompileShareP is the share of the configuration's total device busy
-	// time — warm-up included — spent compiling: the cold-start tax of
-	// bringing this pool up for this workload, which a persistent compile
-	// cache drives toward zero. (Weight uploads are booked under Upload
-	// and are not separable from the per-request image uploads here.)
-	CompileShareP float64 `json:"compile_share_pct"`
-}
-
-// NNResult is the whole N1 experiment.
+// NNResult is the N1 experiment.
 type NNResult struct {
-	InShape  string `json:"in_shape"`
-	Requests int    `json:"requests"`
-	Batch    int    `json:"batch"`
+	InShape string `json:"in_shape"`
 
 	Layers []NNLayer `json:"layers"`
 
@@ -76,32 +51,6 @@ type NNResult struct {
 	NetGPUUS      float64 `json:"net_gpu_model_us"`
 	NetCPUUS      float64 `json:"net_cpu_model_us"`
 	ModelSpeedupX float64 `json:"model_speedup_x"`
-
-	Points []NNServePoint `json:"points"`
-	// BatchModelSpeedupX is the continuous-batching win: the int8 vec4
-	// network serving cbRequests single-image requests through the queue's
-	// batching window (coalesced into bucket-capped batched passes) vs the
-	// same requests launched solo. Measured by measureContinuousBatching;
-	// CBSoloUS/CBBatchedUS are the two modeled makespans and CBLaunches
-	// the coalesced launch count. ContinuousBatchValidated holds only when
-	// every coalesced output was bit-identical to a standalone batch-1 run.
-	BatchModelSpeedupX       float64 `json:"batch_model_speedup_x"`
-	CBSoloUS                 float64 `json:"cb_solo_modeled_us"`
-	CBBatchedUS              float64 `json:"cb_batched_modeled_us"`
-	CBLaunches               uint64  `json:"cb_batched_launches"`
-	ContinuousBatchValidated bool    `json:"continuous_batch_validated"`
-
-	// Persistent compile cache (DESIGN.md §6j): modeled compile time of a
-	// cold 4-device pool (every device compiling the float LeNet from
-	// source) vs the same pool warming through a fresh handle onto a
-	// pre-populated on-disk cache — the fresh handle's memory tier starts
-	// empty, so the hits prove the persistent disk tier, as after a
-	// process restart. The tentpole bar is ≥ 10x: a program-binary
-	// restore costs 200µs against the 10ms compile+link it replaces.
-	ColdCompileUS        float64 `json:"cold_pool_compile_us"`
-	WarmCompileUS        float64 `json:"warm_pool_compile_us"`
-	CompileCacheSpeedupX float64 `json:"compile_cache_speedup_x"`
-	CompileCacheHits     uint64  `json:"compile_cache_hits"`
 
 	// FloatValidated: every float layer within tolerance. IntValidated:
 	// every integer layer bit-identical. IntLayers counts them.
@@ -139,8 +88,38 @@ type NNResult struct {
 	Vec4Validated bool    `json:"vec4_validated,omitempty"`
 }
 
+// warmRun builds m untapped on dev, runs x once to warm the kernels and
+// buffers, times a second Run and closes the network. It returns the
+// timed run and its modeled time in µs: on the device clock — input
+// upload and output readback included, the device timeline reset for
+// it — when deviceClock is set, else on the pipeline's own clock,
+// run.Stats.Time.
+func warmRun(dev *core.Device, m *nn.Model, batch, lanes int, fused, deviceClock bool, x interface{}) (*nn.Result, float64, error) {
+	net, err := m.BuildLanes(dev, batch, false, lanes)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer net.Close()
+	net.SetFusion(fused)
+	if _, err := net.Run(x); err != nil {
+		return nil, 0, err
+	}
+	if deviceClock {
+		dev.ResetTimeline()
+	}
+	run, err := net.Run(x)
+	if err != nil {
+		return nil, 0, err
+	}
+	t := run.Stats.Time
+	if deviceClock {
+		t = dev.Timeline()
+	}
+	return run, float64(t.Total().Nanoseconds()) / 1000, nil
+}
+
 // validateNNFloat runs the float network with every layer tapped and
-// fills the per-layer table.
+// fills the per-layer table, then races it fused against unfused.
 func validateNNFloat(res *NNResult) error {
 	dev, err := openDevice(core.Config{})
 	if err != nil {
@@ -195,45 +174,26 @@ func validateNNFloat(res *NNResult) error {
 	}
 
 	// Whole-network end-to-end time on a warm network: input upload +
-	// every layer + final readback (tap readbacks excluded — rebuild
-	// without taps). The default path runs with the fusion planner; an
+	// every layer + final readback (tap readbacks excluded — untapped
+	// builds). The default path runs with the fusion planner; an
 	// explicitly unfused build prices the same chain pass-per-stage for
 	// the fusion on/off comparison.
-	e2e, err := m.Build(dev, 1, false)
+	fusedRun, fusedUS, err := warmRun(dev, m, 1, 1, true, true, x)
 	if err != nil {
 		return err
 	}
-	defer e2e.Close()
-	if _, err := e2e.Run(x); err != nil { // warm-up (kernels already cached; pool warmed)
-		return err
-	}
-	dev.ResetTimeline()
-	fusedRun, err := e2e.Run(x)
-	if err != nil {
-		return err
-	}
-	res.NetGPUUS = float64(dev.Timeline().Total().Nanoseconds()) / 1000
+	res.NetGPUUS = fusedUS
 	if res.NetGPUUS > 0 {
 		res.ModelSpeedupX = res.NetCPUUS / res.NetGPUUS
 	}
 	res.FusedPasses = fusedRun.Stats.Passes
 	res.FusedStages = fusedRun.Stats.ExecStages
 
-	unfused, err := m.Build(dev, 1, false)
+	unfusedRun, unfusedUS, err := warmRun(dev, m, 1, 1, false, true, x)
 	if err != nil {
 		return err
 	}
-	defer unfused.Close()
-	unfused.SetFusion(false)
-	if _, err := unfused.Run(x); err != nil { // warm-up
-		return err
-	}
-	dev.ResetTimeline()
-	unfusedRun, err := unfused.Run(x)
-	if err != nil {
-		return err
-	}
-	res.UnfusedNetGPUUS = float64(dev.Timeline().Total().Nanoseconds()) / 1000
+	res.UnfusedNetGPUUS = unfusedUS
 	res.UnfusedPasses = unfusedRun.Stats.Passes
 	if res.NetGPUUS > 0 {
 		res.FusionSpeedupX = res.UnfusedNetGPUUS / res.NetGPUUS
@@ -306,9 +266,9 @@ func validateNNInt(res *NNResult) error {
 	return nil
 }
 
-// vec4Batch is the batch the int8 lane-width comparison times. Fixed
-// (independent of -nn-batch) so n1_vec4_speedup_x is one deterministic
-// number the benchmark gate can pin.
+// vec4Batch is the batch the int8 lane-width comparison times. Fixed so
+// n1_vec4_speedup_x is one deterministic number the benchmark gate can
+// pin.
 const vec4Batch = 4
 
 // validateNNInt8 runs the quantized int8 network and fills the vec4
@@ -351,25 +311,15 @@ func validateNNInt8(res *NNResult) error {
 	}
 
 	// Warm modeled-time race at a fixed batch, untapped (the serving
-	// configuration: one readback at the end).
+	// configuration: one readback at the end), on the pipeline's clock.
 	imgs := nn.DemoInputInt8(13, vec4Batch)
 	times := map[int]float64{}
 	for _, w := range widths {
-		net, err := m.BuildLanes(dev, vec4Batch, false, w)
+		_, us, err := warmRun(dev, m, vec4Batch, w, true, false, imgs)
 		if err != nil {
 			return err
 		}
-		if _, err := net.Run(imgs); err != nil { // warm-up
-			net.Close()
-			return err
-		}
-		run, err := net.Run(imgs)
-		if err != nil {
-			net.Close()
-			return err
-		}
-		times[w] = float64(run.Stats.Time.Total().Nanoseconds()) / 1000
-		net.Close()
+		times[w] = us
 	}
 	res.Int8ScalarUS, res.Int8Vec4US = times[1], times[4]
 	if times[4] > 0 {
@@ -385,344 +335,11 @@ func validateNNInt8(res *NNResult) error {
 	return nil
 }
 
-// cbRequests/cbBucket fix the continuous-batching race's shape: 16
-// single-image requests over one device with bucket cap 8. With
-// sched.Config.MaxBatch = 8 the dispatcher's early-flush bound
-// (MaxBatch × workers × 2 = 16) is hit exactly by the submission burst,
-// so the batched run deterministically executes as 2 launches of 8.
-const (
-	cbRequests = 16
-	cbBucket   = 8
-)
-
-// measureContinuousBatching races the int8 serving path solo vs through
-// the queue's continuous-batching window and fills the CB* fields. The
-// int8 vec4 network is the serving configuration the batching win is
-// claimed for: its per-image cost is launch-dominated, so coalescing a
-// window of requests into bucket-sized batched passes pays off the way
-// the ISSUE's ≥ 1.5x bar demands (the float network's heavier per-image
-// execute caps its coalescing win well below that).
-func measureContinuousBatching(res *NNResult) error {
-	m := nn.DemoLeNetInt8(20160316)
-	per := nn.DemoShape.N()
-	images := nn.DemoInputInt8(29, cbRequests)
-
-	// Ground truth: each image alone through a standalone batch-1 network
-	// — the bits every coalesced output must reproduce.
-	dev, err := openDevice(core.Config{})
-	if err != nil {
-		return err
-	}
-	refNet, err := m.Build(dev, 1, false)
-	if err != nil {
-		dev.Close()
-		return err
-	}
-	want := make([][]int8, cbRequests)
-	for r := 0; r < cbRequests; r++ {
-		out, err := refNet.Run(images[r*per : (r+1)*per])
-		if err != nil {
-			refNet.Close()
-			dev.Close()
-			return err
-		}
-		want[r] = append([]int8(nil), out.Output.([]int8)...)
-	}
-	refNet.Close()
-	dev.Close()
-
-	runCfg := func(continuous bool) (modeledUS float64, launches uint64, err error) {
-		cfg := sched.Config{Devices: 1, Device: core.Config{RasterWorkers: 1}}
-		if continuous {
-			// The window is a flush deadline, not a delay: the 16-request
-			// burst hits the early-flush bound long before it expires, so a
-			// generous window only guards against a slow host splitting the
-			// burst nondeterministically.
-			cfg.MaxBatch = cbBucket
-			cfg.BatchWindow = 250 * time.Millisecond
-		} else {
-			cfg.MaxBatch = 1
-		}
-		q, err := sched.OpenQueue(cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		svc, err := nn.NewService(m, q)
-		if err != nil {
-			q.Close()
-			return 0, 0, err
-		}
-		defer svc.Close()
-		defer q.Close()
-		if continuous {
-			svc.SetContinuousBatching(cbBucket)
-		}
-		pass := func() error {
-			jobs := make([]*sched.Job, cbRequests)
-			for r := 0; r < cbRequests; r++ {
-				j, err := svc.Infer(context.Background(), images[r*per:(r+1)*per])
-				if err != nil {
-					return err
-				}
-				jobs[r] = j
-			}
-			q.Drain()
-			for r, j := range jobs {
-				out, err := j.Wait(nil)
-				if err != nil {
-					return fmt.Errorf("request %d: %w", r, err)
-				}
-				if !nn.Int8Equal(out.Output.([]int8), want[r]) {
-					return fmt.Errorf("paper: nn: continuous-batching output for request %d not bit-identical to solo reference", r)
-				}
-			}
-			return nil
-		}
-		// First pass warms (network builds, weight uploads), second pass is
-		// the steady-state measurement.
-		if err := pass(); err != nil {
-			return 0, 0, err
-		}
-		q.ResetStats()
-		if err := pass(); err != nil {
-			return 0, 0, err
-		}
-		st := q.Stats()
-		return float64(st.ModeledMakespan().Microseconds()), st.Launches, nil
-	}
-
-	solo, _, err := runCfg(false)
-	if err != nil {
-		return err
-	}
-	batched, launches, err := runCfg(true)
-	if err != nil {
-		return err
-	}
-	res.CBSoloUS, res.CBBatchedUS, res.CBLaunches = solo, batched, launches
-	if batched > 0 {
-		res.BatchModelSpeedupX = solo / batched
-	}
-	if want := uint64(cbRequests / cbBucket); launches != want {
-		return fmt.Errorf("paper: nn: continuous batching coalesced %d requests into %d launches, want %d",
-			cbRequests, launches, want)
-	}
-	// The tentpole bar: coalescing must beat solo serving by 1.5x.
-	if res.BatchModelSpeedupX < 1.5 {
-		return fmt.Errorf("paper: nn: continuous-batching speedup %.3fx, want >= 1.5x (solo %.0fµs, batched %.0fµs)",
-			res.BatchModelSpeedupX, solo, batched)
-	}
-	res.ContinuousBatchValidated = true
-	return nil
-}
-
-// ccPoolDevices is the pool width the compile-cache race opens: the
-// serving story's standard 4-device pool.
-const ccPoolDevices = 4
-
-// measureCompileCacheWin prices cold-start with and without the
-// persistent compile cache and fills the CompileCache* fields: the
-// modeled compile time of opening + building the float LeNet on every
-// device of a 4-device pool, from source vs from a pre-populated disk
-// cache opened through a fresh handle (empty memory tier — every first
-// hit must come off disk, as after a process restart).
-func measureCompileCacheWin(res *NNResult) error {
-	m := nn.DemoLeNetFloat32(20160316)
-	x := nn.DemoInputFloat32(31, 1)
-
-	poolCompile := func(cache func() (*core.CompileCache, error)) (time.Duration, error) {
-		var total time.Duration
-		for i := 0; i < ccPoolDevices; i++ {
-			cc, err := cache()
-			if err != nil {
-				return 0, err
-			}
-			dev, err := openDevice(core.Config{CompileCache: cc})
-			if err != nil {
-				return 0, err
-			}
-			net, err := m.Build(dev, 1, false)
-			if err != nil {
-				dev.Close()
-				return 0, err
-			}
-			if _, err := net.Run(x); err != nil {
-				net.Close()
-				dev.Close()
-				return 0, err
-			}
-			total += dev.Timeline().Compile
-			net.Close()
-			dev.Close()
-		}
-		return total, nil
-	}
-
-	// Cold: every device gets its own empty memory-only cache, so neither
-	// the process-wide env cache nor a sibling device can warm it — each
-	// compiles the full network from source.
-	cold, err := poolCompile(func() (*core.CompileCache, error) { return core.NewCompileCache("") })
-	if err != nil {
-		return err
-	}
-
-	dir, err := os.MkdirTemp("", "glescompute-ccache-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	seed, err := core.NewCompileCache(dir)
-	if err != nil {
-		return err
-	}
-	if _, err := poolCompile(func() (*core.CompileCache, error) { return seed, nil }); err != nil {
-		return fmt.Errorf("paper: nn: seeding compile cache: %w", err)
-	}
-	// Fresh handle onto the seeded directory: its memory map is empty, so
-	// the measured pool's first build restores every program off disk and
-	// later devices off the promoted memory tier — a restarted serving
-	// process warming its pool.
-	warmCC, err := core.NewCompileCache(dir)
-	if err != nil {
-		return err
-	}
-	warm, err := poolCompile(func() (*core.CompileCache, error) { return warmCC, nil })
-	if err != nil {
-		return err
-	}
-	st := warmCC.Stats()
-	res.CompileCacheHits = st.Hits()
-	res.ColdCompileUS = float64(cold.Microseconds())
-	res.WarmCompileUS = float64(warm.Microseconds())
-	if warm > 0 {
-		res.CompileCacheSpeedupX = float64(cold) / float64(warm)
-	}
-	if st.Misses != 0 {
-		return fmt.Errorf("paper: nn: warm pool missed the compile cache %d times, want 0", st.Misses)
-	}
-	if st.DiskHits == 0 {
-		return fmt.Errorf("paper: nn: warm pool never hit the disk tier — the persistence claim is unproven")
-	}
-	if res.CompileCacheSpeedupX < 10 {
-		return fmt.Errorf("paper: nn: compile-cache speedup %.2fx, want >= 10x (cold %.0fµs, warm %.0fµs)",
-			res.CompileCacheSpeedupX, res.ColdCompileUS, res.WarmCompileUS)
-	}
-	return nil
-}
-
-// runNNServePoint pushes `requests` inferences through one queue
-// configuration, `batch` images per submission.
-func runNNServePoint(m *nn.Model, images []float32, want []float32,
-	requests, batch, devices int, ob *Obs) (NNServePoint, error) {
-	pt := NNServePoint{Devices: devices, Batch: batch}
-	cfg := sched.Config{Devices: devices, Device: core.Config{RasterWorkers: 1}}
-	ob.apply(&cfg)
-	q, err := sched.OpenQueue(cfg)
-	if err != nil {
-		return pt, err
-	}
-	svc, err := nn.NewService(m, q)
-	if err != nil {
-		q.Close()
-		return pt, err
-	}
-	// LIFO: the queue must drain and close (stopping every worker) before
-	// the service frees the per-device networks those workers run on.
-	defer svc.Close()
-	defer q.Close()
-
-	per := nn.DemoShape.N()
-
-	// Warm the pool before timing: one batch-b job per device builds the
-	// device's network (kernel compiles + the one-time weight upload),
-	// then the stats window resets so the sweep measures steady-state
-	// serving, not cold start. The warm-up window's timeline is captured
-	// first — CompileShareP reports the compile tax over the whole
-	// session (warm-up + measured), which ResetStats would otherwise
-	// erase (the old always-zero bug).
-	var coldBusy core.Timeline
-	if batch*devices <= requests {
-		for i := 0; i < devices; i++ {
-			if _, err := svc.InferBatch(context.Background(), images[:batch*per], batch); err != nil {
-				return pt, err
-			}
-		}
-		q.Drain()
-		coldBusy = q.Stats().ModeledBusy()
-		q.ResetStats()
-	}
-
-	start := time.Now()
-	var jobs []*sched.Job
-	var jobN []int
-	for off := 0; off < requests; off += batch {
-		n := batch
-		if off+n > requests {
-			n = requests - off
-		}
-		j, err := svc.InferBatch(context.Background(), images[off*per:(off+n)*per], n)
-		if err != nil {
-			return pt, err
-		}
-		jobs = append(jobs, j)
-		jobN = append(jobN, n)
-	}
-	q.Drain()
-	wall := time.Since(start)
-
-	pt.Validated = true
-	off := 0
-	for ji, j := range jobs {
-		r, err := j.Wait(nil)
-		if err != nil {
-			return pt, fmt.Errorf("inference job %d: %w", ji, err)
-		}
-		got := r.Output.([]float32)
-		for k := range got {
-			if got[k] != want[off*nn.DemoClasses+k] {
-				pt.Validated = false
-				return pt, fmt.Errorf("paper: nn: serve output (job %d, element %d) %g != solo reference %g — not bit-identical",
-					ji, k, got[k], want[off*nn.DemoClasses+k])
-			}
-		}
-		off += jobN[ji]
-	}
-
-	st := q.Stats()
-	modeled := st.ModeledMakespan()
-	pt.Launches = st.Launches
-	pt.ModelMS = float64(modeled.Microseconds()) / 1000
-	pt.WallMS = float64(wall.Microseconds()) / 1000
-	if modeled > 0 {
-		pt.ModelInfPerSec = float64(requests) / modeled.Seconds()
-		// Compile share over the whole session: the warm-up window (where
-		// the kernel compiles actually happened) plus the measured window
-		// (which should add none — steady state re-compiling would inflate
-		// the share beyond the cold-start baseline).
-		busy := st.ModeledBusy().Add(coldBusy)
-		pt.CompileShareP = 100 * float64(busy.Compile) / float64(busy.Total())
-	}
-	if wall > 0 {
-		pt.WallInfPerSec = float64(requests) / wall.Seconds()
-	}
-	return pt, nil
-}
-
-// RunNN executes N1: per-layer and whole-network validation + modeled
-// times, the int8 lane-width comparison, then the queue sweep over
-// devicesList × {solo, batch}. batch must be ≥ 2; devicesList defaults
-// to {1, 2}. ob, when carrying a tracer or registry, attaches to the
-// sweep's queues (the sweep is small, so its wall numbers are not
-// asserted); the trace then shows per-pass children inside each inference
-// launch.
-func RunNN(requests, batch int, devicesList []int, ob *Obs) (NNResult, error) {
-	res := NNResult{InShape: nn.DemoShape.String(), Requests: requests, Batch: batch}
-	if requests <= 0 || batch < 2 || requests%batch != 0 {
-		return res, fmt.Errorf("paper: nn: need requests >= 1, batch >= 2, requests divisible by batch")
-	}
-	if len(devicesList) == 0 {
-		devicesList = []int{1, 2}
-	}
+// RunNN executes N1: per-layer and whole-network validation and modeled
+// times of the float network, int32 bit-identity, fusion on/off and the
+// int8 lane-width race.
+func RunNN() (NNResult, error) {
+	res := NNResult{InShape: nn.DemoShape.String()}
 	if err := validateNNFloat(&res); err != nil {
 		return res, err
 	}
@@ -730,65 +347,6 @@ func RunNN(requests, batch int, devicesList []int, ob *Obs) (NNResult, error) {
 		return res, err
 	}
 	if err := validateNNInt8(&res); err != nil {
-		return res, err
-	}
-
-	// Solo reference outputs for the sweep, computed on a standalone
-	// device (bit-identical is the bar: batching never changes bits).
-	m := nn.DemoLeNetFloat32(20160316)
-	images := nn.DemoInputFloat32(23, requests)
-	dev, err := openDevice(core.Config{})
-	if err != nil {
-		return res, err
-	}
-	ref, err := m.Build(dev, 1, false)
-	if err != nil {
-		dev.Close()
-		return res, err
-	}
-	per := nn.DemoShape.N()
-	want := make([]float32, 0, requests*nn.DemoClasses)
-	for r := 0; r < requests; r++ {
-		out, err := ref.Run(images[r*per : (r+1)*per])
-		if err != nil {
-			dev.Close()
-			return res, err
-		}
-		want = append(want, out.Output.([]float32)...)
-	}
-	ref.Close()
-	dev.Close()
-
-	for _, d := range devicesList {
-		for _, b := range []int{1, batch} {
-			pt, err := runNNServePoint(m, images, want, requests, b, d, ob)
-			if err != nil {
-				return res, err
-			}
-			res.Points = append(res.Points, pt)
-		}
-	}
-	solo := res.Points[len(res.Points)-2]
-	batched := res.Points[len(res.Points)-1]
-	// Deterministic invariant on the float sweep: coalescing B
-	// whole-network executions into one batch-B pipeline strictly removes
-	// per-launch fixed costs under the vc4 model.
-	sweepSpeedup := 0.0
-	if batched.ModelMS > 0 {
-		sweepSpeedup = solo.ModelMS / batched.ModelMS
-	}
-	if requests >= 2*batch && sweepSpeedup <= 1 {
-		return res, fmt.Errorf("paper: nn: batched modeled makespan %.3fms not better than solo %.3fms",
-			batched.ModelMS, solo.ModelMS)
-	}
-
-	// The gated serving figures: the continuous-batching race (which sets
-	// BatchModelSpeedupX from the int8 serving path, where the win clears
-	// the ≥ 1.5x bar) and the persistent compile-cache cold-start race.
-	if err := measureContinuousBatching(&res); err != nil {
-		return res, err
-	}
-	if err := measureCompileCacheWin(&res); err != nil {
 		return res, err
 	}
 	return res, nil

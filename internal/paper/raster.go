@@ -81,13 +81,8 @@ func RunRaster(n, reps int) (RasterResult, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	res := RasterResult{N: n}
-	procs := runtime.NumCPU()
-	if g := runtime.GOMAXPROCS(0); g < procs {
-		procs = g
-	}
-	res.EffectiveCPUs = procs
-	res.WallGateSkipped = procs == 1
+	res := RasterResult{N: n, EffectiveCPUs: effectiveCPUs()}
+	res.WallGateSkipped = res.EffectiveCPUs == 1
 
 	input := make([]float32, n)
 	for i := range input {
@@ -128,7 +123,29 @@ func RunRaster(n, reps int) (RasterResult, error) {
 	if !res.Validated {
 		return res, fmt.Errorf("paper: tiled rasterizer output diverges from sequential")
 	}
+	// The wall-clock speedup bar follows the S1 pattern: parallel
+	// rasterization can only beat sequential when the host actually
+	// grants multiple CPUs, and quick smoke runs (small n) are
+	// noise-dominated, so the bar applies only at full scale.
+	bar := 0.0
+	switch {
+	case n < 1<<16:
+	case res.EffectiveCPUs >= 4:
+		bar = 2.0
+	case res.EffectiveCPUs >= 2:
+		bar = 1.15
+	}
+	if res.SpeedupX < bar {
+		return res, fmt.Errorf("paper: tiled rasterizer wall speedup %.2fx at 4 workers, want >= %.2fx (effective CPUs: %d)",
+			res.SpeedupX, bar, res.EffectiveCPUs)
+	}
 	return res, nil
+}
+
+// effectiveCPUs is min(NumCPU, GOMAXPROCS): the parallelism a wall-clock
+// bar can count on. Either at 1 means no two goroutines ever overlap.
+func effectiveCPUs() int {
+	return min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
 }
 
 func bitIdentical(a, b []float32) bool {

@@ -13,8 +13,8 @@ import (
 
 // ---- S3: serve-load — open-loop Poisson arrivals vs tail latency ----
 //
-// S1 and S2 measure the service closed-loop: every request is already
-// submitted when the clock starts, so they report capacity, never how
+// S1 measures the service closed-loop: every request is already
+// submitted when the clock starts, so it reports capacity, never how
 // latency degrades as an *arrival rate* approaches capacity — the curve
 // a serving system is actually provisioned against. S3 is that harness:
 // a deterministic seeded Poisson arrival process over the S1 request
@@ -25,11 +25,15 @@ import (
 // The gated figures come from a discrete-event simulation in the repo's
 // deterministic currency: each distinct payload's modeled solo launch
 // time is measured once (a pure function of the executed instruction
-// stream, as in S2), then the sweep replays the seeded arrival stream
-// against a c-server FIFO queue of those modeled service times. The
-// whole sweep is exact arithmetic — the same seed and binary produce
-// the same microsecond on every host — so benchgate can gate the
-// reference point's p99 lower-is-better. A live pass then pushes the
+// stream), then the sweep replays the seeded arrival stream against a
+// c-server FIFO queue of those modeled service times. The whole sweep is
+// exact arithmetic — the same seed and binary produce the same
+// microsecond on every host — so benchgate can gate the reference
+// point's p99 lower-is-better. The service-time stream itself is the
+// latency a request sees at vanishing load, so its exact quantiles are
+// reported (and gated) too: the modeled per-request latency of the S1
+// stream served solo, which the live S1 sweep's host-timed histograms
+// cannot give deterministically. A live pass then pushes the
 // same stream through a real sched.Queue with admission control enabled,
 // proving the machinery end to end: shed requests fail fast with
 // ErrShed, admitted requests return bit-identical outputs.
@@ -71,6 +75,13 @@ type ServeLoadResult struct {
 	// SLOTargetUS is the queue-delay SLO the admission controller
 	// protects: 10× the mean modeled service time.
 	SLOTargetUS float64 `json:"slo_target_us"`
+
+	// Exact nearest-rank quantiles of the service-time stream: the
+	// modeled latency of an S1 request at vanishing load. Gated
+	// lower-is-better.
+	P50ModeledUS float64 `json:"s1_p50_modeled_us"`
+	P95ModeledUS float64 `json:"s1_p95_modeled_us"`
+	P99ModeledUS float64 `json:"s1_p99_modeled_us"`
 
 	Points []ServeLoadPoint `json:"points"`
 
@@ -182,9 +193,25 @@ func simServeLoad(svcUS []float64, meanSvcUS, load float64, pool int, sloUS floa
 	return pt
 }
 
+// exactPercentile returns the q-th percentile of sorted as the nearest-
+// rank order statistic (the value at rank ceil(q·len), 1-based).
+func exactPercentile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(q*float64(len(sorted)) + 0.9999999)
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(sorted) {
+		rank = len(sorted)
+	}
+	return sorted[rank-1]
+}
+
 // measureServiceTimes returns each distinct S1 payload's modeled solo
 // launch time in microseconds (second pass, warm kernel caches — the
-// steady-state cost a served request pays), exactly as S2 measures them.
+// steady-state cost a served request pays).
 func measureServiceTimes(payloads []servePayload) ([]float64, error) {
 	q, err := sched.OpenQueue(sched.Config{
 		Devices:  1,
@@ -306,21 +333,25 @@ func RunServeLoad(jobs, n int, seed int64, ob *Obs) (ServeLoadResult, error) {
 	}
 
 	// Expand the per-payload times over the request stream and take the
-	// mean — the capacity unit the offered-load axis is scaled by.
+	// mean — the capacity unit the offered-load axis is scaled by — and
+	// the stream's own quantiles.
 	svcUS := make([]float64, jobs)
 	var sum float64
-	for i := 0; i < jobs; i++ {
-		p := payloadFor(payloads, i)
-		for k := range payloads {
-			if &payloads[k] == p {
-				svcUS[i] = perPayload[k]
-				break
-			}
-		}
+	for i := range svcUS {
+		svcUS[i] = perPayload[payloadIndex(i)]
 		sum += svcUS[i]
 	}
 	res.MeanServiceUS = sum / float64(jobs)
 	res.SLOTargetUS = 10 * res.MeanServiceUS
+	sorted := append([]float64(nil), svcUS...)
+	sort.Float64s(sorted)
+	res.P50ModeledUS = exactPercentile(sorted, 0.50)
+	res.P95ModeledUS = exactPercentile(sorted, 0.95)
+	res.P99ModeledUS = exactPercentile(sorted, 0.99)
+	if res.P50ModeledUS <= 0 || res.P50ModeledUS > res.P95ModeledUS || res.P95ModeledUS > res.P99ModeledUS {
+		return res, fmt.Errorf("paper: serve-load: degenerate service-time percentiles p50 %.1f p95 %.1f p99 %.1f",
+			res.P50ModeledUS, res.P95ModeledUS, res.P99ModeledUS)
+	}
 
 	pools := []int{1, 2, 4}
 	loads := []float64{0.5, 0.7, 0.9, 1.2}

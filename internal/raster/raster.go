@@ -70,12 +70,6 @@ func (r *Rasterizer) SetDepthRange(n, f float32) {
 	r.depthN, r.depthF = float64(n), float64(f)
 }
 
-// SetRowBand restricts fragment production to rows in [min, max), the unit
-// of parallelism used by the draw-call scheduler.
-func (r *Rasterizer) SetRowBand(min, max int) {
-	r.rowMin, r.rowMax = min, max
-}
-
 // SetTile restricts fragment production to the half-open pixel rectangle
 // [x0, x1) × [y0, y1) — the unit of parallelism of the tiled fragment
 // stage. A triangle's scan loop is clipped to the tile, so fragments a

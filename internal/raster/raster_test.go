@@ -221,10 +221,13 @@ func TestViewportClipping(t *testing.T) {
 	}
 }
 
-func TestRowBandPartitionIsExact(t *testing.T) {
-	// Splitting rendering into row bands must produce exactly the same
-	// fragments as a single pass (the parallel draw scheduler relies on it).
-	const w, h = 32, 32
+func TestTilePartitionIsExact(t *testing.T) {
+	// Splitting rendering into a 2-D grid of tiles must produce exactly
+	// the same fragments as a single pass (the tiled fragment stage relies
+	// on it). The 5×7 tiles do not divide the 32×30 framebuffer, so the
+	// last column and row of tiles are ragged; a full-width tile row is
+	// the row-band special case.
+	const w, h = 32, 30
 	tri := [3]ShadedVertex{vtx(-0.9, -0.8, 0, 1), vtx(0.8, -0.3, 0, 1), vtx(0.1, 0.9, 0, 1)}
 
 	full := make(map[[2]int]bool)
@@ -233,24 +236,32 @@ func TestRowBandPartitionIsExact(t *testing.T) {
 		full[[2]int{f.X, f.Y}] = true
 	})
 
-	banded := make(map[[2]int]bool)
-	for y := 0; y < h; y += 5 {
-		rb := NewRasterizer(Viewport{0, 0, w, h}, 0)
-		rb.SetRowBand(y, minI(y+5, h))
-		rb.Triangle(tri[0], tri[1], tri[2], true, func(f *Fragment) {
-			key := [2]int{f.X, f.Y}
-			if banded[key] {
-				t.Fatalf("pixel %v produced twice across bands", key)
+	for _, ts := range [][2]int{{5, 7}, {w, 5}} {
+		tiled := make(map[[2]int]bool)
+		for y0 := 0; y0 < h; y0 += ts[1] {
+			for x0 := 0; x0 < w; x0 += ts[0] {
+				x1, y1 := minI(x0+ts[0], w), minI(y0+ts[1], h)
+				rt := NewRasterizer(Viewport{0, 0, w, h}, 0)
+				rt.SetTile(x0, y0, x1, y1)
+				rt.Triangle(tri[0], tri[1], tri[2], true, func(f *Fragment) {
+					key := [2]int{f.X, f.Y}
+					if f.X < x0 || f.X >= x1 || f.Y < y0 || f.Y >= y1 {
+						t.Fatalf("%v tiles: pixel %v outside its tile [%d,%d)×[%d,%d)", ts, key, x0, x1, y0, y1)
+					}
+					if tiled[key] {
+						t.Fatalf("%v tiles: pixel %v produced twice across tiles", ts, key)
+					}
+					tiled[key] = true
+				})
 			}
-			banded[key] = true
-		})
-	}
-	if len(full) != len(banded) {
-		t.Fatalf("full pass %d fragments, banded %d", len(full), len(banded))
-	}
-	for k := range full {
-		if !banded[k] {
-			t.Fatalf("pixel %v missing from banded pass", k)
+		}
+		if len(full) != len(tiled) {
+			t.Fatalf("%v tiles: full pass %d fragments, tiled %d", ts, len(full), len(tiled))
+		}
+		for k := range full {
+			if !tiled[k] {
+				t.Fatalf("%v tiles: pixel %v missing from tiled pass", ts, k)
+			}
 		}
 	}
 }

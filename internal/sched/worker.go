@@ -400,9 +400,9 @@ func (w *worker) runKernel(jobs []*Job, lays []arrayLayout, layErr error) ([]int
 		}
 		src := in.data
 		if len(jobs) > 1 {
-			src = newHostSlice(in.elem, lays[p].grid.N)
+			src = core.NewHostSlice(in.elem, lays[p].grid.N)
 			for i, j := range jobs {
-				copyHostSlice(src, lays[p].offs[i], j.spec.In[p].data)
+				core.CopyHostSlice(src, lays[p].offs[i], j.spec.In[p].data)
 			}
 		}
 		if err := b.WriteRange(0, src); err != nil {
@@ -429,57 +429,7 @@ func (w *worker) runKernel(jobs []*Job, lays []arrayLayout, layErr error) ([]int
 	}
 	outs := make([]interface{}, len(jobs))
 	for i, j := range jobs {
-		outs[i] = sliceHostCopy(all, outLay.offs[i], j.spec.OutN)
+		outs[i] = core.CloneHostSlice(all, outLay.offs[i], j.spec.OutN)
 	}
 	return outs, rs, nil
-}
-
-// newHostSlice allocates a typed host slice of n elements.
-func newHostSlice(t codec.ElemType, n int) interface{} {
-	switch t {
-	case codec.Float32:
-		return make([]float32, n)
-	case codec.Int32:
-		return make([]int32, n)
-	case codec.Uint32:
-		return make([]uint32, n)
-	case codec.Int8:
-		return make([]int8, n)
-	default:
-		return make([]uint8, n)
-	}
-}
-
-// copyHostSlice copies src into dst starting at element off; both must be
-// typed slices of the same element type.
-func copyHostSlice(dst interface{}, off int, src interface{}) {
-	switch d := dst.(type) {
-	case []float32:
-		copy(d[off:], src.([]float32))
-	case []int32:
-		copy(d[off:], src.([]int32))
-	case []uint32:
-		copy(d[off:], src.([]uint32))
-	case []int8:
-		copy(d[off:], src.([]int8))
-	case []uint8:
-		copy(d[off:], src.([]uint8))
-	}
-}
-
-// sliceHostCopy returns a fresh copy of n elements of src at off, so each
-// job owns its output independently of the shared batch readback.
-func sliceHostCopy(src interface{}, off, n int) interface{} {
-	switch s := src.(type) {
-	case []float32:
-		return append([]float32(nil), s[off:off+n]...)
-	case []int32:
-		return append([]int32(nil), s[off:off+n]...)
-	case []uint32:
-		return append([]uint32(nil), s[off:off+n]...)
-	case []int8:
-		return append([]int8(nil), s[off:off+n]...)
-	default:
-		return append([]uint8(nil), src.([]uint8)[off:off+n]...)
-	}
 }
