@@ -67,10 +67,17 @@ func main() {
 		Source:  `float gc_kernel(float idx) { return gc_a(idx) + gc_b(idx); }`,
 	}
 
-	// Four concurrent clients, each firing 64 small requests and
-	// validating its own responses.
+	// Four concurrent clients, each firing 64 small requests in waves of
+	// 32 and validating its own responses. The wave bounds what admission
+	// control can see: its estimate is jobs in flight × the EWMA of modeled
+	// per-job launch cost ÷ 2 devices, and no launch of this kernel costs
+	// more per job than a solo one (661µs modeled), so at most 4×32 = 128
+	// jobs in flight estimate at most 42ms — inside the 50ms normal-class
+	// budget on every run, however the clients interleave. Unbounded, 256
+	// in flight behind one solo launch would estimate 85ms and shed.
 	const clients = 4
 	const perClient = 64
+	const wave = 32
 	const n = 64
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -84,45 +91,49 @@ func main() {
 				job  *glescompute.Job
 			}
 			reqs := make([]req, perClient)
-			// Fire the whole burst first — Submit returns as soon as the
-			// job is queued, so the client never blocks on the GPU …
-			for r := range reqs {
-				a := make([]int32, n)
-				b := make([]int32, n)
-				for i := range a {
-					a[i] = int32(rng.Intn(1 << 20))
-					b[i] = int32(rng.Intn(1 << 20))
-				}
-				job, err := q.Submit(nil, glescompute.JobSpec{
-					Kernel:    sum,
-					In:        []glescompute.JobInput{glescompute.Int32Input(a), glescompute.Int32Input(b)},
-					Batchable: true, // element-wise: may share a launch
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				reqs[r] = req{a: a, b: b, job: job}
-			}
-			// … then collect the responses. Each Wait delivers that job's
-			// slice of whatever coalesced launch carried it, plus the
-			// launch's modeled timeline.
-			for r, rq := range reqs {
-				res, err := rq.job.Wait(nil)
-				if err != nil {
-					log.Fatal(err)
-				}
-				got, err := res.Int32()
-				if err != nil {
-					log.Fatal(err)
-				}
-				for i := range rq.a {
-					if got[i] != rq.a[i]+rq.b[i] {
-						log.Fatalf("client %d: wrong sum at %d: %d != %d", c, i, got[i], rq.a[i]+rq.b[i])
+			for w0 := 0; w0 < perClient; w0 += wave {
+				// Fire the whole wave first — Submit returns as soon as
+				// the job is queued, so the client never blocks on the
+				// GPU …
+				for r := w0; r < w0+wave; r++ {
+					a := make([]int32, n)
+					b := make([]int32, n)
+					for i := range a {
+						a[i] = int32(rng.Intn(1 << 20))
+						b[i] = int32(rng.Intn(1 << 20))
 					}
+					job, err := q.Submit(nil, glescompute.JobSpec{
+						Kernel:    sum,
+						In:        []glescompute.JobInput{glescompute.Int32Input(a), glescompute.Int32Input(b)},
+						Batchable: true, // element-wise: may share a launch
+					})
+					if err != nil {
+						log.Fatal(err)
+					}
+					reqs[r] = req{a: a, b: b, job: job}
 				}
-				if r == perClient-1 {
-					fmt.Printf("client %d: last job ran on device %d in a batch of %d, modeled launch %v\n",
-						c, res.Stats.Device, res.Stats.BatchSize, res.Stats.Time.Total().Round(time.Microsecond))
+				// … then collect the responses. Each Wait delivers that
+				// job's slice of whatever coalesced launch carried it,
+				// plus the launch's modeled timeline.
+				for r := w0; r < w0+wave; r++ {
+					rq := reqs[r]
+					res, err := rq.job.Wait(nil)
+					if err != nil {
+						log.Fatal(err)
+					}
+					got, err := res.Int32()
+					if err != nil {
+						log.Fatal(err)
+					}
+					for i := range rq.a {
+						if got[i] != rq.a[i]+rq.b[i] {
+							log.Fatalf("client %d: wrong sum at %d: %d != %d", c, i, got[i], rq.a[i]+rq.b[i])
+						}
+					}
+					if r == perClient-1 {
+						fmt.Printf("client %d: last job ran on device %d in a batch of %d, modeled launch %v\n",
+							c, res.Stats.Device, res.Stats.BatchSize, res.Stats.Time.Total().Round(time.Microsecond))
+					}
 				}
 			}
 		}(c)

@@ -5,7 +5,10 @@
 // The host side (this file) packs Go values into texture bytes and decodes
 // framebuffer bytes back; for float32 this includes the byte re-arrangement
 // of the paper's Fig. 2 (exponent packed into one byte, sign joined to the
-// mantissa bytes). The GPU side (glsl.go) generates the GLSL ES decode and
+// mantissa bytes). format.go holds what every element type shares: its
+// lane width (values per texel, 4 for the packed Int8x4, 1 otherwise) and
+// the one host↔texel table, Pack and Unpack, that every buffer transfer
+// goes through. The GPU side (glsl.go) generates the GLSL ES decode and
 // encode functions executed inside kernels.
 //
 // Known deviations from the paper's printed formulas are documented in
@@ -18,7 +21,12 @@ import (
 	"math"
 )
 
-// ElemType enumerates the supported element types (paper §IV-A..E).
+// ElemType is the one storage descriptor of a device array: the element
+// type plus how many values one RGBA8 texel carries. The five scalar
+// types are the paper's §IV-A..E codecs, one value per texel. Int8x4 is
+// this repo's packed extension (PHWC4-style, after the mobile-GPU
+// inference literature in PAPERS.md): four int8 lanes per texel, see
+// format.go.
 type ElemType int
 
 // Element types.
@@ -28,6 +36,7 @@ const (
 	Uint32
 	Int32
 	Float32
+	Int8x4
 )
 
 func (t ElemType) String() string {
@@ -42,6 +51,8 @@ func (t ElemType) String() string {
 		return "int32"
 	case Float32:
 		return "float32"
+	case Int8x4:
+		return "int8x4"
 	}
 	return "unknown"
 }

@@ -139,6 +139,22 @@ func TestPackSizeErrors(t *testing.T) {
 	if err := PackUint32(make([]byte, 3), []uint32{1}); err == nil {
 		t.Error("short dst must error")
 	}
+	// The Pack/Unpack table: a host slice of the wrong scalar type, an
+	// unknown storage type and short texel bytes are errors, not panics.
+	for _, et := range []ElemType{Uint8, Int8, Uint32, Int32, Float32, Int8x4} {
+		if _, err := Unpack(et, make([]byte, 3), 4); err == nil {
+			t.Errorf("Unpack(%s) of 3 bytes into 4 values must error", et)
+		}
+		if _, _, err := Pack(et, []uint16{1}); err == nil {
+			t.Errorf("Pack(%s, []uint16) must error", et)
+		}
+	}
+	if _, _, err := Pack(Int8x4, []uint8{1}); err == nil {
+		t.Error("Pack(int8x4, []uint8) must error")
+	}
+	if _, err := Unpack(ElemType(99), make([]byte, 16), 1); err == nil {
+		t.Error("Unpack of an unknown storage type must error")
+	}
 }
 
 func TestCPUEncodeDecodeFloatExact(t *testing.T) {

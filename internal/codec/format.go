@@ -2,98 +2,111 @@ package codec
 
 import "fmt"
 
-// Format describes how logical elements are laid out in RGBA8 texels: the
-// element type plus the lane width (values per texel). It subsumes the old
-// ElemType.TexelsPerElement stub — which hardcoded 1 — with the inverse
-// notion: packed formats store SEVERAL elements per texel, so the texel
-// count for n elements is ceil(n/lanes).
-//
-// Scalar formats are the paper's §IV codecs unchanged (one value per
-// texel). The packed format Int8x4 is this repo's extension (PHWC4-style,
-// after the mobile-GPU inference literature in PAPERS.md): four int8
-// lanes, one per RGBA channel, stored excess-128 (byte = value + 128).
-// Excess-128 instead of §IV-B two's complement makes the 4-wide GLSL
-// decode a single vec4 subtract — no per-lane sign select. Documented as
-// a deviation in DESIGN.md §6f.
-type Format int
+// Storage layout. Every ElemType stores ceil(n/Lanes) RGBA8 texels for n
+// values. The scalar types are the paper's §IV codecs unchanged (one value
+// per texel). Int8x4 packs four int8 lanes, one per RGBA channel, stored
+// excess-128 (byte = value + 128). Excess-128 instead of §IV-B two's
+// complement makes the 4-wide GLSL decode a single vec4 subtract — no
+// per-lane sign select. Documented as a deviation in DESIGN.md §6f.
 
-// Formats. The zero value FmtAuto means "derive the scalar format from the
-// element type" so existing code that only names an ElemType keeps working.
-const (
-	FmtAuto Format = iota
-	FmtUint8
-	FmtInt8
-	FmtUint32
-	FmtInt32
-	FmtFloat32
-	FmtInt8x4
-)
+// Valid reports whether t is one of the declared element types.
+func (t ElemType) Valid() bool { return t >= Uint8 && t <= Int8x4 }
 
-// FormatOf returns the scalar (1 lane per texel) format for an element type.
-func FormatOf(t ElemType) Format {
-	switch t {
-	case Uint8:
-		return FmtUint8
-	case Int8:
-		return FmtInt8
-	case Uint32:
-		return FmtUint32
-	case Int32:
-		return FmtInt32
-	case Float32:
-		return FmtFloat32
-	}
-	return FmtFloat32
-}
-
-// Resolve replaces FmtAuto with the scalar format of t.
-func (f Format) Resolve(t ElemType) Format {
-	if f == FmtAuto {
-		return FormatOf(t)
-	}
-	return f
-}
-
-// Elem returns the logical element type stored by the format.
-func (f Format) Elem() ElemType {
-	switch f {
-	case FmtUint8:
-		return Uint8
-	case FmtInt8, FmtInt8x4:
+// Scalar returns the host element type of one lane: Int8 for Int8x4, t
+// itself for the scalar types.
+func (t ElemType) Scalar() ElemType {
+	if t == Int8x4 {
 		return Int8
-	case FmtUint32:
-		return Uint32
-	case FmtInt32:
-		return Int32
 	}
-	return Float32
+	return t
 }
 
-// Lanes returns how many logical values one RGBA texel carries.
-func (f Format) Lanes() int {
-	if f == FmtInt8x4 {
+// Lanes returns how many values one RGBA texel carries.
+func (t ElemType) Lanes() int {
+	if t == Int8x4 {
 		return 4
 	}
 	return 1
 }
 
-// Packed reports whether the format stores more than one value per texel.
-func (f Format) Packed() bool { return f.Lanes() > 1 }
+// Packed reports whether t stores more than one value per texel.
+func (t ElemType) Packed() bool { return t.Lanes() > 1 }
 
-// TexelsFor returns the texel count needed for n elements: ceil(n/lanes).
-func (f Format) TexelsFor(n int) int {
-	l := f.Lanes()
+// TexelsFor returns the texel count needed for n values: ceil(n/lanes).
+func (t ElemType) TexelsFor(n int) int {
+	l := t.Lanes()
 	return (n + l - 1) / l
 }
 
-func (f Format) String() string {
-	switch f {
-	case FmtAuto:
-		return "auto"
-	case FmtInt8x4:
-		return "int8x4"
+// ---- The host↔texel table ----
+
+// Pack encodes a host slice into the texel bytes of storage type t and
+// returns its element count. The slice must hold t's scalar type
+// ([]int8 for Int8x4); the result covers t.TexelsFor(n) texels.
+func Pack(t ElemType, src interface{}) (int, []byte, error) {
+	alloc := func(n int) []byte { return make([]byte, t.TexelsFor(n)*4) }
+	switch s := src.(type) {
+	case []float32:
+		if t == Float32 {
+			buf := alloc(len(s))
+			return len(s), buf, PackFloat32(buf, s)
+		}
+	case []int32:
+		if t == Int32 {
+			buf := alloc(len(s))
+			return len(s), buf, PackInt32(buf, s)
+		}
+	case []uint32:
+		if t == Uint32 {
+			buf := alloc(len(s))
+			return len(s), buf, PackUint32(buf, s)
+		}
+	case []uint8:
+		if t == Uint8 {
+			buf := alloc(len(s))
+			return len(s), buf, PackUint8(buf, s)
+		}
+	case []int8:
+		switch t {
+		case Int8:
+			buf := alloc(len(s))
+			return len(s), buf, PackInt8(buf, s)
+		case Int8x4:
+			buf := alloc(len(s))
+			return len(s), buf, PackInt8x4(buf, s)
+		}
+	default:
+		return 0, nil, fmt.Errorf("codec: unsupported host slice type %T", src)
 	}
-	return f.Elem().String()
+	return 0, nil, fmt.Errorf("codec: %s storage cannot hold %T", t, src)
+}
+
+// Unpack decodes n values of storage type t from texel bytes into a fresh
+// slice of t's scalar type. For Int8x4, texels starts at the byte of the
+// first wanted lane (one byte per lane), which lets callers read spans
+// that start mid-texel. Too few bytes is an error, never a panic.
+func Unpack(t ElemType, texels []byte, n int) (interface{}, error) {
+	switch t {
+	case Float32:
+		out := make([]float32, n)
+		return out, UnpackFloat32(out, texels)
+	case Int32:
+		out := make([]int32, n)
+		return out, UnpackInt32(out, texels)
+	case Uint32:
+		out := make([]uint32, n)
+		return out, UnpackUint32(out, texels)
+	case Uint8:
+		out := make([]uint8, n)
+		return out, UnpackUint8(out, texels)
+	case Int8:
+		out := make([]int8, n)
+		return out, UnpackInt8(out, texels)
+	case Int8x4:
+		out := make([]int8, n)
+		return out, UnpackInt8x4(out, texels)
+	}
+	return nil, fmt.Errorf("codec: unsupported storage type %s", t)
 }
 
 // ---- Int8x4 host packing ----
@@ -108,7 +121,7 @@ func CPUDecodeInt8x4(b byte) int8 { return int8(int(b) - 128) }
 // 4·ceil(len(src)/4) bytes; tail lanes of the last texel store value 0
 // (byte 128) so packed buffers are deterministic beyond n.
 func PackInt8x4(dst []byte, src []int8) error {
-	texels := FmtInt8x4.TexelsFor(len(src))
+	texels := Int8x4.TexelsFor(len(src))
 	if len(dst) < texels*4 {
 		return fmt.Errorf("codec: dst too small: %d < %d", len(dst), texels*4)
 	}
@@ -130,26 +143,4 @@ func UnpackInt8x4(dst []int8, src []byte) error {
 		dst[i] = CPUDecodeInt8x4(src[i])
 	}
 	return nil
-}
-
-// ---- Packed GLSL codecs ----
-
-// GLSLDecoderInt8x4 returns `vec4 <name>(vec4 t)` decoding all four int8
-// lanes of a texel at once: excess-128 makes it a byte reconstruction plus
-// one vec4 subtract (compare the per-lane sign select of the scalar §IV-B
-// decoder — this is the codec-amortization the A1 experiment motivates).
-func GLSLDecoderInt8x4(name string) string {
-	return fmt.Sprintf("vec4 %s(vec4 t) {\n"+
-		"\treturn floor(t * 255.0 + vec4(0.5)) - vec4(128.0);\n"+
-		"}\n", name)
-}
-
-// GLSLEncoderInt8x4 returns `vec4 <name>(vec4 v)` encoding four int8 lanes
-// into one texel (clamp to [-128,127], excess-128, framebuffer bias).
-func GLSLEncoderInt8x4(name string, style EncodeStyle) string {
-	bias := style.glslBias()
-	return fmt.Sprintf("vec4 %s(vec4 v) {\n"+
-		"\tvec4 b = clamp(floor(v + vec4(0.5)), vec4(-128.0), vec4(127.0)) + vec4(128.0);\n"+
-		"\treturn (b + vec4(%s)) / 255.0;\n"+
-		"}\n", name, bias)
 }

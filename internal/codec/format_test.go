@@ -6,50 +6,46 @@ import (
 	"testing"
 )
 
+// TestFormatLanesAndTexels pins each element type's storage format: lanes
+// per texel, the host scalar type, and the texel count ceil(n/lanes).
 func TestFormatLanesAndTexels(t *testing.T) {
 	cases := []struct {
-		f     Format
-		lanes int
-		elem  ElemType
+		t      ElemType
+		lanes  int
+		scalar ElemType
+		name   string
 	}{
-		{FmtUint8, 1, Uint8},
-		{FmtInt8, 1, Int8},
-		{FmtUint32, 1, Uint32},
-		{FmtInt32, 1, Int32},
-		{FmtFloat32, 1, Float32},
-		{FmtInt8x4, 4, Int8},
+		{Uint8, 1, Uint8, "uint8"},
+		{Int8, 1, Int8, "int8"},
+		{Uint32, 1, Uint32, "uint32"},
+		{Int32, 1, Int32, "int32"},
+		{Float32, 1, Float32, "float32"},
+		{Int8x4, 4, Int8, "int8x4"},
 	}
 	for _, c := range cases {
-		if got := c.f.Lanes(); got != c.lanes {
-			t.Errorf("%v lanes = %d, want %d", c.f, got, c.lanes)
+		if got := c.t.Lanes(); got != c.lanes {
+			t.Errorf("%v lanes = %d, want %d", c.t, got, c.lanes)
 		}
-		if got := c.f.Elem(); got != c.elem {
-			t.Errorf("%v elem = %v, want %v", c.f, got, c.elem)
+		if got := c.t.Scalar(); got != c.scalar {
+			t.Errorf("%v scalar = %v, want %v", c.t, got, c.scalar)
 		}
-		if (c.lanes > 1) != c.f.Packed() {
-			t.Errorf("%v packed = %v", c.f, c.f.Packed())
+		if (c.lanes > 1) != c.t.Packed() {
+			t.Errorf("%v packed = %v", c.t, c.t.Packed())
+		}
+		if !c.t.Valid() || c.t.String() != c.name {
+			t.Errorf("%v: valid %v, name %q, want %q", c.t, c.t.Valid(), c.t.String(), c.name)
 		}
 	}
-	// Texel count = ceil(n/lanes): the relation that replaces the old
-	// TexelsPerElement()==1 stub.
+	if ElemType(-1).Valid() || (Int8x4 + 1).Valid() {
+		t.Error("out-of-range element types must be invalid")
+	}
 	for n := 0; n <= 9; n++ {
-		if got, want := FmtInt8x4.TexelsFor(n), (n+3)/4; got != want {
+		if got, want := Int8x4.TexelsFor(n), (n+3)/4; got != want {
 			t.Errorf("int8x4 TexelsFor(%d) = %d, want %d", n, got, want)
 		}
-		if got := FmtInt32.TexelsFor(n); got != n {
+		if got := Int32.TexelsFor(n); got != n {
 			t.Errorf("int32 TexelsFor(%d) = %d", n, got)
 		}
-	}
-	for _, tt := range []ElemType{Uint8, Int8, Uint32, Int32, Float32} {
-		if FormatOf(tt).Elem() != tt || FormatOf(tt).Lanes() != 1 {
-			t.Errorf("FormatOf(%v) = %v", tt, FormatOf(tt))
-		}
-		if FmtAuto.Resolve(tt) != FormatOf(tt) {
-			t.Errorf("Resolve(%v) mismatch", tt)
-		}
-	}
-	if FmtInt8x4.Resolve(Float32) != FmtInt8x4 {
-		t.Error("Resolve must not override an explicit format")
 	}
 }
 
@@ -73,7 +69,7 @@ func TestInt8x4RoundTripProperty(t *testing.T) {
 		if n > 1 {
 			src[1] = 127
 		}
-		texels := FmtInt8x4.TexelsFor(n)
+		texels := Int8x4.TexelsFor(n)
 		raw := make([]byte, texels*4)
 		if err := PackInt8x4(raw, src); err != nil {
 			t.Fatalf("pack n=%d: %v", n, err)
@@ -106,11 +102,11 @@ func TestInt8x4RoundTripProperty(t *testing.T) {
 
 // TestPackedGLSLSourcesWellFormed pins the generated packed codec GLSL.
 func TestPackedGLSLSourcesWellFormed(t *testing.T) {
-	dec := GLSLDecoderInt8x4("dec4")
+	dec := GLSLDecoder(Int8x4, "dec4")
 	if want := "vec4 dec4(vec4 t)"; !contains(dec, want) {
 		t.Errorf("int8x4 decoder missing %q:\n%s", want, dec)
 	}
-	enc := GLSLEncoderInt8x4("enc4", EncodeRobust)
+	enc := GLSLEncoder(Int8x4, "enc4", EncodeRobust)
 	if want := "vec4 enc4(vec4 v)"; !contains(enc, want) {
 		t.Errorf("int8x4 encoder missing %q:\n%s", want, enc)
 	}

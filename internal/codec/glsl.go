@@ -93,8 +93,17 @@ func GLSLEncoderSpecials(name string, style EncodeStyle) string {
 
 // GLSLDecoder returns the GLSL ES function `float <name>(vec4 texel)` that
 // reconstructs a value of type t from a sampled RGBA texel (paper §IV:
-// M, M2, eq. 6 and the float reconstruction).
+// M, M2, eq. 6 and the float reconstruction). For Int8x4 it is
+// `vec4 <name>(vec4 t)`, decoding all four lanes at once: excess-128
+// makes it a byte reconstruction plus one vec4 subtract (compare the
+// per-lane sign select of the scalar §IV-B decoder — the codec
+// amortization the A1 experiment motivates).
 func GLSLDecoder(t ElemType, name string) string {
+	if t == Int8x4 {
+		return fmt.Sprintf("vec4 %s(vec4 t) {\n"+
+			"\treturn floor(t * 255.0 + vec4(0.5)) - vec4(128.0);\n"+
+			"}\n", name)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "float %s(vec4 t) {\n", name)
 	switch t {
@@ -139,8 +148,16 @@ func GLSLDecoder(t ElemType, name string) string {
 // GLSLEncoder returns the GLSL ES function `vec4 <name>(float v)` that
 // packs a value of type t into the vec4 written to gl_FragColor, such that
 // the framebuffer byte conversion stores the intended bytes (challenge #6).
+// For Int8x4 it is `vec4 <name>(vec4 v)`, encoding four int8 lanes into
+// one texel (clamp to [-128,127], excess-128, framebuffer bias).
 func GLSLEncoder(t ElemType, name string, style EncodeStyle) string {
 	bias := style.glslBias()
+	if t == Int8x4 {
+		return fmt.Sprintf("vec4 %s(vec4 v) {\n"+
+			"\tvec4 b = clamp(floor(v + vec4(0.5)), vec4(-128.0), vec4(127.0)) + vec4(128.0);\n"+
+			"\treturn (b + vec4(%s)) / 255.0;\n"+
+			"}\n", name, bias)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "vec4 %s(float v) {\n", name)
 	switch t {

@@ -16,8 +16,7 @@ import (
 // (challenge #7).
 type Buffer struct {
 	dev  *Device
-	fmt  codec.Format // texel layout: element type + lane width
-	elem codec.ElemType
+	elem codec.ElemType // storage type; its Lanes() values share a texel
 	n    int
 	grid layout.Grid
 
@@ -25,34 +24,28 @@ type Buffer struct {
 	fbo uint32 // lazily created for readback / render target use
 }
 
-// NewBuffer allocates a device buffer of n elements of type t in the
-// scalar (one value per texel) format.
+// NewBuffer allocates a device buffer of n elements of type t. A packed
+// type stores Lanes values per texel, so the texture covers
+// t.TexelsFor(n) texels (the tail lanes of the last texel are padding).
 func (d *Device) NewBuffer(t codec.ElemType, n int) (*Buffer, error) {
-	return d.NewBufferFmt(codec.FormatOf(t), n)
-}
-
-// NewBufferFmt allocates a device buffer of n logical elements in an
-// explicit texel format; packed formats store Lanes values per texel, so
-// the texture covers ceil(n/lanes) texels (the tail lanes of the last
-// texel are padding).
-func (d *Device) NewBufferFmt(f codec.Format, n int) (*Buffer, error) {
 	if err := d.checkOpen("NewBuffer"); err != nil {
 		return nil, err
 	}
-	if f == codec.FmtAuto {
-		return nil, fmt.Errorf("core: NewBufferFmt: format must be explicit")
+	if !t.Valid() {
+		return nil, fmt.Errorf("core: NewBuffer: unknown element type %s", t)
 	}
-	g, err := layout.ForLengthLanes(n, f.Lanes(), d.cfg.MaxGridWidth)
+	g, err := layout.ForLength(t.TexelsFor(n), d.cfg.MaxGridWidth)
 	if err != nil {
 		return nil, err
 	}
-	return d.newBufferWithGrid(f, n, g)
+	return d.newBufferWithGrid(t, n, g)
 }
 
 // NewBufferWithGrid allocates a buffer of n logical elements over an
 // explicit texture layout — the hook the scheduler's request batching
 // uses to allocate one shared texture laid out by layout.PackRows. n may
-// be smaller than the grid's texel count (trailing texels are padding).
+// be smaller than the grid holds (trailing texels are padding), never
+// larger.
 func (d *Device) NewBufferWithGrid(t codec.ElemType, n int, g layout.Grid) (*Buffer, error) {
 	if err := d.checkOpen("NewBufferWithGrid"); err != nil {
 		return nil, err
@@ -61,10 +54,22 @@ func (d *Device) NewBufferWithGrid(t codec.ElemType, n int, g layout.Grid) (*Buf
 		g.Height > d.ctx.Caps().MaxTextureSize {
 		return nil, fmt.Errorf("core: NewBufferWithGrid: grid %dx%d out of range", g.Width, g.Height)
 	}
-	if n <= 0 || n > g.Texels()*g.LaneCount() {
-		return nil, fmt.Errorf("core: NewBufferWithGrid: %d elements do not fit %dx%d texels", n, g.Width, g.Height)
+	if err := checkFits("NewBufferWithGrid", t, n, g); err != nil {
+		return nil, err
 	}
-	return d.newBufferWithGrid(codec.FormatOf(t), n, g)
+	return d.newBufferWithGrid(t, n, g)
+}
+
+// checkFits rejects an unknown element type, and a length the grid's
+// texels cannot hold at t's lane width.
+func checkFits(op string, t codec.ElemType, n int, g layout.Grid) error {
+	if !t.Valid() {
+		return fmt.Errorf("core: %s: unknown element type %s", op, t)
+	}
+	if n <= 0 || n > g.Texels()*t.Lanes() {
+		return fmt.Errorf("core: %s: %d %s elements do not fit %dx%d texels", op, n, t, g.Width, g.Height)
+	}
+	return nil
 }
 
 // NewMatrixBuffer allocates a buffer holding an n×n row-major matrix with
@@ -80,10 +85,13 @@ func (d *Device) NewMatrixBuffer(t codec.ElemType, n int) (*Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.newBufferWithGrid(codec.FormatOf(t), n*n, g)
+	if err := checkFits("NewMatrixBuffer", t, n*n, g); err != nil {
+		return nil, err
+	}
+	return d.newBufferWithGrid(t, n*n, g)
 }
 
-func (d *Device) newBufferWithGrid(f codec.Format, n int, g layout.Grid) (*Buffer, error) {
+func (d *Device) newBufferWithGrid(t codec.ElemType, n int, g layout.Grid) (*Buffer, error) {
 	ctx := d.ctx
 	prev := uint32(ctx.GetIntegerv(gles.TEXTURE_BINDING_2D)[0])
 	tex := ctx.CreateTexture()
@@ -100,14 +108,12 @@ func (d *Device) newBufferWithGrid(f codec.Format, n int, g layout.Grid) (*Buffe
 	if err := d.checkGL("NewBuffer"); err != nil {
 		return nil, err
 	}
-	return &Buffer{dev: d, fmt: f, elem: f.Elem(), n: n, grid: g, tex: tex}, nil
+	return &Buffer{dev: d, elem: t, n: n, grid: g, tex: tex}, nil
 }
 
-// Elem returns the logical element type.
+// Elem returns the storage element type (Int8x4 for a packed int8
+// buffer; Elem().Scalar() is the host type its values read back as).
 func (b *Buffer) Elem() codec.ElemType { return b.elem }
-
-// Format returns the texel format.
-func (b *Buffer) Format() codec.Format { return b.fmt }
 
 // Len returns the element count.
 func (b *Buffer) Len() int { return b.n }
@@ -194,187 +200,70 @@ func (b *Buffer) readTexels() ([]byte, error) {
 	return out, nil
 }
 
-func (b *Buffer) checkLen(op string, n int) error {
+// write checks src against the buffer's type and length, packs it through
+// the codec table and uploads the full grid.
+func (b *Buffer) write(op string, src interface{}) error {
+	n, texels, err := codec.Pack(b.elem, src)
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", op, err)
+	}
 	if n != b.n {
 		return fmt.Errorf("core: %s: length %d does not match buffer length %d", op, n, b.n)
 	}
-	return nil
+	return b.upload(texels)
 }
 
-func (b *Buffer) checkElem(op string, t codec.ElemType) error {
-	if b.elem != t {
-		return fmt.Errorf("core: %s: buffer holds %s, not %s", op, b.elem, t)
+// read reads the full grid back and decodes it through the codec table
+// into a []T, after checking that T is the buffer's host type t.
+func read[T any](b *Buffer, op string, t codec.ElemType) ([]T, error) {
+	if b.elem.Scalar() != t {
+		return nil, fmt.Errorf("core: %s: buffer holds %s, not %s", op, b.elem, t)
 	}
-	return nil
+	texels, err := b.readTexels()
+	if err != nil {
+		return nil, err
+	}
+	out, err := codec.Unpack(b.elem, texels, b.n)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", op, err)
+	}
+	return out.([]T), nil
 }
 
 // WriteFloat32 uploads float data, packed per the paper's Fig. 2 byte
 // re-arrangement.
-func (b *Buffer) WriteFloat32(src []float32) error {
-	if err := b.checkElem("WriteFloat32", codec.Float32); err != nil {
-		return err
-	}
-	if err := b.checkLen("WriteFloat32", len(src)); err != nil {
-		return err
-	}
-	buf := make([]byte, b.fmt.TexelsFor(len(src))*4)
-	if err := codec.PackFloat32(buf, src); err != nil {
-		return err
-	}
-	return b.upload(buf)
-}
+func (b *Buffer) WriteFloat32(src []float32) error { return b.write("WriteFloat32", src) }
 
 // ReadFloat32 reads the buffer back into float data.
 func (b *Buffer) ReadFloat32() ([]float32, error) {
-	if err := b.checkElem("ReadFloat32", codec.Float32); err != nil {
-		return nil, err
-	}
-	texels, err := b.readTexels()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, b.n)
-	if err := codec.UnpackFloat32(out, texels[:b.n*4]); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return read[float32](b, "ReadFloat32", codec.Float32)
 }
 
 // WriteInt32 uploads two's-complement int32 data (paper §IV-D).
-func (b *Buffer) WriteInt32(src []int32) error {
-	if err := b.checkElem("WriteInt32", codec.Int32); err != nil {
-		return err
-	}
-	if err := b.checkLen("WriteInt32", len(src)); err != nil {
-		return err
-	}
-	buf := make([]byte, len(src)*4)
-	if err := codec.PackInt32(buf, src); err != nil {
-		return err
-	}
-	return b.upload(buf)
-}
+func (b *Buffer) WriteInt32(src []int32) error { return b.write("WriteInt32", src) }
 
 // ReadInt32 reads the buffer back into int32 data.
-func (b *Buffer) ReadInt32() ([]int32, error) {
-	if err := b.checkElem("ReadInt32", codec.Int32); err != nil {
-		return nil, err
-	}
-	texels, err := b.readTexels()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, b.n)
-	if err := codec.UnpackInt32(out, texels[:b.n*4]); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (b *Buffer) ReadInt32() ([]int32, error) { return read[int32](b, "ReadInt32", codec.Int32) }
 
 // WriteUint32 uploads uint32 data (paper §IV-C).
-func (b *Buffer) WriteUint32(src []uint32) error {
-	if err := b.checkElem("WriteUint32", codec.Uint32); err != nil {
-		return err
-	}
-	if err := b.checkLen("WriteUint32", len(src)); err != nil {
-		return err
-	}
-	buf := make([]byte, len(src)*4)
-	if err := codec.PackUint32(buf, src); err != nil {
-		return err
-	}
-	return b.upload(buf)
-}
+func (b *Buffer) WriteUint32(src []uint32) error { return b.write("WriteUint32", src) }
 
 // ReadUint32 reads the buffer back into uint32 data.
-func (b *Buffer) ReadUint32() ([]uint32, error) {
-	if err := b.checkElem("ReadUint32", codec.Uint32); err != nil {
-		return nil, err
-	}
-	texels, err := b.readTexels()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, b.n)
-	if err := codec.UnpackUint32(out, texels[:b.n*4]); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (b *Buffer) ReadUint32() ([]uint32, error) { return read[uint32](b, "ReadUint32", codec.Uint32) }
 
 // WriteUint8 uploads byte data (paper §IV-A).
-func (b *Buffer) WriteUint8(src []uint8) error {
-	if err := b.checkElem("WriteUint8", codec.Uint8); err != nil {
-		return err
-	}
-	if err := b.checkLen("WriteUint8", len(src)); err != nil {
-		return err
-	}
-	buf := make([]byte, len(src)*4)
-	if err := codec.PackUint8(buf, src); err != nil {
-		return err
-	}
-	return b.upload(buf)
-}
+func (b *Buffer) WriteUint8(src []uint8) error { return b.write("WriteUint8", src) }
 
 // ReadUint8 reads the buffer back into byte data.
-func (b *Buffer) ReadUint8() ([]uint8, error) {
-	if err := b.checkElem("ReadUint8", codec.Uint8); err != nil {
-		return nil, err
-	}
-	texels, err := b.readTexels()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint8, b.n)
-	if err := codec.UnpackUint8(out, texels[:b.n*4]); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (b *Buffer) ReadUint8() ([]uint8, error) { return read[uint8](b, "ReadUint8", codec.Uint8) }
 
 // WriteInt8 uploads signed byte data: §IV-B two's complement one value
-// per texel for scalar buffers, excess-128 four lanes per texel for
-// Int8x4 buffers (a quarter of the texels and upload bytes).
-func (b *Buffer) WriteInt8(src []int8) error {
-	if err := b.checkElem("WriteInt8", codec.Int8); err != nil {
-		return err
-	}
-	if err := b.checkLen("WriteInt8", len(src)); err != nil {
-		return err
-	}
-	buf := make([]byte, b.fmt.TexelsFor(len(src))*4)
-	if b.fmt == codec.FmtInt8x4 {
-		if err := codec.PackInt8x4(buf, src); err != nil {
-			return err
-		}
-	} else if err := codec.PackInt8(buf, src); err != nil {
-		return err
-	}
-	return b.upload(buf)
-}
+// per texel for Int8 buffers, excess-128 four lanes per texel for Int8x4
+// buffers (a quarter of the texels and upload bytes).
+func (b *Buffer) WriteInt8(src []int8) error { return b.write("WriteInt8", src) }
 
-// ReadInt8 reads the buffer back into signed byte data.
-func (b *Buffer) ReadInt8() ([]int8, error) {
-	if err := b.checkElem("ReadInt8", codec.Int8); err != nil {
-		return nil, err
-	}
-	texels, err := b.readTexels()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int8, b.n)
-	if b.fmt == codec.FmtInt8x4 {
-		if err := codec.UnpackInt8x4(out, texels); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if err := codec.UnpackInt8(out, texels[:b.n*4]); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// ReadInt8 reads an Int8 or Int8x4 buffer back into signed byte data.
+func (b *Buffer) ReadInt8() ([]int8, error) { return read[int8](b, "ReadInt8", codec.Int8) }
 
 // f32bytes encodes float32 values little-endian.
 func f32bytes(vals []float32) []byte {

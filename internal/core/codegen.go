@@ -13,28 +13,23 @@ import (
 // output encoder (challenge #6), and a main() that maps the fragment back
 // to its linear output index.
 //
-// Scalar passes (Lanes == 1) compute one element per fragment. 4-wide
-// passes (Lanes == 4, Int8x4 output) compute one output TEXEL per
-// fragment: the kernel function receives the texel index and returns all
-// four lanes as a vec4, amortizing the codec over four elements — the A1
-// bottleneck this layout exists to cut.
+// Scalar passes compute one element per fragment. 4-wide passes (Int8x4
+// output) compute one output TEXEL per fragment: the kernel function
+// receives the texel index and returns all four lanes as a vec4,
+// amortizing the codec over four elements — the A1 bottleneck this layout
+// exists to cut.
 func generateFragmentShader(spec KernelSpec, out OutputSpec) string {
 	var b strings.Builder
 	b.WriteString("precision highp float;\n\n")
 
-	// One decoder per distinct input format.
-	seen := map[codec.Format]bool{}
+	// One decoder per distinct input type.
+	seen := map[codec.ElemType]bool{}
 	for _, in := range spec.Inputs {
-		if seen[in.Fmt] {
+		if seen[in.Type] {
 			continue
 		}
-		seen[in.Fmt] = true
-		switch in.Fmt {
-		case codec.FmtInt8x4:
-			b.WriteString(codec.GLSLDecoderInt8x4(decoderName(in.Fmt)))
-		default:
-			b.WriteString(codec.GLSLDecoder(in.Type, decoderName(in.Fmt)))
-		}
+		seen[in.Type] = true
+		b.WriteString(codec.GLSLDecoder(in.Type, decoderName(in.Type)))
 		b.WriteString("\n")
 	}
 
@@ -42,18 +37,18 @@ func generateFragmentShader(spec KernelSpec, out OutputSpec) string {
 	for _, in := range spec.Inputs {
 		fmt.Fprintf(&b, "uniform sampler2D gc_%s_tex;\n", in.Name)
 		fmt.Fprintf(&b, "uniform vec2 gc_%s_dims;\n", in.Name)
-		switch in.Fmt {
-		case codec.FmtInt8x4:
+		switch in.Type {
+		case codec.Int8x4:
 			// Whole-texel fetch: texel index -> texel centre -> 4 lanes.
 			fmt.Fprintf(&b, "vec4 gc_%s4(float tidx) {\n", in.Name)
 			fmt.Fprintf(&b, "\tfloat row = floor((tidx + 0.5) / gc_%s_dims.x);\n", in.Name)
 			fmt.Fprintf(&b, "\tfloat col = tidx - row * gc_%s_dims.x;\n", in.Name)
 			fmt.Fprintf(&b, "\tvec2 st = vec2((col + 0.5) / gc_%s_dims.x, (row + 0.5) / gc_%s_dims.y);\n", in.Name, in.Name)
-			fmt.Fprintf(&b, "\treturn %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Fmt), in.Name)
+			fmt.Fprintf(&b, "\treturn %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Type), in.Name)
 			b.WriteString("}\n")
 			// Scalar view: logical index -> (texel, lane), lane selected
 			// with a comparison chain (GLSL ES 1.00 has no dynamic vector
-			// indexing) — the in-shader counterpart of layout.TexelFor.
+			// indexing).
 			fmt.Fprintf(&b, "float gc_%s(float idx) {\n", in.Name)
 			b.WriteString("\tfloat t = floor((idx + 0.5) / 4.0);\n")
 			b.WriteString("\tfloat l = idx - t * 4.0;\n")
@@ -68,12 +63,12 @@ func generateFragmentShader(spec KernelSpec, out OutputSpec) string {
 			fmt.Fprintf(&b, "\tfloat row = floor((idx + 0.5) / gc_%s_dims.x);\n", in.Name)
 			fmt.Fprintf(&b, "\tfloat col = idx - row * gc_%s_dims.x;\n", in.Name)
 			fmt.Fprintf(&b, "\tvec2 st = vec2((col + 0.5) / gc_%s_dims.x, (row + 0.5) / gc_%s_dims.y);\n", in.Name, in.Name)
-			fmt.Fprintf(&b, "\treturn %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Fmt), in.Name)
+			fmt.Fprintf(&b, "\treturn %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Type), in.Name)
 			b.WriteString("}\n")
 			// 2D fetch for matrix kernels.
 			fmt.Fprintf(&b, "float gc_%s_at(float col, float row) {\n", in.Name)
 			fmt.Fprintf(&b, "\tvec2 st = vec2((col + 0.5) / gc_%s_dims.x, (row + 0.5) / gc_%s_dims.y);\n", in.Name, in.Name)
-			fmt.Fprintf(&b, "\treturn %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Fmt), in.Name)
+			fmt.Fprintf(&b, "\treturn %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Type), in.Name)
 			b.WriteString("}\n\n")
 		}
 	}
@@ -87,11 +82,7 @@ func generateFragmentShader(spec KernelSpec, out OutputSpec) string {
 	b.WriteString("varying vec2 v_uv;\n\n")
 
 	// Output encoder.
-	if spec.Lanes == 4 {
-		b.WriteString(codec.GLSLEncoderInt8x4("gc_encode_out", codec.EncodeRobust))
-	} else {
-		b.WriteString(codec.GLSLEncoder(out.Type, "gc_encode_out", codec.EncodeRobust))
-	}
+	b.WriteString(codec.GLSLEncoder(out.Type, "gc_encode_out", codec.EncodeRobust))
 	b.WriteString("\n")
 
 	// User kernel source.
@@ -103,7 +94,7 @@ func generateFragmentShader(spec KernelSpec, out OutputSpec) string {
 	// and dispatch to the per-output kernel function.
 	fn := kernelFunctionName(spec, out)
 	b.WriteString("void main() {\n")
-	if spec.Lanes == 4 {
+	if out.Type.Packed() {
 		// One fragment per output texel; scalar tail handling: when the
 		// last texel carries fewer than 4 live elements (n%4 ≠ 0), the
 		// dead lanes are masked to zero so the stored bytes stay
@@ -134,17 +125,17 @@ func kernelFunctionName(spec KernelSpec, out OutputSpec) string {
 	return "gc_kernel_" + out.Name
 }
 
-func decoderName(f codec.Format) string {
-	switch f {
-	case codec.FmtUint8:
+func decoderName(t codec.ElemType) string {
+	switch t {
+	case codec.Uint8:
 		return "gc_decode_u8"
-	case codec.FmtInt8:
+	case codec.Int8:
 		return "gc_decode_i8"
-	case codec.FmtUint32:
+	case codec.Uint32:
 		return "gc_decode_u32"
-	case codec.FmtInt32:
+	case codec.Int32:
 		return "gc_decode_i32"
-	case codec.FmtInt8x4:
+	case codec.Int8x4:
 		return "gc_decode4_i8x4"
 	default:
 		return "gc_decode_f32"

@@ -366,81 +366,6 @@ func TestCopyPassThrough(t *testing.T) {
 	}
 }
 
-func TestBufferRoundTripsAllTypes(t *testing.T) {
-	d := openTest(t)
-	defer d.Close()
-	const n = 257 // force a multi-row NPOT-height grid
-
-	t.Run("uint8", func(t *testing.T) {
-		b, _ := d.NewBuffer(codec.Uint8, n)
-		in := make([]uint8, n)
-		for i := range in {
-			in[i] = uint8(i * 7)
-		}
-		if err := b.WriteUint8(in); err != nil {
-			t.Fatal(err)
-		}
-		out, err := b.ReadUint8()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range in {
-			if out[i] != in[i] {
-				t.Fatalf("u8[%d]: %d != %d", i, out[i], in[i])
-			}
-		}
-	})
-	t.Run("int8", func(t *testing.T) {
-		b, _ := d.NewBuffer(codec.Int8, n)
-		in := make([]int8, n)
-		for i := range in {
-			in[i] = int8(i*5 - 128)
-		}
-		if err := b.WriteInt8(in); err != nil {
-			t.Fatal(err)
-		}
-		out, _ := b.ReadInt8()
-		for i := range in {
-			if out[i] != in[i] {
-				t.Fatalf("i8[%d]: %d != %d", i, out[i], in[i])
-			}
-		}
-	})
-	t.Run("uint32", func(t *testing.T) {
-		b, _ := d.NewBuffer(codec.Uint32, n)
-		in := make([]uint32, n)
-		for i := range in {
-			in[i] = uint32(i * 123457)
-		}
-		if err := b.WriteUint32(in); err != nil {
-			t.Fatal(err)
-		}
-		out, _ := b.ReadUint32()
-		for i := range in {
-			if out[i] != in[i] {
-				t.Fatalf("u32[%d]: %d != %d", i, out[i], in[i])
-			}
-		}
-	})
-	t.Run("float32", func(t *testing.T) {
-		b, _ := d.NewBuffer(codec.Float32, n)
-		in := make([]float32, n)
-		for i := range in {
-			in[i] = float32(i)*0.37 - 40
-		}
-		if err := b.WriteFloat32(in); err != nil {
-			t.Fatal(err)
-		}
-		out, _ := b.ReadFloat32()
-		for i := range in {
-			// Upload+readback without a kernel is byte-exact.
-			if math.Float32bits(out[i]) != math.Float32bits(in[i]) {
-				t.Fatalf("f32[%d]: %g != %g", i, out[i], in[i])
-			}
-		}
-	})
-}
-
 func TestTypeMismatchErrors(t *testing.T) {
 	d := openTest(t)
 	defer d.Close()
@@ -462,6 +387,39 @@ func TestTypeMismatchErrors(t *testing.T) {
 	}
 	if _, err := k.Run1(bo, []*Buffer{b}, nil); err == nil {
 		t.Error("input count mismatch must error")
+	}
+
+	// A scalar buffer over a packed buffer's grid: 8 float32 values need
+	// 8 texels, the grid of 8 int8x4 lanes has 2. The buffer's own type
+	// decides the fit, so construction and pool checkout reject it — it
+	// can never truncate a write or panic on a read.
+	packed, err := d.NewBuffer(codec.Int8x4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad, err := d.NewBufferWithGrid(codec.Float32, 8, packed.Grid()); err == nil {
+		t.Errorf("NewBufferWithGrid accepted 8 float32 values over the %+v grid of 8 int8x4 lanes", packed.Grid())
+		bad.Free()
+	}
+	pool := NewBufferPool(d)
+	defer pool.FreeAll()
+	if _, err := pool.Acquire(codec.Float32, 8, packed.Grid()); err == nil {
+		t.Errorf("BufferPool.Acquire accepted 8 float32 values over the %+v grid of 8 int8x4 lanes", packed.Grid())
+	}
+	if _, err := d.NewBufferWithGrid(codec.Int8x4, 8, packed.Grid()); err != nil {
+		t.Errorf("8 int8x4 lanes over their own grid: %v", err)
+	}
+
+	// A spec's types are its whole storage descriptor: an unknown type is
+	// rejected, not read as float32, and one fragment cannot compute
+	// outputs of different lane widths.
+	if _, err := d.BuildKernel(KernelSpec{Name: "unknown", Source: sumSource,
+		Inputs: []Param{{Name: "a", Type: codec.ElemType(99)}, {Name: "b", Type: codec.Float32}}}); err == nil {
+		t.Error("unknown input element type must error")
+	}
+	if _, err := d.BuildKernel(KernelSpec{Name: "mixed", Source: "float gc_kernel_s(float i) { return i; }\nvec4 gc_kernel_p(float t) { return vec4(t); }",
+		Outputs: []OutputSpec{{Name: "s", Type: codec.Int8}, {Name: "p", Type: codec.Int8x4}}}); err == nil {
+		t.Error("outputs of mixed lane width must error")
 	}
 }
 

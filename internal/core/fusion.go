@@ -158,13 +158,13 @@ func composeFusedSpec(members []fuseMember) (KernelSpec, []uniBind, []Ref, error
 		slotPar  = map[Ref]string{}
 		allEW    = true
 	)
-	lanes := members[0].spec.Lanes
+	lanes := members[0].spec.lanes()
 	for j, m := range members {
 		if len(m.spec.Outputs) != 1 {
 			return spec, nil, nil, fmt.Errorf("core: fuse: member %q has %d outputs", m.label, len(m.spec.Outputs))
 		}
-		if m.spec.Lanes != lanes {
-			return spec, nil, nil, fmt.Errorf("core: fuse: member %q is %d-wide in a %d-wide chain", m.label, m.spec.Lanes, lanes)
+		if m.spec.lanes() != lanes {
+			return spec, nil, nil, fmt.Errorf("core: fuse: member %q is %d-wide in a %d-wide chain", m.label, m.spec.lanes(), lanes)
 		}
 		if !m.spec.ElementWise {
 			allEW = false
@@ -198,7 +198,7 @@ func composeFusedSpec(members []fuseMember) (KernelSpec, []uniBind, []Ref, error
 			if !ok {
 				pname = fmt.Sprintf("fin%d", len(spec.Inputs))
 				slotPar[slot] = pname
-				spec.Inputs = append(spec.Inputs, Param{Name: pname, Type: in.Type, Fmt: in.Fmt})
+				spec.Inputs = append(spec.Inputs, Param{Name: pname, Type: in.Type})
 				extSlots = append(extSlots, slot)
 			}
 			body = renameIdent(body, "gc_"+in.Name+"_at", "gc_"+pname+"_at")
@@ -239,8 +239,7 @@ func composeFusedSpec(members []fuseMember) (KernelSpec, []uniBind, []Ref, error
 	base := members[0].spec
 	last := members[len(members)-1].spec.Outputs[0]
 	spec.Name = strings.Join(labels, "+")
-	spec.Outputs = []OutputSpec{{Name: "out", Type: last.Type, Fmt: last.Fmt}}
-	spec.Lanes = lanes
+	spec.Outputs = []OutputSpec{{Name: "out", Type: last.Type}}
 	spec.Source = src.String()
 	spec.ElementWise = allEW
 	spec.FusableEpilogue = base.FusableEpilogue || base.ElementWise
@@ -344,7 +343,7 @@ func (p *Pipeline) compile() error {
 				// crossing the edge changes shape. Cross-width chains
 				// materialize the slot; Device.BuildRepackKernel converts
 				// it in an explicit (never-fused) pass.
-				if st.kernel.spec.Lanes != p.stages[g.tail].kernel.spec.Lanes {
+				if st.kernel.spec.lanes() != p.stages[g.tail].kernel.spec.lanes() {
 					continue
 				}
 				// Every member that reads gc_out_n must have the chain's

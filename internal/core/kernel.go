@@ -9,24 +9,20 @@ import (
 	"glescompute/internal/gles"
 )
 
-// Param describes one kernel input buffer. Fmt selects the texel format;
-// the zero value (codec.FmtAuto) means the scalar format of Type, so specs
-// that only name an element type are unchanged. A packed input additionally
-// provides a whole-texel accessor to the kernel source (see KernelSpec).
+// Param describes one kernel input buffer. Type is its whole storage
+// descriptor: a packed type (codec.Int8x4) additionally provides a
+// whole-texel accessor to the kernel source (see KernelSpec).
 type Param struct {
 	Name string
 	Type codec.ElemType
-	Fmt  codec.Format
 }
 
 // OutputSpec describes one kernel output. A kernel with multiple outputs
 // is compiled into one fragment-shader pass per output (challenge #8: a
-// fragment shader has a single color output in ES 2.0). Fmt follows the
-// same FmtAuto convention as Param.
+// fragment shader has a single color output in ES 2.0).
 type OutputSpec struct {
 	Name string
 	Type codec.ElemType
-	Fmt  codec.Format
 }
 
 // KernelSpec declares a compute kernel. Source is GLSL ES 1.00 code that
@@ -45,15 +41,15 @@ type OutputSpec struct {
 // `v_uv` (normalized position over the output grid) and any uniforms
 // declared in Uniforms.
 //
-// Packed 4-lane inputs (Fmt codec.FmtInt8x4) additionally provide
+// Packed 4-lane inputs (Type codec.Int8x4) additionally provide
 //
 //	vec4 gc_<I>4(float tidx)         — whole-texel fetch (4 lanes, texel index)
 //
 // and the scalar gc_<I>(idx) accessor selects the lane of texel idx/4.
 //
-// A kernel with Lanes == 4 (equivalently, a 4-lane output format) computes
-// four consecutive elements per fragment: its kernel function takes the
-// OUTPUT TEXEL index and returns all four lanes,
+// A kernel whose outputs are Int8x4 computes four consecutive elements per
+// fragment: its kernel function takes the OUTPUT TEXEL index and returns
+// all four lanes,
 //
 //	vec4 gc_kernel(float tidx)
 //
@@ -65,12 +61,6 @@ type KernelSpec struct {
 	Outputs  []OutputSpec
 	Uniforms []string // names of user float uniforms
 	Source   string
-
-	// Lanes declares the output lane width (values computed per fragment).
-	// 0 derives it from the output format: scalar outputs → 1, Int8x4 → 4.
-	// A non-zero Lanes must agree with every output's format; it is part of
-	// CacheKey, so 1- and 4-wide variants of one source never collide.
-	Lanes int
 
 	// ElementWise declares fusion safety (DESIGN.md §6d): the kernel has a
 	// single output whose element i depends only on its inputs at linear
@@ -93,9 +83,8 @@ type KernelSpec struct {
 }
 
 // normalized returns the spec with defaults applied: outputs default to a
-// single float32 "out", FmtAuto resolves to the scalar format of the
-// declared element type (and an explicit format overrides the type), and
-// Lanes derives from the first output's format.
+// single float32 "out" and the name to "kernel". It copies nothing else:
+// CacheKey normalizes on every submission.
 func (s KernelSpec) normalized() KernelSpec {
 	if len(s.Outputs) == 0 {
 		s.Outputs = []OutputSpec{{Name: "out", Type: codec.Float32}}
@@ -103,36 +92,30 @@ func (s KernelSpec) normalized() KernelSpec {
 	if s.Name == "" {
 		s.Name = "kernel"
 	}
-	ins := make([]Param, len(s.Inputs))
-	for i, in := range s.Inputs {
-		in.Fmt = in.Fmt.Resolve(in.Type)
-		in.Type = in.Fmt.Elem()
-		ins[i] = in
-	}
-	s.Inputs = ins
-	outs := make([]OutputSpec, len(s.Outputs))
-	for i, out := range s.Outputs {
-		out.Fmt = out.Fmt.Resolve(out.Type)
-		out.Type = out.Fmt.Elem()
-		outs[i] = out
-	}
-	s.Outputs = outs
-	if s.Lanes == 0 {
-		s.Lanes = s.Outputs[0].Fmt.Lanes()
-	}
 	return s
 }
 
-// validate rejects lane-width declarations the codegen cannot honour.
-// Called on a normalized spec.
+// lanes returns the values one fragment computes: the lane width of the
+// output type. Called on a normalized spec; validate guarantees every
+// output agrees.
+func (s KernelSpec) lanes() int { return s.Outputs[0].Type.Lanes() }
+
+// validate rejects unknown element types and outputs of mixed lane width
+// (one fragment computes the same lanes for every output pass). Called on
+// a normalized spec.
 func (s KernelSpec) validate() error {
-	if s.Lanes != 1 && s.Lanes != 4 {
-		return fmt.Errorf("core: kernel %q: output lane width %d unsupported (1 or 4)", s.Name, s.Lanes)
+	for _, in := range s.Inputs {
+		if !in.Type.Valid() {
+			return fmt.Errorf("core: kernel %q: input %q has unknown element type %s", s.Name, in.Name, in.Type)
+		}
 	}
 	for _, out := range s.Outputs {
-		if out.Fmt.Lanes() != s.Lanes {
-			return fmt.Errorf("core: kernel %q: output %q format %s is %d-lane but kernel declares Lanes=%d",
-				s.Name, out.Name, out.Fmt, out.Fmt.Lanes(), s.Lanes)
+		if !out.Type.Valid() {
+			return fmt.Errorf("core: kernel %q: output %q has unknown element type %s", s.Name, out.Name, out.Type)
+		}
+		if out.Type.Lanes() != s.lanes() {
+			return fmt.Errorf("core: kernel %q: output %q is %d-lane %s but output %q is %d-lane %s",
+				s.Name, out.Name, out.Type.Lanes(), out.Type, s.Outputs[0].Name, s.lanes(), s.Outputs[0].Type)
 		}
 	}
 	return nil
@@ -156,7 +139,6 @@ func (s KernelSpec) CacheKey() string {
 		b.WriteString(in.Name)
 		b.WriteByte(':')
 		b.WriteByte(byte('0' + int(in.Type)))
-		b.WriteByte(byte('a' + int(in.Fmt)))
 		b.WriteByte(0)
 	}
 	for _, out := range s.Outputs {
@@ -164,13 +146,8 @@ func (s KernelSpec) CacheKey() string {
 		b.WriteString(out.Name)
 		b.WriteByte(':')
 		b.WriteByte(byte('0' + int(out.Type)))
-		b.WriteByte(byte('a' + int(out.Fmt)))
 		b.WriteByte(0)
 	}
-	// The lane width changes the generated main() and accessors even when
-	// formats alone would not (defensive: today they always do).
-	b.WriteString("l:")
-	b.WriteByte(byte('0' + s.Lanes))
 	for _, u := range s.Uniforms {
 		b.WriteString("u:")
 		b.WriteString(u)
@@ -492,8 +469,8 @@ func (k *Kernel) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float32)
 		return stats, fmt.Errorf("core: kernel %q has %d inputs, got %d buffers", k.spec.Name, len(k.spec.Inputs), len(ins))
 	}
 	for i, in := range k.spec.Inputs {
-		if ins[i].fmt != in.Fmt {
-			return stats, fmt.Errorf("core: input %q expects %s, buffer holds %s", in.Name, in.Fmt, ins[i].fmt)
+		if ins[i].elem != in.Type {
+			return stats, fmt.Errorf("core: input %q expects %s, buffer holds %s", in.Name, in.Type, ins[i].elem)
 		}
 	}
 	for pi := range k.passes {
@@ -517,8 +494,8 @@ func (k *Kernel) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float32)
 	for pi := range k.passes {
 		pass := &k.passes[pi]
 		out := outs[pi]
-		if out.fmt != pass.out.Fmt {
-			return stats, fmt.Errorf("core: output %q expects %s, buffer holds %s", pass.out.Name, pass.out.Fmt, out.fmt)
+		if out.elem != pass.out.Type {
+			return stats, fmt.Errorf("core: output %q expects %s, buffer holds %s", pass.out.Name, pass.out.Type, out.elem)
 		}
 		fbo, err := out.ensureFBO()
 		if err != nil {
@@ -583,8 +560,8 @@ func (d *Device) Copy(dst, src *Buffer) error {
 	if dst.grid != src.grid {
 		return fmt.Errorf("core: Copy: grid mismatch %v vs %v", dst.grid, src.grid)
 	}
-	if dst.fmt != src.fmt {
-		return fmt.Errorf("core: Copy: format mismatch %s vs %s", dst.fmt, src.fmt)
+	if dst.elem != src.elem {
+		return fmt.Errorf("core: Copy: element type mismatch %s vs %s", dst.elem, src.elem)
 	}
 	if dst.tex == src.tex {
 		return fmt.Errorf("core: Copy: dst aliases src (INVALID_OPERATION: sampling a texture while rendering into it is undefined)")

@@ -17,7 +17,6 @@ type Ref int
 // pipeSlot is one logical array flowing through the pipeline.
 type pipeSlot struct {
 	elem codec.ElemType
-	fmt  codec.Format
 	n    int
 
 	inputIdx  int  // >=0: filled from ins[inputIdx] at Run
@@ -170,32 +169,24 @@ func (p *Pipeline) fail(format string, args ...interface{}) Ref {
 	return Ref(-1)
 }
 
-func (p *Pipeline) addSlot(f codec.Format, n int) Ref {
-	p.slots = append(p.slots, pipeSlot{elem: f.Elem(), fmt: f, n: n, inputIdx: -1, outputIdx: -1, lastUse: -1})
+func (p *Pipeline) addSlot(elem codec.ElemType, n int) Ref {
+	p.slots = append(p.slots, pipeSlot{elem: elem, n: n, inputIdx: -1, outputIdx: -1, lastUse: -1})
 	return Ref(len(p.slots) - 1)
 }
 
 func (p *Pipeline) validRef(r Ref) bool { return r >= 0 && int(r) < len(p.slots) }
 
-// Input declares an external input slot of n elements in the scalar
-// format of elem; the matching buffer is supplied positionally to Run.
+// Input declares an external input slot of n elements of type elem
+// (Int8x4 for the packed inputs of 4-wide chains); the matching buffer is
+// supplied positionally to Run.
 func (p *Pipeline) Input(elem codec.ElemType, n int) Ref {
-	return p.InputFmt(codec.FormatOf(elem), n)
-}
-
-// InputFmt declares an external input slot with an explicit texel format
-// (packed inputs of 4-wide chains).
-func (p *Pipeline) InputFmt(f codec.Format, n int) Ref {
 	if p.plan != nil {
 		return p.fail("Input added after the pipeline compiled (build fully before the first Run)")
 	}
 	if n <= 0 {
 		return p.fail("Input: non-positive length %d", n)
 	}
-	if f == codec.FmtAuto {
-		return p.fail("InputFmt: format must be explicit")
-	}
-	r := p.addSlot(f, n)
+	r := p.addSlot(elem, n)
 	p.slots[r].inputIdx = len(p.inputs)
 	p.inputs = append(p.inputs, r)
 	return r
@@ -250,9 +241,9 @@ func (p *Pipeline) StageMulti(k *Kernel, outNs []int, uniforms map[string]float3
 			p.fail("stage %q: input %d is not a ref of this pipeline", k.spec.Name, i)
 			return nil
 		}
-		if p.slots[r].fmt != k.spec.Inputs[i].Fmt {
+		if p.slots[r].elem != k.spec.Inputs[i].Type {
 			p.fail("stage %q: input %q expects %s, ref holds %s",
-				k.spec.Name, k.spec.Inputs[i].Name, k.spec.Inputs[i].Fmt, p.slots[r].fmt)
+				k.spec.Name, k.spec.Inputs[i].Name, k.spec.Inputs[i].Type, p.slots[r].elem)
 			return nil
 		}
 		p.slots[r].lastUse = si
@@ -263,7 +254,7 @@ func (p *Pipeline) StageMulti(k *Kernel, outNs []int, uniforms map[string]float3
 			p.fail("stage %q: non-positive output length %d", k.spec.Name, outNs[i])
 			return nil
 		}
-		st.outs = append(st.outs, p.addSlot(out.Fmt, outNs[i]))
+		st.outs = append(st.outs, p.addSlot(out.Type, outNs[i]))
 	}
 	p.stages = append(p.stages, st)
 	return st.outs
@@ -463,8 +454,8 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 	for i, r := range p.inputs {
 		b := ins[i]
 		s := &p.slots[r]
-		if b.fmt != s.fmt {
-			return stats, fmt.Errorf("core: pipeline: input %d holds %s, declared %s", i, b.fmt, s.fmt)
+		if b.elem != s.elem {
+			return stats, fmt.Errorf("core: pipeline: input %d holds %s, declared %s", i, b.elem, s.elem)
 		}
 		if b.n != s.n {
 			return stats, fmt.Errorf("core: pipeline: input %d has %d elements, declared %d", i, b.n, s.n)
@@ -474,8 +465,8 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 	for i, r := range p.outputs {
 		b := outs[i]
 		s := &p.slots[r]
-		if b.fmt != s.fmt {
-			return stats, fmt.Errorf("core: pipeline: output %d holds %s, produced %s", i, b.fmt, s.fmt)
+		if b.elem != s.elem {
+			return stats, fmt.Errorf("core: pipeline: output %d holds %s, produced %s", i, b.elem, s.elem)
 		}
 		if b.n != s.n {
 			return stats, fmt.Errorf("core: pipeline: output %d has %d elements, produced %d", i, b.n, s.n)
@@ -500,8 +491,8 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 			p.pool.Release(b)
 		}
 	}()
-	acquire := func(f codec.Format, n int, grid layout.Grid) (*Buffer, error) {
-		b, err := p.pool.AcquireFmt(f, n, grid)
+	acquire := func(elem codec.ElemType, n int, grid layout.Grid) (*Buffer, error) {
+		b, err := p.pool.Acquire(elem, n, grid)
 		if err == nil {
 			checkedOut[b] = true
 		}
@@ -558,7 +549,7 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 					}
 				}
 				if readyAfter >= ei {
-					tmp, err := acquire(s.fmt, s.n, target.grid)
+					tmp, err := acquire(s.elem, s.n, target.grid)
 					if err != nil {
 						return stats, err
 					}
@@ -567,11 +558,11 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 					target = tmp
 				}
 			} else {
-				grid, err := layout.ForLengthLanes(s.n, s.fmt.Lanes(), p.dev.cfg.MaxGridWidth)
+				grid, err := layout.ForLength(s.elem.TexelsFor(s.n), p.dev.cfg.MaxGridWidth)
 				if err != nil {
 					return stats, err
 				}
-				target, err = acquire(s.fmt, s.n, grid)
+				target, err = acquire(s.elem, s.n, grid)
 				if err != nil {
 					return stats, err
 				}

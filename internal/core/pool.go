@@ -5,11 +5,11 @@ import (
 	"glescompute/internal/layout"
 )
 
-// poolKey identifies interchangeable buffers: same texel format and same
-// texel grid (a buffer's texture storage is its grid; the format decides
+// poolKey identifies interchangeable buffers: same element type and same
+// texel grid (a buffer's texture storage is its grid; the type decides
 // how many logical values each texel carries).
 type poolKey struct {
-	fmt  codec.Format
+	elem codec.ElemType
 	grid layout.Grid
 }
 
@@ -56,18 +56,15 @@ func (p *BufferPool) SetLimit(perKey, total int) {
 // Acquire returns a free pooled buffer of the given shape, allocating
 // one when the pool has none. n may differ between users of the same
 // grid (e.g. reduction tails); the logical length is rewritten on
-// checkout.
+// checkout, and must fit the grid at elem's lane width.
 func (p *BufferPool) Acquire(elem codec.ElemType, n int, grid layout.Grid) (*Buffer, error) {
-	return p.AcquireFmt(codec.FormatOf(elem), n, grid)
-}
-
-// AcquireFmt is Acquire for an explicit texel format (packed intermediates
-// of 4-wide pipelines).
-func (p *BufferPool) AcquireFmt(f codec.Format, n int, grid layout.Grid) (*Buffer, error) {
 	if err := p.dev.checkOpen("BufferPool.Acquire"); err != nil {
 		return nil, err
 	}
-	key := poolKey{fmt: f, grid: grid}
+	if err := checkFits("BufferPool.Acquire", elem, n, grid); err != nil {
+		return nil, err
+	}
+	key := poolKey{elem: elem, grid: grid}
 	if list := p.free[key]; len(list) > 0 {
 		b := list[len(list)-1]
 		p.free[key] = list[:len(list)-1]
@@ -76,7 +73,7 @@ func (p *BufferPool) AcquireFmt(f codec.Format, n int, grid layout.Grid) (*Buffe
 		p.reuses++
 		return b, nil
 	}
-	b, err := p.dev.newBufferWithGrid(f, n, grid)
+	b, err := p.dev.newBufferWithGrid(elem, n, grid)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +85,7 @@ func (p *BufferPool) AcquireFmt(f codec.Format, n int, grid layout.Grid) (*Buffe
 // Release returns a buffer acquired from this pool to its free list, or
 // frees it outright when a retention cap is exceeded.
 func (p *BufferPool) Release(b *Buffer) {
-	key := poolKey{fmt: b.fmt, grid: b.grid}
+	key := poolKey{elem: b.elem, grid: b.grid}
 	if (p.perKeyLimit > 0 && len(p.free[key]) >= p.perKeyLimit) ||
 		(p.totalLimit > 0 && p.freeCount >= p.totalLimit) {
 		p.dropAndFree(b)

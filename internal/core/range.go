@@ -15,80 +15,6 @@ import (
 // ranges must cover whole texel rows; reads accept any span (the covering
 // rows are read and the span sliced out host-side).
 
-// packAny encodes a typed host slice into texel bytes for a buffer of
-// format f, returning the element count. Packed formats produce
-// ceil(n/lanes) texels.
-func packAny(f codec.Format, src interface{}) (int, []byte, error) {
-	t := f.Elem()
-	mismatch := func(got string) (int, []byte, error) {
-		return 0, nil, fmt.Errorf("buffer holds %s, source is %s", f, got)
-	}
-	switch s := src.(type) {
-	case []float32:
-		if t != codec.Float32 {
-			return mismatch("[]float32")
-		}
-		buf := make([]byte, len(s)*4)
-		return len(s), buf, codec.PackFloat32(buf, s)
-	case []int32:
-		if t != codec.Int32 {
-			return mismatch("[]int32")
-		}
-		buf := make([]byte, len(s)*4)
-		return len(s), buf, codec.PackInt32(buf, s)
-	case []uint32:
-		if t != codec.Uint32 {
-			return mismatch("[]uint32")
-		}
-		buf := make([]byte, len(s)*4)
-		return len(s), buf, codec.PackUint32(buf, s)
-	case []int8:
-		if t != codec.Int8 {
-			return mismatch("[]int8")
-		}
-		buf := make([]byte, f.TexelsFor(len(s))*4)
-		if f == codec.FmtInt8x4 {
-			return len(s), buf, codec.PackInt8x4(buf, s)
-		}
-		return len(s), buf, codec.PackInt8(buf, s)
-	case []uint8:
-		if t != codec.Uint8 {
-			return mismatch("[]uint8")
-		}
-		buf := make([]byte, len(s)*4)
-		return len(s), buf, codec.PackUint8(buf, s)
-	default:
-		return 0, nil, fmt.Errorf("unsupported host slice type %T", src)
-	}
-}
-
-// unpackAny decodes n elements of format f from texel bytes into a freshly
-// allocated typed slice. For packed formats, texels must start at the byte
-// of the first requested LANE (lanes are byte-addressable: 1 byte/lane for
-// Int8x4), which lets ReadRange serve unaligned spans.
-func unpackAny(f codec.Format, texels []byte, n int) (interface{}, error) {
-	switch f {
-	case codec.FmtFloat32:
-		out := make([]float32, n)
-		return out, codec.UnpackFloat32(out, texels[:n*4])
-	case codec.FmtInt32:
-		out := make([]int32, n)
-		return out, codec.UnpackInt32(out, texels[:n*4])
-	case codec.FmtUint32:
-		out := make([]uint32, n)
-		return out, codec.UnpackUint32(out, texels[:n*4])
-	case codec.FmtInt8:
-		out := make([]int8, n)
-		return out, codec.UnpackInt8(out, texels[:n*4])
-	case codec.FmtInt8x4:
-		out := make([]int8, n)
-		return out, codec.UnpackInt8x4(out, texels)
-	default:
-		out := make([]uint8, n)
-		return out, codec.UnpackUint8(out, texels[:n*4])
-	}
-}
-
 // HostLen returns the length of a supported host slice ([]float32,
 // []int32, []uint32, []int8, []uint8), or -1 for any other type.
 func HostLen(src interface{}) int {
@@ -192,7 +118,7 @@ func (b *Buffer) WriteRange(off int, src interface{}) error {
 	if err := b.dev.checkOpen("WriteRange"); err != nil {
 		return err
 	}
-	count, texels, err := packAny(b.fmt, src)
+	count, texels, err := codec.Pack(b.elem, src)
 	if err != nil {
 		return fmt.Errorf("core: WriteRange: %w", err)
 	}
@@ -200,7 +126,7 @@ func (b *Buffer) WriteRange(off int, src interface{}) error {
 		return nil
 	}
 	w := b.grid.Width
-	lanes := b.fmt.Lanes()
+	lanes := b.elem.Lanes()
 	if off < 0 || off+count > b.n {
 		return fmt.Errorf("core: WriteRange: [%d,%d) outside buffer of %d elements", off, off+count, b.n)
 	}
@@ -211,7 +137,7 @@ func (b *Buffer) WriteRange(off int, src interface{}) error {
 		return fmt.Errorf("core: WriteRange: %d elements from %d end mid-texel (%d lanes/texel) before the buffer tail", count, off, lanes)
 	}
 	texOff := off / lanes
-	texCount := b.fmt.TexelsFor(count)
+	texCount := b.elem.TexelsFor(count)
 	if texOff%w != 0 {
 		return fmt.Errorf("core: WriteRange: offset %d not on a row boundary (width %d)", off, w)
 	}
@@ -247,7 +173,7 @@ func (b *Buffer) ReadRange(off, count int) (interface{}, error) {
 		return nil, err
 	}
 	w := b.grid.Width
-	lanes := b.fmt.Lanes()
+	lanes := b.elem.Lanes()
 	texOff := off / lanes
 	texEnd := (off + count - 1) / lanes
 	startRow := texOff / w
@@ -264,7 +190,7 @@ func (b *Buffer) ReadRange(off, count int) (interface{}, error) {
 	// Byte offset of the first requested lane: whole texels, then lanes
 	// within the first texel (4 bytes/texel ÷ lanes bytes/lane).
 	skip := (texOff-startRow*w)*4 + (off-texOff*lanes)*(4/lanes)
-	out, err := unpackAny(b.fmt, texels[skip:], count)
+	out, err := codec.Unpack(b.elem, texels[skip:], count)
 	if err != nil {
 		return nil, fmt.Errorf("core: ReadRange: %w", err)
 	}

@@ -21,8 +21,8 @@ import (
 // The returned kernel deliberately declares neither ElementWise nor
 // FusableEpilogue: a repack must materialize both sides of the seam,
 // so the planner never folds it into a neighbouring chain.
-func (d *Device) BuildRepackKernel(from, to codec.Format) (*Kernel, error) {
-	if from.Elem() != to.Elem() {
+func (d *Device) BuildRepackKernel(from, to codec.ElemType) (*Kernel, error) {
+	if from.Scalar() != to.Scalar() {
 		return nil, fmt.Errorf("core: repack %s -> %s: element types differ", from, to)
 	}
 	if from.Lanes() == to.Lanes() {
@@ -30,7 +30,7 @@ func (d *Device) BuildRepackKernel(from, to codec.Format) (*Kernel, error) {
 	}
 	var src string
 	switch {
-	case to == codec.FmtInt8x4:
+	case to == codec.Int8x4:
 		// Pack: one fragment per output texel gathers four consecutive
 		// scalars. Tail reads past the source length hit clamped texels;
 		// the generated main() masks those lanes to zero regardless.
@@ -48,8 +48,7 @@ func (d *Device) BuildRepackKernel(from, to codec.Format) (*Kernel, error) {
 	return d.BuildKernelCached(KernelSpec{
 		Name:    fmt.Sprintf("repack_%s_to_%s", from, to),
 		Source:  src,
-		Inputs:  []Param{{Name: "src", Fmt: from}},
-		Outputs: []OutputSpec{{Name: "out", Fmt: to}},
-		Lanes:   to.Lanes(),
+		Inputs:  []Param{{Name: "src", Type: from}},
+		Outputs: []OutputSpec{{Name: "out", Type: to}},
 	})
 }

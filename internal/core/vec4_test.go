@@ -39,14 +39,14 @@ float gc_kernel(float idx) {
 
 func int8Kernel(t *testing.T, d *Device, name, src string, packed bool) *Kernel {
 	t.Helper()
-	f := codec.FmtInt8
+	et := codec.Int8
 	if packed {
-		f = codec.FmtInt8x4
+		et = codec.Int8x4
 	}
 	k, err := d.BuildKernel(KernelSpec{
 		Name:        name,
-		Inputs:      []Param{{Name: "x", Fmt: f}},
-		Outputs:     []OutputSpec{{Name: "out", Fmt: f}},
+		Inputs:      []Param{{Name: "x", Type: et}},
+		Outputs:     []OutputSpec{{Name: "out", Type: et}},
 		Source:      src,
 		ElementWise: true,
 	})
@@ -84,18 +84,18 @@ func TestVec4KernelMatchesScalarWithTails(t *testing.T) {
 	defer d.Close()
 	k4 := int8Kernel(t, d, "double4", double4Source, true)
 	k1 := int8Kernel(t, d, "double1", doubleScalarSource, false)
-	if k4.spec.Lanes != 4 || k1.spec.Lanes != 1 {
-		t.Fatalf("derived lanes: packed %d scalar %d, want 4/1", k4.spec.Lanes, k1.spec.Lanes)
+	if k4.spec.lanes() != 4 || k1.spec.lanes() != 1 {
+		t.Fatalf("derived lanes: packed %d scalar %d, want 4/1", k4.spec.lanes(), k1.spec.lanes())
 	}
 	for _, n := range []int{16, 17, 18, 19, 1, 4} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			xs := int8Ramp(n)
-			run := func(k *Kernel, f codec.Format) []int8 {
-				in, err := d.NewBufferFmt(f, n)
+			run := func(k *Kernel, et codec.ElemType) []int8 {
+				in, err := d.NewBuffer(et, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := d.NewBufferFmt(f, n)
+				out, err := d.NewBuffer(et, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,8 +111,8 @@ func TestVec4KernelMatchesScalarWithTails(t *testing.T) {
 				}
 				return got
 			}
-			got4 := run(k4, codec.FmtInt8x4)
-			got1 := run(k1, codec.FmtInt8)
+			got4 := run(k4, codec.Int8x4)
+			got1 := run(k1, codec.Int8)
 			for i := range xs {
 				want := cpuDouble(xs[i])
 				if got1[i] != want {
@@ -127,12 +127,12 @@ func TestVec4KernelMatchesScalarWithTails(t *testing.T) {
 }
 
 // TestPackedBufferRoundTrips checks the packed upload/readback paths in
-// isolation (no kernel): int8 through FmtInt8x4.
+// isolation (no kernel): int8 through Int8x4.
 func TestPackedBufferRoundTrips(t *testing.T) {
 	d := openTest(t)
 	defer d.Close()
 	for _, n := range []int{1, 3, 8, 257} {
-		b, err := d.NewBufferFmt(codec.FmtInt8x4, n)
+		b, err := d.NewBuffer(codec.Int8x4, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +161,11 @@ func TestRepackKernel(t *testing.T) {
 	const n = 19 // tail texel in the packed form
 	xs := int8Ramp(n)
 
-	pack, err := d.BuildRepackKernel(codec.FmtInt8, codec.FmtInt8x4)
+	pack, err := d.BuildRepackKernel(codec.Int8, codec.Int8x4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpack, err := d.BuildRepackKernel(codec.FmtInt8x4, codec.FmtInt8)
+	unpack, err := d.BuildRepackKernel(codec.Int8x4, codec.Int8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRepackKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := d.NewBufferFmt(codec.FmtInt8x4, n)
+	packed, err := d.NewBuffer(codec.Int8x4, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +209,10 @@ func TestRepackKernel(t *testing.T) {
 		}
 	}
 
-	if _, err := d.BuildRepackKernel(codec.FmtInt8, codec.FmtInt8); err == nil {
+	if _, err := d.BuildRepackKernel(codec.Int8, codec.Int8); err == nil {
 		t.Error("same-width repack built, want error")
 	}
-	if _, err := d.BuildRepackKernel(codec.FmtFloat32, codec.FmtInt8x4); err == nil {
+	if _, err := d.BuildRepackKernel(codec.Float32, codec.Int8x4); err == nil {
 		t.Error("cross-type repack built, want error")
 	}
 }
@@ -232,7 +232,7 @@ func TestFusionVec4Chain(t *testing.T) {
 		p := d.NewPipeline()
 		defer p.Close()
 		p.SetFusion(fuse)
-		x := p.InputFmt(codec.FmtInt8x4, n)
+		x := p.Input(codec.Int8x4, n)
 		s1 := p.Stage(k1, nil, x)
 		s2 := p.Stage(k2, nil, s1)
 		p.Output(s2)
@@ -243,11 +243,11 @@ func TestFusionVec4Chain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := d.NewBufferFmt(codec.FmtInt8x4, n)
+		in, err := d.NewBuffer(codec.Int8x4, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := d.NewBufferFmt(codec.FmtInt8x4, n)
+		out, err := d.NewBuffer(codec.Int8x4, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestFusionRefusesLaneBoundary(t *testing.T) {
 	d := openTest(t)
 	defer d.Close()
 	k1 := int8Kernel(t, d, "double1", doubleScalarSource, false)
-	pack, err := d.BuildRepackKernel(codec.FmtInt8, codec.FmtInt8x4)
+	pack, err := d.BuildRepackKernel(codec.Int8, codec.Int8x4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestFusionRefusesLaneBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := d.NewBufferFmt(codec.FmtInt8x4, n)
+	out, err := d.NewBuffer(codec.Int8x4, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@
 // normalized texture coordinates, so linear arrays must be laid out in 2D
 // textures and addressed through the [0,1]² coordinate space. The package
 // provides both the host-side maps and generators for the equivalent
-// GLSL ES code.
+// GLSL ES code. A Grid counts texels; how many values one texel carries is
+// a property of the stored element type (codec.ElemType.Lanes), read from
+// there and nowhere else.
 package layout
 
 import (
@@ -11,30 +13,15 @@ import (
 	"strings"
 )
 
-// Grid is the 2D layout of an n-element linear array in a W×H texture,
-// row-major, element 0 at texel (0,0). With a packed format one texel
-// carries Lanes consecutive elements: element i lives in texel i/Lanes,
-// lane component i%Lanes. Lanes 0 means 1 (scalar layout), so existing
-// Grid literals keep their meaning.
+// Grid is the 2D layout of an N-texel linear array in a W×H texture,
+// row-major, texel 0 at (0,0). It describes texels only: how many values
+// a texel carries is the stored element type's business (see
+// codec.ElemType.TexelsFor), so a packed array of n values is laid out
+// over ForLength(t.TexelsFor(n)).
 type Grid struct {
 	Width  int
 	Height int
 	N      int
-	Lanes  int
-}
-
-// LaneCount returns the lane width, treating the zero value as scalar.
-func (g Grid) LaneCount() int {
-	if g.Lanes <= 1 {
-		return 1
-	}
-	return g.Lanes
-}
-
-// TexelFor maps a linear element index to its (texel, lane) pair.
-func (g Grid) TexelFor(i int) (texel, lane int) {
-	l := g.LaneCount()
-	return i / l, i % l
 }
 
 // ForLength chooses a texture shape for n elements. Widths are powers of
@@ -56,26 +43,6 @@ func ForLength(n, maxWidth int) (Grid, error) {
 	}
 	h := (n + w - 1) / w
 	return Grid{Width: w, Height: h, N: n}, nil
-}
-
-// ForLengthLanes chooses a texture shape for n elements stored `lanes` per
-// texel: the texture covers ceil(n/lanes) texels and the last texel may
-// carry tail lanes past n. lanes ≤ 1 degenerates to ForLength.
-func ForLengthLanes(n, lanes, maxWidth int) (Grid, error) {
-	if lanes <= 1 {
-		return ForLength(n, maxWidth)
-	}
-	if n <= 0 {
-		return Grid{}, fmt.Errorf("layout: array length must be positive, got %d", n)
-	}
-	texels := (n + lanes - 1) / lanes
-	g, err := ForLength(texels, maxWidth)
-	if err != nil {
-		return Grid{}, err
-	}
-	g.N = n
-	g.Lanes = lanes
-	return g, nil
 }
 
 // Square returns the layout for an n×n row-major matrix: one texel per
@@ -176,30 +143,6 @@ func (g Grid) GLSLHelpers(prefix string) string {
 	b.WriteString("}\n")
 	fmt.Fprintf(&b, "float %s_index() {\n", prefix)
 	fmt.Fprintf(&b, "\treturn floor(gl_FragCoord.y) * %s_W + floor(gl_FragCoord.x);\n", prefix)
-	b.WriteString("}\n")
-	if g.LaneCount() > 1 {
-		b.WriteString(g.GLSLLaneHelpers(prefix))
-	}
-	return b.String()
-}
-
-// GLSLLaneHelpers emits the logical-index → (texel, lane) maps of a packed
-// grid — the in-shader counterpart of TexelFor:
-//
-//	float <p>_texel(float idx) — logical index → texel index
-//	float <p>_lane(float idx)  — logical index → lane component (0..LANES-1)
-//
-// GLSL ES 1.00 cannot index a vector dynamically, so consumers select the
-// lane with comparison chains (see the generated gc_lane_* selectors in
-// internal/core codegen).
-func (g Grid) GLSLLaneHelpers(prefix string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "const float %s_LANES = %.1f;\n", prefix, float64(g.LaneCount()))
-	fmt.Fprintf(&b, "float %s_texel(float idx) {\n", prefix)
-	fmt.Fprintf(&b, "\treturn floor((idx + 0.5) / %s_LANES);\n", prefix)
-	b.WriteString("}\n")
-	fmt.Fprintf(&b, "float %s_lane(float idx) {\n", prefix)
-	fmt.Fprintf(&b, "\treturn idx - %s_texel(idx) * %s_LANES;\n", prefix, prefix)
 	b.WriteString("}\n")
 	return b.String()
 }

@@ -275,55 +275,3 @@ func TestPackRowsMaxWidthOverflow(t *testing.T) {
 		t.Fatal("PackRows accepted a member beyond maxWidth x maxHeight")
 	}
 }
-
-func TestForLengthLanes(t *testing.T) {
-	// 10 elements at 4 lanes/texel need ceil(10/4)=3 texels.
-	g, err := ForLengthLanes(10, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N != 10 || g.LaneCount() != 4 {
-		t.Fatalf("got %+v", g)
-	}
-	if g.Texels() < 3 {
-		t.Fatalf("texels %d < 3", g.Texels())
-	}
-	if tex, lane := g.TexelFor(9); tex != 2 || lane != 1 {
-		t.Fatalf("TexelFor(9) = (%d,%d), want (2,1)", tex, lane)
-	}
-	// Tail residues: texel count is always ceil(n/lanes).
-	for n := 1; n <= 17; n++ {
-		g, err := ForLengthLanes(n, 4, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := (n + 3) / 4
-		if g.Texels() < want || g.Width*g.Height != g.Texels() {
-			t.Fatalf("n=%d texels %d < %d", n, g.Texels(), want)
-		}
-	}
-	// lanes=1 must behave exactly like ForLength (zero-value Lanes).
-	a, _ := ForLengthLanes(100, 1, 64)
-	b, _ := ForLength(100, 64)
-	if a != b {
-		t.Fatalf("lanes=1 mismatch: %+v vs %+v", a, b)
-	}
-}
-
-func TestGLSLLaneHelpers(t *testing.T) {
-	g, err := ForLengthLanes(64, 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := g.GLSLHelpers("p")
-	for _, want := range []string{"const float p_LANES = 4.0;", "float p_texel(float idx)", "float p_lane(float idx)"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("missing %q in:\n%s", want, src)
-		}
-	}
-	// Scalar grids must not grow lane helpers (pinned shader sources).
-	s, _ := ForLength(64, 16)
-	if strings.Contains(s.GLSLHelpers("p"), "p_LANES") {
-		t.Error("scalar grid emitted lane helpers")
-	}
-}

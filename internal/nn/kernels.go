@@ -180,9 +180,9 @@ float gc_kernel(float idx) {
 // clamp(floor(acc / 2^shift), -128, 127) — identical on the GPU (exact
 // float arithmetic below 2^24) and the CPU reference (arithmetic shift).
 //
-// The scalar (lanes=1) variants below run on FmtInt8 buffers through the
+// The scalar (lanes=1) variants below run on Int8 buffers through the
 // same linear-accessor idiom as the float/int32 kernels. The 4-wide
-// (lanes=4) variants run on FmtInt8x4 buffers, one output TEXEL per
+// (lanes=4) variants run on Int8x4 buffers, one output TEXEL per
 // fragment; they rely on the packed lowering's alignment invariant —
 // every channel dimension padded to a multiple of 4 (C4 layout), so a
 // group of 4 consecutive logical indices always shares its texel and
@@ -360,25 +360,25 @@ vec4 gc_kernel(float tidx) {
 }
 `
 
-// kernelFmt compiles (through the device's compile-once cache) one nn
-// kernel whose tensors all share one texel format, at the given lane
-// width. ew and epilogue are the fusion declarations forwarded to
+// typedKernel compiles (through the device's compile-once cache) one nn
+// kernel whose tensors all share element type t; t's lane width decides
+// whether the kernel computes one value or one 4-lane texel per
+// fragment. ew and epilogue are the fusion declarations forwarded to
 // core.KernelSpec (see DESIGN.md §6d): ew marks strict element-wise
 // kernels (fusable as chain members), epilogue marks kernels whose body
 // may host fused element-wise epilogues.
-func kernelFmt(dev *core.Device, name string, f codec.Format, inputs []string, uniforms []string, src string, ew, epilogue bool, lanes int) (*core.Kernel, error) {
+func typedKernel(dev *core.Device, name string, t codec.ElemType, inputs []string, uniforms []string, src string, ew, epilogue bool) (*core.Kernel, error) {
 	params := make([]core.Param, len(inputs))
 	for i, in := range inputs {
-		params[i] = core.Param{Name: in, Fmt: f}
+		params[i] = core.Param{Name: in, Type: t}
 	}
 	return dev.BuildKernelCached(core.KernelSpec{
 		Name:            name,
 		Inputs:          params,
-		Outputs:         []core.OutputSpec{{Name: "out", Fmt: f}},
+		Outputs:         []core.OutputSpec{{Name: "out", Type: t}},
 		Uniforms:        uniforms,
 		Source:          src,
 		ElementWise:     ew,
 		FusableEpilogue: epilogue,
-		Lanes:           lanes,
 	})
 }

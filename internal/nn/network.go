@@ -98,8 +98,8 @@ func (m *Model) BuildLanes(dev *core.Device, batch int, tapAll bool, lanes int) 
 }
 
 // build is the one lowering of every element type and lane width. Every
-// tensor lives in the activation format: FormatOf(elem), or FmtInt8x4 at
-// lanes=4. Two rules specialize it:
+// tensor lives in the activation type: the model's element type, or
+// codec.Int8x4 at lanes=4. Two rules specialize it:
 //
 //   - Channel padding. At lanes=4 every channel dimension is padded to a
 //     multiple of 4 — the PHWC4-style C4 layout. The padding buys the
@@ -123,10 +123,10 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 			return nil, err
 		}
 	}
-	act := codec.FormatOf(m.elem)
+	act := m.elem
 	pad := func(s Shape) Shape { return s }
 	if lanes == 4 {
-		act = codec.FmtInt8x4
+		act = codec.Int8x4
 		pad = func(s Shape) Shape { return Shape{H: s.H, W: s.W, C: ceil4(s.C)} }
 	}
 	net := &Network{dev: dev, model: m, batch: batch, p: dev.NewPipeline(), tapAll: tapAll, lanes: lanes}
@@ -160,13 +160,13 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		return nil, err
 	}
 
-	// kern compiles one nn kernel in the activation format: src at
+	// kern compiles one nn kernel in the activation type: src at
 	// lanes=1, src4 at lanes=4 (float-only kernels pass no src4).
 	kern := func(name, src, src4 string, inputs, uniforms []string, ew, epilogue bool) (*core.Kernel, error) {
 		if lanes == 4 {
 			src = src4
 		}
-		return kernelFmt(dev, name, act, inputs, uniforms, src, ew, epilogue, lanes)
+		return typedKernel(dev, name, act, inputs, uniforms, src, ew, epilogue)
 	}
 	// weightInput uploads a host weight slice into a device-resident
 	// buffer and declares it as a pipeline input.
@@ -175,7 +175,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		if err := checkN(layer+" "+param, n); err != nil {
 			return -1, err
 		}
-		b, err := dev.NewBufferFmt(act, n)
+		b, err := dev.NewBuffer(act, n)
 		if err != nil {
 			return -1, err
 		}
@@ -183,7 +183,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		if err := b.WriteRange(0, w); err != nil {
 			return -1, err
 		}
-		return net.p.InputFmt(act, n), nil
+		return net.p.Input(act, n), nil
 	}
 	// stage records stage->layer ownership and labels the stage, so fused
 	// passes report as "conv1+relu1" and PipelineStats attribution maps
@@ -227,7 +227,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		return stage(li, l.name, net.p.StageN(gemmK, rows*cols, uni, x, wRef, bRef)), nil
 	}
 
-	cur := net.p.InputFmt(act, batch*net.padIn.N())
+	cur := net.p.Input(act, batch*net.padIn.N())
 	curShape, curPad := m.in, net.padIn
 	layerRefs := make([]core.Ref, len(m.layers))
 	for li := 0; li < len(m.layers); li++ {
@@ -399,7 +399,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 	// pairs share one), holding the padded tensor; Run strips on readback.
 	mark := func(li int) error {
 		net.p.Output(layerRefs[li])
-		b, err := dev.NewBufferFmt(act, batch*net.padOut[li].N())
+		b, err := dev.NewBuffer(act, batch*net.padOut[li].N())
 		if err != nil {
 			return err
 		}
@@ -424,7 +424,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 	if err := net.p.Err(); err != nil {
 		return nil, err
 	}
-	imgBuf, err := dev.NewBufferFmt(act, batch*net.padIn.N())
+	imgBuf, err := dev.NewBuffer(act, batch*net.padIn.N())
 	if err != nil {
 		return nil, err
 	}

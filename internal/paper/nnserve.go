@@ -228,15 +228,20 @@ func runNNServePoint(m *nn.Model, images []float32, want []float32,
 	// serving, not cold start. The warm-up window's timeline is captured
 	// first — CompileShareP reports the compile tax over the whole
 	// session (warm-up + measured), which ResetStats would otherwise
-	// erase.
+	// erase. The devices warm one after another: with every device idle
+	// the dispatcher's round robin hands warm-up job i to device i, and
+	// the pool's shared compile cache makes the tax deterministic —
+	// device 0 compiles every kernel, the others restore the binaries.
+	// Warmed concurrently, the devices would race for the cache, and how
+	// many kernels the second compiles rather than restores would vary.
 	var coldBusy core.Timeline
 	if batch*devices <= requests {
 		for i := 0; i < devices; i++ {
 			if _, err := svc.InferBatch(context.Background(), images[:batch*per], batch); err != nil {
 				return pt, err
 			}
+			q.Drain()
 		}
-		q.Drain()
 		coldBusy = q.Stats().ModeledBusy()
 		q.ResetStats()
 	}

@@ -34,29 +34,13 @@ func Int8s(v []int8) Input { return Input{data: v, elem: codec.Int8} }
 func Bytes(v []uint8) Input { return Input{data: v, elem: codec.Uint8} }
 
 // FromBuffer snapshots a device buffer's current contents as a job input
-// of the buffer's element type. The snapshot is taken here, on the
-// caller's goroutine — later writes to the buffer do not affect the job.
+// of the buffer's host element type (int8 for a packed Int8x4 buffer).
+// The snapshot is taken here, on the caller's goroutine — later writes to
+// the buffer do not affect the job.
 func FromBuffer(b *core.Buffer) (Input, error) {
-	var (
-		data interface{}
-		err  error
-	)
-	switch b.Elem() {
-	case codec.Float32:
-		data, err = b.ReadFloat32()
-	case codec.Int32:
-		data, err = b.ReadInt32()
-	case codec.Uint32:
-		data, err = b.ReadUint32()
-	case codec.Int8:
-		data, err = b.ReadInt8()
-	case codec.Uint8:
-		data, err = b.ReadUint8()
-	default:
-		return Input{}, fmt.Errorf("sched: FromBuffer: unsupported element type %s", b.Elem())
-	}
+	data, err := b.ReadRange(0, b.Len())
 	if err != nil {
 		return Input{}, fmt.Errorf("sched: FromBuffer: %w", err)
 	}
-	return Input{data: data, elem: b.Elem()}, nil
+	return Input{data: data, elem: b.Elem().Scalar()}, nil
 }

@@ -221,6 +221,16 @@ func (r *binReader) u64() uint64 {
 	return v
 }
 
+// flag reads a bool written as one byte; any byte but 0 or 1 is corrupt
+// (accepting it would decode a blob the writer can never produce).
+func (r *binReader) flag() bool {
+	v := r.u8()
+	if v > 1 {
+		r.fail("flag byte %d at byte %d is neither 0 nor 1", v, r.off-1)
+	}
+	return v == 1
+}
+
 func (r *binReader) i32() int32   { return int32(r.u32()) }
 func (r *binReader) f32() float32 { return math.Float32frombits(r.u32()) }
 
@@ -407,7 +417,7 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 		b.args[1] = r.i32()
 		b.args[2] = r.i32()
 		for j := range b.scalar {
-			b.scalar[j] = r.u8() != 0
+			b.scalar[j] = r.flag()
 		}
 		b.nargs = r.i32()
 		b.nc = r.i32()
