@@ -20,6 +20,11 @@ type Buffer struct {
 	n    int
 	grid layout.Grid
 
+	// cover is the live-texel geometry every pass rendering into this
+	// buffer draws (see liveCover): texels at or past elem.TexelsFor(n)
+	// are never shaded, so their contents are undefined.
+	cover []byte
+
 	tex uint32
 	fbo uint32 // lazily created for readback / render target use
 }
@@ -108,7 +113,18 @@ func (d *Device) newBufferWithGrid(t codec.ElemType, n int, g layout.Grid) (*Buf
 	if err := d.checkGL("NewBuffer"); err != nil {
 		return nil, err
 	}
-	return &Buffer{dev: d, elem: t, n: n, grid: g, tex: tex}, nil
+	b := &Buffer{dev: d, elem: t, grid: g, tex: tex}
+	b.setLen(n)
+	return b, nil
+}
+
+// setLen sets the logical length, rebuilding the live-texel cover when
+// the live texel count changes.
+func (b *Buffer) setLen(n int) {
+	if b.cover == nil || b.elem.TexelsFor(n) != b.elem.TexelsFor(b.n) {
+		b.cover = liveCover(b.grid, b.elem.TexelsFor(n))
+	}
+	b.n = n
 }
 
 // Elem returns the storage element type (Int8x4 for a packed int8
@@ -120,6 +136,11 @@ func (b *Buffer) Len() int { return b.n }
 
 // Grid returns the 2D texture layout.
 func (b *Buffer) Grid() layout.Grid { return b.grid }
+
+// Texture returns the name of the GL texture backing the buffer, for raw
+// dev.GL() interop. Texels at or past Elem().TexelsFor(Len()) are the
+// grid's tail: no pass writes them, so their contents are undefined.
+func (b *Buffer) Texture() uint32 { return b.tex }
 
 // Free releases the buffer's GL objects. Freeing after the device has
 // closed is a no-op (the context's objects are already unreachable).

@@ -3,7 +3,7 @@
 // eight workarounds of the paper's Section III —
 //
 //	#1 pass-through vertex shader (no fixed-function fallback)
-//	#2 full-screen quad built from two triangles (no quad primitive)
+//	#2 live-texel cover built from triangles (no quad primitive)
 //	#3 linear arrays laid out in 2D textures (no 1D textures)
 //	#4 half-texel-centred normalized addressing (no texel coordinates)
 //	#5 input numeric transformations (no float textures)       — §IV
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"glescompute/internal/gles"
+	"glescompute/internal/layout"
 	"glescompute/internal/shader"
 	"glescompute/internal/vc4"
 )
@@ -126,9 +127,6 @@ type Device struct {
 	gpu *vc4.Model
 	cfg Config
 
-	quadPos []byte // interleaved fullscreen-quad vertices (challenge #2)
-	quadUV  []byte
-
 	copyProg   uint32 // lazily built pass-through copy program (challenge #7)
 	copyShader [2]uint32
 
@@ -197,24 +195,35 @@ func open(cfg Config, interp bool) (*Device, error) {
 	if d.cfg.MaxGridWidth <= 0 || d.cfg.MaxGridWidth > ctx.Caps().MaxTextureSize {
 		d.cfg.MaxGridWidth = ctx.Caps().MaxTextureSize
 	}
-	d.quadPos, d.quadUV = fullscreenQuad()
 	return d, nil
 }
 
-// fullscreenQuad builds the two-triangle screen-covering geometry
-// (challenge #2) as interleaved float32 client arrays.
-func fullscreenQuad() (pos, uv []byte) {
-	verts := []float32{
-		// x, y, u, v
-		-1, -1, 0, 0,
-		1, -1, 1, 0,
-		1, 1, 1, 1,
-		-1, -1, 0, 0,
-		1, 1, 1, 1,
-		-1, 1, 0, 1,
+// liveCover builds the geometry a pass draws over a W×H output grid
+// whose first live texels (row-major) hold data — challenge #2's
+// screen-covering quad narrowed to the live texels, so no fragment runs
+// for the grid's dead tail. It is one rectangle over the full rows
+// [0, live/W) and one over the first live%W texels of the next row, each
+// two triangles of interleaved float32 (x, y, u, v) vertices; a fully
+// live grid gets the classic full-screen quad. Rectangle edges lie on
+// texel boundaries, so the rasterizer's top-left rule shades every live
+// texel exactly once.
+func liveCover(g layout.Grid, live int) []byte {
+	var verts []float32
+	rect := func(x0, y0, x1, y1 int) {
+		for _, c := range [6][2]int{{x0, y0}, {x1, y0}, {x1, y1}, {x0, y0}, {x1, y1}, {x0, y1}} {
+			u := float64(c[0]) / float64(g.Width)
+			v := float64(c[1]) / float64(g.Height)
+			verts = append(verts, float32(2*u-1), float32(2*v-1), float32(u), float32(v))
+		}
 	}
-	raw := f32bytes(verts)
-	return raw, raw[8:]
+	rows, rem := live/g.Width, live%g.Width
+	if rows > 0 {
+		rect(0, 0, g.Width, rows)
+	}
+	if rem > 0 {
+		rect(0, rows, rem, rows+1)
+	}
+	return f32bytes(verts)
 }
 
 // checkOpen returns a wrapped ErrClosed when the device has been closed.

@@ -380,7 +380,7 @@ type RunStats struct {
 // glStateGuard snapshots the context state a compute pass clobbers —
 // framebuffer/program/active-texture bindings, the viewport, the 2D
 // texture bindings of the units the pass uses, and the vertex attribute
-// arrays carrying the fullscreen quad — so kernel runs can interleave
+// arrays carrying the live-texel cover — so kernel runs can interleave
 // with raw dev.GL() rendering without leaking state into the application.
 type glStateGuard struct {
 	dev      *Device
@@ -527,14 +527,14 @@ func (k *Kernel) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float32)
 			ctx.Uniform1f(loc, v)
 		}
 
-		// Fullscreen quad from two triangles (challenge #2).
+		// The output's live-texel cover in one draw (challenge #2).
 		ctx.EnableVertexAttribArray(pass.posLoc)
-		ctx.VertexAttribPointerClient(pass.posLoc, 2, gles.FLOAT, false, 16, k.dev.quadPos)
+		ctx.VertexAttribPointerClient(pass.posLoc, 2, gles.FLOAT, false, 16, out.cover)
 		if pass.uvLoc >= 0 {
 			ctx.EnableVertexAttribArray(pass.uvLoc)
-			ctx.VertexAttribPointerClient(pass.uvLoc, 2, gles.FLOAT, false, 16, k.dev.quadUV)
+			ctx.VertexAttribPointerClient(pass.uvLoc, 2, gles.FLOAT, false, 16, out.cover[8:])
 		}
-		ctx.DrawArrays(gles.TRIANGLES, 0, 6)
+		ctx.DrawArrays(gles.TRIANGLES, 0, len(out.cover)/16)
 		if err := k.dev.checkGL("Run draw"); err != nil {
 			return stats, err
 		}
@@ -552,13 +552,14 @@ func (k *Kernel) Run1(out *Buffer, ins []*Buffer, uniforms map[string]float32) (
 // Copy byte-copies src into dst through a pass-through fragment shader —
 // the paper's challenge #7 "first way": when the texture to read is not
 // already the framebuffer attachment, a trivial copy pass moves it there.
-// Both buffers must have identical grids and element types.
+// Both buffers must have identical lengths, grids and element types; the
+// pass draws the live-texel cover, so dst's tail texels stay undefined.
 func (d *Device) Copy(dst, src *Buffer) error {
 	if err := d.checkOpen("Copy"); err != nil {
 		return err
 	}
-	if dst.grid != src.grid {
-		return fmt.Errorf("core: Copy: grid mismatch %v vs %v", dst.grid, src.grid)
+	if dst.grid != src.grid || dst.n != src.n {
+		return fmt.Errorf("core: Copy: shape mismatch %d over %v vs %d over %v", dst.n, dst.grid, src.n, src.grid)
 	}
 	if dst.elem != src.elem {
 		return fmt.Errorf("core: Copy: element type mismatch %s vs %s", dst.elem, src.elem)
@@ -586,10 +587,10 @@ func (d *Device) Copy(dst, src *Buffer) error {
 	ctx.BindTexture(gles.TEXTURE_2D, src.tex)
 	ctx.Uniform1i(ctx.GetUniformLocation(prog, "gc_src"), 0)
 	ctx.EnableVertexAttribArray(pos)
-	ctx.VertexAttribPointerClient(pos, 2, gles.FLOAT, false, 16, d.quadPos)
+	ctx.VertexAttribPointerClient(pos, 2, gles.FLOAT, false, 16, dst.cover)
 	ctx.EnableVertexAttribArray(uv)
-	ctx.VertexAttribPointerClient(uv, 2, gles.FLOAT, false, 16, d.quadUV)
-	ctx.DrawArrays(gles.TRIANGLES, 0, 6)
+	ctx.VertexAttribPointerClient(uv, 2, gles.FLOAT, false, 16, dst.cover[8:])
+	ctx.DrawArrays(gles.TRIANGLES, 0, len(dst.cover)/16)
 	return d.checkGL("Copy")
 }
 

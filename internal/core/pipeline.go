@@ -162,6 +162,16 @@ func (p *Pipeline) Close() error {
 	return nil
 }
 
+// Intermediates returns the pooled buffers the pipeline has allocated for
+// its internal slots (ping-pong intermediates and hazard-copy targets).
+// The pipeline owns them: callers may inspect them through dev.GL() but
+// must not free them.
+func (p *Pipeline) Intermediates() []*Buffer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]*Buffer(nil), p.pool.all...)
+}
+
 func (p *Pipeline) fail(format string, args ...interface{}) Ref {
 	if p.err == nil {
 		p.err = fmt.Errorf("core: pipeline: "+format, args...)

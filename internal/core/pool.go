@@ -69,7 +69,7 @@ func (p *BufferPool) Acquire(elem codec.ElemType, n int, grid layout.Grid) (*Buf
 		b := list[len(list)-1]
 		p.free[key] = list[:len(list)-1]
 		p.freeCount--
-		b.n = n
+		b.setLen(n)
 		p.reuses++
 		return b, nil
 	}

@@ -241,9 +241,10 @@ float gc_kernel(float idx) {
 // cross tap boundaries, so every lane runs its own (tap, ic)
 // decomposition and a scalar lane-select fetch from the C4-padded input
 // (stride u_ic4, logical channels u_ic). Padded tail k's (k ≥ kh·kw·inC)
-// gather clamped garbage — harmless, because the GEMM's weight matrix is
-// zero-padded along the same dimension, so those lanes always multiply
-// by zero.
+// gather clamped garbage, possibly from the input's undefined tail
+// texels — harmless, because the GEMM's weight matrix is zero-padded
+// along the same dimension, so those lanes always multiply by zero (0·x
+// is exact for any int8).
 const im2col4Source = `
 float gc_col(float k, float rowbase, float y0, float x0) {
 	float tap = floor((k + 0.5) / u_ic);

@@ -57,7 +57,8 @@ type Result struct {
 	// Stats is the whole-chain pipeline execution report.
 	Stats core.PipelineStats
 	// LayerTimes aggregates Stats.StageTimes per layer (a conv layer owns
-	// its im2col and GEMM passes, softmax its four scans).
+	// its im2col and GEMM passes, softmax its log-sum-exp and normalize
+	// passes).
 	LayerTimes []core.Timeline
 }
 

@@ -118,23 +118,23 @@ func TestLaunchAccounting(t *testing.T) {
 		jobs  []jobWant
 		dev   DeviceStats
 	}{
-		{name: "solo kernel", jobs: []jobWant{{1, false, tl(10e6, 121137, 121698, 301280)}},
-			dev: DeviceStats{Jobs: 1, Launches: 1, Busy: tl(10e6, 121137, 121698, 301280)}},
+		{name: "solo kernel", jobs: []jobWant{{1, false, tl(10e6, 121137, 121525, 301280)}},
+			dev: DeviceStats{Jobs: 1, Launches: 1, Busy: tl(10e6, 121137, 121525, 301280)}},
 		{name: "matrix", jobs: []jobWant{{1, false, tl(10e6, 120568, 124543, 300640)}},
 			dev: DeviceStats{Jobs: 1, Launches: 1, Busy: tl(10e6, 120568, 124543, 300640)}},
 		{name: "batch of 4", cfg: window, jobs: []jobWant{
-			{4, true, tl(10e6, 122275, 123209, 302560)}, {4, true, tl(10e6, 122275, 123209, 302560)},
-			{4, true, tl(10e6, 122275, 123209, 302560)}, {4, true, tl(10e6, 122275, 123209, 302560)}},
-			dev: DeviceStats{Jobs: 4, Launches: 1, Batches: 1, BatchedJobs: 4, Busy: tl(10e6, 122275, 123209, 302560)}},
+			{4, true, tl(10e6, 122275, 123189, 302560)}, {4, true, tl(10e6, 122275, 123189, 302560)},
+			{4, true, tl(10e6, 122275, 123189, 302560)}, {4, true, tl(10e6, 122275, 123189, 302560)}},
+			dev: DeviceStats{Jobs: 4, Launches: 1, Batches: 1, BatchedJobs: 4, Busy: tl(10e6, 122275, 123189, 302560)}},
 		{name: "batch split by texture size", cfg: narrow, jobs: []jobWant{
 			{1, false, tl(10e6, 138666, 151932, 321000)}, {1, false, tl(0, 138667, 151927, 321000)}},
 			dev: DeviceStats{Jobs: 2, Launches: 2, Busy: tl(10e6, 277333, 303859, 642000)}},
 		{name: "keyless group", jobs: []jobWant{{1, false, tl(10e6, 0, 120054, 300080)}},
 			dev: DeviceStats{Jobs: 1, Launches: 1, Busy: tl(10e6, 0, 120054, 300080)}},
 		{name: "coalesced group of 3", cfg: window, jobs: []jobWant{
-			{3, true, tl(10e6, 0, 120108, 300160)}, {3, true, tl(10e6, 0, 120108, 300160)},
-			{3, true, tl(10e6, 0, 120108, 300160)}},
-			dev: DeviceStats{Jobs: 3, Launches: 1, Batches: 1, BatchedJobs: 3, Busy: tl(10e6, 0, 120108, 300160)}},
+			{3, true, tl(10e6, 0, 120081, 300160)}, {3, true, tl(10e6, 0, 120081, 300160)},
+			{3, true, tl(10e6, 0, 120081, 300160)}},
+			dev: DeviceStats{Jobs: 3, Launches: 1, Batches: 1, BatchedJobs: 3, Busy: tl(10e6, 0, 120081, 300160)}},
 	}
 	add := func(i int) func(JobSpec, interface{}) {
 		return func(spec JobSpec, out interface{}) {
