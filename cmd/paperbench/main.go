@@ -383,6 +383,7 @@ func main() {
 				fmt.Println()
 				fmt.Printf("N1 cold start — compile cache (4-device pool, float LeNet): cold %.0fµs vs warm-from-disk %.0fµs — %.0fx (%d hits)\n",
 					res.ColdCompileUS, res.WarmCompileUS, res.CompileCacheSpeedupX, res.CompileCacheHits)
+				fmt.Printf("  programs a cold device links: %d (the plan draws %d)\n", res.ColdPrograms, res.DrawnPrograms)
 			})
 			return nil
 		}},

@@ -251,14 +251,16 @@ type plan struct {
 	exec        []execStage
 	fusedStages int // builder stages merged into a predecessor's pass
 	fallbacks   int // fused groups whose generated shader failed to build
+	programs    int // distinct GL programs the plan draws
 }
 
 // compile freezes the pipeline's stage graph into an execution plan,
-// fusing eligible chains when fusion is enabled. Called once, on the
-// first Run; the plan is reused by every subsequent Run. A fused group
-// whose generated shader fails to compile falls back to running its
-// members unfused (counted in PipelineStats.FusionFallbacks) — fusion is
-// an optimization, never a new failure mode.
+// fusing eligible chains when fusion is enabled, and links the programs
+// the plan draws. Called once, on the first Run or PlannedPasses; the
+// plan is reused by every subsequent Run. A fused group whose generated
+// shader fails to compile falls back to running its members unfused
+// (counted in PipelineStats.FusionFallbacks) — fusion is an
+// optimization, never a new failure mode.
 func (p *Pipeline) compile() error {
 	if p.plan != nil {
 		return nil
@@ -313,7 +315,7 @@ func (p *Pipeline) compile() error {
 	for si := range p.stages {
 		st := &p.stages[si]
 		var joined *group
-		fusableShape := p.fusion && len(st.outs) == 1 && len(st.kernel.passes) == 1
+		fusableShape := p.fusion && len(st.outs) == 1 && len(st.kernel.spec.Outputs) == 1
 		inlineHint := func(i int) bool {
 			for _, h := range st.inline {
 				if h == i {
@@ -466,6 +468,22 @@ func (p *Pipeline) compile() error {
 			for _, r := range p.stages[si].outs {
 				p.slots[r].fusedAway = true
 			}
+		}
+	}
+
+	// Compile on draw: link exactly the programs the plan draws. A stage
+	// folded into a fused pass never links, and a stage kernel's compile
+	// error surfaces here — from PlannedPasses or Run — as a builder error.
+	drawn := map[*Kernel]bool{}
+	for ei := range pl.exec {
+		k := pl.exec[ei].kernel
+		if err := k.link(); err != nil {
+			p.err = fmt.Errorf("core: pipeline: stage %q: %w", pl.exec[ei].label, err)
+			return p.err
+		}
+		if !drawn[k] {
+			drawn[k] = true
+			pl.programs += len(k.passes)
 		}
 	}
 

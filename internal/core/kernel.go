@@ -211,19 +211,47 @@ func (d *Device) BuildKernel(spec KernelSpec) (*Kernel, error) {
 	if err := d.checkOpen("BuildKernel"); err != nil {
 		return nil, err
 	}
+	k, err := d.newKernel(spec)
+	if err == nil {
+		err = k.link()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// newKernel validates the spec into an unlinked kernel.
+func (d *Device) newKernel(spec KernelSpec) (*Kernel, error) {
 	spec = spec.normalized()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	k := &Kernel{dev: d, spec: spec}
-	for _, out := range spec.Outputs {
-		fsSrc := generateFragmentShader(spec, out)
-		prog, vs, fs, err := d.buildProgram(passVertexShader, fsSrc)
+	return &Kernel{dev: d, spec: spec}, nil
+}
+
+// link compiles the kernel's GL programs, one per output, unless an
+// earlier call already did.
+func (k *Kernel) link() error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.linkLocked()
+}
+
+func (k *Kernel) linkLocked() error {
+	if k.closed {
+		return fmt.Errorf("core: kernel %q: %w", k.spec.Name, ErrClosed)
+	}
+	if k.passes != nil {
+		return nil
+	}
+	ctx := k.dev.ctx
+	for _, out := range k.spec.Outputs {
+		prog, vs, fs, err := k.dev.buildProgram(passVertexShader, generateFragmentShader(k.spec, out))
 		if err != nil {
-			k.Close() // release the passes already built for earlier outputs
-			return nil, fmt.Errorf("core: kernel %q output %q: %w", spec.Name, out.Name, err)
+			k.deletePasses() // release the passes already built for earlier outputs
+			return fmt.Errorf("core: kernel %q output %q: %w", k.spec.Name, out.Name, err)
 		}
-		ctx := d.ctx
 		pass := kernelPass{
 			out:     out,
 			prog:    prog,
@@ -235,32 +263,44 @@ func (d *Device) BuildKernel(spec KernelSpec) (*Kernel, error) {
 			outN:    ctx.GetUniformLocation(prog, "gc_out_n"),
 			userLoc: map[string]int{},
 		}
-		for _, in := range spec.Inputs {
+		for _, in := range k.spec.Inputs {
 			pass.samLocs = append(pass.samLocs, ctx.GetUniformLocation(prog, "gc_"+in.Name+"_tex"))
 			pass.dimLocs = append(pass.dimLocs, ctx.GetUniformLocation(prog, "gc_"+in.Name+"_dims"))
 		}
-		for _, u := range spec.Uniforms {
+		for _, u := range k.spec.Uniforms {
 			pass.userLoc[u] = ctx.GetUniformLocation(prog, u)
 		}
 		k.passes = append(k.passes, pass)
 	}
-	return k, nil
+	return nil
 }
 
-// BuildKernelCached compiles the spec at most once per device: repeated
-// calls with content-identical specs (see KernelSpec.CacheKey) return the
-// same *Kernel. Cached kernels are owned by the device and closed by
-// Device.Close; callers should not Close them individually (doing so is
-// safe — the cache lazily recompiles).
-func (d *Device) BuildKernelCached(spec KernelSpec) (*Kernel, error) {
-	if err := d.checkOpen("BuildKernelCached"); err != nil {
+// deletePasses deletes the kernel's GL programs and shaders.
+func (k *Kernel) deletePasses() {
+	for _, p := range k.passes {
+		k.dev.ctx.DeleteProgram(p.prog)
+		k.dev.ctx.DeleteShader(p.vs)
+		k.dev.ctx.DeleteShader(p.fs)
+	}
+	k.passes = nil
+}
+
+// DeclareKernel returns the device's cached kernel for the spec (see
+// BuildKernelCached) without compiling it: its programs link when a
+// pipeline plan first draws it as a standalone pass, or on its first Run.
+// A stage that fusion folds into another pass never links, so a network
+// whose stages all fuse compiles only its fused programs. A compile
+// error surfaces where the link happens — Pipeline.PlannedPasses or Run
+// for a pipeline stage.
+func (d *Device) DeclareKernel(spec KernelSpec) (*Kernel, error) {
+	if err := d.checkOpen("DeclareKernel"); err != nil {
 		return nil, err
 	}
 	key := spec.CacheKey()
 	if k, ok := d.kernelCache[key]; ok && !k.isClosed() {
 		return k, nil
 	}
-	k, err := d.BuildKernel(spec)
+	k, err := d.newKernel(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -268,6 +308,25 @@ func (d *Device) BuildKernelCached(spec KernelSpec) (*Kernel, error) {
 		d.kernelCache = map[string]*Kernel{}
 	}
 	d.kernelCache[key] = k
+	return k, nil
+}
+
+// BuildKernelCached compiles the spec at most once per device: repeated
+// calls with content-identical specs (see KernelSpec.CacheKey) return the
+// same *Kernel, linked. Cached kernels are owned by the device and closed
+// by Device.Close; callers should not Close them individually (doing so
+// is safe — the cache lazily recompiles).
+func (d *Device) BuildKernelCached(spec KernelSpec) (*Kernel, error) {
+	if err := d.checkOpen("BuildKernelCached"); err != nil {
+		return nil, err
+	}
+	k, err := d.DeclareKernel(spec)
+	if err == nil {
+		err = k.link()
+	}
+	if err != nil {
+		return nil, err
+	}
 	return k, nil
 }
 
@@ -282,14 +341,8 @@ func (k *Kernel) Close() error {
 		return nil
 	}
 	k.closed = true
-	if k.dev.closed {
-		return nil
-	}
-	for i := range k.passes {
-		p := &k.passes[i]
-		k.dev.ctx.DeleteProgram(p.prog)
-		k.dev.ctx.DeleteShader(p.vs)
-		k.dev.ctx.DeleteShader(p.fs)
+	if !k.dev.closed {
+		k.deletePasses()
 	}
 	return nil
 }
@@ -461,6 +514,9 @@ func (k *Kernel) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float32)
 	}
 	if k.closed {
 		return stats, fmt.Errorf("core: kernel %q: Run: %w", k.spec.Name, ErrClosed)
+	}
+	if err := k.linkLocked(); err != nil {
+		return stats, err
 	}
 	if len(outs) != len(k.passes) {
 		return stats, fmt.Errorf("core: kernel %q has %d outputs, got %d buffers", k.spec.Name, len(k.passes), len(outs))

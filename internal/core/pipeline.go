@@ -222,7 +222,7 @@ func (p *Pipeline) Stage(k *Kernel, uniforms map[string]float32, ins ...Ref) Ref
 func (p *Pipeline) StageN(k *Kernel, outN int, uniforms map[string]float32, ins ...Ref) Ref {
 	outs := p.StageMulti(k, []int{outN}, uniforms, ins...)
 	if len(outs) != 1 {
-		return p.fail("StageN %q: kernel has %d outputs, want 1 (use StageMulti)", k.spec.Name, len(k.passes))
+		return p.fail("StageN %q: kernel has %d outputs, want 1 (use StageMulti)", k.spec.Name, len(k.spec.Outputs))
 	}
 	return outs[0]
 }
@@ -237,8 +237,8 @@ func (p *Pipeline) StageMulti(k *Kernel, outNs []int, uniforms map[string]float3
 		p.fail("stage %q added after the pipeline compiled (build fully before the first Run)", k.spec.Name)
 		return nil
 	}
-	if len(outNs) != len(k.passes) {
-		p.fail("StageMulti %q: kernel has %d outputs, got %d lengths", k.spec.Name, len(k.passes), len(outNs))
+	if len(outNs) != len(k.spec.Outputs) {
+		p.fail("StageMulti %q: kernel has %d outputs, got %d lengths", k.spec.Name, len(k.spec.Outputs), len(outNs))
 		return nil
 	}
 	if len(ins) != len(k.spec.Inputs) {
@@ -427,6 +427,9 @@ type PipelineStats struct {
 	// FusionFallbacks counts fused groups whose generated shader failed
 	// to build and ran unfused instead (0 in healthy pipelines).
 	FusionFallbacks int
+	// Programs counts the distinct GL programs the plan draws — all a
+	// cold pipeline links, since stage kernels compile on draw.
+	Programs int
 }
 
 // Run executes the pipeline. ins feed the declared Input slots in order;
@@ -526,6 +529,7 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 	stats.StageTimes = make([]Timeline, len(p.stages))
 	stats.FusedStages = p.plan.fusedStages
 	stats.FusionFallbacks = p.plan.fallbacks
+	stats.Programs = p.plan.programs
 	stats.ExecStages = make([]string, len(p.plan.exec))
 	for ei := range p.plan.exec {
 		es := &p.plan.exec[ei]

@@ -12,7 +12,7 @@ import (
 // the live size carried in a uniform — the sgemm idiom. The model builder
 // rejects layers that would exceed them.
 const (
-	maxInner = 4096 // im2col / dense inner dimension, softmax row length
+	maxInner = 4096 // conv kernel row, dense inner dimension, softmax row length
 	maxTaps  = 64   // depthwise / pooling window taps
 )
 
@@ -23,33 +23,84 @@ const (
 // index computed in-shader must stay inside fp32's exact integer window
 // (±2^24); Build enforces it per stage.
 
-// im2colSource gathers every receptive field of the input tensor into one
-// row of the patch matrix: output element (r, t) — r indexing
-// (batch, oy, ox) patches, t indexing (ky, kx, ic) taps — is input element
-// (b, oy·stride+ky, ox·stride+kx, ic). The patch matrix is row-packed
-// [rows][K] so the GEMM stage can walk a row with consecutive linear
-// fetches.
-const im2colSource = `
-float gc_kernel(float idx) {
-	float r = floor((idx + 0.5) / u_kk);
-	float t = idx - r * u_kk;
+// convSourceTmpl is the direct convolution: out[b][oy][ox][c] = bias[c] +
+// Σ x[b][oy·s+ky][ox·s+kx][ic]·w[ky][kx][ic][c], read straight from the
+// activations with no patch matrix. One fragment computes one output
+// unit (%[1]s: an element, or at lanes=4 a vec4 of 4 channels), every
+// index counting units. For each of the KH kernel rows (%[3]s, a literal:
+// the ky loop needs a constant bound) the KW·IC input units of the
+// receptive field are contiguous, so the inner loop walks them linearly,
+// %[4]s multiplying one into the accumulator and stepping the weight
+// index — the GEMM's row walk, in the GEMM's (ky, kx, ic) order. %[5]s
+// is the result: acc, or the int8 requant with its scale baked in (the
+// eight user uniforms fill the budget, as for dwRequantSourceTmpl).
+const convSourceTmpl = `
+%[1]s gc_kernel(float idx) {
+	float r = floor((idx + 0.5) / u_oc);
+	float c = idx - r * u_oc;
 	float b = floor((r + 0.5) / u_ohw);
 	float p = r - b * u_ohw;
 	float oy = floor((p + 0.5) / u_ow);
 	float ox = p - oy * u_ow;
-	float ky = floor((t + 0.5) / u_kwic);
-	float q = t - ky * u_kwic;
-	float kx = floor((q + 0.5) / u_ic);
-	float ic = q - kx * u_ic;
-	float y = oy * u_stride + ky;
-	float x = ox * u_stride + kx;
-	return gc_x(((b * u_inh + y) * u_inw + x) * u_ic + ic);
+	float row = b * u_ximg + oy * u_ystep + ox * u_xstep;
+	float wt = c;
+	%[1]s acc = gc_bias%[2]s(c);
+	for (float ky = 0.0; ky < %[3]s; ky += 1.0) {
+		for (float j = 0.0; j < 4096.0; j += 1.0) {
+			if (j >= u_kwic) { break; }
+			%[4]s
+		}
+		row += u_xrow;
+	}
+	return %[5]s;
 }
 `
 
-// gemmSource is the shared GEMM+bias kernel: out[r][c] = bias[c] +
-// Σ_k x[r][k]·w[k][cols]. Conv2D runs it over the im2col patch matrix;
-// Dense runs it with one row per batch image.
+// The inner steps of convSourceTmpl:
+//
+//   - scalar: one input element, weights [ky][kx][ic][oc];
+//   - wide (4-wide, C4 input): the texel's 4 input channels each scale
+//     one weight texel of [ky][kx][ic padded to C4][oc], u_oc apart — 16
+//     MACs per 5 texture fetches;
+//   - narrow (4-wide, a 1-channel input): only lane r of the padded
+//     input is live, so one weight texel of [ky][kx][oc] per input texel
+//     instead of four, three of them zero.
+const (
+	convScalarMAC = `acc += gc_x(row + j) * gc_w(wt);
+			wt += u_oc;`
+	convWideMAC = `vec4 xv = gc_x4(row + j);
+			acc += xv.r * gc_w4(wt) + xv.g * gc_w4(wt + u_oc) + xv.b * gc_w4(wt + 2.0 * u_oc) + xv.a * gc_w4(wt + 3.0 * u_oc);
+			wt += 4.0 * u_oc;`
+	convNarrowMAC = `acc += gc_x4(row + j).r * gc_w4(wt);
+			wt += u_oc;`
+)
+
+// convUniforms are the direct convolution's user uniforms, in units:
+// output units per pixel, output pixels per image and per row, the input
+// offsets of one image, of one output row and column step, of one input
+// row, and the kernel row's length.
+var convUniforms = []string{"u_oc", "u_ohw", "u_ow", "u_ximg", "u_ystep", "u_xstep", "u_xrow", "u_kwic"}
+
+// convSrc renders one layer's direct convolution: kernel height kh,
+// lanes 1 or 4 (narrow: a 1-channel input), and the int8 requant by
+// 2^shift when quant.
+func convSrc(kh, lanes int, narrow, quant bool, shift uint) string {
+	typ, sfx, mac, lo, hi := "float", "", convScalarMAC, "-128.0", "127.0"
+	if lanes == 4 {
+		typ, sfx, mac, lo, hi = "vec4", "4", convWideMAC, "vec4(-128.0)", "vec4(127.0)"
+		if narrow {
+			mac = convNarrowMAC
+		}
+	}
+	ret := "acc"
+	if quant {
+		ret = fmt.Sprintf("clamp(floor(acc / %.1f), %s, %s)", float64(uint64(1)<<shift), lo, hi)
+	}
+	return fmt.Sprintf(convSourceTmpl, typ, sfx, fmt.Sprintf("%d.0", kh), mac, ret)
+}
+
+// gemmSource is Dense's GEMM+bias kernel: out[r][c] = bias[c] +
+// Σ_k x[r][k]·w[k][cols], one row per batch image.
 const gemmSource = `
 float gc_kernel(float idx) {
 	float r = floor((idx + 0.5) / u_cols);
@@ -232,43 +283,6 @@ float gc_kernel(float idx) {
 }
 `
 
-// im2col4Source is the 4-wide patch gather. The patch matrix's inner
-// dimension is the LOGICAL receptive field padded to a multiple of 4
-// (K = ceil4(kh·kw·inC)) — K is deliberately not inherited from the C4
-// activation layout, because for narrow inputs (inC=1 pads to 4) that
-// would multiply the GEMM's inner loop by up to 4x in zero work. Each
-// output texel holds 4 consecutive k's of one patch row; the k's may
-// cross tap boundaries, so every lane runs its own (tap, ic)
-// decomposition and a scalar lane-select fetch from the C4-padded input
-// (stride u_ic4, logical channels u_ic). Padded tail k's (k ≥ kh·kw·inC)
-// gather clamped garbage, possibly from the input's undefined tail
-// texels — harmless, because the GEMM's weight matrix is zero-padded
-// along the same dimension, so those lanes always multiply by zero (0·x
-// is exact for any int8).
-const im2col4Source = `
-float gc_col(float k, float rowbase, float y0, float x0) {
-	float tap = floor((k + 0.5) / u_ic);
-	float ic = k - tap * u_ic;
-	float ky = floor((tap + 0.5) / u_kw);
-	float kx = tap - ky * u_kw;
-	return gc_x(((rowbase + y0 + ky) * u_inw + x0 + kx) * u_ic4 + ic);
-}
-vec4 gc_kernel(float tidx) {
-	float idx = tidx * 4.0;
-	float r = floor((idx + 0.5) / u_kk);
-	float k0 = idx - r * u_kk;
-	float b = floor((r + 0.5) / u_ohw);
-	float p = r - b * u_ohw;
-	float oy = floor((p + 0.5) / u_ow);
-	float ox = p - oy * u_ow;
-	float rowbase = b * u_inh;
-	float y0 = oy * u_stride;
-	float x0 = ox * u_stride;
-	return vec4(gc_col(k0, rowbase, y0, x0), gc_col(k0 + 1.0, rowbase, y0, x0),
-		gc_col(k0 + 2.0, rowbase, y0, x0), gc_col(k0 + 3.0, rowbase, y0, x0));
-}
-`
-
 // gemm4RequantSource is the 4-wide GEMM with folded Rescale: one fragment
 // computes output (r, c..c+3). Each inner iteration consumes FOUR k's
 // through one aligned x texel and four aligned w texels — 16 MACs per 5
@@ -361,8 +375,9 @@ vec4 gc_kernel(float tidx) {
 }
 `
 
-// typedKernel compiles (through the device's compile-once cache) one nn
-// kernel whose tensors all share element type t; t's lane width decides
+// typedKernel declares (in the device's compile-once cache; it links
+// only if a plan draws it as its own pass) one nn kernel whose tensors
+// all share element type t; t's lane width decides
 // whether the kernel computes one value or one 4-lane texel per
 // fragment. ew and epilogue are the fusion declarations forwarded to
 // core.KernelSpec (see DESIGN.md §6d): ew marks strict element-wise
@@ -373,7 +388,7 @@ func typedKernel(dev *core.Device, name string, t codec.ElemType, inputs []strin
 	for i, in := range inputs {
 		params[i] = core.Param{Name: in, Type: t}
 	}
-	return dev.BuildKernelCached(core.KernelSpec{
+	return dev.DeclareKernel(core.KernelSpec{
 		Name:            name,
 		Inputs:          params,
 		Outputs:         []core.OutputSpec{{Name: "out", Type: t}},

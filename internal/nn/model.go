@@ -9,10 +9,9 @@
 // weights, in float32, int32 or int8. Build compiles it into a Network — one
 // device-resident core.Pipeline whose stages chain entirely on the GPU
 // (weights are uploaded once into device buffers; between layers not a
-// single byte crosses the host boundary). Conv2D lowers to the classic
-// im2col + GEMM pair: a gather pass row-packs every receptive field into a
-// patch matrix, and a shared GEMM+bias kernel (also used by Dense)
-// multiplies it with the weight matrix.
+// single byte crosses the host boundary). Conv2D lowers to one direct
+// convolution pass that reads every receptive field straight from the
+// activations; Dense is a GEMM+bias kernel.
 //
 // Tensors are row-major [batch][height][width][channel]; convolutions are
 // "valid" (no padding). The int32 configuration is bit-exact end to end —
@@ -154,7 +153,7 @@ func (m *Model) Conv2D(name string, kh, kw, outC, stride int, w, bias interface{
 		return m
 	}
 	if cs.K() > maxInner {
-		m.fail("%s: im2col inner dimension %d exceeds kernel loop bound %d", name, cs.K(), maxInner)
+		m.fail("%s: receptive field %d exceeds kernel loop bound %d", name, cs.K(), maxInner)
 		return m
 	}
 	m.checkWeights(name, "weights", w, cs.K()*outC)

@@ -9,7 +9,7 @@ import (
 
 // exactWindow is fp32's exact integer window: every linear index computed
 // in-shader must stay below it, so every tensor flowing through a network
-// (including the im2col patch matrix) is capped at 2^24 elements.
+// is capped at 2^24 elements.
 const exactWindow = 1 << 24
 
 // Network is a Model compiled onto one device: a single device-resident
@@ -56,9 +56,8 @@ type Result struct {
 	Taps []interface{}
 	// Stats is the whole-chain pipeline execution report.
 	Stats core.PipelineStats
-	// LayerTimes aggregates Stats.StageTimes per layer (a conv layer owns
-	// its im2col and GEMM passes, softmax its log-sum-exp and normalize
-	// passes).
+	// LayerTimes aggregates Stats.StageTimes per layer (softmax owns its
+	// log-sum-exp and normalize passes).
 	LayerTimes []core.Timeline
 }
 
@@ -105,11 +104,11 @@ func (m *Model) BuildLanes(dev *core.Device, batch int, tapAll bool, lanes int) 
 //   - Channel padding. At lanes=4 every channel dimension is padded to a
 //     multiple of 4 — the PHWC4-style C4 layout. The padding buys the
 //     alignment invariant the 4-wide kernels assume: four consecutive
-//     logical indices always share a texel, so receptive-field gathers,
-//     GEMM row walks and weight fetches all decode four values per
-//     texture access. Padded weight entries are zero, so padded channels
-//     carry exact zeros through conv (0·x = 0), requant (floor(0) = 0),
-//     relu and pool. At lanes=1 padding is the identity. Host-side
+//     logical indices always share a texel, so convolution and GEMM row
+//     walks and weight fetches all decode four values per texture
+//     access. Padded weight entries are zero, so padded channels carry
+//     exact zeros through conv (0·x = 0), requant (floor(0) = 0), relu
+//     and pool. At lanes=1 padding is the identity. Host-side
 //     padding and stripping happen once per Run at the input and readback
 //     boundaries; between layers everything stays padded on the device.
 //   - The int8 requant fold. Int8 activations cannot hold a matmul's
@@ -161,7 +160,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		return nil, err
 	}
 
-	// kern compiles one nn kernel in the activation type: src at
+	// kern declares one nn kernel in the activation type: src at
 	// lanes=1, src4 at lanes=4 (float-only kernels pass no src4).
 	kern := func(name, src, src4 string, inputs, uniforms []string, ew, epilogue bool) (*core.Kernel, error) {
 		if lanes == 4 {
@@ -195,37 +194,20 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		return r
 	}
 	f := func(v int) float32 { return float32(v) }
-	// matmul lowers the GEMM of conv or dense layer li: x is a [rows][k]
-	// matrix, w its (padded) [k][cols] weights. It is plain GEMM+bias, or
-	// for int8 the requantizing GEMM with the following Rescale folded in.
-	matmul := func(li int, x core.Ref, rows, k, cols int, w interface{}) (core.Ref, error) {
-		l := m.layers[li]
-		if err := checkAcc(l.name, k); err != nil {
-			return -1, err
-		}
-		uni := map[string]float32{"u_cols": f(cols), "u_k": f(k)}
-		var gemmK *core.Kernel
-		var err error
-		if quant {
-			uni["u_scale"] = f(1 << m.layers[li+1].shift)
-			gemmK, err = kern("nn-gemm-rq", gemmRequantSource, gemm4RequantSource, []string{"x", "w", "bias"},
-				[]string{"u_cols", "u_k", "u_scale"}, false, true)
-		} else {
-			gemmK, err = kern("nn-gemm", gemmSource, "", []string{"x", "w", "bias"},
-				[]string{"u_cols", "u_k"}, false, true)
-		}
-		if err != nil {
-			return -1, err
-		}
+	// weightedStage wires the conv, dense or depthwise kernel of layer li
+	// into the pipeline over input x, with its weights w and its bias
+	// widened to the padded output channels.
+	weightedStage := func(li int, k *core.Kernel, uni map[string]float32, x core.Ref, w interface{}) (core.Ref, error) {
+		l, out := m.layers[li], net.padOut[li]
 		wRef, err := weightInput(l.name, "weights", w)
 		if err != nil {
 			return -1, err
 		}
-		bRef, err := weightInput(l.name, "bias", relayout(l.bias, 1, core.HostLen(l.bias), 1, cols))
+		bRef, err := weightInput(l.name, "bias", relayout(l.bias, 1, core.HostLen(l.bias), 1, out.C))
 		if err != nil {
 			return -1, err
 		}
-		return stage(li, l.name, net.p.StageN(gemmK, rows*cols, uni, x, wRef, bRef)), nil
+		return stage(li, l.name, net.p.StageN(k, batch*out.N(), uni, x, wRef, bRef)), nil
 	}
 
 	cur := net.p.Input(act, batch*net.padIn.N())
@@ -237,41 +219,36 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		var out core.Ref
 		switch l.kind {
 		case KindConv:
+			// Direct convolution (see convSourceTmpl): one fragment per
+			// output unit — an element at lanes=1, a C4 texel at lanes=4 —
+			// reading its receptive field straight from the activations.
+			// A 1-channel input takes the narrow 4-wide kernel, whose
+			// weights skip the three zero lanes of the padded input.
 			cs := l.conv
-			// The patch matrix's inner dimension pads the logical
-			// receptive field as a whole (see im2col4Source).
-			k := cs.K()
-			if lanes == 4 {
-				k = ceil4(k)
-			}
-			rows := batch * cs.OutH() * cs.OutW()
-			if err := checkN(l.name+" im2col matrix", rows*k); err != nil {
+			if err := checkAcc(l.name, cs.K()); err != nil {
 				return nil, err
 			}
-			// The two im2col lowerings have different interfaces: the packed
-			// gather pads K (not channels) and needs both the logical and the
-			// C4 channel strides of the input it walks.
-			imVals := map[string]float32{
-				"u_kk": f(k), "u_ohw": f(cs.OutH() * cs.OutW()), "u_ow": f(cs.OutW()), "u_ic": f(cs.InC),
-				"u_stride": f(cs.Stride), "u_inh": f(cs.InH), "u_inw": f(cs.InW),
+			ic := curPad.C / lanes // input units per pixel; KW·ic ≤ K ≤ maxInner
+			narrow := cs.InC == 1
+			w := relayout(l.w, cs.K(), cs.OutC, cs.K(), outPad.C)
+			if !narrow {
+				// [ky·kx][ic][oc]: widen each tap's channel block to C4.
+				w = relayout(w, cs.KH*cs.KW, cs.InC*outPad.C, cs.KH*cs.KW, curPad.C*outPad.C)
 			}
-			var im2colK *core.Kernel
-			var err error
-			if lanes == 4 {
-				imVals["u_ic4"], imVals["u_kw"] = f(curPad.C), f(cs.KW)
-				im2colK, err = kern("nn-im2col", "", im2col4Source, []string{"x"},
-					[]string{"u_kk", "u_ohw", "u_ow", "u_ic", "u_ic4", "u_kw", "u_stride", "u_inh", "u_inw"}, false, true)
-			} else {
-				imVals["u_kwic"] = f(cs.KW * cs.InC)
-				im2colK, err = kern("nn-im2col", im2colSource, "", []string{"x"},
-					[]string{"u_kk", "u_ohw", "u_ow", "u_kwic", "u_ic", "u_stride", "u_inh", "u_inw"}, false, true)
+			name, shift := "nn-conv", uint(0)
+			if quant {
+				name, shift = "nn-conv-rq", m.layers[li+1].shift
 			}
+			src := convSrc(cs.KH, lanes, narrow, quant, shift)
+			convK, err := kern(name, src, src, []string{"x", "w", "bias"}, convUniforms, false, true)
 			if err != nil {
 				return nil, err
 			}
-			patches := stage(li, l.name+"/im2col", net.p.StageN(im2colK, rows*k, imVals, cur))
-			// Conv weights [K][outC]: zero tail rows and output columns.
-			if out, err = matmul(li, patches, rows, k, outPad.C, relayout(l.w, cs.K(), cs.OutC, k, outPad.C)); err != nil {
+			if out, err = weightedStage(li, convK, map[string]float32{
+				"u_oc": f(outPad.C / lanes), "u_ohw": f(cs.OutH() * cs.OutW()), "u_ow": f(cs.OutW()),
+				"u_ximg": f(cs.InH * cs.InW * ic), "u_ystep": f(cs.Stride * cs.InW * ic),
+				"u_xstep": f(cs.Stride * ic), "u_xrow": f(cs.InW * ic), "u_kwic": f(cs.KW * ic),
+			}, cur, w); err != nil {
 				return nil, err
 			}
 		case KindDense:
@@ -279,14 +256,28 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 			if k > maxInner {
 				return nil, fmt.Errorf("nn: Build: %s padded input size %d exceeds kernel loop bound %d", l.name, k, maxInner)
 			}
+			if err := checkAcc(l.name, k); err != nil {
+				return nil, err
+			}
 			// Dense weights [in][out]: the input index follows the padded
 			// HWC layout of the producing layer, so widen the output
 			// columns, then each pixel's channel block.
 			pix := curShape.H * curShape.W
 			w := relayout(l.w, pix*curShape.C, l.out, pix*curShape.C, outPad.C)
 			w = relayout(w, pix, curShape.C*outPad.C, pix, curPad.C*outPad.C)
-			var err error
-			if out, err = matmul(li, cur, batch, k, outPad.C, w); err != nil {
+			uni := map[string]float32{"u_cols": f(outPad.C), "u_k": f(k)}
+			name, src, src4 := "nn-gemm", gemmSource, ""
+			uniforms := []string{"u_cols", "u_k"}
+			if quant {
+				uni["u_scale"] = f(1 << m.layers[li+1].shift)
+				name, src, src4 = "nn-gemm-rq", gemmRequantSource, gemm4RequantSource
+				uniforms = append(uniforms, "u_scale")
+			}
+			gemmK, err := kern(name, src, src4, []string{"x", "w", "bias"}, uniforms, false, true)
+			if err != nil {
+				return nil, err
+			}
+			if out, err = weightedStage(li, gemmK, uni, cur, w); err != nil {
 				return nil, err
 			}
 		case KindDW:
@@ -307,19 +298,13 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 				return nil, err
 			}
 			c := curPad.C
-			wRef, err := weightInput(l.name, "weights", relayout(l.w, taps, ds.C, taps, c))
-			if err != nil {
-				return nil, err
-			}
-			bRef, err := weightInput(l.name, "bias", relayout(l.bias, 1, ds.C, 1, c))
-			if err != nil {
-				return nil, err
-			}
-			out = stage(li, l.name, net.p.StageN(dwK, batch*outPad.N(), map[string]float32{
+			if out, err = weightedStage(li, dwK, map[string]float32{
 				"u_on": f(outPad.N()), "u_owc": f(outPad.W * c), "u_c": f(c),
 				"u_taps": f(taps), "u_kw": f(ds.KW), "u_stride": f(ds.Stride),
 				"u_inh": f(ds.InH), "u_inw": f(ds.InW),
-			}, cur, wRef, bRef))
+			}, cur, relayout(l.w, taps, ds.C, taps, c)); err != nil {
+				return nil, err
+			}
 		case KindPool:
 			c := curPad.C
 			poolK, err := kern("nn-maxpool", poolSource, pool4Source, []string{"x"},
@@ -461,7 +446,7 @@ func relayout(x interface{}, rows, cols, rowsTo, colsTo int) interface{} {
 // With fusion on, element-wise layers (ReLU, Rescale) merge into the pass
 // of the layer producing their input, non-overlapping pools absorb their
 // producing GEMM chain, and the softmax normalize absorbs its row scan —
-// a LeNet-scale float network drops from 15 builder stages to 8 fragment
+// a LeNet-scale float network drops from 13 builder stages to 6 fragment
 // passes — with int32 outputs bit-identical either way.
 func (n *Network) SetFusion(on bool) { n.p.SetFusion(on) }
 

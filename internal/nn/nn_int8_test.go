@@ -71,6 +71,18 @@ func TestInt8SingleLayersDifferential(t *testing.T) {
 			m.Conv2D("conv", 3, 3, 4, 2, randI8(rng, 3*3*2*4, -2, 2), randI8(rng, 4, -8, 8)).
 				Rescale("rq", 2)
 		}},
+		{"conv-narrow-5x3-stride2", Shape{11, 8, 1}, func(m *Model) {
+			m.Conv2D("conv", 5, 3, 6, 2, randI8(rng, 5*3*6, -2, 2), randI8(rng, 6, -8, 8)).
+				Rescale("rq", 2)
+		}},
+		{"conv-8ch", Shape{6, 7, 8}, func(m *Model) {
+			m.Conv2D("conv", 3, 3, 6, 1, randI8(rng, 3*3*8*6, -2, 2), randI8(rng, 6, -8, 8)).
+				Rescale("rq", 4)
+		}},
+		{"conv-1x1", Shape{5, 6, 3}, func(m *Model) {
+			m.Conv2D("conv", 1, 1, 7, 1, randI8(rng, 3*7, -2, 2), randI8(rng, 7, -8, 8)).
+				Rescale("rq", 1)
+		}},
 		{"dwconv-pad", Shape{8, 6, 3}, func(m *Model) {
 			m.DepthwiseConv("dw", 3, 3, 1, randI8(rng, 9*3, -2, 2), randI8(rng, 3, -8, 8)).
 				Rescale("rq", 1)
@@ -112,6 +124,13 @@ func TestInt8SingleLayersDifferential(t *testing.T) {
 func TestInt8LeNetDifferential(t *testing.T) {
 	m := DemoLeNetInt8(7)
 	runInt8Lanes(t, m, 2, DemoInputInt8(8, 2))
+}
+
+// TestInt8MobileNetDifferential is the whole-network differential on the
+// depthwise-separable measurement network.
+func TestInt8MobileNetDifferential(t *testing.T) {
+	m := mobileNetInt8()
+	runInt8Lanes(t, m, 2, randI8(rand.New(rand.NewSource(9)), 2*m.In().N(), 0, 15))
 }
 
 // TestInt8FoldValidation pins the folding contract's error paths.

@@ -106,6 +106,30 @@ func TestSingleLayersDifferential(t *testing.T) {
 				m.Conv2D("conv", 3, 3, 4, 2, randI(rng, k, -3, 3), randI(rng, 4, -9, 9))
 			}
 		}},
+		{"conv-narrow-5x3-stride2", Shape{11, 8, 1}, func(m *Model, e codec.ElemType) {
+			k := 5 * 3 * 1 * 6
+			if e == codec.Float32 {
+				m.Conv2D("conv", 5, 3, 6, 2, randF(rng, k, 0.5), randF(rng, 6, 0.5))
+			} else {
+				m.Conv2D("conv", 5, 3, 6, 2, randI(rng, k, -3, 3), randI(rng, 6, -9, 9))
+			}
+		}},
+		{"conv-8ch", Shape{6, 7, 8}, func(m *Model, e codec.ElemType) {
+			k := 3 * 3 * 8 * 6
+			if e == codec.Float32 {
+				m.Conv2D("conv", 3, 3, 6, 1, randF(rng, k, 0.3), randF(rng, 6, 0.5))
+			} else {
+				m.Conv2D("conv", 3, 3, 6, 1, randI(rng, k, -3, 3), randI(rng, 6, -9, 9))
+			}
+		}},
+		{"conv-1x1", Shape{5, 6, 3}, func(m *Model, e codec.ElemType) {
+			k := 3 * 7
+			if e == codec.Float32 {
+				m.Conv2D("conv", 1, 1, 7, 1, randF(rng, k, 0.5), randF(rng, 7, 0.5))
+			} else {
+				m.Conv2D("conv", 1, 1, 7, 1, randI(rng, k, -3, 3), randI(rng, 7, -9, 9))
+			}
+		}},
 		{"dwconv", Shape{8, 6, 4}, func(m *Model, e codec.ElemType) {
 			if e == codec.Float32 {
 				m.DepthwiseConv("dw", 3, 3, 1, randF(rng, 9*4, 0.5), randF(rng, 4, 0.5))
@@ -163,7 +187,7 @@ func TestSingleLayersDifferential(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			resF := runNet(t, dev, mf, batch, xf)
-			checkFloatClose(t, tc.name+"/float32", resF.Output, wantF[len(wantF)-1], 1.0/(1<<8))
+			checkFloatClose(t, tc.name+"/float32", resF.Output, wantF[len(wantF)-1], FloatTol)
 		}
 	}
 }
@@ -342,58 +366,53 @@ func TestLayerTimesCoverChain(t *testing.T) {
 	}
 }
 
-// TestLeNetFusedPassCounts pins the acceptance bar of the fusion planner:
-// the float LeNet executes in ≤ 11 fragment passes (actually 8 from 15
-// builder stages: ReLUs fuse into their GEMM producers as epilogues,
-// non-overlapping pools absorb the fused GEMM chain by inlining, and the
-// softmax normalize absorbs the log-sum-exp scan), the integer LeNet in
-// ≤ 9 (Rescales fold in too), and the fused passes carry the
-// layer-joined labels.
+// TestLeNetFusedPassCounts pins the acceptance bar of the fusion planner
+// and of direct convolution: the float LeNet executes in exactly 6
+// fragment passes from 13 builder stages (ReLUs fuse into their conv and
+// GEMM producers as epilogues, non-overlapping pools absorb the fused
+// conv chain by inlining, and the softmax normalize absorbs the
+// log-sum-exp scan), the int32 and int8 LeNets in 5 (Rescales fold in
+// too), and the fused passes carry the layer-joined labels. A returning
+// gather pass fails it. A cold device links exactly the programs the
+// plan draws: 6 for float32 and 5 for int8.
 func TestLeNetFusedPassCounts(t *testing.T) {
-	dev := openTest(t)
-	defer dev.Close()
-
-	mf := DemoLeNetFloat32(20160316)
-	netF, err := mf.Build(dev, 1, false)
-	if err != nil {
-		t.Fatal(err)
+	t.Setenv(core.EnvCompileCache, "")
+	cases := []struct {
+		name     string
+		m        *Model
+		passes   int
+		programs uint64 // 0: not pinned
+	}{
+		{"float32", DemoLeNetFloat32(20160316), 6, 6},
+		{"int32", DemoLeNetInt32(20160316), 5, 0},
+		{"int8", DemoLeNetInt8(20160316), 5, 5},
 	}
-	defer netF.Close()
-	passesF, err := netF.PlannedPasses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(passesF) > 11 {
-		t.Errorf("float LeNet planned %d passes %v, want <= 11", len(passesF), passesF)
-	}
-	found := false
-	for _, l := range passesF {
-		if l == "conv1+relu1+pool1" {
-			found = true
+	for _, tc := range cases {
+		dev := openTest(t)
+		net, err := tc.m.Build(dev, 1, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Errorf("planned passes %v missing fused label conv1+relu1+pool1", passesF)
-	}
-
-	mi := DemoLeNetInt32(20160316)
-	netI, err := mi.Build(dev, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer netI.Close()
-	passesI, err := netI.PlannedPasses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(passesI) > 9 {
-		t.Errorf("int LeNet planned %d passes %v, want <= 9", len(passesI), passesI)
+		passes, err := net.PlannedPasses()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(passes) != tc.passes || passes[0] != "conv1+relu1+pool1" {
+			t.Errorf("%s LeNet planned passes %v, want %d starting with the fused conv1 chain", tc.name, passes, tc.passes)
+		}
+		if n := dev.GL().Transfers().LinkCount; tc.programs != 0 && n != tc.programs {
+			t.Errorf("cold %s LeNet linked %d programs, want %d (the programs its plan draws)", tc.name, n, tc.programs)
+		}
+		net.Close()
+		dev.Close()
 	}
 
 	// Tapping every layer forces materialization: no cross-layer fusion
 	// in tap mode (only the intra-layer softmax lse scan, which is not a
-	// tapped layer output, still fuses: 15 stages → 14 passes).
-	netT, err := mf.Build(dev, 1, true)
+	// tapped layer output, still fuses: 13 stages → 12 passes).
+	dev := openTest(t)
+	defer dev.Close()
+	netT, err := DemoLeNetFloat32(20160316).Build(dev, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +421,8 @@ func TestLeNetFusedPassCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(passesT) != 14 {
-		t.Errorf("tapped float LeNet planned %d passes, want 14 (every layer output materialized)", len(passesT))
+	if len(passesT) != 12 {
+		t.Errorf("tapped float LeNet planned %d passes, want 12 (every layer output materialized)", len(passesT))
 	}
 }
 

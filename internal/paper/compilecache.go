@@ -23,11 +23,17 @@ import (
 // starts empty, so the hits prove the persistent disk tier, as after a
 // process restart. The bar is ≥ 10x: a program-binary restore costs
 // 200µs against the 10ms compile+link it replaces.
+//
+// ColdPrograms is the most programs one cold device linked to build and
+// run the network once; compile on draw bars it at the distinct
+// programs the network's plan draws (DrawnPrograms).
 type CompileCacheResult struct {
 	ColdCompileUS        float64 `json:"cold_pool_compile_us"`
 	WarmCompileUS        float64 `json:"warm_pool_compile_us"`
 	CompileCacheSpeedupX float64 `json:"compile_cache_speedup_x"`
 	CompileCacheHits     uint64  `json:"compile_cache_hits"`
+	ColdPrograms         int     `json:"cold_programs"`
+	DrawnPrograms        int     `json:"drawn_programs"`
 }
 
 // ccPoolDevices is the pool width the compile-cache race opens: the
@@ -45,8 +51,12 @@ func RunCompileCache() (CompileCacheResult, error) {
 	m := nn.DemoLeNetFloat32(20160316)
 	x := nn.DemoInputFloat32(31, 1)
 
+	// links and drawn hold, for the last pool, the most programs one
+	// device linked and the programs the network's plan draws.
+	var links, drawn int
 	poolCompile := func(cache func() (*core.CompileCache, error)) (time.Duration, error) {
 		var total time.Duration
+		links = 0
 		for i := 0; i < ccPoolDevices; i++ {
 			cc, err := cache()
 			if err != nil {
@@ -61,12 +71,15 @@ func RunCompileCache() (CompileCacheResult, error) {
 				dev.Close()
 				return 0, err
 			}
-			if _, err := net.Run(x); err != nil {
+			run, err := net.Run(x)
+			if err != nil {
 				net.Close()
 				dev.Close()
 				return 0, err
 			}
 			total += dev.Timeline().Compile
+			links = max(links, int(dev.GL().Transfers().LinkCount))
+			drawn = run.Stats.Programs
 			net.Close()
 			dev.Close()
 		}
@@ -79,6 +92,10 @@ func RunCompileCache() (CompileCacheResult, error) {
 	cold, err := poolCompile(func() (*core.CompileCache, error) { return core.NewCompileCache("") })
 	if err != nil {
 		return res, err
+	}
+	res.ColdPrograms, res.DrawnPrograms = links, drawn
+	if links > drawn {
+		return res, fmt.Errorf("paper: compile-cache: a cold device linked %d programs, its plan draws %d", links, drawn)
 	}
 
 	dir, err := os.MkdirTemp("", "glescompute-ccache-")

@@ -35,7 +35,7 @@ func (s ConvShape) OutH() int { return (s.InH-s.KH)/s.Stride + 1 }
 // OutW returns the output width.
 func (s ConvShape) OutW() int { return (s.InW-s.KW)/s.Stride + 1 }
 
-// K returns the im2col inner dimension KH·KW·InC.
+// K returns the receptive-field size KH·KW·InC.
 func (s ConvShape) K() int { return s.KH * s.KW * s.InC }
 
 // Conv2DFloat32 computes a valid 2D convolution over batch images.
