@@ -328,6 +328,23 @@ func TestPublicAPIFaultSurface(t *testing.T) {
 		t.Fatalf("runs = %d, Attempts = %d, want 3 executions (1 + 2 retries)", runs, res.Stats.Attempts)
 	}
 
+	// The last attempt lost the device, and the job completes before its
+	// worker has replaced it. The worker replaces the device before it
+	// takes its next unit, so a follow-up job runs on the recovered slot.
+	j, err = q.Submit(nil, glescompute.JobSpec{
+		Group: &glescompute.GroupSpec{
+			Run: func(_ *glescompute.Device, payloads []interface{}, _ *obs.Span) ([]interface{}, glescompute.RunStats, error) {
+				return make([]interface{}, len(payloads)), glescompute.RunStats{}, nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(nil); err != nil {
+		t.Fatalf("follow-up job: %v", err)
+	}
+
 	st := q.Stats()
 	if st.Retries != 2 {
 		t.Errorf("Retries = %d, want 2", st.Retries)

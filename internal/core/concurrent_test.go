@@ -339,10 +339,10 @@ func TestConcurrentTiledDevices(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			cfg := Config{}
+			// At 4 workers a draw shrinks its tiles until it has at
+			// least 16 (or 1px tiles), even on the small textures these
+			// kernels render to.
 			cfg.RasterWorkers = 4
-			// Tiny tiles force many tiles per draw even on the small
-			// textures these kernels render to.
-			cfg.TileSize = 4
 			dev, err := Open(cfg)
 			if err != nil {
 				errs <- err

@@ -59,18 +59,16 @@ type Config struct {
 	// FloorConversion selects the paper's eq. (2) floor rule for
 	// framebuffer conversion instead of the GL round-to-nearest rule.
 	FloorConversion bool
-	// RasterWorkers bounds the tile-rasterizer goroutine pool per draw:
-	// 0 means GOMAXPROCS and 1 forces the sequential rasterizer. Output is
+	// RasterWorkers is the number of goroutines that shade each draw.
+	// 0 means automatic: the drawing goroutine plus whatever helpers are
+	// free in one process-wide budget of GOMAXPROCS−1, shared by every
+	// device in the process. N ≥ 1 means exactly N (capped by the draw's
+	// tile count), and 1 forces the sequential rasterizer. Output is
 	// bit-identical at every worker count (tiles are disjoint framebuffer
 	// regions; see DESIGN.md §6h). Negative values are rejected at Open.
 	RasterWorkers int
 	// StrictAppendixA enforces GLSL ES Appendix A loop restrictions.
 	StrictAppendixA bool
-	// TileSize overrides the edge length (pixels) of the framebuffer
-	// tiles the parallel rasterizer shards draws into; 0 means the
-	// built-in default. Output is bit-identical at any size — exposed so
-	// tests can force many ragged tiles onto small render targets.
-	TileSize int
 
 	// CompileCache shares compiled program binaries across devices (and,
 	// with a disk-backed cache, across processes): builds hitting the
@@ -187,7 +185,6 @@ func open(cfg Config, interp bool) (*Device, error) {
 		SFU:             sfu,
 		Conv:            conv,
 		Workers:         cfg.RasterWorkers,
-		TileSize:        cfg.TileSize,
 		StrictAppendixA: cfg.StrictAppendixA,
 		UseInterpreter:  interp,
 	})

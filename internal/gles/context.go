@@ -2,7 +2,6 @@ package gles
 
 import (
 	"fmt"
-	"runtime"
 
 	"glescompute/internal/shader"
 )
@@ -27,12 +26,14 @@ type Config struct {
 	SFU shader.SFUConfig
 	// Conv selects the float→byte framebuffer conversion rule.
 	Conv ConvMode
-	// Workers bounds fragment-stage parallelism; 0 means GOMAXPROCS.
+	// Workers is the number of goroutines that shade each draw. 0 means
+	// automatic: the drawing goroutine plus whatever helpers the
+	// process-wide budget of GOMAXPROCS−1 has free when the draw starts.
 	Workers int
-	// TileSize overrides the edge length (pixels) of the square
-	// framebuffer tiles the fragment stage shards draws into; 0 means the
-	// built-in default. Exposed for tests that want many tiles on small
-	// framebuffers; output is bit-identical at any size.
+	// TileSize caps the edge length (pixels) of the square framebuffer
+	// tiles the fragment stage shards draws into; 0 means the built-in
+	// 64. A draw halves the edge until it has enough tiles to keep its
+	// workers busy. Output is bit-identical at any size.
 	TileSize int
 	// StrictAppendixA makes the shader compiler enforce GLSL ES Appendix A.
 	StrictAppendixA bool
@@ -171,8 +172,17 @@ type Context struct {
 	unpackAlign int
 	packAlign   int
 
-	workers  int
-	tileSize int
+	workers  int // <= 0 = automatic (helpers from the process-wide budget)
+	tileSize int // shard edge cap
+	helpers  *helperBudget
+
+	// maxLoopIter overrides the executors' runaway-loop watchdog (0 =
+	// shader.DefaultMaxLoopIter); tests lower it to fail a shader fast.
+	maxLoopIter int
+
+	// lastShards and lastWorkers record how the last draw's fragment
+	// stage was split: tiles, and goroutines that shaded them.
+	lastShards, lastWorkers int
 
 	// Accumulated instrumentation for the timing models.
 	transfers TransferStats
@@ -224,9 +234,7 @@ func NewContext(cfg Config) *Context {
 		packAlign:     4,
 		workers:       cfg.Workers,
 		tileSize:      cfg.TileSize,
-	}
-	if c.workers <= 0 {
-		c.workers = runtime.GOMAXPROCS(0)
+		helpers:       &rasterHelpers,
 	}
 	if c.tileSize <= 0 {
 		c.tileSize = defaultTileSize

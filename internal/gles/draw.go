@@ -2,6 +2,7 @@ package gles
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -118,9 +119,10 @@ func (c *Context) draw(mode uint32, indices []int) {
 	// ordering on real hardware). The paper's runtime never does it.
 
 	stats := DrawStats{DrawCalls: 1}
+	samplers := c.bindSamplers()
 
 	// ---- Vertex stage ----
-	vex := c.newExecutor(p.vsProg, p.vsCode)
+	vex := c.newExecutor(p.vsProg, p.vsCode, samplers)
 	c.pushUniforms(p, vex, p.vsProg)
 	if err := vex.InitGlobals(); err != nil {
 		c.setErr(INVALID_OPERATION, "draw: vertex shader init failed: %v", err)
@@ -209,107 +211,151 @@ func (c *Context) draw(mode uint32, indices []int) {
 
 	// ---- Fragment stage, parallel over framebuffer tiles ----
 	//
-	// The framebuffer is cut into a grid of square tiles claimed by a
-	// fixed pool of workers through an atomic counter. Output is
-	// bit-identical to the sequential path regardless of worker count or
-	// tile size: a pixel belongs to exactly one tile, each tile scans the
-	// draw's primitives in submission order (so depth/blend sequencing per
-	// pixel matches), and the per-worker stats are commutative sums
-	// (DESIGN.md §6h).
+	// The framebuffer is cut into a grid of square tiles claimed by the
+	// workers through an atomic counter; the drawing goroutine is worker
+	// 0. Output is bit-identical to the sequential path regardless of
+	// worker count or tile size: a pixel belongs to exactly one tile,
+	// each tile scans the draw's primitives in submission order (so
+	// depth/blend sequencing per pixel matches), and the per-worker stats
+	// are commutative sums (DESIGN.md §6h).
 	vp := raster.Viewport{X: c.viewport[0], Y: c.viewport[1], W: c.viewport[2], H: c.viewport[3]}
 	depthData := c.depthTarget(fb)
 
-	ts := c.tileSize
-	tilesX := (fbW + ts - 1) / ts
-	tilesY := (fbH + ts - 1) / ts
-	nTiles := tilesX * tilesY
-
-	workers := c.workers
-	if workers > nTiles {
-		workers = nTiles
+	workers, auto := c.workers, c.workers <= 0
+	if auto {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 {
+	ts, tilesX, nTiles := shardGrid(fbW, fbH, c.tileSize, workers)
+	workers = min(workers, nTiles)
+	if auto && workers > 1 {
+		helpers := c.helpers.take(workers - 1)
+		defer c.helpers.give(helpers)
+		workers = 1 + helpers
+	}
+	if workers == 1 {
 		// Sequential reference path: one executor scanning the whole
-		// framebuffer — the baseline the tiled path is validated against.
-		fex := c.newExecutor(p.fsProg, p.fsCode)
+		// framebuffer, the baseline the tiled path is validated against.
+		nTiles = 1
+	}
+
+	var next atomic.Int64
+	workerStats := make([]DrawStats, workers)
+	workerErrs := make([]error, workers)
+	shade := func(w int) {
+		fex := c.newExecutor(p.fsProg, p.fsCode, samplers)
 		c.pushUniforms(p, fex, p.fsProg)
 		if err := fex.InitGlobals(); err != nil {
-			c.setErr(INVALID_OPERATION, "draw: fragment shader init failed: %v", err)
+			workerErrs[w] = err
 			return
 		}
-		var ws DrawStats
-		var ferr error
+		ws := &workerStats[w]
 		rz := raster.NewRasterizer(vp, p.varyComps)
 		rz.SetDepthRange(c.depthRange[0], c.depthRange[1])
-		c.rasterizeRegion(p, fex, rz, tris, pts, pointSizes, frontCCW, fb,
-			colorData, depthData, fbW, fbH, &ws, &ferr)
-		if ferr != nil {
-			c.setErr(INVALID_OPERATION, "draw: fragment shader failed: %v", ferr)
-			return
-		}
-		ws.FragmentStats.AddStats(fex.StatsRef())
-		stats.Add(&ws)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workerStats := make([]DrawStats, workers)
-		workerErrs := make([]error, workers)
-
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				fex := c.newExecutor(p.fsProg, p.fsCode)
-				c.pushUniforms(p, fex, p.fsProg)
-				if err := fex.InitGlobals(); err != nil {
-					workerErrs[w] = err
-					return
-				}
-				ws := &workerStats[w]
-				rz := raster.NewRasterizer(vp, p.varyComps)
-				rz.SetDepthRange(c.depthRange[0], c.depthRange[1])
-				for {
-					t := int(next.Add(1)) - 1
-					if t >= nTiles {
-						break
-					}
-					x0 := (t % tilesX) * ts
-					y0 := (t / tilesX) * ts
-					rz.SetTile(x0, y0, minInt(x0+ts, fbW), minInt(y0+ts, fbH))
-					c.rasterizeRegion(p, fex, rz, tris, pts, pointSizes,
-						frontCCW, fb, colorData, depthData, fbW, fbH,
-						ws, &workerErrs[w])
-					if workerErrs[w] != nil {
-						return
-					}
-				}
-				ws.FragmentStats.AddStats(fex.StatsRef())
-			}(w)
-		}
-		wg.Wait()
-
-		// Merge in fixed worker-index order. The tile→worker assignment is
-		// nondeterministic, but every counter is a commutative sum, so the
-		// merged totals (and the framebuffer, whose tiles are disjoint) are
-		// not affected by it.
-		for w := 0; w < workers; w++ {
+		for {
+			t := int(next.Add(1)) - 1
+			if t >= nTiles {
+				break
+			}
+			if nTiles > 1 {
+				x0 := (t % tilesX) * ts
+				y0 := (t / tilesX) * ts
+				rz.SetTile(x0, y0, min(x0+ts, fbW), min(y0+ts, fbH))
+			}
+			c.rasterizeRegion(p, fex, rz, tris, pts, pointSizes,
+				frontCCW, fb, colorData, depthData, fbW, fbH,
+				ws, &workerErrs[w])
 			if workerErrs[w] != nil {
-				c.setErr(INVALID_OPERATION, "draw: fragment shader failed: %v", workerErrs[w])
 				return
 			}
-			stats.Add(&workerStats[w])
 		}
+		ws.FragmentStats.AddStats(fex.StatsRef())
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shade(w)
+		}()
+	}
+	shade(0)
+	wg.Wait()
+	c.lastShards, c.lastWorkers = nTiles, workers
+
+	// Merge in fixed worker-index order. The tile→worker assignment is
+	// nondeterministic, but every counter is a commutative sum, so the
+	// merged totals (and the framebuffer, whose tiles are disjoint) are
+	// not affected by it.
+	for w := 0; w < workers; w++ {
+		if workerErrs[w] != nil {
+			c.setErr(INVALID_OPERATION, "draw: fragment shader failed: %v", workerErrs[w])
+			return
+		}
+		stats.Add(&workerStats[w])
 	}
 	stats.FragmentStats.Invocations = stats.FragmentsShaded
 	c.lastDraw = stats
 	c.draws.Add(&stats)
 }
 
-// defaultTileSize is the edge length of the square framebuffer tiles the
-// fragment stage shards draws into. 64 keeps a tile's color/depth
+// defaultTileSize caps the edge length of the square framebuffer tiles
+// the fragment stage shards draws into. 64 keeps a tile's color/depth
 // footprint (~16 KiB + 16 KiB) cache-resident while leaving enough tiles
 // on paper-sized framebuffers to balance the worker pool.
 const defaultTileSize = 64
+
+// tilesPerWorker is how many shards per worker a draw is cut into at
+// least (while the edge allows): enough that a worker finishing early
+// claims another tile instead of idling behind the slowest one.
+const tilesPerWorker = 4
+
+// shardGrid sizes a draw's tiles: the edge starts at the cap and halves
+// until the fbW×fbH framebuffer has tilesPerWorker tiles per worker, or
+// the edge is 1. Paper-sized framebuffers keep the cap; a few-hundred-
+// fragment draw splits finely enough to use every worker. A single
+// worker keeps the cap, since it scans the whole framebuffer anyway.
+func shardGrid(fbW, fbH, edgeCap, workers int) (ts, tilesX, nTiles int) {
+	for ts = edgeCap; ; ts = (ts + 1) / 2 {
+		tilesX = (fbW + ts - 1) / ts
+		nTiles = tilesX * ((fbH + ts - 1) / ts)
+		if workers <= 1 || ts == 1 || nTiles >= tilesPerWorker*workers {
+			return ts, tilesX, nTiles
+		}
+	}
+}
+
+// helperBudget lends the extra shading goroutines of automatic-worker
+// draws (Config.Workers == 0). Every such context draws from one
+// process-wide budget of GOMAXPROCS−1 helpers, so an idle device's core
+// helps a busy one, and busy devices together never run more shading
+// goroutines than there are Ps. Lending never blocks: a draw that finds
+// the budget empty shades alone.
+type helperBudget struct {
+	lent atomic.Int64
+}
+
+// rasterHelpers is the process-wide budget every context shares.
+var rasterHelpers helperBudget
+
+// take lends up to want helpers, as many as are free against the current
+// GOMAXPROCS, and reports how many it lent.
+func (b *helperBudget) take(want int) int {
+	for {
+		lent := b.lent.Load()
+		n := min(int64(want), int64(runtime.GOMAXPROCS(0)-1)-lent)
+		if n <= 0 {
+			return 0
+		}
+		if b.lent.CompareAndSwap(lent, lent+n) {
+			return int(n)
+		}
+	}
+}
+
+// give returns n helpers to the budget.
+func (b *helperBudget) give(n int) {
+	b.lent.Add(-int64(n))
+}
 
 // rasterizeRegion scans every primitive of the draw against the
 // rasterizer's current tile (or the whole framebuffer when unrestricted)

@@ -559,13 +559,18 @@ func (c *Context) ProgramBinary(id uint32, blob []byte) {
 	p.linked = true
 }
 
-// newExecutor builds a shader executor for one stage of a linked program:
-// the bytecode VM by default, the AST interpreter when configured.
-func (c *Context) newExecutor(prog *glsl.Program, code *shader.Compiled) shader.Executor {
+// newExecutor builds a shader executor for one stage of a linked program,
+// fetching texels through the draw's resolved samplers: the bytecode VM
+// by default, the AST interpreter when configured.
+func (c *Context) newExecutor(prog *glsl.Program, code *shader.Compiled, tex *samplerTable) shader.Executor {
 	if c.cfg.UseInterpreter {
-		return shader.NewExec(prog, c, c.cfg.SFU)
+		ex := shader.NewExec(prog, tex, c.cfg.SFU)
+		ex.MaxLoopIter = c.maxLoopIter
+		return ex
 	}
-	return shader.NewVM(code, c, c.cfg.SFU)
+	vm := shader.NewVM(code, tex, c.cfg.SFU)
+	vm.MaxLoopIter = c.maxLoopIter
+	return vm
 }
 
 // addUniformLeaves recursively enumerates location-addressable leaves.

@@ -1,0 +1,290 @@
+package gles
+
+// How a draw's fragment stage is split and what its workers share: shard
+// sizing (shardGrid), the process-wide helper budget of automatic-worker
+// contexts, and the per-draw sampler table (DESIGN.md §6h).
+
+import (
+	"bytes"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"glescompute/internal/shader"
+)
+
+// loopFS does a fixed, position-dependent amount of ALU work per
+// fragment, so concurrent draws overlap long enough to contend.
+const loopFS = `
+precision highp float;
+void main() {
+	vec2 p = gl_FragCoord.xy / 32.0;
+	float s = 0.0;
+	for (int i = 0; i < 64; i++) {
+		s = fract(s * 1.7 + p.x * 0.31 + p.y * 0.17);
+	}
+	gl_FragColor = vec4(s, p, 1.0);
+}
+`
+
+// runawayFS shades most of the framebuffer, then loops forever on its
+// top row: the draw fails mid-shard with the runaway-loop RuntimeError.
+const runawayFS = `
+precision highp float;
+void main() {
+	float s = 0.0;
+	if (gl_FragCoord.y > 30.0) {
+		for (int i = 0; i >= 0; i++) { s += 1.0; }
+	}
+	gl_FragColor = vec4(s);
+}
+`
+
+func TestShardGrid(t *testing.T) {
+	for _, tc := range []struct {
+		w, h, edgeCap, workers int
+		ts, tiles              int
+	}{
+		{8, 8, 64, 1, 64, 1},         // one worker keeps the cap
+		{8, 8, 64, 2, 2, 16},         // LeNet conv2's 64 fragments
+		{32, 32, 64, 2, 8, 16},       // sgemm n=32
+		{1024, 1024, 64, 8, 64, 256}, // paper-sized: the cap holds
+		{2, 2, 64, 8, 1, 4},          // stops at 1px tiles
+		{44, 30, 1024, 4, 8, 24},     // halving from a wide cap
+		{44, 30, 3, 4, 3, 150},       // a small cap is never raised
+		{16, 16, 64, 4, 4, 16},
+		{300, 1, 64, 2, 32, 10}, // one row
+		{1, 1, defaultTileSize, 4, 1, 1},
+	} {
+		ts, tilesX, tiles := shardGrid(tc.w, tc.h, tc.edgeCap, tc.workers)
+		if ts != tc.ts || tiles != tc.tiles || tilesX != (tc.w+ts-1)/ts {
+			t.Errorf("shardGrid(%d×%d, cap %d, %d workers) = edge %d, %d across, %d tiles; want edge %d, %d tiles",
+				tc.w, tc.h, tc.edgeCap, tc.workers, ts, tilesX, tiles, tc.ts, tc.tiles)
+		}
+	}
+}
+
+// drawLoop renders loopFS over a w×h context and returns its pixels.
+func drawLoop(t *testing.T, w, h int, cfg Config) (*Context, []byte) {
+	t.Helper()
+	cfg.Width, cfg.Height, cfg.SFU = w, h, shader.ExactSFU
+	c := NewContext(cfg)
+	prog := buildProgram(t, c, passVS, loopFS)
+	c.UseProgram(prog)
+	fullscreenQuad(t, c, prog)
+	c.DrawArrays(TRIANGLES, 0, 6)
+	if e := c.GetError(); e != NO_ERROR {
+		t.Fatalf("draw error 0x%04x: %s", e, c.LastErrorDetail())
+	}
+	return c, readAll(t, c, w, h)
+}
+
+// TestSmallDrawShardsAcrossWorkers pins that a served-network-sized draw
+// is really tiled: an 8×8 (64-fragment) draw at 2 workers runs as at
+// least 8 shards on 2 goroutines, and still matches the sequential path.
+func TestSmallDrawShardsAcrossWorkers(t *testing.T) {
+	seq, want := drawLoop(t, 8, 8, Config{Workers: 1})
+	if seq.lastShards != 1 || seq.lastWorkers != 1 {
+		t.Errorf("1 worker: %d shards on %d goroutines, want the sequential 1 on 1",
+			seq.lastShards, seq.lastWorkers)
+	}
+	c, got := drawLoop(t, 8, 8, Config{Workers: 2})
+	if c.lastShards < 8 || c.lastWorkers != 2 {
+		t.Errorf("2 workers: %d shards on %d goroutines, want >= 8 on 2", c.lastShards, c.lastWorkers)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("2 workers: framebuffer diverges from sequential")
+	}
+	if c.Draws() != seq.Draws() {
+		t.Errorf("2 workers: draw stats diverge:\nseq: %+v\npar: %+v", seq.Draws(), c.Draws())
+	}
+}
+
+// TestHelperBudget draws from several automatic-worker contexts at once
+// (run it under -race): together they never hold more than GOMAXPROCS−1
+// helpers, the budget is full again after every draw, and a draw whose
+// shader fails mid-shard gives its helpers back and still reports the GL
+// error.
+func TestHelperBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const limit = 3 // GOMAXPROCS−1
+	const W, H = 32, 32
+	// A private budget, so no other test's draws count against it.
+	var budget helperBudget
+
+	_, want := drawLoop(t, W, H, Config{Workers: 1})
+	open := func(fails bool) *Context {
+		fs := loopFS
+		if fails {
+			fs = runawayFS
+		}
+		c := NewContext(Config{Width: W, Height: H, SFU: shader.ExactSFU})
+		c.helpers = &budget
+		c.maxLoopIter = 1000
+		prog := buildProgram(t, c, passVS, fs)
+		c.UseProgram(prog)
+		fullscreenQuad(t, c, prog)
+		return c
+	}
+	// draw issues one draw and checks its outcome; it reports through
+	// t.Errorf so worker goroutines may call it.
+	draw := func(c *Context, fails bool) {
+		c.DrawArrays(TRIANGLES, 0, 6)
+		e, msg := c.GetError(), c.LastErrorDetail()
+		if fails {
+			if e != INVALID_OPERATION || !strings.Contains(msg, "runaway") {
+				t.Errorf("failing draw: error 0x%04x %q, want INVALID_OPERATION for the runaway loop", e, msg)
+			}
+			return
+		}
+		if e != NO_ERROR {
+			t.Errorf("draw error 0x%04x: %s", e, msg)
+			return
+		}
+		got := make([]byte, W*H*4)
+		c.ReadPixels(0, 0, W, H, RGBA, UNSIGNED_BYTE, got)
+		if !bytes.Equal(got, want) {
+			t.Error("framebuffer diverges from sequential")
+		}
+	}
+
+	// Alone, a draw takes every free helper and gives them all back.
+	for _, fails := range []bool{false, true} {
+		c := open(fails)
+		draw(c, fails)
+		if c.lastWorkers != limit+1 {
+			t.Errorf("solo draw (fails=%v) shaded on %d goroutines, want %d", fails, c.lastWorkers, limit+1)
+		}
+		if n := budget.lent.Load(); n != 0 {
+			t.Errorf("solo draw (fails=%v) left %d helpers lent", fails, n)
+		}
+	}
+
+	// Together, four contexts (one of them failing every draw) contend
+	// for the same three helpers.
+	var stop atomic.Bool
+	var peak int64
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for !stop.Load() {
+			peak = max(peak, budget.lent.Load())
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		fails := g == 3
+		c := open(fails)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				draw(c, fails)
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	<-polled
+	if peak > limit {
+		t.Errorf("contexts held %d helpers at once, budget is %d", peak, limit)
+	}
+	if peak == 0 {
+		t.Error("no concurrent draw ever held a helper")
+	}
+	if n := budget.lent.Load(); n != 0 {
+		t.Errorf("%d helpers still lent after every draw returned", n)
+	}
+}
+
+// TestSamplerTableMatchesContext pins the table a draw resolves once to
+// Context.Sample2D, the per-fetch path direct callers keep, on every
+// resolution outcome: unbound, incomplete, NPOT+REPEAT, minified and
+// magnified.
+func TestSamplerTableMatchesContext(t *testing.T) {
+	c := NewContext(Config{Width: 4, Height: 4, SFU: shader.ExactSFU}) // 4×4 viewport
+	image := func(w, h int) {
+		px := make([]byte, w*h*4)
+		for i := range px {
+			px[i] = byte(i*29 + 7)
+		}
+		c.TexImage2D(TEXTURE_2D, 0, RGBA, w, h, 0, RGBA, UNSIGNED_BYTE, px)
+	}
+	filters := func(min, mag uint32) {
+		c.TexParameteri(TEXTURE_2D, TEXTURE_MIN_FILTER, min)
+		c.TexParameteri(TEXTURE_2D, TEXTURE_MAG_FILTER, mag)
+	}
+	cases := []struct {
+		name     string
+		setup    func() // nil leaves the unit unbound
+		live     bool
+		minified bool
+	}{
+		{"unbound", nil, false, false},
+		{"missing level", func() {}, false, false},
+		// The default NEAREST_MIPMAP_LINEAR filter needs a chain.
+		{"incomplete mip chain", func() { image(4, 4) }, false, false},
+		{"NPOT with REPEAT", func() { image(3, 3); filters(LINEAR, LINEAR) }, false, false},
+		{"minified", func() { image(8, 8); filters(LINEAR, NEAREST) }, true, true},
+		{"magnified", func() { image(2, 2); filters(LINEAR, NEAREST) }, true, false},
+	}
+	for unit, tc := range cases {
+		if tc.setup != nil {
+			c.ActiveTexture(TEXTURE0 + uint32(unit))
+			c.BindTexture(TEXTURE_2D, c.GenTextures(1)[0])
+			tc.setup()
+		}
+	}
+	if e := c.GetError(); e != NO_ERROR {
+		t.Fatalf("setup error 0x%04x: %s", e, c.LastErrorDetail())
+	}
+
+	st := c.bindSamplers()
+	black := [4]float32{0, 0, 0, 1}
+	coords := [][2]float32{{0, 0}, {0.3, 0.7}, {0.5, 0.5}, {0.99, 0.01}, {-0.2, 1.4}}
+	for unit, tc := range cases {
+		b := st.tex2D[unit]
+		if (b.tex != nil) != tc.live || b.minified != tc.minified {
+			t.Errorf("%s: resolved live=%v minified=%v, want %v %v", tc.name, b.tex != nil, b.minified, tc.live, tc.minified)
+			continue
+		}
+		for _, p := range coords {
+			got, want := st.Sample2D(unit, p[0], p[1]), c.Sample2D(unit, p[0], p[1])
+			if got != want {
+				t.Errorf("%s at %v: table %v, Context.Sample2D %v", tc.name, p, got, want)
+			}
+			if !tc.live && got != black {
+				t.Errorf("%s at %v: %v, want opaque black", tc.name, p, got)
+			}
+			if tc.live {
+				lv := &b.tex.levels[0]
+				filtered := lv.sampleNearest(p[0], p[1], REPEAT, REPEAT)
+				if tc.minified {
+					filtered = lv.sampleLinear(p[0], p[1], REPEAT, REPEAT)
+				}
+				if got != filtered {
+					t.Errorf("%s at %v: %v, want %v from the %s filter", tc.name, p, got, filtered,
+						filterName(tc.minified))
+				}
+			}
+			if got, want := st.SampleCube(unit, p[0], p[1], 1), c.SampleCube(unit, p[0], p[1], 1); got != want || got != black {
+				t.Errorf("%s cube at %v: table %v, Context.SampleCube %v, want opaque black", tc.name, p, got, want)
+			}
+		}
+	}
+	for _, unit := range []int{-1, len(c.texUnits)} {
+		if got := st.Sample2D(unit, 0.5, 0.5); got != black || c.Sample2D(unit, 0.5, 0.5) != black {
+			t.Errorf("out-of-range unit %d: table %v, want opaque black from both", unit, got)
+		}
+	}
+}
+
+func filterName(minified bool) string {
+	if minified {
+		return "min (LINEAR)"
+	}
+	return "mag (NEAREST)"
+}

@@ -435,17 +435,11 @@ func (t *Texture) complete() bool {
 	return true
 }
 
-// Sample2D implements shader.TextureSampler for the draw pipeline; unit is
-// resolved through the context's texture units.
+// Sample2D implements shader.TextureSampler for direct callers; unit is
+// resolved through the context's texture units. Draws resolve every unit
+// once instead (bindSamplers).
 func (c *Context) Sample2D(unit int, s, t float32) [4]float32 {
-	if unit < 0 || unit >= len(c.texUnits) {
-		return [4]float32{0, 0, 0, 1}
-	}
-	tex := c.textures[c.texUnits[unit].tex2D]
-	if tex == nil || !tex.complete() {
-		return [4]float32{0, 0, 0, 1}
-	}
-	return tex.sample(s, t, c.minified(tex))
+	return c.bindUnit(unit, false).sample2D(s, t)
 }
 
 // minified estimates the sampling footprint (the GL scale factor ρ) for
@@ -463,18 +457,87 @@ func (c *Context) minified(tex *Texture) bool {
 	return lv.width > vw || lv.height > vh
 }
 
-// SampleCube implements shader.TextureSampler. Cube sampling selects the
-// major-axis face but this implementation stores a single face; GPGPU code
-// never uses cube maps, so faces alias face 0 (documented limitation).
+// SampleCube implements shader.TextureSampler for direct callers.
 func (c *Context) SampleCube(unit int, s, t, r float32) [4]float32 {
+	return c.bindUnit(unit, true).sampleCube(s, t, r)
+}
+
+// boundTex is one texture unit resolved for sampling: the complete
+// texture its sampler reads and the filter footprint, or a nil tex when
+// the unit samples as opaque black (unbound or incomplete).
+type boundTex struct {
+	tex      *Texture
+	minified bool
+}
+
+// bindUnit resolves the 2D (or cube) binding of a texture unit under the
+// current texture and viewport state.
+func (c *Context) bindUnit(unit int, cube bool) boundTex {
 	if unit < 0 || unit >= len(c.texUnits) {
-		return [4]float32{0, 0, 0, 1}
+		return boundTex{}
 	}
-	tex := c.textures[c.texUnits[unit].texCube]
+	id := c.texUnits[unit].tex2D
+	if cube {
+		id = c.texUnits[unit].texCube
+	}
+	tex := c.textures[id]
 	if tex == nil || !tex.complete() {
+		return boundTex{}
+	}
+	return boundTex{tex: tex, minified: c.minified(tex)}
+}
+
+// samplerTable is a draw's texture units, resolved once before shading:
+// texture bindings, completeness and viewport cannot change during a
+// draw, so every fetch skips the map lookup and the completeness check.
+// It is read-only while workers shade, so they share it.
+type samplerTable struct {
+	tex2D, cube []boundTex
+}
+
+// bindSamplers resolves every texture unit for one draw.
+func (c *Context) bindSamplers() *samplerTable {
+	st := &samplerTable{
+		tex2D: make([]boundTex, len(c.texUnits)),
+		cube:  make([]boundTex, len(c.texUnits)),
+	}
+	for u := range c.texUnits {
+		st.tex2D[u] = c.bindUnit(u, false)
+		st.cube[u] = c.bindUnit(u, true)
+	}
+	return st
+}
+
+// Sample2D implements shader.TextureSampler.
+func (st *samplerTable) Sample2D(unit int, s, t float32) [4]float32 {
+	if unit < 0 || unit >= len(st.tex2D) {
 		return [4]float32{0, 0, 0, 1}
 	}
-	minified := c.minified(tex)
+	return st.tex2D[unit].sample2D(s, t)
+}
+
+// SampleCube implements shader.TextureSampler.
+func (st *samplerTable) SampleCube(unit int, s, t, r float32) [4]float32 {
+	if unit < 0 || unit >= len(st.cube) {
+		return [4]float32{0, 0, 0, 1}
+	}
+	return st.cube[unit].sampleCube(s, t, r)
+}
+
+func (b boundTex) sample2D(s, t float32) [4]float32 {
+	if b.tex == nil {
+		return [4]float32{0, 0, 0, 1}
+	}
+	return b.tex.sample(s, t, b.minified)
+}
+
+// sampleCube selects the major-axis face, but this implementation stores
+// a single face; GPGPU code never uses cube maps, so faces alias face 0
+// (documented limitation).
+func (b boundTex) sampleCube(s, t, r float32) [4]float32 {
+	if b.tex == nil {
+		return [4]float32{0, 0, 0, 1}
+	}
 	// Major-axis projection to 2D coordinates.
 	as, at, ar := abs32(s), abs32(t), abs32(r)
 	var u, v float32
@@ -486,7 +549,7 @@ func (c *Context) SampleCube(unit int, s, t, r float32) [4]float32 {
 	default:
 		u, v = (s/at+1)/2, (r/at+1)/2
 	}
-	return tex.sample(u, v, minified)
+	return b.tex.sample(u, v, b.minified)
 }
 
 // sample performs filtered sampling at normalized coordinates. The filter

@@ -10,7 +10,10 @@ import (
 // heaviest real workload in the repo, whose mega-kernels are exactly what
 // the specialized VM dispatch and tiled rasterizer exist for — once per
 // rasterizer worker count, and requires every layer tap and the final
-// output bit-identical to the sequential (workers=1) build. The model's
+// output bit-identical to the sequential (workers=1) build. Every pass
+// shades 3 to 288 fragments; a draw shrinks its tiles until it has 4 per
+// worker (gles TestSmallDrawShardsAcrossWorkers pins that), so at 2, 4
+// and 8 workers each pass really is split across goroutines. The model's
 // fragment passes cover conv/pool/dense/rescale codecs, fusion epilogues
 // and the vec4 int8 packing, so a tile-boundary bug anywhere in that
 // pipeline fails here even if the synthetic corpus scenes miss it.

@@ -51,7 +51,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,10 +69,10 @@ var ErrQueueClosed = fmt.Errorf("sched: queue is closed: %w", core.ErrClosed)
 type Config struct {
 	// Devices is the size of the device pool; 0 means 1.
 	Devices int
-	// Device configures every pooled device. When Device.RasterWorkers is
-	// 0 and Devices > 1, each device's fragment-stage parallelism is
-	// capped to GOMAXPROCS/Devices so the pool does not oversubscribe the
-	// host.
+	// Device configures every pooled device. With Device.RasterWorkers
+	// 0, the pool's devices shade from one process-wide budget of
+	// GOMAXPROCS−1 helper goroutines: an idle device's core helps a busy
+	// one, and busy devices share the cores without oversubscribing them.
 	Device core.Config
 	// MaxPending bounds the submission queue; Submit blocks when it is
 	// full (backpressure). 0 means 1024.
@@ -188,9 +187,6 @@ func OpenQueue(cfg Config) (*Queue, error) {
 		if cc, err := core.NewCompileCache(""); err == nil {
 			dcfg.CompileCache = cc
 		}
-	}
-	if dcfg.RasterWorkers == 0 && cfg.Devices > 1 {
-		dcfg.RasterWorkers = max(runtime.GOMAXPROCS(0)/cfg.Devices, 1)
 	}
 	maxReopens := cfg.MaxReopens
 	if maxReopens == 0 {
