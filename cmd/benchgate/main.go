@@ -60,6 +60,7 @@ var gatedKeys = map[string]bool{
 	"occupancy_jobs_per_launch": true,
 	"fusion_speedup_x":          true,
 	"n1_vec4_speedup_x":         true,
+	"n1_mobilenet_speedup_x":    true,
 	"compile_cache_speedup_x":   true,
 }
 

@@ -324,7 +324,7 @@ func main() {
 			})
 			return nil
 		}},
-		{"nn", "N1 neural-network inference: per-layer table, int32 bit-identity, fusion on/off, int8 lane width", func(emit emitFunc) error {
+		{"nn", "N1 neural-network inference: per-layer table, int32 bit-identity, fusion on/off, int8 lane width, MobileNet-style speedup", func(emit emitFunc) error {
 			res, err := paper.RunNN()
 			if err != nil {
 				return err
@@ -348,6 +348,8 @@ func main() {
 				fmt.Printf("  fused passes: %s\n", strings.Join(res.FusedStages, ", "))
 				fmt.Printf("  int8 vec4 packing (%d layers, batch %d, warm): scalar %.0fµs vs vec4 %.0fµs, %.2fx; both lowerings bit-identical to refcpu: %v\n",
 					res.Int8Layers, 4, res.Int8ScalarUS, res.Int8Vec4US, res.Vec4SpeedupX, res.Vec4Validated)
+				fmt.Printf("  MobileNet-style int8 (batch 1, warm, end-to-end): vec4 %.0fµs vs ARM1176 %.0fµs, %.2fx; bit-identical to refcpu: %v\n",
+					res.MobileNetVec4US, res.MobileNetCPUUS, res.MobileNetSpeedupX, res.MobileNetValidated)
 			})
 			return nil
 		}},

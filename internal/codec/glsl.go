@@ -95,13 +95,15 @@ func GLSLEncoderSpecials(name string, style EncodeStyle) string {
 // reconstructs a value of type t from a sampled RGBA texel (paper §IV:
 // M, M2, eq. 6 and the float reconstruction). For Int8x4 it is
 // `vec4 <name>(vec4 t)`, decoding all four lanes at once: excess-128
-// makes it a byte reconstruction plus one vec4 subtract (compare the
-// per-lane sign select of the scalar §IV-B decoder — the codec
-// amortization the A1 experiment motivates).
+// makes it one scaled, biased floor per lane (compare the per-lane sign
+// select of the scalar §IV-B decoder — the codec amortization the A1
+// experiment motivates). floor(b - 127.5) = b - 128 for every byte b, and
+// the half-unit margin absorbs the fp32 rounding of t·255 exactly as the
+// +0.5 of the robust byte reconstruction does, with one vec4 add fewer.
 func GLSLDecoder(t ElemType, name string) string {
 	if t == Int8x4 {
 		return fmt.Sprintf("vec4 %s(vec4 t) {\n"+
-			"\treturn floor(t * 255.0 + vec4(0.5)) - vec4(128.0);\n"+
+			"\treturn floor(t * 255.0 - vec4(127.5));\n"+
 			"}\n", name)
 	}
 	var b strings.Builder

@@ -46,6 +46,18 @@ func generateFragmentShader(spec KernelSpec, out OutputSpec) string {
 			fmt.Fprintf(&b, "\tvec2 st = vec2((col + 0.5) / gc_%s_dims.x, (row + 0.5) / gc_%s_dims.y);\n", in.Name, in.Name)
 			fmt.Fprintf(&b, "\treturn %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Type), in.Name)
 			b.WriteString("}\n")
+			// Walk helpers (DESIGN.md §6c): a kernel reading a contiguous
+			// run of texels derives the first texel's centre once with
+			// gc_<in>_st and then steps that coordinate itself, one 1/W per
+			// texel and a row wrap, fetching through gc_<in>4_st.
+			fmt.Fprintf(&b, "vec2 gc_%s_st(float tidx) {\n", in.Name)
+			fmt.Fprintf(&b, "\tfloat row = floor((tidx + 0.5) / gc_%s_dims.x);\n", in.Name)
+			fmt.Fprintf(&b, "\tfloat col = tidx - row * gc_%s_dims.x;\n", in.Name)
+			fmt.Fprintf(&b, "\treturn vec2((col + 0.5) / gc_%s_dims.x, (row + 0.5) / gc_%s_dims.y);\n", in.Name, in.Name)
+			b.WriteString("}\n")
+			fmt.Fprintf(&b, "vec4 gc_%s4_st(vec2 st) {\n", in.Name)
+			fmt.Fprintf(&b, "\treturn %s(texture2D(gc_%s_tex, st));\n", decoderName(in.Type), in.Name)
+			b.WriteString("}\n")
 			// Scalar view: logical index -> (texel, lane), lane selected
 			// with a comparison chain (GLSL ES 1.00 has no dynamic vector
 			// indexing).

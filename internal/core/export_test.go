@@ -1,0 +1,21 @@
+package core
+
+// Test-only views of package internals for the external core_test files.
+
+// RenameIdent and MentionsIdent are the fusion planner's identifier
+// rename and search.
+var (
+	RenameIdent   = renameIdent
+	MentionsIdent = mentionsIdent
+)
+
+// CachedSources returns the source of every kernel in d's compile-once
+// cache: each declared stage kernel and each fused kernel the planner
+// composed.
+func CachedSources(d *Device) []string {
+	var out []string
+	for _, k := range d.kernelCache {
+		out = append(out, k.spec.Source)
+	}
+	return out
+}

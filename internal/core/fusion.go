@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // fusion.go is the pipeline's automatic kernel-fusion planner (DESIGN.md
@@ -39,7 +37,8 @@ import (
 //  3. The slot A produces is read by exactly one stage (B) and is not
 //     marked as a pipeline Output — both would force materialization.
 //  4. B does not touch the fused slot's texture machinery
-//     (gc_<in>_at / gc_<in>_dims), and A — which stops being the final
+//     (gc_<in>_at, gc_<in>_dims and the walk helpers gc_<in>_st and
+//     gc_<in>4_st), and A — which stops being the final
 //     member — does not read raster state (v_uv, gl_FragCoord,
 //     gc_out_dims) whose value depends on which pass it executes in.
 //  5. Any member reading gc_out_n must have the chain's final output
@@ -75,34 +74,71 @@ type execStage struct {
 	uniBinds []uniBind // nil for singleton stages
 }
 
-// identRe caches word-boundary matchers for identifier renaming. GLSL
-// identifiers are \w+, so \b<name>\b matches exactly the standalone
-// occurrences (gc_x does not match inside gc_x_at: '_' is a word
-// character, so there is no boundary after the x).
-var (
-	identReMu sync.Mutex
-	identRe   = map[string]*regexp.Regexp{}
-)
-
-func identPattern(name string) *regexp.Regexp {
-	identReMu.Lock()
-	defer identReMu.Unlock()
-	if re, ok := identRe[name]; ok {
-		return re
+// indexIdent returns the byte offset of the first standalone occurrence
+// of identifier name in src at or after from, or -1. GLSL identifiers are
+// [A-Za-z0-9_]+, so an occurrence stands alone when neither neighbour is
+// an identifier byte: gc_x does not match inside gc_x_at, gc_x4 or
+// my_gc_x. One strings.Index scan per candidate, no pattern compiled.
+func indexIdent(src, name string, from int) int {
+	for from <= len(src) {
+		i := strings.Index(src[from:], name)
+		if i < 0 {
+			return -1
+		}
+		i += from
+		end := i + len(name)
+		if (i == 0 || !identByte(src[i-1])) && (end == len(src) || !identByte(src[end])) {
+			return i
+		}
+		from = i + 1
 	}
-	re := regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`)
-	identRe[name] = re
-	return re
+	return -1
+}
+
+func identByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // renameIdent replaces standalone occurrences of identifier from with to.
 func renameIdent(src, from, to string) string {
-	return identPattern(from).ReplaceAllString(src, to)
+	i := indexIdent(src, from, 0)
+	if i < 0 {
+		return src
+	}
+	var b strings.Builder
+	last := 0
+	for ; i >= 0; i = indexIdent(src, from, last) {
+		b.WriteString(src[last:i])
+		b.WriteString(to)
+		last = i + len(from)
+	}
+	b.WriteString(src[last:])
+	return b.String()
 }
 
 // mentionsIdent reports whether src uses the identifier.
 func mentionsIdent(src, name string) bool {
-	return identPattern(name).MatchString(src)
+	return indexIdent(src, name, 0) >= 0
+}
+
+// textureMachinery names the accessors of input in that address its
+// texture directly instead of through the linear gc_<in>(idx) /
+// gc_<in>4(tidx) fetch: the 2D fetch, the grid dimensions and the walk
+// helpers. A fused slot has no texture, so a consumer using any of them
+// on its chain input cannot fuse (rule 4).
+func textureMachinery(in string) []string {
+	return []string{"gc_" + in + "_at", "gc_" + in + "_dims", "gc_" + in + "_st", "gc_" + in + "4_st"}
+}
+
+// readsTextureMachinery reports whether src uses any of input in's
+// texture machinery.
+func readsTextureMachinery(src, in string) bool {
+	for _, name := range textureMachinery(in) {
+		if mentionsIdent(src, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // readsRasterState reports whether a kernel source depends on values that
@@ -174,7 +210,7 @@ func composeFusedSpec(members []fuseMember) (KernelSpec, []uniBind, []Ref, error
 		body = renameIdent(body, fn, fmt.Sprintf("gc_fk%d", j))
 		for i, in := range m.spec.Inputs {
 			if i == m.chainInput {
-				if mentionsIdent(body, "gc_"+in.Name+"_at") || mentionsIdent(body, "gc_"+in.Name+"_dims") {
+				if readsTextureMachinery(body, in.Name) {
 					return spec, nil, nil, fmt.Errorf("core: fuse: member %q reads texture machinery of fused input %q", m.label, in.Name)
 				}
 				if lanes == 4 {
@@ -201,8 +237,10 @@ func composeFusedSpec(members []fuseMember) (KernelSpec, []uniBind, []Ref, error
 				spec.Inputs = append(spec.Inputs, Param{Name: pname, Type: in.Type})
 				extSlots = append(extSlots, slot)
 			}
-			body = renameIdent(body, "gc_"+in.Name+"_at", "gc_"+pname+"_at")
-			body = renameIdent(body, "gc_"+in.Name+"_dims", "gc_"+pname+"_dims")
+			to := textureMachinery(pname)
+			for k, name := range textureMachinery(in.Name) {
+				body = renameIdent(body, name, to[k])
+			}
 			body = renameIdent(body, "gc_"+in.Name+"4", "gc_"+pname+"4")
 			body = renameIdent(body, "gc_"+in.Name, "gc_"+pname)
 		}
@@ -368,7 +406,7 @@ func (p *Pipeline) compile() error {
 				}
 				inName := st.kernel.spec.Inputs[i].Name
 				csrc := st.kernel.spec.Source
-				if mentionsIdent(csrc, "gc_"+inName+"_at") || mentionsIdent(csrc, "gc_"+inName+"_dims") {
+				if readsTextureMachinery(csrc, inName) {
 					continue
 				}
 				g.members = append(g.members, si)

@@ -181,8 +181,9 @@ type Context struct {
 	maxLoopIter int
 
 	// lastShards and lastWorkers record how the last draw's fragment
-	// stage was split: tiles, and goroutines that shaded them.
-	lastShards, lastWorkers int
+	// stage was split: tiles, and goroutines that shaded them; lastFailed
+	// counts its fragments whose shader failed.
+	lastShards, lastWorkers, lastFailed int
 
 	// Accumulated instrumentation for the timing models.
 	transfers TransferStats
@@ -573,7 +574,8 @@ func (c *Context) Transfers() TransferStats { return c.transfers }
 // Draws returns accumulated draw statistics.
 func (c *Context) Draws() DrawStats { return c.draws }
 
-// LastDraw returns statistics for the most recent draw call.
+// LastDraw returns statistics for the most recent draw call; for a draw
+// whose shader failed, what it shaded before it stopped.
 func (c *Context) LastDraw() DrawStats { return c.lastDraw }
 
 // ResetStats clears accumulated statistics (transfers and draws).

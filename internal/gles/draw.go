@@ -238,7 +238,14 @@ func (c *Context) draw(mode uint32, indices []int) {
 		nTiles = 1
 	}
 
-	var next atomic.Int64
+	// failed stops every worker once any shader fails: each checks it
+	// before claiming a tile and before each fragment, so a failing draw
+	// costs at most the fragment each worker is already running, not the
+	// rest of the framebuffer.
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+	)
 	workerStats := make([]DrawStats, workers)
 	workerErrs := make([]error, workers)
 	shade := func(w int) {
@@ -246,12 +253,13 @@ func (c *Context) draw(mode uint32, indices []int) {
 		c.pushUniforms(p, fex, p.fsProg)
 		if err := fex.InitGlobals(); err != nil {
 			workerErrs[w] = err
+			failed.Store(true)
 			return
 		}
 		ws := &workerStats[w]
 		rz := raster.NewRasterizer(vp, p.varyComps)
 		rz.SetDepthRange(c.depthRange[0], c.depthRange[1])
-		for {
+		for !failed.Load() {
 			t := int(next.Add(1)) - 1
 			if t >= nTiles {
 				break
@@ -263,10 +271,7 @@ func (c *Context) draw(mode uint32, indices []int) {
 			}
 			c.rasterizeRegion(p, fex, rz, tris, pts, pointSizes,
 				frontCCW, fb, colorData, depthData, fbW, fbH,
-				ws, &workerErrs[w])
-			if workerErrs[w] != nil {
-				return
-			}
+				ws, &workerErrs[w], &failed)
 		}
 		ws.FragmentStats.AddStats(fex.StatsRef())
 	}
@@ -280,21 +285,29 @@ func (c *Context) draw(mode uint32, indices []int) {
 	}
 	shade(0)
 	wg.Wait()
-	c.lastShards, c.lastWorkers = nTiles, workers
+	c.lastShards, c.lastWorkers, c.lastFailed = nTiles, workers, 0
 
 	// Merge in fixed worker-index order. The tile→worker assignment is
 	// nondeterministic, but every counter is a commutative sum, so the
 	// merged totals (and the framebuffer, whose tiles are disjoint) are
-	// not affected by it.
+	// not affected by it. A failed draw reports what it shaded before it
+	// stopped and the first worker's error, and adds nothing to Draws.
+	var err error
 	for w := 0; w < workers; w++ {
-		if workerErrs[w] != nil {
-			c.setErr(INVALID_OPERATION, "draw: fragment shader failed: %v", workerErrs[w])
-			return
-		}
 		stats.Add(&workerStats[w])
+		if workerErrs[w] != nil {
+			c.lastFailed++
+			if err == nil {
+				err = workerErrs[w]
+			}
+		}
 	}
 	stats.FragmentStats.Invocations = stats.FragmentsShaded
 	c.lastDraw = stats
+	if err != nil {
+		c.setErr(INVALID_OPERATION, "draw: fragment shader failed: %v", err)
+		return
+	}
 	c.draws.Add(&stats)
 }
 
@@ -359,17 +372,22 @@ func (b *helperBudget) give(n int) {
 
 // rasterizeRegion scans every primitive of the draw against the
 // rasterizer's current tile (or the whole framebuffer when unrestricted)
-// using one worker's executor, accumulating into its private stats.
+// using one worker's executor, accumulating into its private stats. It
+// shades nothing more once the draw has failed, and fails the draw on
+// this worker's first shader error.
 func (c *Context) rasterizeRegion(p *Program, fex shader.Executor, rz *raster.Rasterizer,
 	tris [][3]raster.ShadedVertex, pts []raster.ShadedVertex, pointSizes []float32,
 	frontCCW bool, fb *Framebuffer, colorData []byte, depthData []float32,
-	fbW, fbH int, ws *DrawStats, werr *error) {
+	fbW, fbH int, ws *DrawStats, werr *error, failed *atomic.Bool) {
 
 	emit := func(fr *raster.Fragment) {
-		if *werr != nil {
+		if failed.Load() {
 			return
 		}
 		c.shadeFragment(p, fex, fr, fb, colorData, depthData, fbW, fbH, ws, werr)
+		if *werr != nil {
+			failed.Store(true)
+		}
 	}
 	for _, t := range tris {
 		rz.Triangle(t[0], t[1], t[2], frontCCW, emit)

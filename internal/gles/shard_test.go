@@ -200,6 +200,86 @@ func TestHelperBudget(t *testing.T) {
 	}
 }
 
+// everyRunawayFS loops forever on every fragment.
+const everyRunawayFS = `
+precision highp float;
+void main() {
+	float s = 0.0;
+	for (int i = 0; i >= 0; i++) { s += 1.0; }
+	gl_FragColor = vec4(s);
+}
+`
+
+// oneRunawayFS loops forever on fragment (0,0), the first one the draw
+// shades, and does a bounded loop everywhere else.
+const oneRunawayFS = `
+precision highp float;
+void main() {
+	float s = 0.0;
+	bool runaway = gl_FragCoord.x < 1.0 && gl_FragCoord.y < 1.0;
+	for (int i = 0; i >= 0; i++) {
+		if (!runaway && i >= 200) { break; }
+		s += 1.0;
+	}
+	gl_FragColor = vec4(s / 1000.0);
+}
+`
+
+// TestFailingDrawStopsEveryWorker pins the draw's shared failure flag:
+// once one fragment's shader fails, no worker claims another tile or
+// starts another fragment. With every fragment running away, at most one
+// fragment per worker reaches the loop limit, the draw reports the same
+// error as the sequential path and the helper budget is empty again.
+// With one runaway fragment, the other workers stop instead of shading
+// the rest of the framebuffer.
+func TestFailingDrawStopsEveryWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const W, H = 64, 64
+	var budget helperBudget
+	draw := func(fs string, workers int) *Context {
+		c := NewContext(Config{Width: W, Height: H, Workers: workers, SFU: shader.ExactSFU})
+		c.helpers = &budget
+		c.maxLoopIter = 1000
+		prog := buildProgram(t, c, passVS, fs)
+		c.UseProgram(prog)
+		fullscreenQuad(t, c, prog)
+		c.DrawArrays(TRIANGLES, 0, 6)
+		return c
+	}
+
+	seq := draw(everyRunawayFS, 1)
+	wantErr, wantMsg := seq.GetError(), seq.LastErrorDetail()
+	if wantErr != INVALID_OPERATION || !strings.Contains(wantMsg, "runaway") {
+		t.Fatalf("sequential draw: error 0x%04x %q, want INVALID_OPERATION for the runaway loop", wantErr, wantMsg)
+	}
+	for i := 0; i < 5; i++ {
+		c := draw(everyRunawayFS, 0)
+		if e, msg := c.GetError(), c.LastErrorDetail(); e != wantErr || msg != wantMsg {
+			t.Errorf("tiled draw: error 0x%04x %q, want 0x%04x %q", e, msg, wantErr, wantMsg)
+		}
+		if c.lastWorkers < 2 {
+			t.Fatalf("draw shaded on %d goroutines, want several", c.lastWorkers)
+		}
+		if c.lastFailed < 1 || c.lastFailed > c.lastWorkers {
+			t.Errorf("%d fragments reached the loop limit on %d workers, want 1..%d", c.lastFailed, c.lastWorkers, c.lastWorkers)
+		}
+		if n := budget.lent.Load(); n != 0 {
+			t.Errorf("%d helpers still lent after a failed draw", n)
+		}
+	}
+
+	c := draw(oneRunawayFS, 0)
+	if e := c.GetError(); e != INVALID_OPERATION {
+		t.Fatalf("one-runaway draw: error 0x%04x, want INVALID_OPERATION", e)
+	}
+	if n := c.LastDraw().FragmentsShaded; n > W*H/2 {
+		t.Errorf("workers shaded %d of %d fragments after the draw failed, want them to stop", n, W*H)
+	}
+	if n := budget.lent.Load(); n != 0 {
+		t.Errorf("%d helpers still lent after a failed draw", n)
+	}
+}
+
 // TestSamplerTableMatchesContext pins the table a draw resolves once to
 // Context.Sample2D, the per-fetch path direct callers keep, on every
 // resolution outcome: unbound, incomplete, NPOT+REPEAT, minified and

@@ -154,6 +154,54 @@ func DemoLeNetInt8(seed int64) *Model {
 		Rescale("requant5", 8)
 }
 
+// DemoMobileNetShape is the MobileNet-style network's input: a 21×21
+// three-channel image.
+var DemoMobileNetShape = Shape{H: 21, W: 21, C: 3}
+
+// DemoMobileNetInt8 builds the depthwise-separable measurement network, in
+// the style of MobileNet v1 with seeded synthetic int8 weights: a 3×3
+// stride-2 conv over 3 channels, then two blocks of a 3×3 depthwise and a
+// 1×1 pointwise conv (the second depthwise stride 2), and a dense
+// classifier. Weights are uniform in [-2, 2], biases in [-8, 8]; inputs
+// must be in [0, 15] (DemoInputMobileNet). It exercises what LeNet does
+// not: channel padding of a 3-channel input, depthwise layers and a
+// 3-fragment dense tail.
+func DemoMobileNetInt8(seed int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	w := func(n int) []int8 {
+		out := make([]int8, n)
+		for i := range out {
+			out[i] = int8(rng.Intn(5) - 2)
+		}
+		return out
+	}
+	b := func(n int) []int8 {
+		out := make([]int8, n)
+		for i := range out {
+			out[i] = int8(rng.Intn(17) - 8)
+		}
+		return out
+	}
+	return NewModel(codec.Int8, DemoMobileNetShape).
+		Conv2D("conv1", 3, 3, 8, 2, w(27*8), b(8)).Rescale("rq1", 2).ReLU("relu1").
+		DepthwiseConv("dw2", 3, 3, 1, w(9*8), b(8)).Rescale("rq2", 1).ReLU("relu2").
+		Conv2D("pw2", 1, 1, 16, 1, w(8*16), b(16)).Rescale("rq3", 1).ReLU("relu3").
+		DepthwiseConv("dw3", 3, 3, 2, w(9*16), b(16)).Rescale("rq4", 1).ReLU("relu4").
+		Conv2D("pw3", 1, 1, 32, 1, w(16*32), b(32)).Rescale("rq5", 1).ReLU("relu5").
+		Dense("fc", 10, w(3*3*32*10), b(10)).Rescale("rq6", 3)
+}
+
+// DemoInputMobileNet generates batch seeded pseudo-images in [0, 15] for
+// DemoMobileNetInt8.
+func DemoInputMobileNet(seed int64, batch int) []int8 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]int8, batch*DemoMobileNetShape.N())
+	for i := range out {
+		out[i] = int8(rng.Intn(16))
+	}
+	return out
+}
+
 // DemoInputFloat32 generates batch seeded pseudo-images in [0, 1).
 func DemoInputFloat32(seed int64, batch int) []float32 {
 	rng := rand.New(rand.NewSource(seed))

@@ -16,26 +16,28 @@ const (
 	maxTaps  = 64   // depthwise / pooling window taps
 )
 
-// All nn kernels address tensors linearly through the gc_<in>(idx)
-// accessors, so they are independent of the 2D texture layout the
-// pipeline's pooled intermediates happen to use. Index decompositions use
+// All nn kernels address tensors linearly, through the gc_<in>(idx)
+// accessors or (4-wide weighted kernels) by walking texel runs from
+// gc_<in>_st(tidx) with the input's own grid dims, so they are
+// independent of the 2D texture layout the pipeline's pooled
+// intermediates happen to use. Index decompositions use
 // the repo-wide floor((i + 0.5) / d) guard (see internal/layout). Every
 // index computed in-shader must stay inside fp32's exact integer window
 // (±2^24); Build enforces it per stage.
 
-// convSourceTmpl is the direct convolution: out[b][oy][ox][c] = bias[c] +
-// Σ x[b][oy·s+ky][ox·s+kx][ic]·w[ky][kx][ic][c], read straight from the
-// activations with no patch matrix. One fragment computes one output
-// unit (%[1]s: an element, or at lanes=4 a vec4 of 4 channels), every
-// index counting units. For each of the KH kernel rows (%[3]s, a literal:
-// the ky loop needs a constant bound) the KW·IC input units of the
-// receptive field are contiguous, so the inner loop walks them linearly,
-// %[4]s multiplying one into the accumulator and stepping the weight
-// index — the GEMM's row walk, in the GEMM's (ky, kx, ic) order. %[5]s
-// is the result: acc, or the int8 requant with its scale baked in (the
-// eight user uniforms fill the budget, as for dwRequantSourceTmpl).
+// convSourceTmpl is the scalar direct convolution: out[b][oy][ox][c] =
+// bias[c] + Σ x[b][oy·s+ky][ox·s+kx][ic]·w[ky][kx][ic][c], read straight
+// from the activations with no patch matrix. One fragment computes one
+// output element, every index counting elements. For each of the KH
+// kernel rows (%[1]s, a literal: the ky loop needs a constant bound) the
+// KW·IC input elements of the receptive field are contiguous, so the inner
+// loop walks them linearly, multiplying each into the accumulator and
+// stepping the weight index — the GEMM's row walk, in the GEMM's (ky, kx,
+// ic) order. %[2]s is the result: acc, or the int8 requant with its scale
+// baked in (the eight user uniforms fill the budget, as for
+// dwRequantSourceTmpl).
 const convSourceTmpl = `
-%[1]s gc_kernel(float idx) {
+float gc_kernel(float idx) {
 	float r = floor((idx + 0.5) / u_oc);
 	float c = idx - r * u_oc;
 	float b = floor((r + 0.5) / u_ohw);
@@ -44,35 +46,77 @@ const convSourceTmpl = `
 	float ox = p - oy * u_ow;
 	float row = b * u_ximg + oy * u_ystep + ox * u_xstep;
 	float wt = c;
-	%[1]s acc = gc_bias%[2]s(c);
-	for (float ky = 0.0; ky < %[3]s; ky += 1.0) {
+	float acc = gc_bias(c);
+	for (float ky = 0.0; ky < %[1]s; ky += 1.0) {
 		for (float j = 0.0; j < 4096.0; j += 1.0) {
 			if (j >= u_kwic) { break; }
-			%[4]s
+			acc += gc_x(row + j) * gc_w(wt);
+			wt += u_oc;
 		}
 		row += u_xrow;
 	}
-	return %[5]s;
+	return %[2]s;
 }
 `
 
-// The inner steps of convSourceTmpl:
+// conv4SourceTmpl is the 4-wide direct convolution over the C4 layout:
+// one fragment computes one output texel (4 channels), the same loops as
+// convSourceTmpl counting texels. It walks its texels instead of
+// addressing them (DESIGN.md §6c): the weights are unit-major, so one
+// fragment's weights are one contiguous run of %[2]s·u_kwic texels
+// starting at c·%[2]s·u_kwic (%[2]s: KH times the weight texels per
+// input texel), stepped once per fetch; each kernel row's receptive
+// field is one contiguous run of input texels, stepped once per input
+// texel. Each step is st.x += 1/W plus one row-wrap check per stream.
+// %[3]s is the inner step:
 //
-//   - scalar: one input element, weights [ky][kx][ic][oc];
-//   - wide (4-wide, C4 input): the texel's 4 input channels each scale
-//     one weight texel of [ky][kx][ic padded to C4][oc], u_oc apart — 16
-//     MACs per 5 texture fetches;
-//   - narrow (4-wide, a 1-channel input): only lane r of the padded
-//     input is live, so one weight texel of [ky][kx][oc] per input texel
-//     instead of four, three of them zero.
+//   - wide (C4 input): the input texel's 4 channels each scale one weight
+//     texel, 16 MACs per 5 fetches; a weight step is 4 texels, which never
+//     straddle a row (4-aligned, and the width is a multiple of 4);
+//   - narrow (a 1-channel input): only lane r of the padded input is live,
+//     so one weight texel per input texel instead of four, three of them
+//     zero.
+const conv4SourceTmpl = `
+vec4 gc_kernel(float idx) {
+	float r = floor((idx + 0.5) / u_oc);
+	float c = idx - r * u_oc;
+	float b = floor((r + 0.5) / u_ohw);
+	float p = r - b * u_ohw;
+	float oy = floor((p + 0.5) / u_ow);
+	float ox = p - oy * u_ow;
+	float row = b * u_ximg + oy * u_ystep + ox * u_xstep;
+	vec2 xd = 1.0 / gc_x_dims;
+	vec2 wd = 1.0 / gc_w_dims;
+	vec2 ws = gc_w_st(c * %[2]s * u_kwic);
+	vec4 acc = gc_bias4(c);
+	for (float ky = 0.0; ky < %[1]s; ky += 1.0) {
+		vec2 xs = gc_x_st(row);
+		for (float j = 0.0; j < 4096.0; j += 1.0) {
+			if (j >= u_kwic) { break; }
+			%[3]s
+			if (ws.x > 1.0) { ws.x -= 1.0; ws.y += wd.y; }
+			xs.x += xd.x;
+			if (xs.x > 1.0) { xs.x -= 1.0; xs.y += xd.y; }
+		}
+		row += u_xrow;
+	}
+	return %[4]s;
+}
+`
+
+// The inner steps of conv4SourceTmpl.
 const (
-	convScalarMAC = `acc += gc_x(row + j) * gc_w(wt);
-			wt += u_oc;`
-	convWideMAC = `vec4 xv = gc_x4(row + j);
-			acc += xv.r * gc_w4(wt) + xv.g * gc_w4(wt + u_oc) + xv.b * gc_w4(wt + 2.0 * u_oc) + xv.a * gc_w4(wt + 3.0 * u_oc);
-			wt += 4.0 * u_oc;`
-	convNarrowMAC = `acc += gc_x4(row + j).r * gc_w4(wt);
-			wt += u_oc;`
+	conv4Wide = `vec4 xv = gc_x4_st(xs);
+			acc += xv.r * gc_w4_st(ws);
+			ws.x += wd.x;
+			acc += xv.g * gc_w4_st(ws);
+			ws.x += wd.x;
+			acc += xv.b * gc_w4_st(ws);
+			ws.x += wd.x;
+			acc += xv.a * gc_w4_st(ws);
+			ws.x += wd.x;`
+	conv4Narrow = `acc += gc_x4_st(xs).r * gc_w4_st(ws);
+			ws.x += wd.x;`
 )
 
 // convUniforms are the direct convolution's user uniforms, in units:
@@ -85,18 +129,23 @@ var convUniforms = []string{"u_oc", "u_ohw", "u_ow", "u_ximg", "u_ystep", "u_xst
 // lanes 1 or 4 (narrow: a 1-channel input), and the int8 requant by
 // 2^shift when quant.
 func convSrc(kh, lanes int, narrow, quant bool, shift uint) string {
-	typ, sfx, mac, lo, hi := "float", "", convScalarMAC, "-128.0", "127.0"
+	lo, hi := "-128.0", "127.0"
 	if lanes == 4 {
-		typ, sfx, mac, lo, hi = "vec4", "4", convWideMAC, "vec4(-128.0)", "vec4(127.0)"
-		if narrow {
-			mac = convNarrowMAC
-		}
+		lo, hi = "vec4(-128.0)", "vec4(127.0)"
 	}
 	ret := "acc"
 	if quant {
 		ret = fmt.Sprintf("clamp(floor(acc / %.1f), %s, %s)", float64(uint64(1)<<shift), lo, hi)
 	}
-	return fmt.Sprintf(convSourceTmpl, typ, sfx, fmt.Sprintf("%d.0", kh), mac, ret)
+	rows := fmt.Sprintf("%d.0", kh)
+	if lanes == 1 {
+		return fmt.Sprintf(convSourceTmpl, rows, ret)
+	}
+	step, perUnit := conv4Wide, 4 // weight texels per input texel
+	if narrow {
+		step, perUnit = conv4Narrow, 1
+	}
+	return fmt.Sprintf(conv4SourceTmpl, rows, fmt.Sprintf("%d.0", kh*perUnit), step, ret)
 }
 
 // gemmSource is Dense's GEMM+bias kernel: out[r][c] = bias[c] +
@@ -285,26 +334,37 @@ float gc_kernel(float idx) {
 
 // gemm4RequantSource is the 4-wide GEMM with folded Rescale: one fragment
 // computes output (r, c..c+3). Each inner iteration consumes FOUR k's
-// through one aligned x texel and four aligned w texels — 16 MACs per 5
-// texture fetches, against 32 fetches for the same work on the scalar
-// path. The literal bound 1024 covers u_k ≤ maxInner at 4 k's per trip.
+// through one x texel and four weight texels — 16 MACs per 5 texture
+// fetches, against 32 fetches for the same work on the scalar path. Both
+// operands are walked (DESIGN.md §6c): the row of x is one contiguous run
+// of u_k/4 texels, and the unit-major weights put the fragment's u_k
+// weight texels in one contiguous run at c/4·u_k, stepped 4 texels per
+// iteration (4-aligned, so never across a row). The literal bound 1024
+// covers u_k ≤ maxInner at 4 k's per trip.
 const gemm4RequantSource = `
 vec4 gc_kernel(float tidx) {
 	float idx = tidx * 4.0;
 	float r = floor((idx + 0.5) / u_cols);
 	float c = idx - r * u_cols;
 	vec4 acc = gc_bias4(c / 4.0);
-	float xbase = r * u_k / 4.0;
-	float wrow = u_cols / 4.0;
-	float ctex = c / 4.0;
+	vec2 xd = 1.0 / gc_x_dims;
+	vec2 wd = 1.0 / gc_w_dims;
+	vec2 xs = gc_x_st(r * u_k / 4.0);
+	vec2 ws = gc_w_st(c / 4.0 * u_k);
 	for (float k = 0.0; k < 1024.0; k += 1.0) {
 		if (k * 4.0 >= u_k) { break; }
-		vec4 xv = gc_x4(xbase + k);
-		float wbase = k * 4.0 * wrow + ctex;
-		acc += xv.r * gc_w4(wbase);
-		acc += xv.g * gc_w4(wbase + wrow);
-		acc += xv.b * gc_w4(wbase + wrow * 2.0);
-		acc += xv.a * gc_w4(wbase + wrow * 3.0);
+		vec4 xv = gc_x4_st(xs);
+		acc += xv.r * gc_w4_st(ws);
+		ws.x += wd.x;
+		acc += xv.g * gc_w4_st(ws);
+		ws.x += wd.x;
+		acc += xv.b * gc_w4_st(ws);
+		ws.x += wd.x;
+		acc += xv.a * gc_w4_st(ws);
+		ws.x += wd.x;
+		if (ws.x > 1.0) { ws.x -= 1.0; ws.y += wd.y; }
+		xs.x += xd.x;
+		if (xs.x > 1.0) { xs.x -= 1.0; xs.y += xd.y; }
 	}
 	return clamp(floor(acc / u_scale), vec4(-128.0), vec4(127.0));
 }
@@ -312,8 +372,12 @@ vec4 gc_kernel(float tidx) {
 
 // dw4RequantSourceTmpl is the 4-wide depthwise convolution with folded
 // Rescale: four channels of one output pixel per fragment, each tap one
-// aligned activation texel and one aligned weight texel. The scale is a
-// baked literal for the same uniform-budget reason as the scalar variant.
+// aligned activation texel and one weight texel. The unit-major weights
+// put the fragment's taps in one contiguous run at c/4·u_taps, walked one
+// texel per tap (DESIGN.md §6c); the activation taps are u_c/4 texels
+// apart, which may exceed a row, so they keep the linear accessor. The
+// scale is a baked literal for the same uniform-budget reason as the
+// scalar variant.
 const dw4RequantSourceTmpl = `
 vec4 gc_kernel(float tidx) {
 	float idx = tidx * 4.0;
@@ -324,13 +388,17 @@ vec4 gc_kernel(float tidx) {
 	float ox = floor((q + 0.5) / u_c);
 	float c = q - ox * u_c;
 	vec4 acc = gc_bias4(c / 4.0);
+	vec2 wd = 1.0 / gc_w_dims;
+	vec2 ws = gc_w_st(c / 4.0 * u_taps);
 	for (float t = 0.0; t < 64.0; t += 1.0) {
 		if (t >= u_taps) { break; }
 		float ky = floor((t + 0.5) / u_kw);
 		float kx = t - ky * u_kw;
 		float y = oy * u_stride + ky;
 		float x = ox * u_stride + kx;
-		acc += gc_x4((((b * u_inh + y) * u_inw + x) * u_c + c) / 4.0) * gc_w4((t * u_c + c) / 4.0);
+		acc += gc_x4((((b * u_inh + y) * u_inw + x) * u_c + c) / 4.0) * gc_w4_st(ws);
+		ws.x += wd.x;
+		if (ws.x > 1.0) { ws.x -= 1.0; ws.y += wd.y; }
 	}
 	return clamp(floor(acc / %[1]s), vec4(-128.0), vec4(127.0));
 }

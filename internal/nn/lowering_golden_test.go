@@ -67,24 +67,6 @@ func smallDWDenseInt8() *Model {
 		Rescale("rq2", 4)
 }
 
-// mobileNetInt8 is the depthwise-separable measurement network, in the
-// style of MobileNet v1 with seeded synthetic int8 weights: a 3×3
-// stride-2 conv over 3 channels, then two blocks of a 3×3 depthwise and
-// a 1×1 pointwise conv (the second depthwise stride 2), and a dense
-// classifier. Inputs are in [0, 15].
-func mobileNetInt8() *Model {
-	rng := rand.New(rand.NewSource(17))
-	w := func(n int) []int8 { return randI8(rng, n, -2, 2) }
-	b := func(n int) []int8 { return randI8(rng, n, -8, 8) }
-	return NewModel(codec.Int8, Shape{H: 21, W: 21, C: 3}).
-		Conv2D("conv1", 3, 3, 8, 2, w(27*8), b(8)).Rescale("rq1", 2).ReLU("relu1").
-		DepthwiseConv("dw2", 3, 3, 1, w(9*8), b(8)).Rescale("rq2", 1).ReLU("relu2").
-		Conv2D("pw2", 1, 1, 16, 1, w(8*16), b(16)).Rescale("rq3", 1).ReLU("relu3").
-		DepthwiseConv("dw3", 3, 3, 2, w(9*16), b(16)).Rescale("rq4", 1).ReLU("relu4").
-		Conv2D("pw3", 1, 1, 32, 1, w(16*32), b(32)).Rescale("rq5", 1).ReLU("relu5").
-		Dense("fc", 10, w(3*3*32*10), b(10)).Rescale("rq6", 3)
-}
-
 func loweringCases() []loweringCase {
 	var cases []loweringCase
 	for _, batch := range []int{1, 4} {
@@ -94,8 +76,8 @@ func loweringCases() []loweringCase {
 			loweringCase{"lenet-int8", DemoLeNetInt8(7), DemoInputInt8(8, batch), batch, 1},
 			loweringCase{"lenet-int8", DemoLeNetInt8(7), DemoInputInt8(8, batch), batch, 4},
 		)
-		mn := mobileNetInt8()
-		mnInput := randI8(rand.New(rand.NewSource(9)), batch*mn.In().N(), 0, 15)
+		mn := DemoMobileNetInt8(17)
+		mnInput := DemoInputMobileNet(9, batch)
 		dw := smallDWDenseInt8()
 		input := randI8(rand.New(rand.NewSource(6)), batch*dw.In().N(), -8, 7)
 		for _, lanes := range []int{1, 4} {

@@ -94,6 +94,11 @@ func (m *Model) BuildLanes(dev *core.Device, batch int, tapAll bool, lanes int) 
 	if lanes == 4 && m.elem != codec.Int8 {
 		return nil, fmt.Errorf("nn: Build: 4-wide lowering requires an int8 model, got %s", m.elem)
 	}
+	if w := dev.MaxGridWidth(); lanes == 4 && w%4 != 0 {
+		// The 4-wide kernels step weights 4 texels at a time with one
+		// row-wrap check, so no aligned group may straddle a row.
+		return nil, fmt.Errorf("nn: Build: 4-wide lowering needs a max grid width that is a multiple of 4, got %d", w)
+	}
 	return m.build(dev, batch, tapAll, lanes)
 }
 
@@ -195,10 +200,14 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 	}
 	f := func(v int) float32 { return float32(v) }
 	// weightedStage wires the conv, dense or depthwise kernel of layer li
-	// into the pipeline over input x, with its weights w and its bias
-	// widened to the padded output channels.
+	// into the pipeline over input x, with its weights w ([K][out.C]) and
+	// its bias widened to the padded output channels. At lanes=4 the
+	// weights are stored unit-major for the kernels' walks.
 	weightedStage := func(li int, k *core.Kernel, uni map[string]float32, x core.Ref, w interface{}) (core.Ref, error) {
 		l, out := m.layers[li], net.padOut[li]
+		if lanes == 4 {
+			w = unitMajor(w.([]int8), out.C)
+		}
 		wRef, err := weightInput(l.name, "weights", w)
 		if err != nil {
 			return -1, err
@@ -417,6 +426,21 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 	net.imgBuf = imgBuf
 	ok = true
 	return net, nil
+}
+
+// unitMajor re-lays a row-major [rows][cols] int8 weight matrix (cols a
+// multiple of 4) as [cols/4][rows][4]: each 4-channel output unit's
+// weights become one contiguous run of rows texels, the run a 4-wide
+// kernel's fragment walks (DESIGN.md §6c). Same bytes, no padding.
+func unitMajor(w []int8, cols int) []int8 {
+	rows := len(w) / cols
+	out := make([]int8, len(w))
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			out[(c/4*rows+r)*4+c%4] = w[r*cols+c]
+		}
+	}
+	return out
 }
 
 // ceil4 rounds up to a multiple of 4 (the C4 channel padding).

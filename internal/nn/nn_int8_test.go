@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"glescompute/internal/codec"
+	"glescompute/internal/core"
 )
 
 // nn_int8_test.go pins the int8 path's acceptance contract: the 4-wide
@@ -129,8 +130,7 @@ func TestInt8LeNetDifferential(t *testing.T) {
 // TestInt8MobileNetDifferential is the whole-network differential on the
 // depthwise-separable measurement network.
 func TestInt8MobileNetDifferential(t *testing.T) {
-	m := mobileNetInt8()
-	runInt8Lanes(t, m, 2, randI8(rand.New(rand.NewSource(9)), 2*m.In().N(), 0, 15))
+	runInt8Lanes(t, DemoMobileNetInt8(17), 2, DemoInputMobileNet(9, 2))
 }
 
 // TestInt8FoldValidation pins the folding contract's error paths.
@@ -189,5 +189,75 @@ func TestInt8Vec4ModeledSpeedup(t *testing.T) {
 		times[1]*1e6, times[4]*1e6, speedup)
 	if speedup < 2 {
 		t.Fatalf("vec4 modeled speedup %.2fx, want >= 2x", speedup)
+	}
+}
+
+// liveLeNetInt8 is the LeNet topology with requant shifts small enough
+// that every layer's activations stay varied. The demo model's shifts
+// (DemoLeNetInt8) zero almost every activation after conv2, so its
+// dense layers compute on zeros and cannot show a wrong weight fetch.
+func liveLeNetInt8() *Model {
+	rng := rand.New(rand.NewSource(23))
+	w := func(n int) []int8 { return randI8(rng, n, -2, 2) }
+	b := func(n int) []int8 { return randI8(rng, n, -8, 8) }
+	return NewModel(codec.Int8, DemoShape).
+		Conv2D("conv1", 5, 5, 6, 1, w(25*6), b(6)).Rescale("rq1", 2).ReLU("relu1").
+		MaxPool("pool1", 2, 2, 2).
+		Conv2D("conv2", 5, 5, 16, 1, w(150*16), b(16)).Rescale("rq2", 3).ReLU("relu2").
+		MaxPool("pool2", 2, 2, 2).
+		Dense("fc1", 120, w(256*120), b(120)).Rescale("rq3", 4).ReLU("relu3").
+		Dense("fc2", 84, w(120*84), b(84)).Rescale("rq4", 4).ReLU("relu4").
+		Dense("fc3", DemoClasses, w(84*DemoClasses), b(DemoClasses)).Rescale("rq5", 4)
+}
+
+// TestInt8WalkRowCrossing is the row-crossing differential of the 4-wide
+// kernels' texel walks (DESIGN.md §6c): narrow grids make every weight run
+// and every conv row wrap across texture rows many times, at widths that
+// are and are not powers of two (12: 1/W is inexact), and the outputs must
+// stay bit-identical to the CPU reference at every batch, fused and not.
+// A walk that drops one stream's row wrap fails it.
+func TestInt8WalkRowCrossing(t *testing.T) {
+	nets := []struct {
+		name    string
+		m       *Model
+		input   func(batch int) []int8
+		batches []int
+	}{
+		// The served demo model at batch 1 only: past conv2 it computes
+		// on zeros, so lenet-live carries the batch sweep.
+		{"lenet", DemoLeNetInt8(7), func(b int) []int8 { return DemoInputInt8(8, b) }, []int{1}},
+		{"lenet-live", liveLeNetInt8(), func(b int) []int8 { return DemoInputInt8(8, b) }, []int{1, 4, 8}},
+		{"mobilenet", DemoMobileNetInt8(17), func(b int) []int8 { return DemoInputMobileNet(9, b) }, []int{1, 4, 8}},
+	}
+	for _, maxW := range []int{8, 12, 16, 0} {
+		dev, err := core.Open(core.Config{MaxGridWidth: maxW})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nets {
+			for _, batch := range n.batches {
+				input := n.input(batch)
+				want, _, err := n.m.Reference(input, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fused := range []bool{true, false} {
+					net, err := n.m.Build(dev, batch, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					net.SetFusion(fused)
+					res, err := net.Run(input)
+					net.Close()
+					if err != nil {
+						t.Fatalf("%s w%d b%d fused=%v: %v", n.name, maxW, batch, fused, err)
+					}
+					if !Int8Equal(res.Output, want[len(want)-1]) {
+						t.Errorf("%s w%d b%d fused=%v: output differs from the reference", n.name, maxW, batch, fused)
+					}
+				}
+			}
+		}
+		dev.Close()
 	}
 }

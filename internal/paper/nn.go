@@ -86,6 +86,16 @@ type NNResult struct {
 	Int8Vec4US    float64 `json:"n1_int8_vec4_us,omitempty"`
 	Vec4SpeedupX  float64 `json:"n1_vec4_speedup_x,omitempty"`
 	Vec4Validated bool    `json:"vec4_validated,omitempty"`
+
+	// The depthwise-separable MobileNet-style int8 network
+	// (nn.DemoMobileNetInt8) on the served lowering, int8-vec4 fused at
+	// batch 1, warm, input upload and output readback included, against
+	// the modeled ARM1176 time of the same inference.
+	// MobileNetValidated: its output is bit-identical to refcpu.
+	MobileNetCPUUS     float64 `json:"n1_mobilenet_cpu_us,omitempty"`
+	MobileNetVec4US    float64 `json:"n1_mobilenet_vec4_us,omitempty"`
+	MobileNetSpeedupX  float64 `json:"n1_mobilenet_speedup_x,omitempty"`
+	MobileNetValidated bool    `json:"mobilenet_validated,omitempty"`
 }
 
 // warmRun builds m untapped on dev, runs x once to warm the kernels and
@@ -335,19 +345,49 @@ func validateNNInt8(res *NNResult) error {
 	return nil
 }
 
+// validateNNMobileNet prices the MobileNet-style int8 network: its warm
+// int8-vec4 b1 inference on the device clock against the modeled ARM1176
+// time of the reference, after checking the output bit for bit.
+func validateNNMobileNet(res *NNResult) error {
+	dev, err := openDevice(core.Config{})
+	if err != nil {
+		return err
+	}
+	defer dev.Close()
+	m := nn.DemoMobileNetInt8(17)
+	x := nn.DemoInputMobileNet(9, 1)
+	refs, counts, err := m.Reference(x, 1)
+	if err != nil {
+		return err
+	}
+	cpuModel := armtime.DefaultModel()
+	for _, c := range counts {
+		res.MobileNetCPUUS += float64(cpuModel.Time(c).Nanoseconds()) / 1000
+	}
+	run, us, err := warmRun(dev, m, 1, 4, true, true, x)
+	if err != nil {
+		return err
+	}
+	if !nn.Int8Equal(run.Output, refs[len(refs)-1]) {
+		return fmt.Errorf("paper: nn: int8-vec4 MobileNet-style output not bit-identical to refcpu")
+	}
+	res.MobileNetVec4US = us
+	if us > 0 {
+		res.MobileNetSpeedupX = res.MobileNetCPUUS / us
+	}
+	res.MobileNetValidated = true
+	return nil
+}
+
 // RunNN executes N1: per-layer and whole-network validation and modeled
-// times of the float network, int32 bit-identity, fusion on/off and the
-// int8 lane-width race.
+// times of the float network, int32 bit-identity, fusion on/off, the
+// int8 lane-width race and the MobileNet-style network's speedup.
 func RunNN() (NNResult, error) {
 	res := NNResult{InShape: nn.DemoShape.String()}
-	if err := validateNNFloat(&res); err != nil {
-		return res, err
-	}
-	if err := validateNNInt(&res); err != nil {
-		return res, err
-	}
-	if err := validateNNInt8(&res); err != nil {
-		return res, err
+	for _, run := range []func(*NNResult) error{validateNNFloat, validateNNInt, validateNNInt8, validateNNMobileNet} {
+		if err := run(&res); err != nil {
+			return res, err
+		}
 	}
 	return res, nil
 }
