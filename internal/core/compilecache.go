@@ -40,8 +40,9 @@ const EnvCompileCache = "GLESCOMPUTE_COMPILE_CACHE"
 // stored binary that the program text does not itself capture: the shader
 // serialization format and the codegen/specializer revision. Bump the
 // suffix when compilation output changes for identical source; stale disk
-// entries then miss on key and age out.
-var codegenFingerprint = "gc-codegen-1/bin-" + strconv.Itoa(shader.BinaryFormatVersion)
+// entries then miss on key and age out. (2: the bytecode compiler inlines
+// small functions.)
+var codegenFingerprint = "gc-codegen-2/bin-" + strconv.Itoa(shader.BinaryFormatVersion)
 
 // CompileCacheStats counts cache traffic since creation.
 type CompileCacheStats struct {

@@ -3,10 +3,12 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"glescompute/internal/codec"
+	"glescompute/internal/shader"
 )
 
 // ccTestSource exercises loops, builtins and a uniform so the cached
@@ -156,6 +158,39 @@ func TestCompileCacheDiskPersistence(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("element %d: disk-cached %v, compiled %v", i, got[i], want[i])
 		}
+	}
+
+	// Entries a build with the previous codegen revision stored (call-based
+	// bytecode, before inlining) must miss, not restore the old programs.
+	stale := t.TempDir()
+	current := codegenFingerprint
+	codegenFingerprint = "gc-codegen-1/bin-" + strconv.Itoa(shader.BinaryFormatVersion)
+	cc3, err := NewCompileCache(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := Open(Config{RasterWorkers: 2, CompileCache: cc3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCCKernel(t, d3)
+	d3.Close()
+	codegenFingerprint = current
+	cc4, err := NewCompileCache(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d4, err := Open(Config{RasterWorkers: 2, CompileCache: cc4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d4.Close()
+	runCCKernel(t, d4)
+	if s := cc4.Stats(); s.Hits() != 0 || s.Misses == 0 {
+		t.Fatalf("entries stored under the previous fingerprint were served: %+v", s)
+	}
+	if tr := d4.GL().Transfers(); tr.CompileCount == 0 {
+		t.Fatalf("stale entries restored instead of compiling from source: %+v", tr)
 	}
 }
 

@@ -19,3 +19,15 @@ func CachedSources(d *Device) []string {
 	}
 	return out
 }
+
+// FragmentSources returns the complete fragment shader of every output of
+// every kernel in d's compile-once cache.
+func FragmentSources(d *Device) []string {
+	var out []string
+	for _, k := range d.kernelCache {
+		for _, o := range k.spec.Outputs {
+			out = append(out, generateFragmentShader(k.spec, o))
+		}
+	}
+	return out
+}

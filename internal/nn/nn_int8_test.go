@@ -261,3 +261,31 @@ func TestInt8WalkRowCrossing(t *testing.T) {
 		dev.Close()
 	}
 }
+
+// BenchmarkLeNetInt8Warm times one warm int8-vec4 LeNet b1 request with a
+// single raster worker: the served path's compiled kernels, VM, sampler and
+// codec, without scheduling or helper goroutines. A quick local A/B for
+// compiler and VM changes.
+func BenchmarkLeNetInt8Warm(b *testing.B) {
+	b.Setenv(core.EnvCompileCache, "")
+	dev, err := core.Open(core.Config{RasterWorkers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dev.Close()
+	net, err := DemoLeNetInt8(7).BuildLanes(dev, 1, false, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer net.Close()
+	input := DemoInputInt8(8, 1)
+	if _, err := net.Run(input); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.Run(input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

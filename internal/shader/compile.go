@@ -18,6 +18,9 @@ package shader
 // Register allocation is fully static: GLSL ES 1.00 forbids recursion (the
 // checker enforces it), so every function's parameters, locals, scratch
 // temporaries and return slot live at fixed offsets for the whole program.
+// The same fact makes inlining simple: a small, loop-free, non-discarding
+// function compiles as its body at each call site, over its own static
+// frame and the caller's scratch area (see compileUserCall).
 // Aggregates (arrays, structs, matrices) occupy contiguous runs of
 // registers in Type.FlatSize order, matching the flattened layout the GLES
 // pipeline uses for varyings.
@@ -106,16 +109,32 @@ type builtinDesc struct {
 	dim    int32 // matrix dimension (matrixCompMult)
 }
 
-// funcInfo records the static frame of one function.
+// funcInfo records the static frame of one function and what the inliner
+// knows about it.
 type funcInfo struct {
 	fd       *glsl.FuncDecl
+	index    int32 // position in Compiled.funcs; -1 when every call is inlined
 	entry    int32
 	retBase  int32
 	retSize  int32
 	localOff []int32 // local slot -> register base
 	tempBase int32
 	tempMax  int32
+
+	// Inliner facts, filled once by discover.
+	inline   bool   // calls compile as the body at the call site
+	discards bool   // can discard, directly or through a callee
+	size     int    // AST nodes, counting inlined callees' bodies
+	returns  int    // return statements in the body
+	written  []bool // by parameter index: the body writes the parameter
 }
+
+// inlineBudget is the most AST nodes an inlined call may expand to,
+// counting the bodies of the callees inlined into it. It keeps compile time
+// and code size linear in the source however deeply small functions nest,
+// and admits every codec helper the compute runtime generates (the float32
+// encoder is the largest, at 131 nodes).
+const inlineBudget = 160
 
 // Compiled is an executable lowering of one shader program. It is immutable
 // after Compile and safe to share between VMs (each draw worker gets its
@@ -153,6 +172,23 @@ func (c *Compiled) NumRegisters() int { return int(c.nregs) }
 // CodeLen reports the instruction count (diagnostics).
 func (c *Compiled) CodeLen() int { return len(c.code) }
 
+// Callees names the callee of every call instruction left in the code, in
+// code order (diagnostics: every other user call was inlined). A program
+// read back from a binary has no function names and reports "".
+func (c *Compiled) Callees() []string {
+	var names []string
+	for _, in := range c.code {
+		if in.op == opCall {
+			name := ""
+			if fd := c.funcs[in.aux].fd; fd != nil {
+				name = fd.Name
+			}
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
 // compileError aborts compilation via panic/recover; Compile converts it
 // into an error. Post-sema programs should never hit these — they guard
 // against constructs the lowerer does not model.
@@ -166,10 +202,22 @@ type compiler struct {
 	pending Stats
 	statIdx map[Stats]int32
 
-	fn      *funcInfo
+	fn      *funcInfo // frame whose scratch area temps come from
 	tempTop int32
-	funcIdx map[*glsl.FuncDecl]int32
+	locals  []int32     // local slot -> register of the body being emitted
+	inl     *inlineSite // the inlined call being emitted, if any
+	frames  map[*glsl.FuncDecl]*funcInfo
+	order   []*funcInfo // reachable functions in discovery order
+	mutated []bool      // by global slot: some reachable function writes it
 	loops   []loopCtx
+}
+
+// inlineSite is a call being compiled as its callee's body.
+type inlineSite struct {
+	result int32            // register base of the call's value
+	size   int32            // flat size of the value
+	tail   *glsl.ReturnStmt // the body's last statement, when it returns
+	end    *label
 }
 
 type loopCtx struct {
@@ -203,27 +251,38 @@ func Compile(prog *glsl.Program) (c *Compiled, err error) {
 		return nil, fmt.Errorf("shader compile: program has no entry point")
 	}
 	c = &Compiled{Prog: prog}
-	cc := &compiler{comp: c, prog: prog, statIdx: map[Stats]int32{}, funcIdx: map[*glsl.FuncDecl]int32{}}
+	cc := &compiler{comp: c, prog: prog, statIdx: map[Stats]int32{}, frames: map[*glsl.FuncDecl]*funcInfo{}}
 
 	// Register layout: builtin slots first, then globals, then per-function
-	// frames (return slot + locals), then per-function scratch areas.
+	// frames (locals, plus a return slot for each function that stays a
+	// call), then per-function scratch areas.
 	cc.layoutBuiltins()
 	cc.layoutGlobals()
 
-	reach := cc.reachableFunctions()
-	for _, fd := range reach {
-		if fd.Body == nil {
-			// Called through a prototype that is never defined — a link
-			// error in GLSL ES, and nothing to lay out.
-			cc.fail(fd.Pos, "function %q is called but never defined", fd.Name)
+	// Every function reachable from main or a global initializer, in
+	// discovery order (main first).
+	cc.mutated = make([]bool, len(prog.Globals))
+	cc.discover(prog.Entry)
+	for _, g := range prog.Globals {
+		if g.Init != nil && g.ConstVal == nil {
+			walk(g.Init, func(n glsl.Node) bool {
+				if call, ok := n.(*glsl.CallExpr); ok && call.Kind == glsl.CallUser {
+					cc.discover(call.Func)
+				}
+				return true
+			})
 		}
-		fi := &funcInfo{fd: fd}
-		cc.funcIdx[fd] = int32(len(c.funcs))
+	}
+	// Only main and the functions that stay calls get a standalone body
+	// and a return slot; every call to the others is inlined.
+	for _, fi := range cc.order {
+		if fi.inline {
+			continue
+		}
+		fi.index = int32(len(c.funcs))
 		c.funcs = append(c.funcs, fi)
-		fi.retSize = flatSize(fd.Ret)
 		fi.retBase = c.nregs
 		c.nregs += fi.retSize
-		fi.localOff = cc.layoutLocals(fd)
 	}
 	c.maxDepth = int32(len(c.funcs)) + 2
 
@@ -284,36 +343,17 @@ func (cc *compiler) layoutLocals(fd *glsl.FuncDecl) []int32 {
 	for _, p := range fd.Params {
 		decls[p.Slot] = p
 	}
-	var walk func(s glsl.Stmt)
-	walk = func(s glsl.Stmt) {
-		switch n := s.(type) {
-		case *glsl.BlockStmt:
-			for _, st := range n.Stmts {
-				walk(st)
-			}
+	walk(fd.Body, func(n glsl.Node) bool {
+		switch n := n.(type) {
 		case *glsl.DeclStmt:
 			for _, v := range n.Vars {
 				decls[v.Slot] = v
 			}
-		case *glsl.IfStmt:
-			walk(n.Then)
-			if n.Else != nil {
-				walk(n.Else)
-			}
-		case *glsl.ForStmt:
-			if n.InitStmt != nil {
-				walk(n.InitStmt)
-			}
-			walk(n.Body)
-		case *glsl.WhileStmt:
-			walk(n.Body)
-		case *glsl.DoWhileStmt:
-			walk(n.Body)
+		case glsl.Expr:
+			return false // declarations are statements
 		}
-	}
-	if fd.Body != nil {
-		walk(fd.Body)
-	}
+		return true
+	})
 	off := make([]int32, fd.LocalSize)
 	for i, d := range decls {
 		off[i] = cc.comp.nregs
@@ -326,105 +366,62 @@ func (cc *compiler) layoutLocals(fd *glsl.FuncDecl) []int32 {
 	return off
 }
 
-// reachableFunctions returns every function reachable from main or a
-// global initializer, in deterministic discovery order (main first).
-func (cc *compiler) reachableFunctions() []*glsl.FuncDecl {
-	var order []*glsl.FuncDecl
-	seen := map[*glsl.FuncDecl]bool{}
-	var fromExpr func(e glsl.Expr)
-	var fromStmt func(s glsl.Stmt)
-	var visit func(fd *glsl.FuncDecl)
-	visit = func(fd *glsl.FuncDecl) {
-		if fd == nil || seen[fd] {
-			return
-		}
-		seen[fd] = true
-		order = append(order, fd)
-		if fd.Body != nil {
-			fromStmt(fd.Body)
-		}
+// discover returns fd's frame, creating it on first sight: it lays out
+// fd's locals and fills the inliner facts, discovering fd's callees as
+// their calls are met. It also records the globals fd writes.
+func (cc *compiler) discover(fd *glsl.FuncDecl) *funcInfo {
+	if fd == nil {
+		cc.fail(glsl.Pos{}, "call to an unresolved function")
 	}
-	fromExpr = func(e glsl.Expr) {
-		switch n := e.(type) {
-		case *glsl.CallExpr:
-			if n.Kind == glsl.CallUser {
-				visit(n.Func)
-			}
-			for _, a := range n.Args {
-				fromExpr(a)
-			}
-		case *glsl.BinaryExpr:
-			fromExpr(n.X)
-			fromExpr(n.Y)
-		case *glsl.UnaryExpr:
-			fromExpr(n.X)
-		case *glsl.CondExpr:
-			fromExpr(n.Cond)
-			fromExpr(n.Then)
-			fromExpr(n.Else)
-		case *glsl.AssignExpr:
-			fromExpr(n.LHS)
-			fromExpr(n.RHS)
-		case *glsl.SequenceExpr:
-			fromExpr(n.X)
-			fromExpr(n.Y)
-		case *glsl.FieldExpr:
-			fromExpr(n.X)
-		case *glsl.IndexExpr:
-			fromExpr(n.X)
-			fromExpr(n.Index)
-		}
+	if fi := cc.frames[fd]; fi != nil {
+		return fi
 	}
-	fromStmt = func(s glsl.Stmt) {
-		switch n := s.(type) {
-		case *glsl.BlockStmt:
-			for _, st := range n.Stmts {
-				fromStmt(st)
-			}
-		case *glsl.DeclStmt:
-			for _, v := range n.Vars {
-				if v.Init != nil {
-					fromExpr(v.Init)
+	if fd.Body == nil {
+		// Called through a prototype that is never defined — a link
+		// error in GLSL ES, and nothing to lay out.
+		cc.fail(fd.Pos, "function %q is called but never defined", fd.Name)
+	}
+	fi := &funcInfo{fd: fd, index: -1, retSize: flatSize(fd.Ret), localOff: cc.layoutLocals(fd)}
+	cc.frames[fd] = fi
+	cc.order = append(cc.order, fi)
+	fi.written = make([]bool, len(fd.Params))
+	mark := func(id *glsl.Ident) {
+		switch {
+		case id.Ref == nil:
+		case id.Ref.Storage == glsl.StorageGlobal:
+			cc.mutated[id.Ref.Slot] = true
+		default:
+			for i, p := range fd.Params {
+				if id.Ref == p {
+					fi.written[i] = true
 				}
 			}
-		case *glsl.ExprStmt:
-			fromExpr(n.X)
-		case *glsl.IfStmt:
-			fromExpr(n.Cond)
-			fromStmt(n.Then)
-			if n.Else != nil {
-				fromStmt(n.Else)
-			}
-		case *glsl.ForStmt:
-			if n.InitStmt != nil {
-				fromStmt(n.InitStmt)
-			}
-			if n.Cond != nil {
-				fromExpr(n.Cond)
-			}
-			if n.Post != nil {
-				fromExpr(n.Post)
-			}
-			fromStmt(n.Body)
-		case *glsl.WhileStmt:
-			fromExpr(n.Cond)
-			fromStmt(n.Body)
-		case *glsl.DoWhileStmt:
-			fromStmt(n.Body)
-			fromExpr(n.Cond)
+		}
+	}
+	loops := false
+	walk(fd.Body, func(n glsl.Node) bool {
+		fi.size++
+		writeRoots(n, mark)
+		switch n := n.(type) {
+		case *glsl.ForStmt, *glsl.WhileStmt, *glsl.DoWhileStmt:
+			loops = true
+		case *glsl.DiscardStmt:
+			fi.discards = true
 		case *glsl.ReturnStmt:
-			if n.X != nil {
-				fromExpr(n.X)
+			fi.returns++
+		case *glsl.CallExpr:
+			if n.Kind == glsl.CallUser {
+				callee := cc.discover(n.Func)
+				fi.discards = fi.discards || callee.discards
+				if callee.inline {
+					fi.size += callee.size
+				}
 			}
 		}
-	}
-	visit(cc.prog.Entry)
-	for _, g := range cc.prog.Globals {
-		if g.Init != nil && g.ConstVal == nil {
-			fromExpr(g.Init)
-		}
-	}
-	return order
+		return true
+	})
+	fi.inline = fd != cc.prog.Entry && !loops && !fi.discards && fi.size <= inlineBudget
+	return fi
 }
 
 // ---- Emission helpers ----
@@ -512,6 +509,7 @@ func packSwz(swz []int) int32 {
 
 func (cc *compiler) compileFunction(fi *funcInfo) {
 	cc.fn = fi
+	cc.locals = fi.localOff
 	cc.tempTop = 0
 	fi.tempBase = cc.comp.nregs
 	fi.entry = int32(len(cc.code))
@@ -535,6 +533,7 @@ func (cc *compiler) compileFunction(fi *funcInfo) {
 func (cc *compiler) compileInit() {
 	fi := &funcInfo{fd: cc.prog.Entry} // pseudo-frame for scratch space
 	cc.fn = fi
+	cc.locals = nil
 	cc.tempTop = 0
 	fi.tempBase = cc.comp.nregs
 	cc.comp.initEntry = int32(len(cc.code))
@@ -563,8 +562,14 @@ func (cc *compiler) compileInit() {
 	cc.comp.nregs = fi.tempBase + fi.tempMax
 }
 
+// buildMutatedRanges lists the globals some reachable function writes,
+// mirroring the interpreter's MutatedGlobalSlots (unreachable code never
+// runs, so it cannot dirty a global).
 func (cc *compiler) buildMutatedRanges() {
-	for _, slot := range MutatedGlobalSlots(cc.prog) {
+	for slot, written := range cc.mutated {
+		if !written {
+			continue
+		}
 		off := cc.comp.globalOff[slot]
 		size := flatSize(cc.prog.Globals[slot].DeclType)
 		if size > 0 {
@@ -584,10 +589,10 @@ func (cc *compiler) varReg(n *glsl.Ident) int32 {
 	if n.Ref.Storage == glsl.StorageGlobal {
 		return cc.comp.globalOff[n.Ref.Slot]
 	}
-	if cc.fn.localOff == nil {
+	if cc.locals == nil {
 		cc.fail(n.Pos, "local %q used outside a function frame", n.Name)
 	}
-	return cc.fn.localOff[n.Ref.Slot]
+	return cc.locals[n.Ref.Slot]
 }
 
 // ---- Statements ----
@@ -602,7 +607,7 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		}
 	case *glsl.DeclStmt:
 		for _, v := range n.Vars {
-			dst := cc.fn.localOff[v.Slot]
+			dst := cc.locals[v.Slot]
 			size := flatSize(v.DeclType)
 			if v.Init == nil {
 				cc.emit(instr{op: opZero, dst: dst, n: size})
@@ -687,6 +692,18 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		cc.jump(opJnz, cond, head)
 		cc.bind(exit)
 	case *glsl.ReturnStmt:
+		if site := cc.inl; site != nil {
+			// An inlined return stores the call's value and leaves the
+			// body; in tail position it just falls through.
+			if n.X != nil {
+				r, _ := cc.compileExpr(n.X)
+				cc.emit(instr{op: opMov, dst: site.result, a: r, n: site.size})
+			}
+			if n != site.tail {
+				cc.jump(opJmp, 0, site.end)
+			}
+			return
+		}
 		if n.X != nil {
 			r, _ := cc.compileExpr(n.X)
 			cc.emit(instr{op: opMov, dst: cc.fn.retBase, a: r, n: cc.fn.retSize})
@@ -718,69 +735,25 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 // globals and out parameters). Used to decide when an operand read from
 // variable storage must be materialized before a sibling runs.
 func hasSideEffects(e glsl.Expr) bool {
-	switch n := e.(type) {
-	case *glsl.AssignExpr:
-		return true
-	case *glsl.UnaryExpr:
-		if n.Op == glsl.TokInc || n.Op == glsl.TokDec {
+	return anyNode(e, func(n glsl.Node) bool {
+		switch n := n.(type) {
+		case *glsl.AssignExpr:
 			return true
-		}
-		return hasSideEffects(n.X)
-	case *glsl.BinaryExpr:
-		return hasSideEffects(n.X) || hasSideEffects(n.Y)
-	case *glsl.CondExpr:
-		return hasSideEffects(n.Cond) || hasSideEffects(n.Then) || hasSideEffects(n.Else)
-	case *glsl.SequenceExpr:
-		return hasSideEffects(n.X) || hasSideEffects(n.Y)
-	case *glsl.CallExpr:
-		if n.Kind == glsl.CallUser {
-			return true
-		}
-		for _, a := range n.Args {
-			if hasSideEffects(a) {
-				return true
-			}
+		case *glsl.UnaryExpr:
+			return n.Op == glsl.TokInc || n.Op == glsl.TokDec
+		case *glsl.CallExpr:
+			return n.Kind == glsl.CallUser
 		}
 		return false
-	case *glsl.FieldExpr:
-		return hasSideEffects(n.X)
-	case *glsl.IndexExpr:
-		return hasSideEffects(n.X) || hasSideEffects(n.Index)
-	default:
-		return false
-	}
+	})
 }
 
 // containsUserCall reports whether e contains any user function call.
 func containsUserCall(e glsl.Expr) bool {
-	switch n := e.(type) {
-	case *glsl.AssignExpr:
-		return containsUserCall(n.LHS) || containsUserCall(n.RHS)
-	case *glsl.UnaryExpr:
-		return containsUserCall(n.X)
-	case *glsl.BinaryExpr:
-		return containsUserCall(n.X) || containsUserCall(n.Y)
-	case *glsl.CondExpr:
-		return containsUserCall(n.Cond) || containsUserCall(n.Then) || containsUserCall(n.Else)
-	case *glsl.SequenceExpr:
-		return containsUserCall(n.X) || containsUserCall(n.Y)
-	case *glsl.CallExpr:
-		if n.Kind == glsl.CallUser {
-			return true
-		}
-		for _, a := range n.Args {
-			if containsUserCall(a) {
-				return true
-			}
-		}
-		return false
-	case *glsl.FieldExpr:
-		return containsUserCall(n.X)
-	case *glsl.IndexExpr:
-		return containsUserCall(n.X) || containsUserCall(n.Index)
-	default:
-		return false
-	}
+	return anyNode(e, func(n glsl.Node) bool {
+		c, ok := n.(*glsl.CallExpr)
+		return ok && c.Kind == glsl.CallUser
+	})
 }
 
 // materialize copies a direct-storage operand into a scratch temp so later
@@ -858,6 +831,12 @@ func (cc *compiler) compileExpr(e glsl.Expr) (reg int32, direct bool) {
 func (cc *compiler) compileField(n *glsl.FieldExpr) (int32, bool) {
 	x, xdir := cc.compileExpr(n.X)
 	if n.Swizzle != nil {
+		if contiguous(n.Swizzle) {
+			// .x, .xy, .gba, ...: the components are already adjacent, so
+			// read them in place (the interpreter still counts the moves).
+			cc.pending.Mov += uint64(len(n.Swizzle))
+			return x + int32(n.Swizzle[0]), xdir
+		}
 		out := cc.temp(int32(len(n.Swizzle)))
 		cc.emit(instr{op: opSwizLoad, dst: out, a: x, n: int32(len(n.Swizzle)), aux: packSwz(n.Swizzle)})
 		cc.pending.Mov += uint64(len(n.Swizzle))
@@ -921,6 +900,17 @@ func (cc *compiler) compileIndex(n *glsl.IndexExpr) (int32, bool) {
 	}
 	cc.fail(n.Pos, "type %s is not indexable", xt)
 	return 0, false
+}
+
+// contiguous reports whether a swizzle selects adjacent components in
+// ascending order.
+func contiguous(swz []int) bool {
+	for i := range swz {
+		if swz[i] != swz[0]+i {
+			return false
+		}
+	}
+	return true
 }
 
 func indexLimit(t *glsl.Type) int {
@@ -1419,13 +1409,50 @@ func (cc *compiler) compileUserCall(n *glsl.CallExpr) (int32, bool) {
 	if fd == nil || fd.Body == nil {
 		cc.fail(n.Pos, "call to undefined function %q", n.Callee)
 	}
-	idx, ok := cc.funcIdx[fd]
-	if !ok {
+	fi := cc.frames[fd]
+	if fi == nil {
 		cc.fail(n.Pos, "function %q was not discovered during layout", fd.Name)
 	}
-	fi := cc.comp.funcs[idx]
 	cc.pending.Call++
+	params := cc.passArgs(n, fi)
+	if fi.inline {
+		ret := cc.inlineBody(fi, params)
+		cc.writeBack(n, fi)
+		return ret, false
+	}
+	cc.flushStats()
+	cc.emit(instr{op: opCall, aux: fi.index})
+	// A discard in the callee's own body unwinds exactly one level in the
+	// interpreter: this call's out/inout writebacks (and their Stats) still
+	// run, then the invocation aborts. Capture the flag, run the epilogue,
+	// then halt if it was set (see Exec.evalUserCall's ctrlDiscard path).
+	// A callee that cannot discard needs none of this.
+	var dflag int32
+	if fi.discards {
+		dflag = cc.temp(1)
+		cc.emit(instr{op: opDiscardTake, dst: dflag})
+	}
+	var ret int32
+	if fi.retSize > 0 {
+		ret = cc.temp(fi.retSize)
+		cc.emit(instr{op: opMov, dst: ret, a: fi.retBase, n: fi.retSize})
+	}
+	cc.writeBack(n, fi)
+	if fi.discards {
+		cc.flushStats()
+		cc.emit(instr{op: opDiscardHalt, a: dflag})
+	}
+	return ret, false
+}
 
+// passArgs evaluates a call's arguments left to right and returns the
+// register each callee parameter reads. An in parameter of an inlined
+// callee that never writes it reads its argument where it already is, when
+// that is a temporary or a local (any register past the globals): the body
+// can change neither, since a local belongs to a caller and GLSL ES has no
+// recursion, while it may write a global or builtin. Every other parameter
+// gets a copy in the callee's frame.
+func (cc *compiler) passArgs(n *glsl.CallExpr, fi *funcInfo) []int32 {
 	// When an argument expression can itself invoke user code, evaluate
 	// every argument into scratch space before touching the callee's
 	// parameter registers (an inner call may target the same function).
@@ -1436,68 +1463,104 @@ func (cc *compiler) compileUserCall(n *glsl.CallExpr) (int32, bool) {
 			break
 		}
 	}
-	argTmp := make([]int32, len(n.Args))
+	params := make([]int32, len(n.Args))
+	staged := make([]int32, len(n.Args)) // scratch copy, or -1 once placed
 	for i, a := range n.Args {
-		p := fd.Params[i]
+		p := fi.fd.Params[i]
 		psize := flatSize(p.DeclType)
-		preg := fi.localOff[p.Slot]
+		params[i] = fi.localOff[p.Slot]
 		if p.Dir == glsl.DirOut {
-			argTmp[i] = -1
-			if !indirect {
-				cc.emit(instr{op: opZero, dst: preg, n: psize})
-			}
 			continue
 		}
 		r, dir := cc.compileExpr(a)
 		if dir {
 			for _, later := range n.Args[i+1:] {
 				if hasSideEffects(later) {
-					r = cc.materialize(r, true, psize)
-					dir = false
+					r, dir = cc.materialize(r, true, psize), false
 					break
 				}
 			}
 		}
-		if indirect {
-			argTmp[i] = cc.materialize(r, dir, psize)
-		} else {
-			cc.emit(instr{op: opMov, dst: preg, a: r, n: psize})
+		switch {
+		case fi.inline && p.Dir == glsl.DirIn && !fi.written[i] && r >= cc.comp.globalEnd:
+			params[i], staged[i] = r, -1
+		case indirect:
+			staged[i] = cc.materialize(r, dir, psize)
+		default:
+			cc.emit(instr{op: opMov, dst: params[i], a: r, n: psize})
+			staged[i] = -1
 		}
 	}
-	if indirect {
-		for i, p := range fd.Params {
-			psize := flatSize(p.DeclType)
-			preg := fi.localOff[p.Slot]
-			if p.Dir == glsl.DirOut {
-				cc.emit(instr{op: opZero, dst: preg, n: psize})
-			} else {
-				cc.emit(instr{op: opMov, dst: preg, a: argTmp[i], n: psize})
-			}
+	for i, p := range fi.fd.Params {
+		psize := flatSize(p.DeclType)
+		switch {
+		case p.Dir == glsl.DirOut:
+			cc.emit(instr{op: opZero, dst: params[i], n: psize})
+		case staged[i] >= 0:
+			cc.emit(instr{op: opMov, dst: params[i], a: staged[i], n: psize})
 		}
 	}
-	cc.flushStats()
-	cc.emit(instr{op: opCall, aux: idx})
-	// A discard in the callee's own body unwinds exactly one level in the
-	// interpreter: this call's out/inout writebacks (and their Stats) still
-	// run, then the invocation aborts. Capture the flag, run the epilogue,
-	// then halt if it was set (see Exec.evalUserCall's ctrlDiscard path).
-	dflag := cc.temp(1)
-	cc.emit(instr{op: opDiscardTake, dst: dflag})
+	return params
+}
 
-	var ret int32
-	if fi.retSize > 0 {
-		ret = cc.temp(fi.retSize)
-		cc.emit(instr{op: opMov, dst: ret, a: fi.retBase, n: fi.retSize})
+// inlineBody emits fi's body in place of a call whose parameters live in
+// params and returns the register holding the call's value. The body's
+// locals keep their static frame; its temps come from the caller's scratch
+// area, above everything the call site still needs.
+func (cc *compiler) inlineBody(fi *funcInfo, params []int32) int32 {
+	locals := append([]int32(nil), fi.localOff...)
+	for i, p := range fi.fd.Params {
+		locals[p.Slot] = params[i]
 	}
-	// Copy out/inout parameters before any writeback l-value evaluation
-	// can reuse callee registers, then store them in parameter order.
+	body := fi.fd.Body.Stmts
+	site := &inlineSite{size: fi.retSize, end: cc.newLabel()}
+	if k := len(body); k > 0 {
+		site.tail, _ = body[k-1].(*glsl.ReturnStmt)
+	}
+	outer, outerSite, outerLoops := cc.locals, cc.inl, cc.loops
+	cc.locals, cc.inl, cc.loops = locals, site, nil
+	defer func() { cc.locals, cc.inl, cc.loops = outer, outerSite, outerLoops }()
+
+	if site.tail != nil && fi.returns == 1 {
+		// One return, at the end: its value is the call's value. A value
+		// still in variable storage is copied, because a later call can
+		// reuse this frame.
+		for _, s := range body[:len(body)-1] {
+			cc.compileStmt(s)
+		}
+		if site.tail.X == nil {
+			return 0
+		}
+		r, dir := cc.compileExpr(site.tail.X)
+		return cc.materialize(r, dir, fi.retSize)
+	}
+	if fi.retSize > 0 {
+		site.result = cc.temp(fi.retSize)
+		if site.tail == nil {
+			// Falling off the end yields the zero value.
+			cc.emit(instr{op: opZero, dst: site.result, n: fi.retSize})
+		}
+	}
+	for _, s := range body {
+		cc.compileStmt(s)
+	}
+	if len(site.end.fixes) > 0 {
+		cc.bind(site.end)
+	}
+	return site.result
+}
+
+// writeBack stores a finished call's out and inout parameters into their
+// argument l-values, in parameter order. The values are copied out of the
+// callee's frame first: evaluating an l-value can call the callee again.
+func (cc *compiler) writeBack(n *glsl.CallExpr, fi *funcInfo) {
 	type writeback struct {
 		arg  glsl.Expr
 		tmp  int32
 		decl *glsl.VarDecl
 	}
 	var wbs []writeback
-	for i, p := range fd.Params {
+	for i, p := range fi.fd.Params {
 		if p.Dir == glsl.DirOut || p.Dir == glsl.DirInOut {
 			size := flatSize(p.DeclType)
 			tmp := cc.temp(size)
@@ -1510,9 +1573,6 @@ func (cc *compiler) compileUserCall(n *glsl.CallExpr) (int32, bool) {
 		cc.store(lv, wb.tmp, false, wb.decl.DeclType)
 		cc.pending.Mov += uint64(maxI(1, wb.decl.DeclType.ComponentCount()))
 	}
-	cc.flushStats()
-	cc.emit(instr{op: opDiscardHalt, a: dflag})
-	return ret, false
 }
 
 func (cc *compiler) compileBuiltin(n *glsl.CallExpr) (int32, bool) {

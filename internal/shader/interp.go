@@ -164,111 +164,17 @@ func (ex *Exec) findMutatedGlobals() {
 // to decide which globals must be reset between invocations.
 func MutatedGlobalSlots(prog *glsl.Program) []int {
 	written := map[int]bool{}
-	var scanExpr func(e glsl.Expr)
-	var scanStmt func(s glsl.Stmt)
-	markTarget := func(e glsl.Expr) {
-		for {
-			switch n := e.(type) {
-			case *glsl.Ident:
-				if n.Ref != nil && n.Ref.Storage == glsl.StorageGlobal {
-					written[n.Ref.Slot] = true
-				}
-				return
-			case *glsl.FieldExpr:
-				e = n.X
-			case *glsl.IndexExpr:
-				e = n.X
-			default:
-				return
-			}
-		}
-	}
-	scanExpr = func(e glsl.Expr) {
-		switch n := e.(type) {
-		case *glsl.AssignExpr:
-			markTarget(n.LHS)
-			scanExpr(n.LHS)
-			scanExpr(n.RHS)
-		case *glsl.UnaryExpr:
-			if n.Op == glsl.TokInc || n.Op == glsl.TokDec {
-				markTarget(n.X)
-			}
-			scanExpr(n.X)
-		case *glsl.BinaryExpr:
-			scanExpr(n.X)
-			scanExpr(n.Y)
-		case *glsl.CondExpr:
-			scanExpr(n.Cond)
-			scanExpr(n.Then)
-			scanExpr(n.Else)
-		case *glsl.SequenceExpr:
-			scanExpr(n.X)
-			scanExpr(n.Y)
-		case *glsl.CallExpr:
-			// out/inout args of user calls can write globals.
-			if n.Kind == glsl.CallUser && n.Func != nil {
-				for i, p := range n.Func.Params {
-					if p.Dir != glsl.DirIn && i < len(n.Args) {
-						markTarget(n.Args[i])
-					}
-				}
-			}
-			for _, a := range n.Args {
-				scanExpr(a)
-			}
-		case *glsl.FieldExpr:
-			scanExpr(n.X)
-		case *glsl.IndexExpr:
-			scanExpr(n.X)
-			scanExpr(n.Index)
-		}
-	}
-	scanStmt = func(s glsl.Stmt) {
-		switch n := s.(type) {
-		case *glsl.BlockStmt:
-			for _, st := range n.Stmts {
-				scanStmt(st)
-			}
-		case *glsl.DeclStmt:
-			for _, v := range n.Vars {
-				if v.Init != nil {
-					scanExpr(v.Init)
-				}
-			}
-		case *glsl.ExprStmt:
-			scanExpr(n.X)
-		case *glsl.IfStmt:
-			scanExpr(n.Cond)
-			scanStmt(n.Then)
-			if n.Else != nil {
-				scanStmt(n.Else)
-			}
-		case *glsl.ForStmt:
-			if n.InitStmt != nil {
-				scanStmt(n.InitStmt)
-			}
-			if n.Cond != nil {
-				scanExpr(n.Cond)
-			}
-			if n.Post != nil {
-				scanExpr(n.Post)
-			}
-			scanStmt(n.Body)
-		case *glsl.WhileStmt:
-			scanExpr(n.Cond)
-			scanStmt(n.Body)
-		case *glsl.DoWhileStmt:
-			scanStmt(n.Body)
-			scanExpr(n.Cond)
-		case *glsl.ReturnStmt:
-			if n.X != nil {
-				scanExpr(n.X)
-			}
+	mark := func(id *glsl.Ident) {
+		if id.Ref != nil && id.Ref.Storage == glsl.StorageGlobal {
+			written[id.Ref.Slot] = true
 		}
 	}
 	for _, fd := range prog.Functions {
 		if fd.Body != nil {
-			scanStmt(fd.Body)
+			walk(fd.Body, func(n glsl.Node) bool {
+				writeRoots(n, mark)
+				return true
+			})
 		}
 	}
 	var slots []int

@@ -7,11 +7,13 @@ package shader
 // paper metric from those counters.
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"glescompute/internal/glsl"
 )
@@ -668,4 +670,162 @@ void main() {
 	if allocs != 0 {
 		t.Fatalf("VM.Run allocates %v times per invocation, want 0", allocs)
 	}
+}
+
+// TestVMDifferentialInlining covers what the compiler's inliner must
+// preserve: early returns, parameter passing in every direction, argument
+// side effects, nested and repeated calls of one function, discards reached
+// through helpers, and swizzles read in place.
+func TestVMDifferentialInlining(t *testing.T) {
+	frag := func(body string) string {
+		return "precision highp float;\nuniform float u_a;\nuniform float u_b;\nuniform vec4 u_v;\n" + body
+	}
+	cases := map[string]string{
+		"early-return-if": frag(`
+float pick(float x) {
+	if (x > 1.0) { return x * 2.0; }
+	if (x < -1.0) { return -x; }
+	float y = x + 0.5;
+	return y * y;
+}
+float noTail(float x) { if (x > 0.0) { return 3.0; } }
+void main() {
+	float x = gl_FragCoord.x - 3.5;
+	gl_FragColor = vec4(pick(x), pick(u_b), pick(u_a - x), noTail(x));
+}`),
+		"early-return-in-loop": frag(`
+float clampUp(float x) { if (x > 4.0) { return 4.0; } return x + 1.0; }
+float firstOver(float lim) {
+	for (int i = 0; i < 8; i++) {
+		if (float(i) > lim) { return float(i); }
+	}
+	return -1.0;
+}
+void main() {
+	float s = 0.0;
+	for (int i = 0; i < 6; i++) { s += clampUp(s + u_a - gl_FragCoord.x); }
+	gl_FragColor = vec4(s, firstOver(gl_FragCoord.x), firstOver(u_b + 20.0), 1.0);
+}`),
+		"out-inout-params": frag(`
+void split(float x, out float ip, inout float acc) { ip = floor(x); acc += x - ip; }
+float both(vec2 v, out vec2 w) { w = v.yx; return v.x; }
+void main() {
+	float ip = 9.0; float acc = u_b; vec2 w;
+	split(u_a * 3.7, ip, acc);
+	float r = both(u_v.zw, w);
+	split(acc, acc, acc);
+	gl_FragColor = vec4(ip, acc, w.x + r, w.y);
+}`),
+		"assigned-in-param": frag(`
+float bump(float x) { x += 1.0; return x * 2.0; }
+vec2 swapped(vec2 v) { v.xy = v.yx; return v; }
+void main() {
+	float a = u_a;
+	vec2 p = u_v.xy;
+	float b = bump(a);
+	vec2 q = swapped(p);
+	gl_FragColor = vec4(a, b, p.x + q.x, p.y + q.y);
+}`),
+		"callee-writes-global-arg": frag(`
+float g;
+vec2 gv;
+float setG(float x) { g = 5.0; return x + g; }
+float setV(vec2 v) { gv = vec2(7.0); return v.x + v.y + gv.x; }
+float getG() { return g; }
+void main() {
+	g = u_a;
+	gv = u_v.xy;
+	float k = getG() - setG(1.0);
+	g = u_a;
+	float r = setG(g) + k;
+	float s = setV(gv);
+	gl_FragColor = vec4(r, g, s, gv.y);
+}`),
+		"repeated-and-nested": frag(`
+float f(float x) { float t = x * 3.0; return t - 1.0; }
+float loc(float x) { float t = x * 3.0; return t; }
+vec2 h(vec2 v) { return v * 0.5 + f(v.x); }
+void main() {
+	float a = f(u_a) + f(u_b) + loc(u_a) * loc(u_b);
+	float b = f(f(u_a));
+	vec2 c = h(h(u_v.xy));
+	gl_FragColor = vec4(a, b, c);
+}`),
+		"argument-side-effects": frag(`
+float f(float a, float b) { return a * 10.0 + b; }
+float g(float a, float b) { return a - b; }
+void main() {
+	float x = u_a;
+	float r = f(x, x = 3.0);
+	float y = u_b;
+	float s = g(y, f(y, y += 1.0));
+	float z = u_a;
+	float t = f(z++, z);
+	vec4 w = u_v;
+	float q = f(w.y, (w = vec4(2.0)).x) + f(w.x, w.z);
+	gl_FragColor = vec4(r, x, s + y, t + z + q);
+}`),
+		"discard-through-inlined": frag(`
+float inc(float x) { return x + 1.0; }
+void drop(float x) { if (inc(x) > 3.0) { discard; } }
+float wrap(float x, out float o) { o = inc(x); drop(o); return o * 2.0; }
+void main() {
+	float o = 0.0;
+	float r = wrap(gl_FragCoord.x - 2.0, o);
+	gl_FragColor = vec4(r, o, inc(u_b), 1.0);
+}`),
+		"swizzle-reads": frag(`
+vec4 id(vec4 v) { return v; }
+void main() {
+	vec4 v = u_v;
+	vec4 w = v * 2.0;
+	vec2 a = v.yz + v.zy + v.xx;
+	vec3 b = (v + u_v).gba + (v * 2.0).wzy + (w * 3.0).yyy;
+	float c = id(v).z + id(w).wx.y + u_v.w + vec4(u_a, u_b, 1.0, 2.0).zw.x;
+	v.xy = v.yx;
+	v.yz = v.zy + v.yz;
+	gl_FragColor = vec4(a.x + a.y, b.x + b.z, c, v.x + v.y + v.z);
+}`),
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) {
+			runDifferential(t, compileSrc(t, src, glsl.StageFragment), 16)
+		})
+	}
+}
+
+// chainSource is n functions, each calling the next twice (one call per
+// path at run time), so full inlining would emit 2^n copies of the leaf.
+func chainSource(n int) string {
+	var b strings.Builder
+	b.WriteString("precision highp float;\nuniform float u_a;\n")
+	fmt.Fprintf(&b, "float f%d(float x) { return x * 1.5 + 0.25; }\n", n)
+	for i := n - 1; i >= 1; i-- {
+		fmt.Fprintf(&b, "float f%d(float x) { return x > 0.0 ? f%d(x - 1.0) : f%d(x + 2.0); }\n", i, i+1, i+1)
+	}
+	b.WriteString("void main() { gl_FragColor = vec4(f1(u_a)); }\n")
+	return b.String()
+}
+
+// TestInlineBudgetBoundsCode pins the inliner's budget: a chain whose full
+// expansion is exponential compiles quickly, to code linear in the source,
+// and still matches the interpreter.
+func TestInlineBudgetBoundsCode(t *testing.T) {
+	codeLen := func(n int) int {
+		prog := compileSrc(t, chainSource(n), glsl.StageFragment)
+		start := time.Now()
+		c, err := Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("compiling a %d-function chain took %v", n, d)
+		}
+		return c.CodeLen()
+	}
+	short, long := codeLen(12), codeLen(24)
+	if long > 3*short {
+		t.Fatalf("code length %d for 24 functions vs %d for 12: not linear in the source", long, short)
+	}
+	runDifferential(t, compileSrc(t, chainSource(24), glsl.StageFragment), 8)
 }
