@@ -57,6 +57,12 @@ type speedupJSON struct {
 	GPUMicros    int64   `json:"gpu_us"`
 	CPUMicros    int64   `json:"cpu_us"`
 	Validated    bool    `json:"validated"`
+
+	// The GPU side's modeled phases (their sum is gpu_us, up to rounding).
+	CompileMicros  int64 `json:"gpu_compile_us"`
+	UploadMicros   int64 `json:"gpu_upload_us"`
+	ExecuteMicros  int64 `json:"gpu_execute_us"`
+	ReadbackMicros int64 `json:"gpu_readback_us"`
 }
 
 func toSpeedupJSON(s paper.Speedup) speedupJSON {
@@ -69,6 +75,11 @@ func toSpeedupJSON(s paper.Speedup) speedupJSON {
 		GPUMicros:    s.GPU.Total().Microseconds(),
 		CPUMicros:    s.CPUTime.Microseconds(),
 		Validated:    s.Validated,
+
+		CompileMicros:  s.GPU.Compile.Microseconds(),
+		UploadMicros:   s.GPU.Upload.Microseconds(),
+		ExecuteMicros:  s.GPU.Execute.Microseconds(),
+		ReadbackMicros: s.GPU.Readback.Microseconds(),
 	}
 }
 
@@ -148,13 +159,16 @@ func main() {
 				if !speedupHeader {
 					speedupHeader = true
 					fmt.Println("Speedups over the CPU (paper §V; modeled wall time incl. transfers and compilation):")
-					fmt.Printf("  %-5s %-16s %9s | %7s | %9s %9s | %10s %10s %s\n",
-						"ID", "benchmark", "size", "paper", "model", "exec-only", "GPU", "CPU", "valid")
+					fmt.Printf("  %-5s %-16s %9s | %7s | %9s %9s | %10s %10s %s | %9s %9s %9s %9s\n",
+						"ID", "benchmark", "size", "paper", "model", "exec-only", "GPU", "CPU", "valid",
+						"compile", "upload", "execute", "readback")
 				}
-				fmt.Printf("  %-5s %-16s %9d | %6.1fx | %8.2fx %8.2fx | %10v %10v %v\n",
+				fmt.Printf("  %-5s %-16s %9d | %6.1fx | %8.2fx %8.2fx | %10v %10v %5v | %9v %9v %9v %9v\n",
 					s.ID, fmt.Sprintf("%s (%s)", s.Kernel, s.Elem), s.TargetN,
 					s.PaperSpeedup, s.ModelSpeedup(), s.ExecOnlySpeedup(),
-					s.GPU.Total().Round(100000), s.CPUTime.Round(100000), s.Validated)
+					s.GPU.Total().Round(100000), s.CPUTime.Round(100000), s.Validated,
+					s.GPU.Compile.Round(100000), s.GPU.Upload.Round(100000),
+					s.GPU.Execute.Round(100000), s.GPU.Readback.Round(100000))
 			})
 			return nil
 		}

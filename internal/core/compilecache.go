@@ -8,7 +8,7 @@ package core
 // KernelSpec (via generateFragmentShader) and the codegen revision — and
 // stores the gles program binary (serialized bytecode, see
 // internal/shader/serialize.go). A hit restores through
-// Context.ProgramBinary at BinaryLoadPerProgram (200 µs) instead of
+// Context.ProgramBinary at the modeled binary-load price (200 µs) instead of
 // compiling, and restored programs execute the identical bytecode, so
 // results and per-draw shader statistics are bit-for-bit unchanged.
 //

@@ -21,7 +21,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"glescompute/internal/gles"
 	"glescompute/internal/layout"
@@ -81,43 +80,8 @@ type Config struct {
 }
 
 // Timeline is the modeled wall-clock breakdown of everything executed
-// since the last ResetTimeline, mirroring the paper's measurement
-// methodology ("application wall times, including time spent in data
-// transfers and kernel compilations").
-type Timeline struct {
-	Compile  time.Duration
-	Upload   time.Duration
-	Execute  time.Duration
-	Readback time.Duration
-}
-
-// Total returns the modeled wall time.
-func (t Timeline) Total() time.Duration {
-	return t.Compile + t.Upload + t.Execute + t.Readback
-}
-
-// Sub returns the componentwise difference t - o: the cost of the work
-// executed between two Timeline snapshots. Pipeline uses it to price one
-// chain under the timing model.
-func (t Timeline) Sub(o Timeline) Timeline {
-	return Timeline{
-		Compile:  t.Compile - o.Compile,
-		Upload:   t.Upload - o.Upload,
-		Execute:  t.Execute - o.Execute,
-		Readback: t.Readback - o.Readback,
-	}
-}
-
-// Add returns the componentwise sum t + o. The scheduler uses it to
-// accumulate per-launch timeline deltas into per-device busy time.
-func (t Timeline) Add(o Timeline) Timeline {
-	return Timeline{
-		Compile:  t.Compile + o.Compile,
-		Upload:   t.Upload + o.Upload,
-		Execute:  t.Execute + o.Execute,
-		Readback: t.Readback + o.Readback,
-	}
-}
+// since the last ResetTimeline (see vc4.Timeline).
+type Timeline = vc4.Timeline
 
 // Device is a simulated low-end mobile GPU opened for compute.
 type Device struct {
@@ -306,18 +270,8 @@ func (d *Device) ResetTimeline() {
 
 // Timeline returns the modeled wall-clock breakdown since the last reset.
 func (d *Device) Timeline() Timeline {
-	tr := d.ctx.Transfers()
-	draws := d.ctx.Draws()
-	upload := time.Duration(float64(tr.TexUploadBytes) / d.gpu.UploadBytesPerSec * float64(time.Second))
-	upload += time.Duration(tr.TexUploadCalls) * d.gpu.UploadCallOverhead
-	readback := time.Duration(float64(tr.ReadPixelsBytes) / d.gpu.ReadbackBytesPerSec * float64(time.Second))
-	readback += time.Duration(tr.ReadPixelsCalls) * d.gpu.ReadbackOverhead
-	return Timeline{
-		Compile:  d.gpu.CompileTime(&tr),
-		Upload:   upload,
-		Execute:  d.gpu.DrawTime(&draws),
-		Readback: readback,
-	}
+	draws, tr := d.ctx.Draws(), d.ctx.Transfers()
+	return d.gpu.Price(&draws, &tr)
 }
 
 // checkGL converts pending GL errors into a Go error. It drains the

@@ -121,10 +121,21 @@ func TestInt8SingleLayersDifferential(t *testing.T) {
 }
 
 // TestInt8LeNetDifferential is the whole-network differential on the
-// demo model — the configuration the N1 experiment reports.
+// demo model — the configuration the N1 experiment reports — and on
+// liveLeNetInt8, whose dense layers see varied activations instead of
+// the demo's zeros, so a wrong dense-layer fetch shows.
 func TestInt8LeNetDifferential(t *testing.T) {
-	m := DemoLeNetInt8(7)
-	runInt8Lanes(t, m, 2, DemoInputInt8(8, 2))
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{
+		{"demo", DemoLeNetInt8(7)},
+		{"live", liveLeNetInt8()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runInt8Lanes(t, tc.m, 2, DemoInputInt8(8, 2))
+		})
+	}
 }
 
 // TestInt8MobileNetDifferential is the whole-network differential on the

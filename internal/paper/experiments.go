@@ -25,6 +25,7 @@ import (
 	"glescompute/internal/armtime"
 	"glescompute/internal/codec"
 	"glescompute/internal/core"
+	"glescompute/internal/gles"
 	"glescompute/internal/refcpu"
 	"glescompute/internal/shader"
 	"glescompute/internal/vc4"
@@ -80,120 +81,82 @@ float gc_kernel(float idx) {
 }
 `
 
+// t1Arm is one element type's half of a T1 kernel: the paper's row and
+// figure, the input generator, the CPU reference with its op counts, and
+// the rule every GPU output element must meet.
+type t1Arm[T int32 | float32] struct {
+	id     string
+	paper  float64
+	elem   codec.ElemType
+	gen    func(*rand.Rand) T
+	ref    func(a, b []T, n int) []T
+	counts func(n int) armtime.OpCounts
+	ok     func(got, want T) bool
+	write  func(*core.Buffer, []T) error
+	read   func(*core.Buffer) ([]T, error)
+}
+
+var (
+	sumInt32 = t1Arm[int32]{
+		id: "T1.1", paper: 7.2, elem: codec.Int32,
+		gen:    func(r *rand.Rand) int32 { return int32(r.Intn(1 << 22)) },
+		ref:    func(a, b []int32, _ int) []int32 { c, _ := refcpu.SumInt32(a, b); return c },
+		counts: refcpu.SumInt32Counts,
+		ok:     func(got, want int32) bool { return got == want },
+		write:  (*core.Buffer).WriteInt32, read: (*core.Buffer).ReadInt32,
+	}
+	sumFloat32 = t1Arm[float32]{
+		id: "T1.2", paper: 6.5, elem: codec.Float32,
+		gen:    func(r *rand.Rand) float32 { return r.Float32() * 100 },
+		ref:    func(a, b []float32, _ int) []float32 { c, _ := refcpu.SumFloat32(a, b); return c },
+		counts: refcpu.SumFloat32Counts,
+		ok:     func(got, want float32) bool { return codec.MantissaBitsAgreement(want, got) >= 13 },
+		write:  (*core.Buffer).WriteFloat32, read: (*core.Buffer).ReadFloat32,
+	}
+	sgemmInt32 = t1Arm[int32]{
+		id: "T1.3", paper: 6.5, elem: codec.Int32,
+		gen:    func(r *rand.Rand) int32 { return int32(r.Intn(128) - 64) },
+		ref:    func(a, b []int32, n int) []int32 { c, _ := refcpu.SgemmInt32(a, b, n); return c },
+		counts: refcpu.SgemmInt32Counts,
+		ok:     func(got, want int32) bool { return got == want },
+		write:  (*core.Buffer).WriteInt32, read: (*core.Buffer).ReadInt32,
+	}
+	sgemmFloat32 = t1Arm[float32]{
+		id: "T1.4", paper: 6.3, elem: codec.Float32,
+		gen:    func(r *rand.Rand) float32 { return r.Float32() },
+		ref:    func(a, b []float32, n int) []float32 { c, _ := refcpu.SgemmFloat32(a, b, n); return c },
+		counts: refcpu.SgemmFloat32Counts,
+		// Dot products of decoded inputs accumulate codec error.
+		ok: func(got, want float32) bool {
+			return math.Abs(float64(got-want))/math.Max(math.Abs(float64(want)), 1) <= 1.0/(1<<11)
+		},
+		write: (*core.Buffer).WriteFloat32, read: (*core.Buffer).ReadFloat32,
+	}
+)
+
 // RunSum executes the paper's `sum` benchmark (T1.1/T1.2): element-wise
 // addition of two arrays, validated at execN and extrapolated to targetN.
 func RunSum(elem codec.ElemType, targetN, execN int) (Speedup, error) {
-	s := Speedup{Kernel: "sum", Elem: elem, TargetN: targetN, ExecN: execN}
 	switch elem {
 	case codec.Int32:
-		s.ID, s.PaperSpeedup = "T1.1", 7.2
+		return runSum(sumInt32, targetN, execN)
 	case codec.Float32:
-		s.ID, s.PaperSpeedup = "T1.2", 6.5
-	default:
-		return s, fmt.Errorf("paper: sum is specified for int32 and float32")
+		return runSum(sumFloat32, targetN, execN)
 	}
+	return Speedup{}, fmt.Errorf("paper: sum is specified for int32 and float32")
+}
 
-	dev, err := openDevice(core.Config{})
+func runSum[T int32 | float32](arm t1Arm[T], targetN, execN int) (Speedup, error) {
+	s := Speedup{ID: arm.id, Kernel: "sum", Elem: arm.elem, TargetN: targetN, ExecN: execN, PaperSpeedup: arm.paper}
+	stats, model, err := runT1(arm, execN, false)
 	if err != nil {
 		return s, err
 	}
-	defer dev.Close()
-
-	ba, err := dev.NewBuffer(elem, execN)
-	if err != nil {
-		return s, err
-	}
-	bb, _ := dev.NewBuffer(elem, execN)
-	bo, _ := dev.NewBuffer(elem, execN)
-	k, err := dev.BuildKernel(core.KernelSpec{
-		Name:    "sum",
-		Inputs:  []core.Param{{Name: "a", Type: elem}, {Name: "b", Type: elem}},
-		Outputs: []core.OutputSpec{{Name: "out", Type: elem}},
-		Source:  sumSource,
-	})
-	if err != nil {
-		return s, err
-	}
-
-	rng := rand.New(rand.NewSource(20160314))
-	var stats core.RunStats
-	switch elem {
-	case codec.Int32:
-		a := make([]int32, execN)
-		b := make([]int32, execN)
-		for i := range a {
-			a[i] = int32(rng.Intn(1 << 22))
-			b[i] = int32(rng.Intn(1 << 22))
-		}
-		if err := ba.WriteInt32(a); err != nil {
-			return s, err
-		}
-		if err := bb.WriteInt32(b); err != nil {
-			return s, err
-		}
-		stats, err = k.Run1(bo, []*core.Buffer{ba, bb}, nil)
-		if err != nil {
-			return s, err
-		}
-		got, err := bo.ReadInt32()
-		if err != nil {
-			return s, err
-		}
-		want, _ := refcpu.SumInt32(a, b)
-		s.Validated = true
-		for i := range want {
-			if got[i] != want[i] {
-				s.Validated = false
-				return s, fmt.Errorf("paper: sum int validation failed at %d: %d != %d", i, got[i], want[i])
-			}
-		}
-		s.CPUTime = armtime.DefaultModel().Time(refcpu.SumInt32Counts(targetN))
-	case codec.Float32:
-		a := make([]float32, execN)
-		b := make([]float32, execN)
-		for i := range a {
-			a[i] = rng.Float32() * 100
-			b[i] = rng.Float32() * 100
-		}
-		if err := ba.WriteFloat32(a); err != nil {
-			return s, err
-		}
-		if err := bb.WriteFloat32(b); err != nil {
-			return s, err
-		}
-		stats, err = k.Run1(bo, []*core.Buffer{ba, bb}, nil)
-		if err != nil {
-			return s, err
-		}
-		got, err := bo.ReadFloat32()
-		if err != nil {
-			return s, err
-		}
-		want, _ := refcpu.SumFloat32(a, b)
-		s.Validated = true
-		for i := range want {
-			if codec.MantissaBitsAgreement(want[i], got[i]) < 13 {
-				s.Validated = false
-				return s, fmt.Errorf("paper: sum float validation failed at %d: %g vs %g", i, got[i], want[i])
-			}
-		}
-		s.CPUTime = armtime.DefaultModel().Time(refcpu.SumFloat32Counts(targetN))
-	}
-
-	// Extrapolate to targetN: fragment work scales linearly; transfers and
-	// compile are computed analytically at full size.
-	model := dev.GPUModel()
-	scale := float64(targetN) / float64(execN)
-	frag := stats.Draw.FragmentStats.Scale(scale)
-	vert := stats.Draw.VertexStats
-	s.GPU = core.Timeline{
-		Compile: model.CompileTimePerShader*2 + model.LinkTimePerProgram,
-		Upload: transferTime(2*4*targetN, model.UploadBytesPerSec) +
-			2*model.UploadCallOverhead,
-		Execute: model.ShaderTime(&frag) + model.ShaderTime(&vert) + model.DrawCallOverhead,
-		Readback: transferTime(4*targetN, model.ReadbackBytesPerSec) +
-			model.ReadbackOverhead,
-	}
+	// Fragment work scales linearly in the element count.
+	frag := stats.Draw.FragmentStats.Scale(float64(targetN) / float64(execN))
+	s.GPU = priceT1(model, targetN, frag, stats.Draw.VertexStats)
+	s.CPUTime = armtime.DefaultModel().Time(arm.counts(targetN))
+	s.Validated = true
 	return s, nil
 }
 
@@ -202,140 +165,113 @@ func RunSum(elem codec.ElemType, targetN, execN int) (Speedup, error) {
 // dimension K, so two executed sizes determine the full-size counts
 // exactly.
 func RunSgemm(elem codec.ElemType, targetN, execN1, execN2 int) (Speedup, error) {
-	s := Speedup{Kernel: "sgemm", Elem: elem, TargetN: targetN, ExecN: execN2}
 	switch elem {
 	case codec.Int32:
-		s.ID, s.PaperSpeedup = "T1.3", 6.5
+		return runSgemm(sgemmInt32, targetN, execN1, execN2)
 	case codec.Float32:
-		s.ID, s.PaperSpeedup = "T1.4", 6.3
-	default:
-		return s, fmt.Errorf("paper: sgemm is specified for int32 and float32")
+		return runSgemm(sgemmFloat32, targetN, execN1, execN2)
 	}
+	return Speedup{}, fmt.Errorf("paper: sgemm is specified for int32 and float32")
+}
+
+func runSgemm[T int32 | float32](arm t1Arm[T], targetN, execN1, execN2 int) (Speedup, error) {
+	s := Speedup{ID: arm.id, Kernel: "sgemm", Elem: arm.elem, TargetN: targetN, ExecN: execN2, PaperSpeedup: arm.paper}
 	if execN1 >= execN2 {
 		return s, fmt.Errorf("paper: need execN1 < execN2")
 	}
-
-	perFrag := make(map[int]shader.Stats)
-	var validated bool
-	for _, n := range []int{execN1, execN2} {
-		frag, ok, err := runSgemmAt(elem, n)
-		if err != nil {
-			return s, err
-		}
-		validated = ok
-		perFrag[n] = frag
+	small, _, err := runT1(arm, execN1, true)
+	if err != nil {
+		return s, err
 	}
-	s.Validated = validated
-
+	large, model, err := runT1(arm, execN2, true)
+	if err != nil {
+		return s, err
+	}
 	// Affine fit per fragment in float64: stats(K) = a + b·K, evaluated at
 	// the target K and multiplied by the target fragment count.
-	frag := extrapolateAffine(perFrag[execN1], perFrag[execN2], execN1, execN2, targetN)
+	frag := extrapolateAffine(small.Draw.FragmentStats, large.Draw.FragmentStats, execN1, execN2, targetN)
 	frag.Invocations = uint64(targetN * targetN)
-
-	model := vc4.DefaultModel()
-	vertStats := shader.Stats{Invocations: 6, Mov: 24}
-	s.GPU = core.Timeline{
-		Compile: model.CompileTimePerShader*2 + model.LinkTimePerProgram,
-		Upload: transferTime(2*4*targetN*targetN, model.UploadBytesPerSec) +
-			2*model.UploadCallOverhead,
-		Execute: model.ShaderTime(&frag) + model.ShaderTime(&vertStats) + model.DrawCallOverhead,
-		Readback: transferTime(4*targetN*targetN, model.ReadbackBytesPerSec) +
-			model.ReadbackOverhead,
-	}
-	if elem == codec.Int32 {
-		s.CPUTime = armtime.DefaultModel().Time(refcpu.SgemmInt32Counts(targetN))
-	} else {
-		s.CPUTime = armtime.DefaultModel().Time(refcpu.SgemmFloat32Counts(targetN))
-	}
+	s.GPU = priceT1(model, targetN*targetN, frag, large.Draw.VertexStats)
+	s.CPUTime = armtime.DefaultModel().Time(arm.counts(targetN))
+	s.Validated = true
 	return s, nil
 }
 
-// runSgemmAt executes sgemm at size n, validates, and returns the
-// fragment-stage statistics.
-func runSgemmAt(elem codec.ElemType, n int) (shader.Stats, bool, error) {
+// runT1 executes one T1 arm on a fresh device at n elements — sum — or
+// on n×n matrices — sgemm: it uploads two generated inputs, draws once,
+// reads the output back and checks every element against the CPU
+// reference. It returns the run's stats and the device's timing model.
+func runT1[T int32 | float32](arm t1Arm[T], n int, matrix bool) (core.RunStats, *vc4.Model, error) {
 	dev, err := openDevice(core.Config{})
 	if err != nil {
-		return shader.Stats{}, false, err
+		return core.RunStats{}, nil, err
 	}
 	defer dev.Close()
-	ba, err := dev.NewMatrixBuffer(elem, n)
+	spec := core.KernelSpec{
+		Name:    "sum",
+		Inputs:  []core.Param{{Name: "a", Type: arm.elem}, {Name: "b", Type: arm.elem}},
+		Outputs: []core.OutputSpec{{Name: "out", Type: arm.elem}},
+		Source:  sumSource,
+	}
+	newBuffer, elems, seed := dev.NewBuffer, n, int64(20160314)
+	var uniforms map[string]float32
+	if matrix {
+		spec.Name, spec.Source, spec.Uniforms = "sgemm", sgemmSource, []string{"u_n"}
+		newBuffer, elems, seed = dev.NewMatrixBuffer, n*n, 20160315
+		uniforms = map[string]float32{"u_n": float32(n)}
+	}
+
+	ba, err := newBuffer(arm.elem, n)
 	if err != nil {
-		return shader.Stats{}, false, err
+		return core.RunStats{}, nil, err
 	}
-	bb, _ := dev.NewMatrixBuffer(elem, n)
-	bo, _ := dev.NewMatrixBuffer(elem, n)
-	k, err := dev.BuildKernel(core.KernelSpec{
-		Name:     "sgemm",
-		Inputs:   []core.Param{{Name: "a", Type: elem}, {Name: "b", Type: elem}},
-		Outputs:  []core.OutputSpec{{Name: "out", Type: elem}},
-		Uniforms: []string{"u_n"},
-		Source:   sgemmSource,
-	})
+	bb, _ := newBuffer(arm.elem, n)
+	bo, _ := newBuffer(arm.elem, n)
+	k, err := dev.BuildKernel(spec)
 	if err != nil {
-		return shader.Stats{}, false, err
+		return core.RunStats{}, nil, err
 	}
-	rng := rand.New(rand.NewSource(20160315))
-	var stats core.RunStats
-	validated := true
-	switch elem {
-	case codec.Int32:
-		a := make([]int32, n*n)
-		b := make([]int32, n*n)
-		for i := range a {
-			a[i] = int32(rng.Intn(128) - 64)
-			b[i] = int32(rng.Intn(128) - 64)
-		}
-		if err := ba.WriteInt32(a); err != nil {
-			return shader.Stats{}, false, err
-		}
-		if err := bb.WriteInt32(b); err != nil {
-			return shader.Stats{}, false, err
-		}
-		stats, err = k.Run1(bo, []*core.Buffer{ba, bb}, map[string]float32{"u_n": float32(n)})
-		if err != nil {
-			return shader.Stats{}, false, err
-		}
-		got, err := bo.ReadInt32()
-		if err != nil {
-			return shader.Stats{}, false, err
-		}
-		want, _ := refcpu.SgemmInt32(a, b, n)
-		for i := range want {
-			if got[i] != want[i] {
-				return shader.Stats{}, false, fmt.Errorf("paper: sgemm int validation failed at %d: %d != %d", i, got[i], want[i])
-			}
-		}
-	case codec.Float32:
-		a := make([]float32, n*n)
-		b := make([]float32, n*n)
-		for i := range a {
-			a[i] = rng.Float32()
-			b[i] = rng.Float32()
-		}
-		if err := ba.WriteFloat32(a); err != nil {
-			return shader.Stats{}, false, err
-		}
-		if err := bb.WriteFloat32(b); err != nil {
-			return shader.Stats{}, false, err
-		}
-		stats, err = k.Run1(bo, []*core.Buffer{ba, bb}, map[string]float32{"u_n": float32(n)})
-		if err != nil {
-			return shader.Stats{}, false, err
-		}
-		got, err := bo.ReadFloat32()
-		if err != nil {
-			return shader.Stats{}, false, err
-		}
-		want, _ := refcpu.SgemmFloat32(a, b, n)
-		for i := range want {
-			// Dot products of decoded inputs accumulate codec error.
-			rel := math.Abs(float64(got[i]-want[i])) / math.Max(math.Abs(float64(want[i])), 1)
-			if rel > 1.0/(1<<11) {
-				return shader.Stats{}, false, fmt.Errorf("paper: sgemm float validation failed at %d: %g vs %g", i, got[i], want[i])
-			}
+	rng := rand.New(rand.NewSource(seed))
+	a, b := make([]T, elems), make([]T, elems)
+	for i := range a {
+		a[i] = arm.gen(rng)
+		b[i] = arm.gen(rng)
+	}
+	if err := arm.write(ba, a); err != nil {
+		return core.RunStats{}, nil, err
+	}
+	if err := arm.write(bb, b); err != nil {
+		return core.RunStats{}, nil, err
+	}
+	stats, err := k.Run1(bo, []*core.Buffer{ba, bb}, uniforms)
+	if err != nil {
+		return core.RunStats{}, nil, err
+	}
+	got, err := arm.read(bo)
+	if err != nil {
+		return core.RunStats{}, nil, err
+	}
+	for i, want := range arm.ref(a, b, n) {
+		if !arm.ok(got[i], want) {
+			return core.RunStats{}, nil, fmt.Errorf("paper: %s %s validation failed at %d: got %v, want %v",
+				spec.Name, arm.elem, i, got[i], want)
 		}
 	}
-	return stats.Draw.FragmentStats, validated, nil
+	return stats, dev.GPUModel(), nil
+}
+
+// priceT1 prices T1's work at the paper's problem size through the
+// device's model: one draw of the extrapolated fragment stage and the
+// vertex stage measured on the device, two input uploads and one readback
+// of elems 4-byte texels, and one program's two shader compiles and link.
+func priceT1(model *vc4.Model, elems int, frag, vert shader.Stats) core.Timeline {
+	return model.Price(
+		&gles.DrawStats{DrawCalls: 1, VertexStats: vert, FragmentStats: frag},
+		&gles.TransferStats{
+			TexUploadBytes: uint64(2 * 4 * elems), TexUploadCalls: 2,
+			ReadPixelsBytes: uint64(4 * elems), ReadPixelsCalls: 1,
+			CompileCount: 2, LinkCount: 1,
+		})
 }
 
 // extrapolateAffine fits per-fragment stats affine in the matrix dimension
@@ -362,10 +298,6 @@ func extrapolateAffine(s1, s2 shader.Stats, n1, n2, target int) shader.Stats {
 		Tex: fit(s1.Tex, s2.Tex), Branch: fit(s1.Branch, s2.Branch),
 		Call: fit(s1.Call, s2.Call),
 	}
-}
-
-func transferTime(bytes int, bytesPerSec float64) time.Duration {
-	return time.Duration(float64(bytes) / bytesPerSec * float64(time.Second))
 }
 
 // ---- P1: float precision ----
@@ -785,13 +717,8 @@ func RunCodecOverhead(n int) (CodecOverhead, error) {
 		return res, err
 	}
 
-	lanes := float64(model.QPUs * model.LanesPerQPU)
-	cyc := func(st core.RunStats) float64 {
-		t := model.ShaderTime(&st.Draw.FragmentStats)
-		return t.Seconds() * lanes * model.ClockHz / float64(st.Draw.FragmentStats.Invocations)
-	}
-	res.EncodeOnlyCycles = cyc(st1)
-	res.FullSumCycles = cyc(st2)
+	res.EncodeOnlyCycles = model.LaneCyclesPerInvocation(&st1.Draw.FragmentStats)
+	res.FullSumCycles = model.LaneCyclesPerInvocation(&st2.Draw.FragmentStats)
 	// One useful ALU add per element; everything else is codec/addressing.
 	res.OverheadFraction = (res.FullSumCycles - 1) / res.FullSumCycles
 	return res, nil

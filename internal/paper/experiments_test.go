@@ -1,10 +1,13 @@
 package paper
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"glescompute/internal/codec"
+	"glescompute/internal/core"
+	"glescompute/internal/shader"
 )
 
 func TestRunSumIntShape(t *testing.T) {
@@ -79,18 +82,14 @@ func TestRunSgemmShapes(t *testing.T) {
 func TestSgemmExtrapolationConsistency(t *testing.T) {
 	// The affine extrapolation evaluated AT an executed size must
 	// reproduce the measured stats (exactness of the fit).
-	f8, _, err := runSgemmAt(codec.Int32, 8)
-	if err != nil {
-		t.Fatal(err)
+	frag := func(n int) shader.Stats {
+		st, _, err := runT1(sgemmInt32, n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Draw.FragmentStats
 	}
-	f16, _, err := runSgemmAt(codec.Int32, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f24, _, err := runSgemmAt(codec.Int32, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f8, f16, f24 := frag(8), frag(16), frag(24)
 	pred := extrapolateAffine(f8, f16, 8, 16, 24)
 	relErr := func(a, b uint64) float64 {
 		if b == 0 {
@@ -110,6 +109,46 @@ func TestSgemmExtrapolationConsistency(t *testing.T) {
 	}
 	if e := relErr(pred.Add, f24.Add); e > 0.02 {
 		t.Errorf("Add extrapolation off by %.1f%%: pred %d, measured %d", e*100, pred.Add, f24.Add)
+	}
+}
+
+// TestT1PricesWhatTheDeviceMeasures pins T1's analytic description of
+// its paper-size work against the device: run at targetN == execN (for
+// sgemm, the larger executed size), the priced Timeline must equal the
+// device's own Timeline of that run, field for field. 48 is not a power
+// of two.
+func TestT1PricesWhatTheDeviceMeasures(t *testing.T) {
+	var last *core.Device
+	defer func(open func(core.Config) (*core.Device, error)) { openDevice = open }(openDevice)
+	open := openDevice
+	openDevice = func(cfg core.Config) (*core.Device, error) {
+		dev, err := open(cfg)
+		last = dev
+		return dev, err
+	}
+	type run struct {
+		name string
+		fn   func() (Speedup, error)
+	}
+	var runs []run
+	for _, elem := range []codec.ElemType{codec.Int32, codec.Float32} {
+		for _, n := range []int{4096, 16384} {
+			runs = append(runs, run{fmt.Sprintf("sum-%s-%d", elem, n),
+				func() (Speedup, error) { return RunSum(elem, n, n) }})
+		}
+		for _, n := range [][2]int{{16, 32}, {32, 48}} {
+			runs = append(runs, run{fmt.Sprintf("sgemm-%s-%d", elem, n[1]),
+				func() (Speedup, error) { return RunSgemm(elem, n[1], n[0], n[1]) }})
+		}
+	}
+	for _, r := range runs {
+		s, err := r.fn()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if dev := last.Timeline(); s.GPU != dev {
+			t.Errorf("%s: priced %+v, device measured %+v", r.name, s.GPU, dev)
+		}
 	}
 }
 

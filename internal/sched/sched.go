@@ -313,7 +313,6 @@ func (q *Queue) finishJob(j *Job, out interface{}, st JobStats, err error) {
 	}
 	q.noteLatency(j, st, err) // histograms + span end, before waiters wake
 	j.out, j.stats, j.err = out, st, err
-	close(j.doneCh)
 	q.mu.Lock()
 	q.inFlight--
 	switch {
@@ -330,6 +329,10 @@ func (q *Queue) finishJob(j *Job, out interface{}, st JobStats, err error) {
 	if q.inFlight == 0 {
 		q.cond.Broadcast()
 	}
+	// Waiters wake only after the job is counted, so a Stats call made
+	// after Wait returns already includes it; closing under q.mu keeps
+	// every job's doneCh closed by the time Drain returns.
+	close(j.doneCh)
 	q.mu.Unlock()
 }
 

@@ -593,6 +593,40 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
+// TestStatsCountJobBeforeWaitReturns pins finishJob's ordering: a job is
+// counted in Stats before its waiter wakes, so the caller of Wait never
+// reads counters that miss its own job.
+func TestStatsCountJobBeforeWaitReturns(t *testing.T) {
+	q, err := OpenQueue(Config{Devices: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	boom := errors.New("boom")
+	for i := 1; i <= 200; i++ {
+		spec := JobSpec{Kernel: sumSpec, In: []Input{Float32s([]float32{1, 2}), Float32s([]float32{3, 4})}}
+		failing := i%4 == 0
+		if failing {
+			spec = soloJob(func(*core.Device) (interface{}, core.RunStats, error) {
+				return nil, core.RunStats{}, boom
+			})
+		}
+		j, err := q.Submit(nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, werr := j.Wait(nil)
+		if failing != (werr != nil) {
+			t.Fatalf("job %d: Wait error %v, want failure %v", i, werr, failing)
+		}
+		st := q.Stats()
+		if wantFailed := uint64(i / 4); st.Failed != wantFailed || st.Completed != uint64(i)-wantFailed {
+			t.Fatalf("after job %d's Wait: completed %d, failed %d; want %d, %d",
+				i, st.Completed, st.Failed, uint64(i)-wantFailed, wantFailed)
+		}
+	}
+}
+
 // soloJob wraps fn as a keyless group job: a unit of one that never
 // coalesces, running fn on the executing worker's device.
 func soloJob(fn func(dev *core.Device) (interface{}, core.RunStats, error)) JobSpec {

@@ -1,7 +1,7 @@
 // Package vc4 models the execution time of GPGPU workloads on a Broadcom
 // VideoCore IV class GPU — the device in the paper's Raspberry Pi testbed.
 // The simulator in internal/gles counts the scalar operations a kernel
-// executes; this package converts those counts, plus host↔device transfer
+// executes; Model.Price converts those counts, plus host↔device transfer
 // and shader-compilation overheads, into modeled wall-clock time.
 //
 // The machine model: 12 QPUs, each a 16-way virtual SIMD processor
@@ -127,44 +127,81 @@ func (m *Model) laneCycles(s *shader.Stats) float64 {
 	return alu + other + inv
 }
 
-// ShaderTime models the execution time of the counted shader work,
+// LaneCyclesPerInvocation returns the mean lane-cycles one invocation of
+// the counted shader work costs: A1's per-fragment codec figure.
+func (m *Model) LaneCyclesPerInvocation(s *shader.Stats) float64 {
+	return m.laneCycles(s) / float64(s.Invocations)
+}
+
+// shaderTime models the execution time of the counted shader work,
 // spread across all QPU lanes.
-func (m *Model) ShaderTime(s *shader.Stats) time.Duration {
+func (m *Model) shaderTime(s *shader.Stats) time.Duration {
 	lanes := float64(m.QPUs * m.LanesPerQPU)
 	seconds := m.laneCycles(s) / (lanes * m.ClockHz)
 	return time.Duration(seconds * float64(time.Second))
 }
 
-// DrawTime models one draw call: vertex work + fragment work + fixed
-// submission overhead.
-func (m *Model) DrawTime(d *gles.DrawStats) time.Duration {
-	t := m.ShaderTime(&d.VertexStats) + m.ShaderTime(&d.FragmentStats)
-	t += time.Duration(d.DrawCalls) * m.DrawCallOverhead
-	return t
+// bytesTime models moving n bytes at bytesPerSec.
+func bytesTime(n uint64, bytesPerSec float64) time.Duration {
+	return time.Duration(float64(n) / bytesPerSec * float64(time.Second))
 }
 
-// TransferTime models host↔device traffic (the paper's wall times include
-// data transfers).
-func (m *Model) TransferTime(tr *gles.TransferStats) time.Duration {
-	up := time.Duration(float64(tr.TexUploadBytes) / m.UploadBytesPerSec * float64(time.Second))
-	up += time.Duration(tr.TexUploadCalls) * m.UploadCallOverhead
-	down := time.Duration(float64(tr.ReadPixelsBytes) / m.ReadbackBytesPerSec * float64(time.Second))
-	down += time.Duration(tr.ReadPixelsCalls) * m.ReadbackOverhead
-	return up + down
+// Timeline is the modeled wall-clock breakdown of a body of GPGPU work,
+// mirroring the paper's measurement methodology ("application wall
+// times, including time spent in data transfers and kernel
+// compilations").
+type Timeline struct {
+	Compile  time.Duration
+	Upload   time.Duration
+	Execute  time.Duration
+	Readback time.Duration
 }
 
-// CompileTime models shader compilation and program linking (included in
-// the paper's wall times: "including ... kernel compilations").
-func (m *Model) CompileTime(tr *gles.TransferStats) time.Duration {
-	return time.Duration(tr.CompileCount)*m.CompileTimePerShader +
-		time.Duration(tr.LinkCount)*m.LinkTimePerProgram +
-		time.Duration(tr.BinaryLoadCount)*m.BinaryLoadPerProgram
+// Total returns the modeled wall time.
+func (t Timeline) Total() time.Duration {
+	return t.Compile + t.Upload + t.Execute + t.Readback
 }
 
-// WallTime models a complete GPGPU application run from the context's
-// accumulated statistics: compile + upload + execute + readback.
-func (m *Model) WallTime(draws *gles.DrawStats, tr *gles.TransferStats) time.Duration {
-	return m.CompileTime(tr) + m.TransferTime(tr) + m.DrawTime(draws)
+// Sub returns the componentwise difference t - o: the cost of the work
+// executed between two Timeline snapshots. Pipeline uses it to price one
+// chain under the timing model.
+func (t Timeline) Sub(o Timeline) Timeline {
+	return Timeline{
+		Compile:  t.Compile - o.Compile,
+		Upload:   t.Upload - o.Upload,
+		Execute:  t.Execute - o.Execute,
+		Readback: t.Readback - o.Readback,
+	}
+}
+
+// Add returns the componentwise sum t + o. The scheduler uses it to
+// accumulate per-launch timeline deltas into per-device busy time.
+func (t Timeline) Add(o Timeline) Timeline {
+	return Timeline{
+		Compile:  t.Compile + o.Compile,
+		Upload:   t.Upload + o.Upload,
+		Execute:  t.Execute + o.Execute,
+		Readback: t.Readback + o.Readback,
+	}
+}
+
+// Price is the one pricing path: it turns counted draw and transfer work
+// into modeled time. Compile covers shader compiles, program links and
+// program-binary loads; Upload and Readback are per-byte bandwidth plus
+// per-call overhead; Execute is the vertex and fragment work spread
+// across all QPU lanes plus a fixed submission overhead per draw call.
+func (m *Model) Price(d *gles.DrawStats, tr *gles.TransferStats) Timeline {
+	return Timeline{
+		Compile: time.Duration(tr.CompileCount)*m.CompileTimePerShader +
+			time.Duration(tr.LinkCount)*m.LinkTimePerProgram +
+			time.Duration(tr.BinaryLoadCount)*m.BinaryLoadPerProgram,
+		Upload: bytesTime(tr.TexUploadBytes, m.UploadBytesPerSec) +
+			time.Duration(tr.TexUploadCalls)*m.UploadCallOverhead,
+		Execute: m.shaderTime(&d.VertexStats) + m.shaderTime(&d.FragmentStats) +
+			time.Duration(d.DrawCalls)*m.DrawCallOverhead,
+		Readback: bytesTime(tr.ReadPixelsBytes, m.ReadbackBytesPerSec) +
+			time.Duration(tr.ReadPixelsCalls)*m.ReadbackOverhead,
+	}
 }
 
 // PeakGFLOPS reports the theoretical peak of the modeled device in
