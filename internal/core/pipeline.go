@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"glescompute/internal/codec"
@@ -23,6 +24,7 @@ type pipeSlot struct {
 	outputIdx int  // >=0: rendered into outs[outputIdx] at Run
 	lastUse   int  // index of the last exec stage reading this slot (-1: never read)
 	fusedAway bool // eliminated by fusion: never materialized as a texture
+	rowScaled bool // holds rows of the row-major input: RunRows computes its first k/B
 }
 
 // pipeStage is one kernel invocation inside the pipeline.
@@ -49,6 +51,15 @@ type pipeStage struct {
 // Run as many times as needed. Builder errors are deferred: they surface
 // on the first Run (or via Err), so construction code needs no per-call
 // error handling.
+//
+// A pipeline may declare one row-major input with InputRows: B equal
+// rows, the batch outermost. Every stage output computed from it is
+// row-scaled, and RunRows(k, …) computes only the first k of those B
+// rows: each row-scaled slot's draws cover its first n·k/B elements on
+// the grid it has at k = B, so pooled buffers serve every k. Stages must
+// then compute row r from input row r alone (every nn layer does); the
+// built-in Reduce folds across rows, so a pipeline reducing row-scaled
+// data runs whole rows only.
 type Pipeline struct {
 	dev     *Device
 	slots   []pipeSlot
@@ -59,6 +70,9 @@ type Pipeline struct {
 
 	fusion bool  // merge eligible stage chains into single passes
 	plan   *plan // execution schedule, frozen by the first Run
+
+	rows   int    // B: row count of the row-major input (0: none declared)
+	foldAt string // a stage folding row-scaled data: RunRows needs k = B
 
 	err    error // first builder error, surfaced at Run
 	mu     sync.Mutex
@@ -136,7 +150,7 @@ func (p *Pipeline) PlannedPasses() ([]string, error) {
 	if p.closed {
 		return nil, fmt.Errorf("core: pipeline: PlannedPasses: %w", ErrClosed)
 	}
-	if err := p.compile(); err != nil {
+	if err := p.freeze(); err != nil {
 		return nil, err
 	}
 	labels := make([]string, len(p.plan.exec))
@@ -200,6 +214,69 @@ func (p *Pipeline) Input(elem codec.ElemType, n int) Ref {
 	p.slots[r].inputIdx = len(p.inputs)
 	p.inputs = append(p.inputs, r)
 	return r
+}
+
+// InputRows declares the pipeline's row-major input: n elements in rows
+// equal rows, the row index outermost. It is an Input in every other
+// respect; RunRows runs any prefix of its rows. A pipeline has at most one.
+func (p *Pipeline) InputRows(elem codec.ElemType, n, rows int) Ref {
+	if p.rows != 0 {
+		return p.fail("InputRows: the pipeline already has a row-major input")
+	}
+	if rows <= 0 {
+		return p.fail("InputRows: non-positive row count %d", rows)
+	}
+	r := p.Input(elem, n)
+	if r < 0 {
+		return r
+	}
+	p.rows = rows
+	p.slots[r].rowScaled = true
+	return r
+}
+
+// scaleRows marks every stage output computed from a row-scaled slot as
+// row-scaled and checks that each such slot splits into B equal rows. A
+// fold pass (a reduce kernel, which takes ReduceLenUniform) over
+// row-scaled data yields a whole slot, and records that the pipeline
+// cannot run a row prefix.
+func (p *Pipeline) scaleRows() error {
+	for si := range p.stages {
+		st := &p.stages[si]
+		scaled := false
+		for _, r := range st.ins {
+			scaled = scaled || p.slots[r].rowScaled
+		}
+		switch {
+		case !scaled:
+		case slices.Contains(st.kernel.spec.Uniforms, ReduceLenUniform):
+			if p.foldAt == "" {
+				p.foldAt = st.label
+			}
+		default:
+			for _, r := range st.outs {
+				p.slots[r].rowScaled = true
+			}
+		}
+	}
+	for _, s := range p.slots {
+		if s.rowScaled && s.n%p.rows != 0 {
+			return fmt.Errorf("core: pipeline: a row-scaled slot of %d elements does not split into %d rows", s.n, p.rows)
+		}
+	}
+	return nil
+}
+
+// freeze builds the execution plan on first use: the row scaling of every
+// slot, then the fusion plan (compile).
+func (p *Pipeline) freeze() error {
+	if p.plan == nil && p.rows > 0 {
+		if err := p.scaleRows(); err != nil {
+			p.err = err
+			return err
+		}
+	}
+	return p.compile()
 }
 
 // Stage appends a kernel whose output has the same length as its first
@@ -432,13 +509,21 @@ type PipelineStats struct {
 	Programs int
 }
 
-// Run executes the pipeline. ins feed the declared Input slots in order;
-// outs receive the marked Output slots in order. uniforms supplies
-// kernel uniforms not fixed at build time (stage uniforms win). The
-// first Run freezes the builder and compiles the execution plan —
-// fusing eligible stage chains into single fragment passes — which every
-// later Run reuses.
+// Run executes the pipeline over every row: RunRows at k = B (B = 1
+// without a row-major input).
 func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float32) (PipelineStats, error) {
+	return p.RunRows(max(p.rows, 1), outs, ins, uniforms)
+}
+
+// RunRows executes the pipeline for the first k rows of its row-major
+// input, 1 ≤ k ≤ B. ins feed the declared Input slots in order; outs
+// receive the marked Output slots in order, and keep their lengths: a
+// row-scaled output gets its first n·k/B elements written, and the rest
+// of it is left undefined. uniforms supplies kernel uniforms not fixed at
+// build time (stage uniforms win). The first run freezes the builder and
+// compiles the execution plan — fusing eligible stage chains into single
+// fragment passes — which every later run reuses, at any k.
+func (p *Pipeline) RunRows(k int, outs []*Buffer, ins []*Buffer, uniforms map[string]float32) (PipelineStats, error) {
 	var stats PipelineStats
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -454,8 +539,22 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 	if len(p.stages) == 0 {
 		return stats, fmt.Errorf("core: pipeline: no stages")
 	}
-	if err := p.compile(); err != nil {
+	if err := p.freeze(); err != nil {
 		return stats, err
+	}
+	rows := max(p.rows, 1)
+	if k < 1 || k > rows {
+		return stats, fmt.Errorf("core: pipeline: %d rows requested, the pipeline has 1..%d", k, rows)
+	}
+	if k < rows && p.foldAt != "" {
+		return stats, fmt.Errorf("core: pipeline: %d of %d rows requested, but stage %q folds across rows", k, rows, p.foldAt)
+	}
+	// live is the element count a slot's draws cover at k rows.
+	live := func(s *pipeSlot) int {
+		if s.rowScaled {
+			return s.n / rows * k
+		}
+		return s.n
 	}
 	if len(ins) != len(p.inputs) {
 		return stats, fmt.Errorf("core: pipeline: %d inputs declared, got %d buffers", len(p.inputs), len(ins))
@@ -488,6 +587,15 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 			if outs[j].tex == b.tex {
 				return stats, fmt.Errorf("core: pipeline: outputs %d and %d share a buffer (the later write would overwrite the earlier)", j, i)
 			}
+		}
+	}
+	// A row-scaled output draws only its live prefix for this run, then
+	// gets its length back.
+	for _, r := range p.outputs {
+		if s := &p.slots[r]; live(s) != s.n {
+			b := outs[s.outputIdx]
+			b.setLen(live(s))
+			defer b.setLen(s.n)
 		}
 	}
 
@@ -563,7 +671,7 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 					}
 				}
 				if readyAfter >= ei {
-					tmp, err := acquire(s.elem, s.n, target.grid)
+					tmp, err := acquire(s.elem, live(s), target.grid)
 					if err != nil {
 						return stats, err
 					}
@@ -576,7 +684,7 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 				if err != nil {
 					return stats, err
 				}
-				target, err = acquire(s.elem, s.n, grid)
+				target, err = acquire(s.elem, live(s), grid)
 				if err != nil {
 					return stats, err
 				}

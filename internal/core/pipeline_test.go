@@ -828,3 +828,84 @@ func TestPipelineStageTimes(t *testing.T) {
 		t.Fatalf("stage times sum to %+v, whole chain is %+v", sum, stats.Time)
 	}
 }
+
+// TestPipelineRowPrefix pins RunRows: a pipeline built over a B-row
+// input runs any k-row prefix, drawing exactly the prefix of every
+// row-scaled slot, leaving the rest of a caller-owned output untouched
+// and its length unchanged; rows outside 1..B, a prefix through a
+// Reduce and a row-scaled slot that does not split into B rows are
+// errors.
+func TestPipelineRowPrefix(t *testing.T) {
+	d := openTest(t)
+	defer d.Close()
+	const B, L = 4, 300
+	scale, _ := buildPipeKernels(t, d)
+	xs := randFloats(B*L, 7)
+	in, _ := d.NewBuffer(codec.Float32, B*L)
+	if err := in.WriteFloat32(xs); err != nil {
+		t.Fatal(err)
+	}
+	out, _ := d.NewBuffer(codec.Float32, B*L)
+
+	p := d.NewPipeline()
+	defer p.Close()
+	p.SetFusion(false)
+	x := p.InputRows(codec.Float32, B*L, B)
+	p.Output(p.Stage(scale, map[string]float32{"u_scale": 3}, p.Stage(scale, map[string]float32{"u_scale": 2}, x)))
+	if _, err := p.Run([]*Buffer{out}, []*Buffer{in}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := out.ReadFloat32()
+	sentinel := make([]float32, B*L)
+	for i := range sentinel {
+		sentinel[i] = -7
+	}
+	for k := 1; k <= B; k++ {
+		if err := out.WriteFloat32(sentinel); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := p.RunRows(k, []*Buffer{out}, []*Buffer{in}, nil)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if out.Len() != B*L {
+			t.Fatalf("k=%d: output length %d after the run, want %d", k, out.Len(), B*L)
+		}
+		if got := stats.Draw.FragmentsShaded; got != uint64(2*k*L) {
+			t.Errorf("k=%d: %d fragments shaded, want %d (two passes over k rows)", k, got, 2*k*L)
+		}
+		got, _ := out.ReadFloat32()
+		bitsEqual(t, "live rows", want[:k*L], got[:k*L])
+		bitsEqual(t, "rows past k", sentinel[k*L:], got[k*L:])
+	}
+	for _, k := range []int{0, B + 1} {
+		if _, err := p.RunRows(k, []*Buffer{out}, []*Buffer{in}, nil); err == nil {
+			t.Errorf("RunRows(%d) of a %d-row pipeline succeeded", k, B)
+		}
+	}
+
+	// A Reduce folds across rows: whole runs only.
+	pr := d.NewPipeline()
+	defer pr.Close()
+	pr.Output(pr.Reduce(pr.InputRows(codec.Float32, B*L, B), ReduceAdd))
+	sum, _ := d.NewBuffer(codec.Float32, 1)
+	if _, err := pr.Run([]*Buffer{sum}, []*Buffer{in}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr.RunRows(B-1, []*Buffer{sum}, []*Buffer{in}, nil); err == nil || !strings.Contains(err.Error(), "folds across rows") {
+		t.Errorf("RunRows(%d) through a Reduce = %v, want a folds-across-rows error", B-1, err)
+	}
+
+	// Every row-scaled slot must split into B rows; one row-major input.
+	pn := d.NewPipeline()
+	pn.Output(pn.StageN(scale, L+1, map[string]float32{"u_scale": 1}, pn.InputRows(codec.Float32, B*L, B)))
+	if _, err := pn.PlannedPasses(); err == nil || !strings.Contains(err.Error(), "does not split") {
+		t.Errorf("row-scaled slot of %d elements over %d rows = %v, want a split error", L+1, B, err)
+	}
+	p2 := d.NewPipeline()
+	p2.InputRows(codec.Float32, B*L, B)
+	p2.InputRows(codec.Float32, B*L, B)
+	if p2.Err() == nil {
+		t.Error("a second row-major input was accepted")
+	}
+}

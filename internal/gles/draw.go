@@ -225,7 +225,18 @@ func (c *Context) draw(mode uint32, indices []int) {
 	if auto {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ts, tilesX, nTiles := shardGrid(fbW, fbH, c.tileSize, workers)
+	// Tiles cut the draw's footprint, not the whole framebuffer, so a
+	// draw over a few rows of a tall target (a row prefix of a batched
+	// tensor) still splits across every worker. Points keep the whole
+	// framebuffer.
+	rx0, ry0, rx1, ry1 := 0, 0, fbW, fbH
+	if len(pts) == 0 {
+		x0, y0, x1, y1 := raster.NewRasterizer(vp, 0).Bounds(tris)
+		if x0, y0, x1, y1 = max(x0, 0), max(y0, 0), min(x1, fbW), min(y1, fbH); x0 < x1 && y0 < y1 {
+			rx0, ry0, rx1, ry1 = x0, y0, x1, y1
+		}
+	}
+	ts, tilesX, nTiles := shardGrid(rx1-rx0, ry1-ry0, c.tileSize, workers)
 	workers = min(workers, nTiles)
 	if auto && workers > 1 {
 		helpers := c.helpers.take(workers - 1)
@@ -265,9 +276,9 @@ func (c *Context) draw(mode uint32, indices []int) {
 				break
 			}
 			if nTiles > 1 {
-				x0 := (t % tilesX) * ts
-				y0 := (t / tilesX) * ts
-				rz.SetTile(x0, y0, min(x0+ts, fbW), min(y0+ts, fbH))
+				x0 := rx0 + (t%tilesX)*ts
+				y0 := ry0 + (t/tilesX)*ts
+				rz.SetTile(x0, y0, min(x0+ts, rx1), min(y0+ts, ry1))
 			}
 			c.rasterizeRegion(p, fex, rz, tris, pts, pointSizes,
 				frontCCW, fb, colorData, depthData, fbW, fbH,
@@ -323,10 +334,11 @@ const defaultTileSize = 64
 const tilesPerWorker = 4
 
 // shardGrid sizes a draw's tiles: the edge starts at the cap and halves
-// until the fbW×fbH framebuffer has tilesPerWorker tiles per worker, or
-// the edge is 1. Paper-sized framebuffers keep the cap; a few-hundred-
-// fragment draw splits finely enough to use every worker. A single
-// worker keeps the cap, since it scans the whole framebuffer anyway.
+// until the fbW×fbH footprint (the draw's bounds in its framebuffer) has
+// tilesPerWorker tiles per worker, or the edge is 1. Paper-sized draws
+// keep the cap; a few-hundred-fragment draw splits finely enough to use
+// every worker. A single worker keeps the cap, since it scans the whole
+// framebuffer anyway.
 func shardGrid(fbW, fbH, edgeCap, workers int) (ts, tilesX, nTiles int) {
 	for ts = edgeCap; ; ts = (ts + 1) / 2 {
 		tilesX = (fbW + ts - 1) / ts

@@ -6,6 +6,8 @@ package gles
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -66,14 +68,23 @@ func TestShardGrid(t *testing.T) {
 	}
 }
 
-// drawLoop renders loopFS over a w×h context and returns its pixels.
-func drawLoop(t *testing.T, w, h int, cfg Config) (*Context, []byte) {
+// drawLoop renders loopFS with a quad over the bottom rows of a w×h
+// context (rows = h: the whole framebuffer) and returns its pixels.
+func drawLoop(t *testing.T, w, h, rows int, cfg Config) (*Context, []byte) {
 	t.Helper()
 	cfg.Width, cfg.Height, cfg.SFU = w, h, shader.ExactSFU
 	c := NewContext(cfg)
 	prog := buildProgram(t, c, passVS, loopFS)
 	c.UseProgram(prog)
-	fullscreenQuad(t, c, prog)
+	top := -1 + 2*float32(rows)/float32(h)
+	verts := []float32{-1, -1, 1, -1, 1, top, -1, -1, 1, top, -1, top}
+	raw := make([]byte, len(verts)*4)
+	for i, v := range verts {
+		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(v))
+	}
+	loc := c.GetAttribLocation(prog, "a_position")
+	c.EnableVertexAttribArray(loc)
+	c.VertexAttribPointerClient(loc, 2, FLOAT, false, 8, raw)
 	c.DrawArrays(TRIANGLES, 0, 6)
 	if e := c.GetError(); e != NO_ERROR {
 		t.Fatalf("draw error 0x%04x: %s", e, c.LastErrorDetail())
@@ -82,23 +93,29 @@ func drawLoop(t *testing.T, w, h int, cfg Config) (*Context, []byte) {
 }
 
 // TestSmallDrawShardsAcrossWorkers pins that a served-network-sized draw
-// is really tiled: an 8×8 (64-fragment) draw at 2 workers runs as at
-// least 8 shards on 2 goroutines, and still matches the sequential path.
+// is really tiled: an 8×8 (64-fragment) draw at 2 workers runs as
+// shardGrid's 8×8 shards on 2 goroutines and still matches the
+// sequential path — whether it fills its framebuffer or covers the
+// bottom 8 rows of an 8×64 one (a 1-image prefix of an 8-image tensor),
+// since tiles cut the draw's footprint, not the framebuffer.
 func TestSmallDrawShardsAcrossWorkers(t *testing.T) {
-	seq, want := drawLoop(t, 8, 8, Config{Workers: 1})
-	if seq.lastShards != 1 || seq.lastWorkers != 1 {
-		t.Errorf("1 worker: %d shards on %d goroutines, want the sequential 1 on 1",
-			seq.lastShards, seq.lastWorkers)
-	}
-	c, got := drawLoop(t, 8, 8, Config{Workers: 2})
-	if c.lastShards < 8 || c.lastWorkers != 2 {
-		t.Errorf("2 workers: %d shards on %d goroutines, want >= 8 on 2", c.lastShards, c.lastWorkers)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("2 workers: framebuffer diverges from sequential")
-	}
-	if c.Draws() != seq.Draws() {
-		t.Errorf("2 workers: draw stats diverge:\nseq: %+v\npar: %+v", seq.Draws(), c.Draws())
+	_, _, tiles := shardGrid(8, 8, defaultTileSize, 2)
+	for _, h := range []int{8, 64} {
+		seq, want := drawLoop(t, 8, h, 8, Config{Workers: 1})
+		if seq.lastShards != 1 || seq.lastWorkers != 1 {
+			t.Errorf("8×%d, 1 worker: %d shards on %d goroutines, want the sequential 1 on 1",
+				h, seq.lastShards, seq.lastWorkers)
+		}
+		c, got := drawLoop(t, 8, h, 8, Config{Workers: 2})
+		if c.lastShards != tiles || c.lastWorkers != 2 {
+			t.Errorf("8×%d, 2 workers: %d shards on %d goroutines, want %d on 2", h, c.lastShards, c.lastWorkers, tiles)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("8×%d, 2 workers: framebuffer diverges from sequential", h)
+		}
+		if c.Draws() != seq.Draws() || seq.Draws().FragmentsShaded != 64 {
+			t.Errorf("8×%d: draw stats seq %+v, par %+v, want 64 fragments each", h, seq.Draws(), c.Draws())
+		}
 	}
 }
 
@@ -114,7 +131,7 @@ func TestHelperBudget(t *testing.T) {
 	// A private budget, so no other test's draws count against it.
 	var budget helperBudget
 
-	_, want := drawLoop(t, W, H, Config{Workers: 1})
+	_, want := drawLoop(t, W, H, H, Config{Workers: 1})
 	open := func(fails bool) *Context {
 		fs := loopFS
 		if fails {

@@ -313,9 +313,6 @@ func (m *Model) Reference(input interface{}, batch int) ([]interface{}, []armtim
 	if m.err != nil {
 		return nil, nil, m.err
 	}
-	if batch <= 0 {
-		return nil, nil, fmt.Errorf("nn: Reference: non-positive batch %d", batch)
-	}
 	if err := m.checkInput("Reference", input, batch); err != nil {
 		return nil, nil, err
 	}
@@ -381,17 +378,28 @@ func (m *Model) Reference(input interface{}, batch int) ([]interface{}, []armtim
 	return outs, counts, nil
 }
 
-// checkInput rejects input unless it is a host slice of the model's
-// element type holding batch·In().N() elements.
-func (m *Model) checkInput(op string, input interface{}, batch int) error {
+// imageCount returns how many images input holds, rejecting it unless it
+// is a host slice of the model's element type holding a positive whole
+// number of In().N()-element images.
+func (m *Model) imageCount(op string, input interface{}) (int, error) {
 	t, n := core.HostElem(input)
 	if n < 0 || t != m.elem {
-		return fmt.Errorf("nn: %s: %T input for %s model", op, input, m.elem)
+		return 0, fmt.Errorf("nn: %s: %T input for %s model", op, input, m.elem)
 	}
-	if want := batch * m.in.N(); n != want {
-		return fmt.Errorf("nn: %s: input has %d elements, want %d", op, n, want)
+	if per := m.in.N(); n == 0 || n%per != 0 {
+		return 0, fmt.Errorf("nn: %s: input has %d elements, not a whole number of %d-element images", op, n, per)
 	}
-	return nil
+	return n / m.in.N(), nil
+}
+
+// checkInput rejects input unless it holds exactly batch images (so a
+// non-positive batch is always rejected).
+func (m *Model) checkInput(op string, input interface{}, batch int) error {
+	k, err := m.imageCount(op, input)
+	if err == nil && k != batch {
+		err = fmt.Errorf("nn: %s: input holds %d images, want %d", op, k, batch)
+	}
+	return err
 }
 
 // matmulKind reports whether a layer kind accumulates a matmul (and so

@@ -18,13 +18,15 @@ const exactWindow = 1 << 24
 // one input tensor up and the marked outputs back — between layers, zero
 // host bytes (PipelineStats proves it).
 //
-// A Network is bound to its device and batch size; it is not safe for
-// concurrent use (drive it from the device's goroutine, as sched workers
-// do).
+// A Network is bound to its device and built for a capacity of B images;
+// each Run takes any 1..B of them and computes only those (the batch is
+// the outermost dimension of every tensor, so k images are a row prefix
+// of each). It is not safe for concurrent use (drive it from the device's
+// goroutine, as sched workers do).
 type Network struct {
 	dev   *core.Device
 	model *Model
-	batch int
+	batch int // capacity B
 
 	p          *core.Pipeline
 	imgBuf     *core.Buffer
@@ -48,8 +50,8 @@ type Network struct {
 
 // Result is one Network.Run execution.
 type Result struct {
-	// Output is the final layer's host data ([]float32 or []int32,
-	// batch·outN elements).
+	// Output is the final layer's host data (the model's element type,
+	// k·outN elements for a run of k images).
 	Output interface{}
 	// Taps holds every layer's output in order when the network was built
 	// with tapAll (nil otherwise); the last entry aliases Output.
@@ -61,11 +63,12 @@ type Result struct {
 	LayerTimes []core.Timeline
 }
 
-// Build compiles the model for the device at a fixed batch size. With
-// tapAll every layer's output is marked as a pipeline output (the
-// validation mode N1 uses); otherwise only the final layer is read back.
-// The lane width follows the element type: int8 models take the 4-wide
-// int8x4 lowering, float32/int32 models the scalar one.
+// Build compiles the model for the device with a capacity of batch
+// images: every Run then takes 1..batch of them. With tapAll every
+// layer's output is marked as a pipeline output (the validation mode N1
+// uses); otherwise only the final layer is read back. The lane width
+// follows the element type: int8 models take the 4-wide int8x4 lowering,
+// float32/int32 models the scalar one.
 func (m *Model) Build(dev *core.Device, batch int, tapAll bool) (*Network, error) {
 	lanes := 1
 	if m.elem == codec.Int8 {
@@ -219,7 +222,7 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 		return stage(li, l.name, net.p.StageN(k, batch*out.N(), uni, x, wRef, bRef)), nil
 	}
 
-	cur := net.p.Input(act, batch*net.padIn.N())
+	cur := net.p.InputRows(act, batch*net.padIn.N(), batch)
 	curShape, curPad := m.in, net.padIn
 	layerRefs := make([]core.Ref, len(m.layers))
 	for li := 0; li < len(m.layers); li++ {
@@ -479,7 +482,7 @@ func (n *Network) SetFusion(on bool) { n.p.SetFusion(on) }
 // as the first Run would.
 func (n *Network) PlannedPasses() ([]string, error) { return n.p.PlannedPasses() }
 
-// Batch returns the batch size the network was built for.
+// Batch returns the network's capacity: the most images one Run takes.
 func (n *Network) Batch() int { return n.batch }
 
 // Lanes returns the lowering's lane width: 1 (scalar) or 4 (int8x4).
@@ -488,25 +491,39 @@ func (n *Network) Lanes() int { return n.lanes }
 // Model returns the model the network was built from.
 func (n *Network) Model() *Model { return n.model }
 
-// Run uploads input (batch·In().N() elements of the model element type),
-// executes the whole network on the device, and reads back the marked
+// Run uploads input — k images, k·In().N() elements of the model's
+// element type for any k in 1..Batch() — executes the whole network on
+// the device for those k images only, and reads back their marked
 // outputs.
 func (n *Network) Run(input interface{}) (*Result, error) {
 	if n.closed {
 		return nil, fmt.Errorf("nn: Run: %w", core.ErrClosed)
 	}
-	if err := n.model.checkInput("Run", input, n.batch); err != nil {
+	k, err := n.model.imageCount("Run", input)
+	if err != nil {
 		return nil, err
 	}
+	if k > n.batch {
+		return nil, fmt.Errorf("nn: Run: %d images exceed the network's capacity of %d", k, n.batch)
+	}
 	// The network runs on the padded layout: widen the input's channels
-	// host-side (zero-filled; the identity at lanes=1) before upload.
+	// host-side (zero-filled; the identity at lanes=1), then extend the
+	// upload to the end of the texel row holding the last image, since a
+	// partial upload must cover whole rows (core.Buffer.WriteRange).
 	in := n.model.in
-	pix := n.batch * in.H * in.W
-	if err := n.imgBuf.WriteRange(0, relayout(input, pix, in.C, pix, n.padIn.C)); err != nil {
+	pix := k * in.H * in.W
+	up := relayout(input, pix, in.C, pix, n.padIn.C)
+	lanes, w := n.imgBuf.Elem().Lanes(), n.imgBuf.Grid().Width
+	if rowEnd := min((pix*n.padIn.C/lanes+w-1)/w*w*lanes, n.imgBuf.Len()); core.HostLen(up) < rowEnd {
+		wide := core.NewHostSlice(n.model.elem, rowEnd)
+		core.CopyHostSlice(wide, 0, up)
+		up = wide
+	}
+	if err := n.imgBuf.WriteRange(0, up); err != nil {
 		return nil, err
 	}
 	ins := append([]*core.Buffer{n.imgBuf}, n.weightBufs...)
-	stats, err := n.p.Run(n.outBufs, ins, nil)
+	stats, err := n.p.RunRows(k, n.outBufs, ins, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -523,12 +540,12 @@ func (n *Network) Run(input interface{}) (*Result, error) {
 		if read[bi] != nil {
 			return read[bi], nil
 		}
-		out, err := n.outBufs[bi].ReadRange(0, n.outBufs[bi].Len())
+		out, err := n.outBufs[bi].ReadRange(0, n.outBufs[bi].Len()/n.batch*k)
 		if err != nil {
 			return nil, err
 		}
 		logical := n.model.layers[li].outShape
-		pix := n.batch * logical.H * logical.W
+		pix := k * logical.H * logical.W
 		out = relayout(out, pix, n.padOut[li].C, pix, logical.C)
 		read[bi] = out
 		return out, nil

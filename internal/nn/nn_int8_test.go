@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -226,7 +227,9 @@ func liveLeNetInt8() *Model {
 // and every conv row wrap across texture rows many times, at widths that
 // are and are not powers of two (12: 1/W is inexact), and the outputs must
 // stay bit-identical to the CPU reference at every batch, fused and not.
-// A walk that drops one stream's row wrap fails it.
+// A 4-image network also runs every shorter row prefix, k = 1..3, whose
+// rows wrap where a batch-k grid's would not. A walk that drops one
+// stream's row wrap fails it.
 func TestInt8WalkRowCrossing(t *testing.T) {
 	nets := []struct {
 		name    string
@@ -240,32 +243,62 @@ func TestInt8WalkRowCrossing(t *testing.T) {
 		{"lenet-live", liveLeNetInt8(), func(b int) []int8 { return DemoInputInt8(8, b) }, []int{1, 4, 8}},
 		{"mobilenet", DemoMobileNetInt8(17), func(b int) []int8 { return DemoInputMobileNet(9, b) }, []int{1, 4, 8}},
 	}
+	const prefixB = 4
+	type run struct {
+		k     int
+		input []int8
+		want  interface{}
+	}
+	// runs[i][j]: the runs of nets[i] built at batches[j], each k images.
+	runs := make([][][]run, len(nets))
+	for i, n := range nets {
+		for _, batch := range n.batches {
+			input := n.input(batch)
+			var rs []run
+			for k := 1; k <= batch; k++ {
+				if k < batch && batch != prefixB {
+					continue
+				}
+				in := input[:len(input)/batch*k]
+				want, _, err := n.m.Reference(in, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs = append(rs, run{k, in, want[len(want)-1]})
+			}
+			runs[i] = append(runs[i], rs)
+		}
+	}
 	for _, maxW := range []int{8, 12, 16, 0} {
 		dev, err := core.Open(core.Config{MaxGridWidth: maxW})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range nets {
-			for _, batch := range n.batches {
-				input := n.input(batch)
-				want, _, err := n.m.Reference(input, batch)
-				if err != nil {
-					t.Fatal(err)
-				}
+		for i, n := range nets {
+			soloFrags := map[bool]string{} // fused -> a batch-1 network's fragments per pass
+			for j, batch := range n.batches {
 				for _, fused := range []bool{true, false} {
 					net, err := n.m.Build(dev, batch, false)
 					if err != nil {
 						t.Fatal(err)
 					}
 					net.SetFusion(fused)
-					res, err := net.Run(input)
+					for _, r := range runs[i][j] {
+						res, frags := runPasses(t, dev, net, r.input)
+						if !Int8Equal(res.Output, r.want) {
+							t.Errorf("%s w%d b%d k%d fused=%v: output differs from the reference", n.name, maxW, batch, r.k, fused)
+						}
+						if r.k > 1 {
+							continue
+						}
+						if batch == 1 {
+							soloFrags[fused] = fmt.Sprint(frags)
+						} else if got := fmt.Sprint(frags); got != soloFrags[fused] {
+							t.Errorf("%s w%d b%d k1 fused=%v: fragments per pass %s, a batch-1 network shades %s",
+								n.name, maxW, batch, fused, got, soloFrags[fused])
+						}
+					}
 					net.Close()
-					if err != nil {
-						t.Fatalf("%s w%d b%d fused=%v: %v", n.name, maxW, batch, fused, err)
-					}
-					if !Int8Equal(res.Output, want[len(want)-1]) {
-						t.Errorf("%s w%d b%d fused=%v: output differs from the reference", n.name, maxW, batch, fused)
-					}
 				}
 			}
 		}

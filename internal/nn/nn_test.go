@@ -1,15 +1,17 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"glescompute/internal/codec"
 	"glescompute/internal/core"
+	"glescompute/internal/gles"
 )
 
-func openTest(t *testing.T) *core.Device {
+func openTest(t testing.TB) *core.Device {
 	t.Helper()
 	dev, err := core.Open(core.Config{})
 	if err != nil {
@@ -268,10 +270,49 @@ func TestLeNetIntBitIdentical(t *testing.T) {
 	}
 }
 
+// fragLog is a draw probe: installed as the context's fault injector (it
+// injects nothing), it notes the context's cumulative shaded-fragment
+// count before every draw.
+type fragLog struct {
+	ctx   *gles.Context
+	marks []uint64
+}
+
+func (f *fragLog) FaultBefore(op gles.FaultOp) gles.FaultAction {
+	if op == gles.FaultOpDraw {
+		f.marks = append(f.marks, f.ctx.Draws().FragmentsShaded)
+	}
+	return gles.FaultAction{}
+}
+
+func (f *fragLog) FaultCorrupt([]byte) {}
+
+// runPasses runs net on input and returns the result and the fragments
+// each of its draws shaded.
+func runPasses(t *testing.T, dev *core.Device, net *Network, input interface{}) (*Result, []uint64) {
+	t.Helper()
+	log := &fragLog{ctx: dev.GL()}
+	dev.GL().SetFaultInjector(log)
+	res, err := net.Run(input)
+	dev.GL().SetFaultInjector(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := append(log.marks, dev.GL().Draws().FragmentsShaded)
+	frags := make([]uint64, len(log.marks))
+	for i := range frags {
+		frags[i] = marks[i+1] - marks[i]
+	}
+	return res, frags
+}
+
 // TestBatchedMatchesSolo pins the batching guarantee the N1 serve sweep
-// relies on: a batch-B network produces, for every image, exactly the bits
-// a batch-1 network produces — float32 included, because the per-element
-// arithmetic is independent of where the batch layout places it.
+// and the service rely on: every k-image run of a batch-B network, a row
+// prefix for k < B, produces for every image exactly the bits a batch-1
+// network produces — float32 included, because the per-element
+// arithmetic is independent of where the batch layout places it. A
+// 1-image run shades in each pass exactly the fragments of a batch-1
+// network (TestInt8WalkRowCrossing checks the same at narrow grids).
 func TestBatchedMatchesSolo(t *testing.T) {
 	dev := openTest(t)
 	defer dev.Close()
@@ -285,27 +326,31 @@ func TestBatchedMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer netB.Close()
-	resB, err := netB.Run(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched := resB.Output.([]float32)
-
 	net1, err := m.Build(dev, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net1.Close()
+	var solo []float32
+	var soloFrags []uint64
 	for b := 0; b < B; b++ {
-		res1, err := net1.Run(xs[b*per : (b+1)*per])
-		if err != nil {
-			t.Fatal(err)
+		res1, frags := runPasses(t, dev, net1, xs[b*per:(b+1)*per])
+		solo = append(solo, res1.Output.([]float32)...)
+		soloFrags = frags
+	}
+	for k := 1; k <= B; k++ {
+		res, frags := runPasses(t, dev, netB, xs[:k*per])
+		if k == 1 && fmt.Sprint(frags) != fmt.Sprint(soloFrags) {
+			t.Errorf("k=1 of %d: fragments per pass %v, a batch-1 network shades %v", B, frags, soloFrags)
 		}
-		solo := res1.Output.([]float32)
-		for j := range solo {
-			if math.Float32bits(solo[j]) != math.Float32bits(batched[b*DemoClasses+j]) {
-				t.Fatalf("image %d class %d: batched %g != solo %g (must be bit-identical)",
-					b, j, batched[b*DemoClasses+j], solo[j])
+		batched := res.Output.([]float32)
+		if len(batched) != k*DemoClasses {
+			t.Fatalf("k=%d of %d: %d outputs, want %d", k, B, len(batched), k*DemoClasses)
+		}
+		for j := range batched {
+			if math.Float32bits(solo[j]) != math.Float32bits(batched[j]) {
+				t.Fatalf("k=%d of %d: image %d class %d: batched %g != solo %g (must be bit-identical)",
+					k, B, j/DemoClasses, j%DemoClasses, batched[j], solo[j])
 			}
 		}
 	}

@@ -15,8 +15,10 @@ import (
 // Service serves a Model's inference over a sched.Queue device pool.
 // Every request rides the queue as a group job (sched.GroupSpec): each
 // launch runs the whole device-resident network on whichever pooled device
-// the scheduler picks, against that device's lazily-built Network (weights
-// uploaded once per device and batch size, then resident).
+// the scheduler picks, against that device's one lazily-built Network
+// (weights uploaded once per device, then resident). A launch of k images
+// runs as a k-row prefix of that network, so every request size shares
+// one set of device buffers.
 //
 // Two submission granularities mirror the serving trade-off the mobile
 // inference engines make: Infer runs one image per request (lowest
@@ -36,18 +38,13 @@ import (
 type Service struct {
 	model *Model
 	q     *sched.Queue
-	nets  sync.Map // netKey -> *Network
+	nets  sync.Map // *core.Device -> *Network
 	key   string   // coalescing group key (the service's identity)
 
-	mu        sync.Mutex
-	retry     sched.RetryPolicy
-	deadline  time.Duration
-	maxBucket int // continuous-batching bucket cap; 0 = off
-}
-
-type netKey struct {
-	dev   *core.Device
-	batch int
+	mu       sync.Mutex
+	retry    sched.RetryPolicy
+	deadline time.Duration
+	maxBatch int // continuous-batching cap in images; 0 = off
 }
 
 // NewService wraps a queue in an inference service for the model.
@@ -81,45 +78,41 @@ func (s *Service) SetDeadline(d time.Duration) {
 
 // SetContinuousBatching opts every subsequent request into queue-level
 // request coalescing: same-service requests arriving within the queue's
-// batching window (sched.Config.BatchWindow) are executed as one batched
-// network pass. Coalesced images are packed into power-of-two batch
-// buckets (1, 2, 4, … up to maxBucket), padding the tail bucket with
-// zero images, so the persistent per-bucket networks netFor caches are
-// reused — the pipeline is planned once per bucket size ever seen, never
-// per request. Outputs are bit-identical to solo inference: each image's
-// result depends only on its own rows of the batched tensors, a property
-// the N1 experiment's batched-vs-solo differential asserts.
+// batching window (sched.Config.BatchWindow) are executed together, in
+// runs of up to maxBatch images on the device's one network, with no
+// padding: a run of k images computes exactly k. Outputs are
+// bit-identical to solo inference: each image's result depends only on
+// its own rows of the batched tensors, a property the N1 experiment's
+// batched-vs-solo differential asserts.
 //
-// maxBucket is rounded down to a power of two (minimum 1); 0 disables
-// coalescing: each request then runs alone at its exact count, the
-// default. A single request larger than the cap still runs at its exact
-// count.
-func (s *Service) SetContinuousBatching(maxBucket int) {
-	cap := 0
-	if maxBucket > 0 {
-		cap = 1
-		for cap*2 <= maxBucket {
-			cap *= 2
-		}
-	}
+// 0 disables coalescing (the default): each request then runs alone at
+// its exact count. A single request larger than the cap still runs at
+// its exact count.
+func (s *Service) SetContinuousBatching(maxBatch int) {
 	s.mu.Lock()
-	s.maxBucket = cap
+	s.maxBatch = max(maxBatch, 0)
 	s.mu.Unlock()
 }
 
-// netFor returns the device's network for the batch size, building it on
-// first use. Only the device's worker goroutine calls this for a given
-// device, so each network is built and used single-threaded.
-func (s *Service) netFor(dev *core.Device, batch int) (*Network, error) {
-	key := netKey{dev: dev, batch: batch}
-	if v, ok := s.nets.Load(key); ok {
-		return v.(*Network), nil
+// netFor returns the device's network with room for count images. The
+// first use builds it at max(maxBatch, count) images; a later run larger
+// than its capacity replaces it. Only the device's worker goroutine calls
+// this for a given device, so each network is built, run and closed
+// single-threaded.
+func (s *Service) netFor(dev *core.Device, count, maxBatch int) (*Network, error) {
+	if v, ok := s.nets.Load(dev); ok {
+		net := v.(*Network)
+		if count <= net.Batch() {
+			return net, nil
+		}
+		s.nets.Delete(dev)
+		net.Close()
 	}
-	net, err := s.model.Build(dev, batch, false)
+	net, err := s.model.Build(dev, max(maxBatch, count), false)
 	if err != nil {
 		return nil, err
 	}
-	s.nets.Store(key, net)
+	s.nets.Store(dev, net)
 	return net, nil
 }
 
@@ -127,19 +120,16 @@ func (s *Service) netFor(dev *core.Device, batch int) (*Network, error) {
 // element type) as one device launch. The job's output holds the
 // count·classes final-layer elements in request order.
 func (s *Service) InferBatch(ctx context.Context, images interface{}, count int) (*sched.Job, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("nn: InferBatch: non-positive count %d", count)
-	}
 	if err := s.model.checkInput("InferBatch", images, count); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	retry, deadline, bucketCap := s.retry, s.deadline, s.maxBucket
+	retry, deadline, maxBatch := s.retry, s.deadline, s.maxBatch
 	s.mu.Unlock()
 	// With continuous batching off the group is keyless, so the request
 	// never coalesces and runs alone at its exact count.
 	key := ""
-	if bucketCap > 0 {
+	if maxBatch > 0 {
 		key = s.key
 	}
 	return s.q.Submit(ctx, sched.JobSpec{
@@ -150,7 +140,7 @@ func (s *Service) InferBatch(ctx context.Context, images interface{}, count int)
 			Label:   "nn-infer",
 			Payload: &inferRequest{images: images, count: count},
 			Run: func(dev *core.Device, payloads []interface{}, sp *obs.Span) ([]interface{}, core.RunStats, error) {
-				return s.runCoalesced(dev, payloads, bucketCap, sp)
+				return s.runCoalesced(dev, payloads, maxBatch, sp)
 			},
 		},
 	})
@@ -164,17 +154,13 @@ type inferRequest struct {
 }
 
 // runCoalesced executes a unit of requests on one device. Consecutive
-// requests are greedily packed into chunks of at most bucketCap images (a
-// single larger request, or any request when bucketCap is 0, keeps its
-// exact count); each chunk runs as one batched pass at the next
-// power-of-two bucket size, with the tail slots zero-padded. Padding is
-// harmless: every image's output depends only on its own rows of the
-// batched tensors, so the real images' results are bit-identical to solo
-// runs and the padded rows are simply never sliced out. Each chunk's
-// fused passes are recorded as children of the launch span sp (nil when
-// untraced). Returns one output per request (in payload order) and the
-// summed draw counts.
-func (s *Service) runCoalesced(dev *core.Device, payloads []interface{}, bucketCap int, sp *obs.Span) ([]interface{}, core.RunStats, error) {
+// requests are greedily packed into chunks of at most maxBatch images (a
+// single larger request, or any request when maxBatch is 0, runs alone);
+// each chunk runs as one pass of exactly its images on the device's
+// network. Each chunk's fused passes are recorded as children of the
+// launch span sp (nil when untraced). Returns one output per request (in
+// payload order) and the summed draw counts.
+func (s *Service) runCoalesced(dev *core.Device, payloads []interface{}, maxBatch int, sp *obs.Span) ([]interface{}, core.RunStats, error) {
 	reqs := make([]*inferRequest, len(payloads))
 	for i, p := range payloads {
 		reqs[i] = p.(*inferRequest)
@@ -186,30 +172,26 @@ func (s *Service) runCoalesced(dev *core.Device, payloads []interface{}, bucketC
 		end, images := start, 0
 		for end < len(reqs) {
 			n := reqs[end].count
-			if end > start && images+n > bucketCap {
+			if end > start && images+n > maxBatch {
 				break
 			}
 			images += n
 			end++
-			if images >= bucketCap {
+			if images >= maxBatch {
 				break
 			}
 		}
-		batch := images
-		if images < bucketCap {
-			batch = nextPow2(images)
-		}
-		net, err := s.netFor(dev, batch)
+		net, err := s.netFor(dev, images, maxBatch)
 		if err != nil {
 			return nil, rs, err
 		}
-		res, err := net.Run(s.packInput(reqs[start:end], batch))
+		res, err := net.Run(s.packInput(reqs[start:end], images))
 		if err != nil {
 			return nil, rs, err
 		}
 		rs.Draw.Add(&res.Stats.Draw)
 		passAt = attachPassSpans(sp, res.Stats, passAt)
-		perImage := core.HostLen(res.Output) / batch
+		perImage := core.HostLen(res.Output) / images
 		off := 0
 		for i := start; i < end; i++ {
 			n := reqs[i].count * perImage
@@ -221,30 +203,20 @@ func (s *Service) runCoalesced(dev *core.Device, payloads []interface{}, bucketC
 	return outs, rs, nil
 }
 
-// packInput lays the chunk's images consecutively into one batch-sized
-// host slice of the model's element type; slots beyond the real images
-// stay zero. A lone exact-sized request passes through uncopied.
-func (s *Service) packInput(reqs []*inferRequest, batch int) interface{} {
-	if len(reqs) == 1 && reqs[0].count == batch {
+// packInput lays the chunk's images consecutively into one host slice of
+// the model's element type. A lone request passes through uncopied.
+func (s *Service) packInput(reqs []*inferRequest, images int) interface{} {
+	if len(reqs) == 1 {
 		return reqs[0].images
 	}
 	inN := s.model.in.N()
-	buf := core.NewHostSlice(s.model.elem, batch*inN)
+	buf := core.NewHostSlice(s.model.elem, images*inN)
 	off := 0
 	for _, r := range reqs {
 		core.CopyHostSlice(buf, off, r.images)
 		off += r.count * inN
 	}
 	return buf
-}
-
-// nextPow2 returns the smallest power of two ≥ n.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
 }
 
 // attachPassSpans records one child span per executed pipeline pass under

@@ -172,7 +172,7 @@ func fusedPasses(t *testing.T, m *Model, batch int) int {
 }
 
 // TestServiceCoalescedPassSpans: a traced continuous-batching launch that
-// coalesces three requests into one bucket-4 network run is one
+// coalesces three requests into one 3-image run of a 4-image network is one
 // launch:nn-infer[x3] span carrying exactly one pass:* child per fused
 // pass.
 func TestServiceCoalescedPassSpans(t *testing.T) {
@@ -367,12 +367,15 @@ func TestServiceRetryThroughFaults(t *testing.T) {
 
 // TestServiceContinuousBatching is the continuous-batching differential:
 // int8 requests of mixed sizes submitted inside one batching window must
-// coalesce into a shared launch — power-of-two buckets, zero-padded
-// tails, an oversized request at its exact count — and every request's
-// output must be bit-identical to a solo batch-1 run of its images.
+// coalesce into a shared launch — chunks of up to the cap run as exact
+// row prefixes of the device's one network, and an oversized request
+// rebuilds that network at its own count — and every request's output
+// must be bit-identical to a solo batch-1 run of its images. Afterwards
+// the service holds exactly one network for the device, sized for the
+// largest request.
 func TestServiceContinuousBatching(t *testing.T) {
 	m := DemoLeNetInt8(20160316)
-	counts := []int{1, 2, 1, 1, 3, 1, 6} // chunks under cap 4: [1,2,1] [1,3] [1] [6 exact]
+	counts := []int{1, 2, 1, 1, 3, 1, 6} // chunks under cap 4: [1,2,1] [1,3] [1] [6 alone]
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -450,5 +453,17 @@ func TestServiceContinuousBatching(t *testing.T) {
 	}
 	if st := q.Stats(); st.Batches == 0 || st.BatchedJobs < 2 {
 		t.Fatalf("queue saw no coalesced launch: %+v", st)
+	}
+	var nets []*Network
+	svc.nets.Range(func(_, v interface{}) bool {
+		nets = append(nets, v.(*Network))
+		return true
+	})
+	if len(nets) != 1 || nets[0].Batch() != 6 {
+		caps := make([]int, len(nets))
+		for i, n := range nets {
+			caps[i] = n.Batch()
+		}
+		t.Fatalf("service holds networks of capacities %v, want one of 6", caps)
 	}
 }

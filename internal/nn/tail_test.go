@@ -14,21 +14,27 @@ import (
 // the raw GL context.
 func poisonTails(t *testing.T, dev *core.Device, bufs ...*core.Buffer) {
 	t.Helper()
+	for _, b := range bufs {
+		poisonFrom(t, dev, b, b.Elem().TexelsFor(b.Len()))
+	}
+}
+
+// poisonFrom fills buffer b's texels from index from on with 0xFF bytes.
+func poisonFrom(t *testing.T, dev *core.Device, b *core.Buffer, from int) {
+	t.Helper()
 	ctx := dev.GL()
 	prev := uint32(ctx.GetIntegerv(gles.TEXTURE_BINDING_2D)[0])
-	for _, b := range bufs {
-		g := b.Grid()
-		ctx.BindTexture(gles.TEXTURE_2D, b.Texture())
-		for i := b.Elem().TexelsFor(b.Len()); i < g.Texels(); {
-			x, y := g.Coord(i)
-			w := g.Width - x
-			ctx.TexSubImage2D(gles.TEXTURE_2D, 0, x, y, w, 1, gles.RGBA, gles.UNSIGNED_BYTE, bytes.Repeat([]byte{0xFF}, 4*w))
-			i += w
-		}
+	g := b.Grid()
+	ctx.BindTexture(gles.TEXTURE_2D, b.Texture())
+	for i := from; i < g.Texels(); {
+		x, y := g.Coord(i)
+		w := g.Width - x
+		ctx.TexSubImage2D(gles.TEXTURE_2D, 0, x, y, w, 1, gles.RGBA, gles.UNSIGNED_BYTE, bytes.Repeat([]byte{0xFF}, 4*w))
+		i += w
 	}
 	ctx.BindTexture(gles.TEXTURE_2D, prev)
 	if e := ctx.GetError(); e != gles.NO_ERROR {
-		t.Fatalf("poisoning tails: GL error 0x%04x", e)
+		t.Fatalf("poisoning texels: GL error 0x%04x", e)
 	}
 }
 
@@ -37,30 +43,34 @@ func poisonTails(t *testing.T, dev *core.Device, bufs ...*core.Buffer) {
 // every weight buffer, the image and output buffers, and every pooled
 // intermediate are filled with 0xFF bytes; the checked run must stay
 // bit-identical to the clean run, tap by tap, and (integer paths) to
-// Model.Reference.
+// Model.Reference. The k-of-B cases run k images on a network built for
+// B, and also poison rows k and above of every row-scaled buffer (image,
+// outputs, intermediates): no pass may read past its k live rows either.
 func TestPoisonedTailsLeNet(t *testing.T) {
-	const batch = 1
 	cases := []struct {
-		name  string
-		m     *Model
-		x     interface{}
-		lanes int
+		name     string
+		m        *Model
+		x        interface{}
+		lanes    int
+		k, batch int
 	}{
-		{"float32", DemoLeNetFloat32(20160316), DemoInputFloat32(7, batch), 1},
-		{"int32", DemoLeNetInt32(20160316), DemoInputInt32(11, batch), 1},
-		{"int8/lanes1", DemoLeNetInt8(7), DemoInputInt8(8, batch), 1},
-		{"int8/lanes4", DemoLeNetInt8(7), DemoInputInt8(8, batch), 4},
+		{"float32", DemoLeNetFloat32(20160316), DemoInputFloat32(7, 1), 1, 1, 1},
+		{"int32", DemoLeNetInt32(20160316), DemoInputInt32(11, 1), 1, 1, 1},
+		{"int8/lanes1", DemoLeNetInt8(7), DemoInputInt8(8, 1), 1, 1, 1},
+		{"int8/lanes4", DemoLeNetInt8(7), DemoInputInt8(8, 1), 4, 1, 1},
+		// The live LeNet: the demo one computes on zeros past conv2.
+		{"int8-live/lanes4/k2of4", liveLeNetInt8(), DemoInputInt8(8, 2), 4, 2, 4},
 	}
 	dev := openTest(t)
 	defer dev.Close()
 	for _, tc := range cases {
-		want, _, err := tc.m.Reference(tc.x, batch)
+		want, _, err := tc.m.Reference(tc.x, tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tapAll := range []bool{false, true} {
 			name := fmt.Sprintf("%s/tapAll=%v", tc.name, tapAll)
-			net, err := tc.m.BuildLanes(dev, batch, tapAll, tc.lanes)
+			net, err := tc.m.BuildLanes(dev, tc.batch, tapAll, tc.lanes)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -75,9 +85,13 @@ func TestPoisonedTailsLeNet(t *testing.T) {
 				return []interface{}{res.Output}
 			}
 			clean := run()
-			bufs := append([]*core.Buffer{net.imgBuf}, net.weightBufs...)
-			bufs = append(bufs, net.outBufs...)
-			poisonTails(t, dev, append(bufs, net.p.Intermediates()...)...)
+			// After a k-image run every pooled intermediate's length is
+			// its k-row prefix already; the image and output buffers keep
+			// their B-image lengths.
+			for _, b := range append([]*core.Buffer{net.imgBuf}, net.outBufs...) {
+				poisonFrom(t, dev, b, b.Elem().TexelsFor(b.Len()/tc.batch*tc.k))
+			}
+			poisonTails(t, dev, append(net.weightBufs, net.p.Intermediates()...)...)
 			got := run()
 			for i := range clean {
 				if hashTap(t, got[i]) != hashTap(t, clean[i]) {

@@ -18,7 +18,7 @@ import (
 // launch) and batched (B images coalesced into one batch-B network
 // execution) over 1 and 2 devices. The int8 race serves single-image
 // requests solo against the queue's continuous-batching window, which
-// coalesces them into bucket-capped batched passes. Every served output
+// coalesces them into capped batched passes. Every served output
 // must be bit-identical to the same image run alone: batching never
 // changes bits.
 
@@ -50,7 +50,7 @@ type NNServeResult struct {
 
 	// BatchModelSpeedupX is the continuous-batching win: the int8 vec4
 	// network serving cbRequests single-image requests through the queue's
-	// batching window (coalesced into bucket-capped batched passes) vs the
+	// batching window (coalesced into capped batched passes) vs the
 	// same requests launched solo. CBSoloUS/CBBatchedUS are the two
 	// modeled makespans and CBLaunches the coalesced launch count.
 	// ContinuousBatchValidated holds only when every coalesced output was
@@ -88,21 +88,21 @@ func soloOutputs[T float32 | int8](m *nn.Model, images []T, n int) ([][]T, error
 	return out, nil
 }
 
-// cbRequests/cbBucket fix the continuous-batching race's shape: 16
-// single-image requests over one device with bucket cap 8. With
-// sched.Config.MaxBatch = 8 the dispatcher's early-flush bound
+// cbRequests/cbMaxBatch fix the continuous-batching race's shape: 16
+// single-image requests over one device with a continuous-batching cap
+// of 8. With sched.Config.MaxBatch = 8 the dispatcher's early-flush bound
 // (MaxBatch × workers × 2 = 16) is hit exactly by the submission burst,
 // so the batched run deterministically executes as 2 launches of 8.
 const (
 	cbRequests = 16
-	cbBucket   = 8
+	cbMaxBatch = 8
 )
 
 // measureContinuousBatching races the int8 serving path solo vs through
 // the queue's continuous-batching window and fills the CB* fields. The
 // int8 vec4 network is the serving configuration the batching win is
 // claimed for: its per-image cost is launch-dominated, so coalescing a
-// window of requests into bucket-sized batched passes clears the ≥ 1.5x
+// window of requests into batched passes clears the ≥ 1.5x
 // bar (the float network's heavier per-image execute caps its
 // coalescing win well below that).
 func measureContinuousBatching(res *NNServeResult) error {
@@ -121,7 +121,7 @@ func measureContinuousBatching(res *NNServeResult) error {
 			// burst hits the early-flush bound long before it expires, so a
 			// generous window only guards against a slow host splitting the
 			// burst nondeterministically.
-			cfg.MaxBatch = cbBucket
+			cfg.MaxBatch = cbMaxBatch
 			cfg.BatchWindow = 250 * time.Millisecond
 		} else {
 			cfg.MaxBatch = 1
@@ -138,7 +138,7 @@ func measureContinuousBatching(res *NNServeResult) error {
 		defer svc.Close()
 		defer q.Close()
 		if continuous {
-			svc.SetContinuousBatching(cbBucket)
+			svc.SetContinuousBatching(cbMaxBatch)
 		}
 		pass := func() error {
 			jobs := make([]*sched.Job, cbRequests)
@@ -186,7 +186,7 @@ func measureContinuousBatching(res *NNServeResult) error {
 	if batched > 0 {
 		res.BatchModelSpeedupX = solo / batched
 	}
-	if want := uint64(cbRequests / cbBucket); launches != want {
+	if want := uint64(cbRequests / cbMaxBatch); launches != want {
 		return fmt.Errorf("paper: nn-serve: continuous batching coalesced %d requests into %d launches, want %d",
 			cbRequests, launches, want)
 	}

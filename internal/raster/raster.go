@@ -79,6 +79,28 @@ func (r *Rasterizer) SetTile(x0, y0, x1, y1 int) {
 	r.rowMin, r.rowMax = y0, y1
 }
 
+// Bounds returns the pixel rectangle [x0, x1) × [y0, y1) holding every
+// pixel the triangles can cover: the union of their bounding boxes,
+// clamped to the viewport. It is empty (x0 >= x1 or y0 >= y1) when none
+// can cover a pixel.
+func (r *Rasterizer) Bounds(tris [][3]ShadedVertex) (x0, y0, x1, y1 int) {
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for _, t := range tris {
+		for _, v := range t {
+			if w, ok := r.window(v); ok {
+				minX, maxX = math.Min(minX, w.x), math.Max(maxX, w.x)
+				minY, maxY = math.Min(minY, w.y), math.Max(maxY, w.y)
+			}
+		}
+	}
+	if minX > maxX {
+		return 0, 0, 0, 0
+	}
+	return maxI(int(math.Floor(minX)), r.vp.X), maxI(int(math.Floor(minY)), r.vp.Y),
+		minI(int(math.Ceil(maxX)), r.vp.X+r.vp.W), minI(int(math.Ceil(maxY)), r.vp.Y+r.vp.H)
+}
+
 // window maps a clip-space vertex to window coordinates. It reports false
 // for vertices behind the eye (w <= 0), which this implementation drops
 // rather than clips (full-screen GPGPU quads never hit this; see package
