@@ -274,6 +274,16 @@ func (d *Device) Timeline() Timeline {
 	return d.gpu.Price(&draws, &tr)
 }
 
+// timeSince prices the work counted since the snapshot (draws0, tr0) of
+// the context's counters. The counters' difference is priced once, so
+// the result does not depend on what the device ran before the snapshot.
+func (d *Device) timeSince(draws0 gles.DrawStats, tr0 gles.TransferStats) Timeline {
+	draws, tr := d.ctx.Draws(), d.ctx.Transfers()
+	draws.Sub(&draws0)
+	tr.Sub(&tr0)
+	return d.gpu.Price(&draws, &tr)
+}
+
 // checkGL converts pending GL errors into a Go error. It drains the
 // context completely — a multi-step operation can queue errors behind the
 // first — so no latent error is left to surface against an innocent later

@@ -600,7 +600,6 @@ func (p *Pipeline) RunRows(k int, outs []*Buffer, ins []*Buffer, uniforms map[st
 	}
 
 	tr0 := p.dev.ctx.Transfers()
-	t0 := p.dev.Timeline()
 	allocs0, reuses0 := p.pool.allocs, p.pool.reuses
 
 	// Every pooled checkout is tracked so that error returns (and any
@@ -642,7 +641,7 @@ func (p *Pipeline) RunRows(k int, outs []*Buffer, ins []*Buffer, uniforms map[st
 	for ei := range p.plan.exec {
 		es := &p.plan.exec[ei]
 		stats.ExecStages[ei] = es.label
-		stageT0 := p.dev.Timeline()
+		stageDraws0, stageTr0 := p.dev.ctx.Draws(), p.dev.ctx.Transfers()
 		stageIns := make([]*Buffer, len(es.ins))
 		for i, r := range es.ins {
 			if p.slots[r].fusedAway {
@@ -760,14 +759,15 @@ func (p *Pipeline) RunRows(k int, outs []*Buffer, ins []*Buffer, uniforms map[st
 		pending = kept
 		// The whole pass — fused members included — is charged to the
 		// chain's first builder stage; fused-away members keep a zero
-		// Timeline so the per-stage entries still sum to Time.
-		stats.StageTimes[es.members[0]] = stats.StageTimes[es.members[0]].Add(p.dev.Timeline().Sub(stageT0))
+		// Timeline. Time is the sum of the passes' prices.
+		dt := p.dev.timeSince(stageDraws0, stageTr0)
+		stats.StageTimes[es.members[0]] = stats.StageTimes[es.members[0]].Add(dt)
+		stats.Time = stats.Time.Add(dt)
 	}
 
 	tr1 := p.dev.ctx.Transfers()
 	stats.HostUploadBytes = tr1.TexUploadBytes - tr0.TexUploadBytes
 	stats.HostReadbackBytes = tr1.ReadPixelsBytes - tr0.ReadPixelsBytes
-	stats.Time = p.dev.Timeline().Sub(t0)
 	stats.PoolAllocs = p.pool.allocs - allocs0
 	stats.PoolReuses = p.pool.reuses - reuses0
 	return stats, nil

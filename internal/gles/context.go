@@ -30,11 +30,6 @@ type Config struct {
 	// automatic: the drawing goroutine plus whatever helpers the
 	// process-wide budget of GOMAXPROCS−1 has free when the draw starts.
 	Workers int
-	// TileSize caps the edge length (pixels) of the square framebuffer
-	// tiles the fragment stage shards draws into; 0 means the built-in
-	// 64. A draw halves the edge until it has enough tiles to keep its
-	// workers busy. Output is bit-identical at any size.
-	TileSize int
 	// StrictAppendixA makes the shader compiler enforce GLSL ES Appendix A.
 	StrictAppendixA bool
 	// UseInterpreter forces the reference AST interpreter for shader
@@ -90,6 +85,18 @@ type TransferStats struct {
 	BinaryLoadCount uint64 // programs restored through ProgramBinary
 }
 
+// Sub removes o from s: the traffic counted between two snapshots.
+func (s *TransferStats) Sub(o *TransferStats) {
+	s.TexUploadBytes -= o.TexUploadBytes
+	s.TexUploadCalls -= o.TexUploadCalls
+	s.ReadPixelsBytes -= o.ReadPixelsBytes
+	s.ReadPixelsCalls -= o.ReadPixelsCalls
+	s.BufferDataBytes -= o.BufferDataBytes
+	s.CompileCount -= o.CompileCount
+	s.LinkCount -= o.LinkCount
+	s.BinaryLoadCount -= o.BinaryLoadCount
+}
+
 // DrawStats describes the work done by draw calls since the last reset.
 type DrawStats struct {
 	DrawCalls          uint64
@@ -110,6 +117,17 @@ func (s *DrawStats) Add(o *DrawStats) {
 	s.PixelsWritten += o.PixelsWritten
 	s.VertexStats.AddStats(&o.VertexStats)
 	s.FragmentStats.AddStats(&o.FragmentStats)
+}
+
+// Sub removes o from s: the work counted between two snapshots.
+func (s *DrawStats) Sub(o *DrawStats) {
+	s.DrawCalls -= o.DrawCalls
+	s.VertexInvocations -= o.VertexInvocations
+	s.FragmentsShaded -= o.FragmentsShaded
+	s.FragmentsDiscarded -= o.FragmentsDiscarded
+	s.PixelsWritten -= o.PixelsWritten
+	s.VertexStats.Sub(&o.VertexStats)
+	s.FragmentStats.Sub(&o.FragmentStats)
 }
 
 // Context is a software OpenGL ES 2.0 rendering context. Like a real GL
@@ -234,11 +252,8 @@ func NewContext(cfg Config) *Context {
 		unpackAlign:   4,
 		packAlign:     4,
 		workers:       cfg.Workers,
-		tileSize:      cfg.TileSize,
+		tileSize:      defaultTileSize,
 		helpers:       &rasterHelpers,
-	}
-	if c.tileSize <= 0 {
-		c.tileSize = defaultTileSize
 	}
 	c.texUnits = make([]textureUnit, c.caps.MaxCombinedTextureImageUnits)
 	c.attribs = make([]vertexAttrib, c.caps.MaxVertexAttribs)

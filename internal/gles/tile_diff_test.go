@@ -289,10 +289,12 @@ func drawTiled(t *testing.T, sc tileScene, workers, tileSize int) ([]byte, DrawS
 	const W, H = 44, 30 // not a multiple of the tile size: ragged edge tiles
 	c := NewContext(Config{
 		Width: W, Height: H,
-		SFU:      shader.DefaultSFU,
-		Workers:  workers,
-		TileSize: tileSize,
+		SFU:     shader.DefaultSFU,
+		Workers: workers,
 	})
+	if tileSize > 0 {
+		c.tileSize = tileSize
+	}
 	prog := buildProgram(t, c, sceneVS(t, sc), sc.fs(t))
 	c.UseProgram(prog)
 	if sc.setup != nil {

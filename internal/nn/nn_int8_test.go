@@ -122,19 +122,23 @@ func TestInt8SingleLayersDifferential(t *testing.T) {
 }
 
 // TestInt8LeNetDifferential is the whole-network differential on the
-// demo model — the configuration the N1 experiment reports — and on
-// liveLeNetInt8, whose dense layers see varied activations instead of
-// the demo's zeros, so a wrong dense-layer fetch shows.
+// demo model: "demo" is the seed the N1 experiment reports, "live" the
+// seed glesbench serves. Every layer of both is live
+// (TestDemoNetworksLive), so a wrong fetch in any layer shows; at batch
+// 4 conv1's input spans two texture rows, so its activation walk must
+// wrap.
 func TestInt8LeNetDifferential(t *testing.T) {
+	const batch = 4
 	for _, tc := range []struct {
-		name string
-		m    *Model
+		name  string
+		m     *Model
+		input []int8
 	}{
-		{"demo", DemoLeNetInt8(7)},
-		{"live", liveLeNetInt8()},
+		{"demo", DemoLeNetInt8(7), DemoInputInt8(8, batch)},
+		{"live", DemoLeNetInt8(20160316), DemoInputInt8(11, batch)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			runInt8Lanes(t, tc.m, 2, DemoInputInt8(8, 2))
+			runInt8Lanes(t, tc.m, batch, tc.input)
 		})
 	}
 }
@@ -143,6 +147,44 @@ func TestInt8LeNetDifferential(t *testing.T) {
 // depthwise-separable measurement network.
 func TestInt8MobileNetDifferential(t *testing.T) {
 	runInt8Lanes(t, DemoMobileNetInt8(17), 2, DemoInputMobileNet(9, 2))
+}
+
+// TestDemoNetworksLive guards the demo int8 networks' requant shifts: over
+// each seeded batch-8 input, every layer of Model.Reference has at least
+// 10% nonzero outputs and at least 8 distinct values. A layer that
+// computes on zeros hides a wrong fetch from every check downstream of it.
+func TestDemoNetworksLive(t *testing.T) {
+	const batch = 8
+	dw := smallDWDenseInt8()
+	for _, tc := range []struct {
+		name  string
+		m     *Model
+		input []int8
+	}{
+		{"lenet-7", DemoLeNetInt8(7), DemoInputInt8(8, batch)},
+		{"lenet-20160316", DemoLeNetInt8(20160316), DemoInputInt8(11, batch)},
+		{"mobilenet", DemoMobileNetInt8(17), DemoInputMobileNet(9, batch)},
+		{"dw-dense", dw, randI8(rand.New(rand.NewSource(6)), batch*dw.In().N(), -8, 7)},
+	} {
+		taps, _, err := tc.m.Reference(tc.input, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, info := range tc.m.Layers() {
+			tap := taps[li].([]int8)
+			nonzero, distinct := 0, map[int8]bool{}
+			for _, v := range tap {
+				if v != 0 {
+					nonzero++
+				}
+				distinct[v] = true
+			}
+			if pct := 100 * float64(nonzero) / float64(len(tap)); pct < 10 || len(distinct) < 8 {
+				t.Errorf("%s layer %s: %.1f%% nonzero, %d distinct values; want >= 10%% and >= 8",
+					tc.name, info.Name, pct, len(distinct))
+			}
+		}
+	}
 }
 
 // TestInt8FoldValidation pins the folding contract's error paths.
@@ -204,24 +246,6 @@ func TestInt8Vec4ModeledSpeedup(t *testing.T) {
 	}
 }
 
-// liveLeNetInt8 is the LeNet topology with requant shifts small enough
-// that every layer's activations stay varied. The demo model's shifts
-// (DemoLeNetInt8) zero almost every activation after conv2, so its
-// dense layers compute on zeros and cannot show a wrong weight fetch.
-func liveLeNetInt8() *Model {
-	rng := rand.New(rand.NewSource(23))
-	w := func(n int) []int8 { return randI8(rng, n, -2, 2) }
-	b := func(n int) []int8 { return randI8(rng, n, -8, 8) }
-	return NewModel(codec.Int8, DemoShape).
-		Conv2D("conv1", 5, 5, 6, 1, w(25*6), b(6)).Rescale("rq1", 2).ReLU("relu1").
-		MaxPool("pool1", 2, 2, 2).
-		Conv2D("conv2", 5, 5, 16, 1, w(150*16), b(16)).Rescale("rq2", 3).ReLU("relu2").
-		MaxPool("pool2", 2, 2, 2).
-		Dense("fc1", 120, w(256*120), b(120)).Rescale("rq3", 4).ReLU("relu3").
-		Dense("fc2", 84, w(120*84), b(84)).Rescale("rq4", 4).ReLU("relu4").
-		Dense("fc3", DemoClasses, w(84*DemoClasses), b(DemoClasses)).Rescale("rq5", 4)
-}
-
 // TestInt8WalkRowCrossing is the row-crossing differential of the 4-wide
 // kernels' texel walks (DESIGN.md §6c): narrow grids make every weight run
 // and every conv row wrap across texture rows many times, at widths that
@@ -237,10 +261,7 @@ func TestInt8WalkRowCrossing(t *testing.T) {
 		input   func(batch int) []int8
 		batches []int
 	}{
-		// The served demo model at batch 1 only: past conv2 it computes
-		// on zeros, so lenet-live carries the batch sweep.
-		{"lenet", DemoLeNetInt8(7), func(b int) []int8 { return DemoInputInt8(8, b) }, []int{1}},
-		{"lenet-live", liveLeNetInt8(), func(b int) []int8 { return DemoInputInt8(8, b) }, []int{1, 4, 8}},
+		{"lenet", DemoLeNetInt8(7), func(b int) []int8 { return DemoInputInt8(8, b) }, []int{1, 4, 8}},
 		{"mobilenet", DemoMobileNetInt8(17), func(b int) []int8 { return DemoInputMobileNet(9, b) }, []int{1, 4, 8}},
 	}
 	const prefixB = 4

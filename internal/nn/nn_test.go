@@ -411,6 +411,42 @@ func TestLayerTimesCoverChain(t *testing.T) {
 	}
 }
 
+// TestStageTimesIgnoreHistory pins that a network's modeled stage times
+// price its own work: a warm int8 LeNet run's StageTimes are identical
+// whether or not another network ran on the device first.
+func TestStageTimesIgnoreHistory(t *testing.T) {
+	stageTimes := func(prior *Model, priorIn interface{}) string {
+		dev := openTest(t)
+		defer dev.Close()
+		if prior != nil {
+			net, err := prior.Build(dev, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := net.Run(priorIn); err != nil {
+				t.Fatal(err)
+			}
+			net.Close()
+		}
+		net, err := DemoLeNetInt8(7).Build(dev, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer net.Close()
+		var res *Result
+		for i := 0; i < 2; i++ { // the second run is warm
+			if res, err = net.Run(DemoInputInt8(8, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fmt.Sprint(res.Stats.StageTimes)
+	}
+	want := stageTimes(nil, nil)
+	if got := stageTimes(DemoMobileNetInt8(17), DemoInputMobileNet(9, 1)); got != want {
+		t.Errorf("after a MobileNet run: stage times %s, alone %s", got, want)
+	}
+}
+
 // TestLeNetFusedPassCounts pins the acceptance bar of the fusion planner
 // and of direct convolution: the float LeNet executes in exactly 6
 // fragment passes from 13 builder stages (ReLUs fuse into their conv and

@@ -322,12 +322,21 @@ func validateNNInt8(res *NNResult) error {
 
 	// Warm modeled-time race at a fixed batch, untapped (the serving
 	// configuration: one readback at the end), on the pipeline's clock.
+	// Its outputs are checked too: at batch 4 the texel walks cross
+	// texture rows that a batch-1 network's never reach.
 	imgs := nn.DemoInputInt8(13, vec4Batch)
+	want, _, err := m.Reference(imgs, vec4Batch)
+	if err != nil {
+		return err
+	}
 	times := map[int]float64{}
 	for _, w := range widths {
-		_, us, err := warmRun(dev, m, vec4Batch, w, true, false, imgs)
+		run, us, err := warmRun(dev, m, vec4Batch, w, true, false, imgs)
 		if err != nil {
 			return err
+		}
+		if !nn.Int8Equal(run.Output, want[len(want)-1]) {
+			return fmt.Errorf("paper: nn: int8 lanes=%d batch-%d output not bit-identical to refcpu", w, vec4Batch)
 		}
 		times[w] = us
 	}

@@ -127,8 +127,8 @@ func TestLaunchAccounting(t *testing.T) {
 			{4, true, tl(10e6, 122275, 123189, 302560)}, {4, true, tl(10e6, 122275, 123189, 302560)}},
 			dev: DeviceStats{Jobs: 4, Launches: 1, Batches: 1, BatchedJobs: 4, Busy: tl(10e6, 122275, 123189, 302560)}},
 		{name: "batch split by texture size", cfg: narrow, jobs: []jobWant{
-			{1, false, tl(10e6, 138666, 151932, 321000)}, {1, false, tl(0, 138667, 151927, 321000)}},
-			dev: DeviceStats{Jobs: 2, Launches: 2, Busy: tl(10e6, 277333, 303859, 642000)}},
+			{1, false, tl(10e6, 138666, 151932, 321000)}, {1, false, tl(0, 138666, 151927, 321000)}},
+			dev: DeviceStats{Jobs: 2, Launches: 2, Busy: tl(10e6, 277332, 303859, 642000)}},
 		{name: "keyless group", jobs: []jobWant{{1, false, tl(10e6, 0, 120054, 300080)}},
 			dev: DeviceStats{Jobs: 1, Launches: 1, Busy: tl(10e6, 0, 120054, 300080)}},
 		{name: "coalesced group of 3", cfg: window, jobs: []jobWant{

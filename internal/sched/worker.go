@@ -244,13 +244,19 @@ func (w *worker) execUnit(jobs []*Job) bool {
 	}
 	sp := w.launchSpan(jobs, launchName(jobs[0]))
 	start := time.Now()
-	t0 := w.dev.Timeline()
+	// The launch's modeled time prices the counters' difference once, so
+	// it does not depend on what ran on the device before it.
+	gl := w.dev.GL()
+	draws0, tr0 := gl.Draws(), gl.Transfers()
 	outs, rs, err := w.runGuarded(run, jobs, sp)
 	if err == nil && len(outs) != len(jobs) {
 		err = fmt.Errorf("sched: launch %q returned %d outputs for %d members",
 			launchName(jobs[0]), len(outs), len(jobs))
 	}
-	dt := w.dev.Timeline().Sub(t0)
+	draws, tr := gl.Draws(), gl.Transfers()
+	draws.Sub(&draws0)
+	tr.Sub(&tr0)
+	dt := w.dev.GPUModel().Price(&draws, &tr)
 	wall := time.Since(start)
 	batched := len(jobs) > 1
 	w.note(len(jobs), batched, dt, wall)

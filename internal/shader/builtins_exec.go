@@ -27,12 +27,10 @@ func quantizeMantissa(x float32, bits int) float32 {
 // stays near-exact). They are the precision bottleneck of the paper's float
 // codec — see EXPERIMENTS.md (P1, A2).
 func (ex *Exec) sfuExp2(x float32) float32 {
-	ex.Stats.SFU++
 	return ex.SFU.Approx(x, float32(math.Exp2(float64(x))))
 }
 
 func (ex *Exec) sfuLog2(x float32) float32 {
-	ex.Stats.SFU++
 	return ex.SFU.Approx(x, float32(math.Log2(float64(x))))
 }
 
@@ -57,6 +55,12 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 	}
 	out := Value{T: n.Type()}
 	nc := n.Type().ComponentCount()
+	an, dim := 0, 0
+	if len(n.Args) > 0 {
+		an, dim = n.Args[0].Type().ComponentCount(), n.Args[0].Type().MatrixDim()
+	}
+	cost, _ := builtinCost(sig.ID, nc, an, dim)
+	ex.Stats.AddStats(&cost)
 
 	// comp fetches component i of argument k with scalar broadcast.
 	comp := func(k, i int) float32 {
@@ -70,7 +74,6 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 		for i := 0; i < nc; i++ {
 			r := float32(fn(float64(args[0].F[i])))
 			if sfu {
-				ex.Stats.SFU++
 				r = ex.SFU.Quantize(r)
 			}
 			out.F[i] = r
@@ -80,17 +83,14 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 	switch sig.ID {
 	case glsl.BRadians:
 		un(func(x float64) float64 { return x * math.Pi / 180 }, false)
-		ex.Stats.Mul += uint64(nc)
 	case glsl.BDegrees:
 		un(func(x float64) float64 { return x * 180 / math.Pi }, false)
-		ex.Stats.Mul += uint64(nc)
 	case glsl.BSin:
 		un(math.Sin, true)
 	case glsl.BCos:
 		un(math.Cos, true)
 	case glsl.BTan:
 		un(math.Tan, true)
-		ex.Stats.SFU += uint64(nc) // tan = sin * rcp(cos): extra SFU op
 	case glsl.BAsin:
 		un(math.Asin, true)
 	case glsl.BAcos:
@@ -100,7 +100,6 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 	case glsl.BAtan2:
 		for i := 0; i < nc; i++ {
 			out.F[i] = float32(math.Atan2(float64(comp(0, i)), float64(comp(1, i))))
-			ex.Stats.SFU += 2
 		}
 	case glsl.BPow:
 		// pow(x,y) = exp2(y*log2(x)): inherits SFU quantization twice, the
@@ -108,17 +107,14 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 		for i := 0; i < nc; i++ {
 			x, y := comp(0, i), comp(1, i)
 			out.F[i] = ex.sfuExp2(y * ex.sfuLog2(x))
-			ex.Stats.Mul++
 		}
 	case glsl.BExp:
 		for i := 0; i < nc; i++ {
 			out.F[i] = ex.sfuExp2(args[0].F[i] * float32(math.Log2E))
-			ex.Stats.Mul++
 		}
 	case glsl.BLog:
 		for i := 0; i < nc; i++ {
 			out.F[i] = ex.sfuLog2(args[0].F[i]) * float32(math.Ln2)
-			ex.Stats.Mul++
 		}
 	case glsl.BExp2:
 		for i := 0; i < nc; i++ {
@@ -131,14 +127,10 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 	case glsl.BSqrt:
 		// sqrt = x * rsqrt(x) with refinement: near-exact on HW.
 		un(math.Sqrt, false)
-		ex.Stats.SFU += uint64(nc)
-		ex.Stats.Mul += uint64(nc)
 	case glsl.BInverseSqrt:
 		un(func(x float64) float64 { return 1 / math.Sqrt(x) }, false)
-		ex.Stats.SFU += uint64(nc)
 	case glsl.BAbs:
 		un(math.Abs, false)
-		ex.Stats.Mov += uint64(nc)
 	case glsl.BSign:
 		un(func(x float64) float64 {
 			if x > 0 {
@@ -149,46 +141,34 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 			}
 			return 0
 		}, false)
-		ex.Stats.Cmp += uint64(2 * nc)
 	case glsl.BFloor:
 		un(math.Floor, false)
-		ex.Stats.Add += uint64(nc)
 	case glsl.BCeil:
 		un(math.Ceil, false)
-		ex.Stats.Add += uint64(nc)
 	case glsl.BFract:
 		un(func(x float64) float64 { return x - math.Floor(x) }, false)
-		ex.Stats.Add += uint64(2 * nc)
 	case glsl.BMod:
 		for i := 0; i < nc; i++ {
 			a, b := comp(0, i), comp(1, i)
 			// GLSL: mod(x,y) = x - y*floor(x/y), computed in fp32.
 			out.F[i] = a - b*float32(math.Floor(float64(a/b)))
-			ex.Stats.Div++
-			ex.Stats.Mul++
-			ex.Stats.Add += 2
 		}
 	case glsl.BMin:
 		for i := 0; i < nc; i++ {
 			out.F[i] = minf(comp(0, i), comp(1, i))
-			ex.Stats.Cmp++
 		}
 	case glsl.BMax:
 		for i := 0; i < nc; i++ {
 			out.F[i] = maxf(comp(0, i), comp(1, i))
-			ex.Stats.Cmp++
 		}
 	case glsl.BClamp:
 		for i := 0; i < nc; i++ {
 			out.F[i] = minf(maxf(args[0].F[i], comp(1, i)), comp(2, i))
-			ex.Stats.Cmp += 2
 		}
 	case glsl.BMix:
 		for i := 0; i < nc; i++ {
 			a, b, t := args[0].F[i], args[1].F[i], comp(2, i)
 			out.F[i] = a*(1-t) + b*t
-			ex.Stats.Mul += 2
-			ex.Stats.Add += 2
 		}
 	case glsl.BStep:
 		for i := 0; i < nc; i++ {
@@ -197,8 +177,6 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 			} else {
 				out.F[i] = 1
 			}
-			ex.Stats.Cmp++
-			ex.Stats.Select++
 		}
 	case glsl.BSmoothstep:
 		for i := 0; i < nc; i++ {
@@ -211,51 +189,33 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 				t = 1
 			}
 			out.F[i] = t * t * (3 - 2*t)
-			ex.Stats.Add += 3
-			ex.Stats.Mul += 3
-			ex.Stats.Div++
-			ex.Stats.Cmp += 2
 		}
 	case glsl.BLength:
 		var s float64
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			s += float64(args[0].F[i]) * float64(args[0].F[i])
 		}
 		out.F[0] = float32(math.Sqrt(s))
-		ex.Stats.Mul += uint64(an)
-		ex.Stats.Add += uint64(an - 1)
-		ex.Stats.SFU++
 	case glsl.BDistance:
 		var s float64
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			d := float64(args[0].F[i] - args[1].F[i])
 			s += d * d
 		}
 		out.F[0] = float32(math.Sqrt(s))
-		ex.Stats.Mul += uint64(an)
-		ex.Stats.Add += uint64(2*an - 1)
-		ex.Stats.SFU++
 	case glsl.BDot:
 		var s float32
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			s += args[0].F[i] * args[1].F[i]
 		}
 		out.F[0] = s
-		ex.Stats.Mul += uint64(an)
-		ex.Stats.Add += uint64(an - 1)
 	case glsl.BCross:
 		a, b := args[0], args[1]
 		out.F[0] = a.F[1]*b.F[2] - a.F[2]*b.F[1]
 		out.F[1] = a.F[2]*b.F[0] - a.F[0]*b.F[2]
 		out.F[2] = a.F[0]*b.F[1] - a.F[1]*b.F[0]
-		ex.Stats.Mul += 6
-		ex.Stats.Add += 3
 	case glsl.BNormalize:
 		var s float64
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			s += float64(args[0].F[i]) * float64(args[0].F[i])
 		}
@@ -263,13 +223,9 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 		for i := 0; i < an; i++ {
 			out.F[i] = args[0].F[i] * inv
 		}
-		ex.Stats.Mul += uint64(2 * an)
-		ex.Stats.Add += uint64(an - 1)
-		ex.Stats.SFU++
 	case glsl.BFaceforward:
 		// faceforward(N, I, Nref) = dot(Nref,I) < 0 ? N : -N
 		var d float32
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			d += args[2].F[i] * args[1].F[i]
 		}
@@ -280,24 +236,16 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 				out.F[i] = -args[0].F[i]
 			}
 		}
-		ex.Stats.Mul += uint64(an)
-		ex.Stats.Add += uint64(an - 1)
-		ex.Stats.Cmp++
-		ex.Stats.Select += uint64(an)
 	case glsl.BReflect:
 		// reflect(I, N) = I - 2*dot(N,I)*N
 		var d float32
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			d += args[1].F[i] * args[0].F[i]
 		}
 		for i := 0; i < an; i++ {
 			out.F[i] = args[0].F[i] - 2*d*args[1].F[i]
 		}
-		ex.Stats.Mul += uint64(3 * an)
-		ex.Stats.Add += uint64(2*an - 1)
 	case glsl.BRefract:
-		an := args[0].NumComps()
 		eta := args[2].F[0]
 		var d float64
 		for i := 0; i < an; i++ {
@@ -311,18 +259,12 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 				out.F[i] = eta*args[0].F[i] - float32(float64(eta)*d+math.Sqrt(k))*args[1].F[i]
 			}
 		}
-		ex.Stats.Mul += uint64(4 * an)
-		ex.Stats.Add += uint64(2 * an)
-		ex.Stats.SFU++
 	case glsl.BMatrixCompMult:
-		dim := args[0].T.MatrixDim()
 		for i := 0; i < dim*dim; i++ {
 			out.F[i] = args[0].F[i] * args[1].F[i]
 		}
-		ex.Stats.Mul += uint64(dim * dim)
 	case glsl.BLessThan, glsl.BLessThanEqual, glsl.BGreaterThan, glsl.BGreaterThanEqual,
 		glsl.BEqual, glsl.BNotEqual:
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			a, b := args[0].F[i], args[1].F[i]
 			var r bool
@@ -343,64 +285,49 @@ func (ex *Exec) evalBuiltin(n *glsl.CallExpr, f *frame) (Value, error) {
 			if r {
 				out.F[i] = 1
 			}
-			ex.Stats.Cmp++
 		}
 	case glsl.BAny:
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			if args[0].F[i] != 0 {
 				out.F[0] = 1
 			}
 		}
-		ex.Stats.Logic += uint64(an)
 	case glsl.BAll:
 		out.F[0] = 1
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			if args[0].F[i] == 0 {
 				out.F[0] = 0
 			}
 		}
-		ex.Stats.Logic += uint64(an)
 	case glsl.BNot:
-		an := args[0].NumComps()
 		for i := 0; i < an; i++ {
 			if args[0].F[i] == 0 {
 				out.F[i] = 1
 			}
 		}
-		ex.Stats.Logic += uint64(an)
 	case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod:
 		unit := int(args[0].F[0])
 		rgba := ex.Textures.Sample2D(unit, args[1].F[0], args[1].F[1])
 		copy(out.F[:4], rgba[:])
-		ex.Stats.Tex++
 	case glsl.BTexture2DProj3:
 		unit := int(args[0].F[0])
 		q := args[1].F[2]
 		rgba := ex.Textures.Sample2D(unit, args[1].F[0]/q, args[1].F[1]/q)
 		copy(out.F[:4], rgba[:])
-		ex.Stats.Tex++
-		ex.Stats.Div += 2
 	case glsl.BTexture2DProj4, glsl.BTexture2DProjLod4:
 		unit := int(args[0].F[0])
 		q := args[1].F[3]
 		rgba := ex.Textures.Sample2D(unit, args[1].F[0]/q, args[1].F[1]/q)
 		copy(out.F[:4], rgba[:])
-		ex.Stats.Tex++
-		ex.Stats.Div += 2
 	case glsl.BTexture2DProjLod3:
 		unit := int(args[0].F[0])
 		q := args[1].F[2]
 		rgba := ex.Textures.Sample2D(unit, args[1].F[0]/q, args[1].F[1]/q)
 		copy(out.F[:4], rgba[:])
-		ex.Stats.Tex++
-		ex.Stats.Div += 2
 	case glsl.BTextureCube, glsl.BTextureCubeBias, glsl.BTextureCubeLod:
 		unit := int(args[0].F[0])
 		rgba := ex.Textures.SampleCube(unit, args[1].F[0], args[1].F[1], args[1].F[2])
 		copy(out.F[:4], rgba[:])
-		ex.Stats.Tex++
 	default:
 		return Value{}, ex.rtError(n.Pos, "builtin %q not implemented", sig.Name)
 	}

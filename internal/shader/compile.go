@@ -1599,114 +1599,14 @@ func (cc *compiler) compileBuiltin(n *glsl.CallExpr) (int32, bool) {
 	}
 	out := cc.temp(maxI32(d.nc, 1))
 	d.dst = out
-	cc.addBuiltinStats(sig.ID, int(d.nc), int(d.an), int(d.dim))
+	cost, ok := builtinCost(sig.ID, int(d.nc), int(d.an), int(d.dim))
+	if !ok {
+		cc.fail(n.Pos, "builtin %q not implemented by the bytecode compiler", n.Callee)
+	}
+	cc.pending.AddStats(&cost)
 	cc.comp.builtins = append(cc.comp.builtins, d)
 	cc.emit(instr{op: opBuiltin, aux: int32(len(cc.comp.builtins) - 1)})
 	return out, false
-}
-
-// addBuiltinStats reproduces the per-builtin Stats accounting of
-// Exec.evalBuiltin at compile time (all counts are static in the argument
-// shapes).
-func (cc *compiler) addBuiltinStats(id glsl.BuiltinID, nc, an, dim int) {
-	s := &cc.pending
-	u := func(x int) uint64 { return uint64(x) }
-	switch id {
-	case glsl.BRadians, glsl.BDegrees:
-		s.Mul += u(nc)
-	case glsl.BSin, glsl.BCos, glsl.BAsin, glsl.BAcos, glsl.BAtan:
-		s.SFU += u(nc)
-	case glsl.BTan:
-		s.SFU += u(2 * nc)
-	case glsl.BAtan2:
-		s.SFU += u(2 * nc)
-	case glsl.BPow:
-		s.SFU += u(2 * nc)
-		s.Mul += u(nc)
-	case glsl.BExp, glsl.BLog:
-		s.SFU += u(nc)
-		s.Mul += u(nc)
-	case glsl.BExp2, glsl.BLog2:
-		s.SFU += u(nc)
-	case glsl.BSqrt:
-		s.SFU += u(nc)
-		s.Mul += u(nc)
-	case glsl.BInverseSqrt:
-		s.SFU += u(nc)
-	case glsl.BAbs:
-		s.Mov += u(nc)
-	case glsl.BSign:
-		s.Cmp += u(2 * nc)
-	case glsl.BFloor, glsl.BCeil:
-		s.Add += u(nc)
-	case glsl.BFract:
-		s.Add += u(2 * nc)
-	case glsl.BMod:
-		s.Div += u(nc)
-		s.Mul += u(nc)
-		s.Add += u(2 * nc)
-	case glsl.BMin, glsl.BMax:
-		s.Cmp += u(nc)
-	case glsl.BClamp:
-		s.Cmp += u(2 * nc)
-	case glsl.BMix:
-		s.Mul += u(2 * nc)
-		s.Add += u(2 * nc)
-	case glsl.BStep:
-		s.Cmp += u(nc)
-		s.Select += u(nc)
-	case glsl.BSmoothstep:
-		s.Add += u(3 * nc)
-		s.Mul += u(3 * nc)
-		s.Div += u(nc)
-		s.Cmp += u(2 * nc)
-	case glsl.BLength:
-		s.Mul += u(an)
-		s.Add += u(an - 1)
-		s.SFU++
-	case glsl.BDistance:
-		s.Mul += u(an)
-		s.Add += u(2*an - 1)
-		s.SFU++
-	case glsl.BDot:
-		s.Mul += u(an)
-		s.Add += u(an - 1)
-	case glsl.BCross:
-		s.Mul += 6
-		s.Add += 3
-	case glsl.BNormalize:
-		s.Mul += u(2 * an)
-		s.Add += u(an - 1)
-		s.SFU++
-	case glsl.BFaceforward:
-		s.Mul += u(an)
-		s.Add += u(an - 1)
-		s.Cmp++
-		s.Select += u(an)
-	case glsl.BReflect:
-		s.Mul += u(3 * an)
-		s.Add += u(2*an - 1)
-	case glsl.BRefract:
-		s.Mul += u(4 * an)
-		s.Add += u(2 * an)
-		s.SFU++
-	case glsl.BMatrixCompMult:
-		s.Mul += u(dim * dim)
-	case glsl.BLessThan, glsl.BLessThanEqual, glsl.BGreaterThan, glsl.BGreaterThanEqual,
-		glsl.BEqual, glsl.BNotEqual:
-		s.Cmp += u(an)
-	case glsl.BAny, glsl.BAll, glsl.BNot:
-		s.Logic += u(an)
-	case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod,
-		glsl.BTextureCube, glsl.BTextureCubeBias, glsl.BTextureCubeLod:
-		s.Tex++
-	case glsl.BTexture2DProj3, glsl.BTexture2DProj4,
-		glsl.BTexture2DProjLod3, glsl.BTexture2DProjLod4:
-		s.Tex++
-		s.Div += 2
-	default:
-		cc.fail(glsl.Pos{}, "builtin id %d not implemented by the bytecode compiler", id)
-	}
 }
 
 func maxI32(a, b int32) int32 {

@@ -472,8 +472,8 @@ func b2f(b bool) float32 {
 	return 0
 }
 
-// sfuExp2 and sfuLog2 mirror the Exec methods (SFU counts are folded into
-// the compiled stats tables, so only the arithmetic lives here).
+// sfuExp2 and sfuLog2 mirror the Exec methods (builtinCost counts their
+// SFU ops).
 func (vm *VM) sfuExp2(x float32) float32 {
 	return vm.SFU.Approx(x, float32(math.Exp2(float64(x))))
 }

@@ -162,18 +162,6 @@ func (t Timeline) Total() time.Duration {
 	return t.Compile + t.Upload + t.Execute + t.Readback
 }
 
-// Sub returns the componentwise difference t - o: the cost of the work
-// executed between two Timeline snapshots. Pipeline uses it to price one
-// chain under the timing model.
-func (t Timeline) Sub(o Timeline) Timeline {
-	return Timeline{
-		Compile:  t.Compile - o.Compile,
-		Upload:   t.Upload - o.Upload,
-		Execute:  t.Execute - o.Execute,
-		Readback: t.Readback - o.Readback,
-	}
-}
-
 // Add returns the componentwise sum t + o. The scheduler uses it to
 // accumulate per-launch timeline deltas into per-device busy time.
 func (t Timeline) Add(o Timeline) Timeline {
