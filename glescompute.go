@@ -136,7 +136,8 @@ type (
 	JobSpec = sched.JobSpec
 	// GroupSpec runs a job through a caller-supplied launch on the
 	// executing device (JobSpec.Group); jobs with equal non-empty Keys
-	// coalesce into one launch, and an empty Key runs the job alone.
+	// coalesce into launches of at most MaxRows rows, and an empty Key
+	// runs the job alone.
 	GroupSpec = sched.GroupSpec
 	// JobInput is one typed input to a job; build with Float32Input &c.
 	JobInput = sched.Input

@@ -34,8 +34,7 @@ const (
 // loop walks them linearly, multiplying each into the accumulator and
 // stepping the weight index — the GEMM's row walk, in the GEMM's (ky, kx,
 // ic) order. %[2]s is the result: acc, or the int8 requant with its scale
-// baked in (the eight user uniforms fill the budget, as for
-// dwRequantSourceTmpl).
+// baked in (the eight user uniforms fill the budget, as for dwSourceTmpl).
 const convSourceTmpl = `
 float gc_kernel(float idx) {
 	float r = floor((idx + 0.5) / u_oc);
@@ -129,13 +128,9 @@ var convUniforms = []string{"u_oc", "u_ohw", "u_ow", "u_ximg", "u_ystep", "u_xst
 // lanes 1 or 4 (narrow: a 1-channel input), and the int8 requant by
 // 2^shift when quant.
 func convSrc(kh, lanes int, narrow, quant bool, shift uint) string {
-	lo, hi := "-128.0", "127.0"
-	if lanes == 4 {
-		lo, hi = "vec4(-128.0)", "vec4(127.0)"
-	}
 	ret := "acc"
 	if quant {
-		ret = fmt.Sprintf("clamp(floor(acc / %.1f), %s, %s)", float64(uint64(1)<<shift), lo, hi)
+		ret = requant(scaleLit(shift), lanes)
 	}
 	rows := fmt.Sprintf("%d.0", kh)
 	if lanes == 1 {
@@ -148,9 +143,25 @@ func convSrc(kh, lanes int, narrow, quant bool, shift uint) string {
 	return fmt.Sprintf(conv4SourceTmpl, rows, fmt.Sprintf("%d.0", kh*perUnit), step, ret)
 }
 
-// gemmSource is Dense's GEMM+bias kernel: out[r][c] = bias[c] +
-// Σ_k x[r][k]·w[k][cols], one row per batch image.
-const gemmSource = `
+// requant is the int8 requantization of acc by scale (a literal or a
+// uniform): clamp(floor(acc / scale), -128, 127), per lane at lanes=4.
+// The clamp matches the int8 encoder's range, so GPU and CPU agree even
+// when a budget is blown.
+func requant(scale string, lanes int) string {
+	if lanes == 4 {
+		return "clamp(floor(acc / " + scale + "), vec4(-128.0), vec4(127.0))"
+	}
+	return "clamp(floor(acc / " + scale + "), -128.0, 127.0)"
+}
+
+// scaleLit renders the requant scale 2^shift as a GLSL float literal.
+func scaleLit(shift uint) string { return fmt.Sprintf("%.1f", float64(uint64(1)<<shift)) }
+
+// gemmSourceTmpl is Dense's scalar GEMM+bias kernel: out[r][c] = bias[c] +
+// Σ_k x[r][k]·w[k][cols], one row per batch image, x rows walked
+// linearly. %s is the result: acc, or (int8) the requant by the u_scale
+// uniform, folding the following Rescale into the kernel.
+const gemmSourceTmpl = `
 float gc_kernel(float idx) {
 	float r = floor((idx + 0.5) / u_cols);
 	float c = idx - r * u_cols;
@@ -159,13 +170,27 @@ float gc_kernel(float idx) {
 		if (k >= u_k) { break; }
 		acc += gc_x(r * u_k + k) * gc_w(k * u_cols + c);
 	}
-	return acc;
+	return %s;
 }
 `
 
-// dwSource is the depthwise convolution: each channel convolved with its
-// own filter, taps visited in (ky, kx) order.
-const dwSource = `
+// gemmSrc renders Dense's scalar GEMM, with the int8 requant when quant.
+func gemmSrc(quant bool) string {
+	if quant {
+		return fmt.Sprintf(gemmSourceTmpl, requant("u_scale", 1))
+	}
+	return fmt.Sprintf(gemmSourceTmpl, "acc")
+}
+
+// dwSourceTmpl is the scalar depthwise convolution: each channel convolved
+// with its own filter, taps visited in (ky, kx) order. %[1]s is the
+// result: acc, or (int8) the requant with its scale baked into the source
+// as a literal instead of riding a uniform: with three samplers, three
+// dims vectors and the two output slots, the nine-uniform depthwise
+// interface would need a seventeenth fragment-uniform vector — one past
+// the GLES 2.0 minimum of 16 the simulated device enforces. The kernel
+// cache keys on source, so per-shift variants never collide.
+const dwSourceTmpl = `
 float gc_kernel(float idx) {
 	float b = floor((idx + 0.5) / u_on);
 	float p = idx - b * u_on;
@@ -182,7 +207,7 @@ float gc_kernel(float idx) {
 		float x = ox * u_stride + kx;
 		acc += gc_x(((b * u_inh + y) * u_inw + x) * u_c + c) * gc_w(t * u_c + c);
 	}
-	return acc;
+	return %[1]s;
 }
 `
 
@@ -288,50 +313,6 @@ float gc_kernel(float idx) {
 // group of 4 consecutive logical indices always shares its texel and
 // aligned input fetches decode 4 values in one texture access.
 
-// gemmRequantSource is the scalar GEMM with the following Rescale folded
-// in. x rows are walked linearly like gemmSource; the clamp matches the
-// int8 encoder's range so GPU and CPU agree even when a budget is blown.
-const gemmRequantSource = `
-float gc_kernel(float idx) {
-	float r = floor((idx + 0.5) / u_cols);
-	float c = idx - r * u_cols;
-	float acc = gc_bias(c);
-	for (float k = 0.0; k < 4096.0; k += 1.0) {
-		if (k >= u_k) { break; }
-		acc += gc_x(r * u_k + k) * gc_w(k * u_cols + c);
-	}
-	return clamp(floor(acc / u_scale), -128.0, 127.0);
-}
-`
-
-// dwRequantSourceTmpl is the scalar depthwise convolution with folded
-// Rescale. The requant scale is baked into the source as a literal
-// (%[1]s) instead of riding a uniform: with three samplers, three dims
-// vectors and the two output slots, the nine-uniform depthwise interface
-// would need a seventeenth fragment-uniform vector — one past the GLES
-// 2.0 minimum of 16 the simulated device enforces. The kernel cache keys
-// on source, so per-shift variants never collide.
-const dwRequantSourceTmpl = `
-float gc_kernel(float idx) {
-	float b = floor((idx + 0.5) / u_on);
-	float p = idx - b * u_on;
-	float oy = floor((p + 0.5) / u_owc);
-	float q = p - oy * u_owc;
-	float ox = floor((q + 0.5) / u_c);
-	float c = q - ox * u_c;
-	float acc = gc_bias(c);
-	for (float t = 0.0; t < 64.0; t += 1.0) {
-		if (t >= u_taps) { break; }
-		float ky = floor((t + 0.5) / u_kw);
-		float kx = t - ky * u_kw;
-		float y = oy * u_stride + ky;
-		float x = ox * u_stride + kx;
-		acc += gc_x(((b * u_inh + y) * u_inw + x) * u_c + c) * gc_w(t * u_c + c);
-	}
-	return clamp(floor(acc / %[1]s), -128.0, 127.0);
-}
-`
-
 // gemm4RequantSource is the 4-wide GEMM with folded Rescale: one fragment
 // computes output (r, c..c+3). Each inner iteration consumes FOUR k's
 // through one x texel and four weight texels — 16 MACs per 5 texture
@@ -376,8 +357,8 @@ vec4 gc_kernel(float tidx) {
 // put the fragment's taps in one contiguous run at c/4·u_taps, walked one
 // texel per tap (DESIGN.md §6c); the activation taps are u_c/4 texels
 // apart, which may exceed a row, so they keep the linear accessor. The
-// scale is a baked literal for the same uniform-budget reason as the
-// scalar variant.
+// result %[1]s is the requant by a baked literal, for the same
+// uniform-budget reason as the scalar variant.
 const dw4RequantSourceTmpl = `
 vec4 gc_kernel(float tidx) {
 	float idx = tidx * 4.0;
@@ -400,18 +381,21 @@ vec4 gc_kernel(float tidx) {
 		ws.x += wd.x;
 		if (ws.x > 1.0) { ws.x -= 1.0; ws.y += wd.y; }
 	}
-	return clamp(floor(acc / %[1]s), vec4(-128.0), vec4(127.0));
+	return %[1]s;
 }
 `
 
-// dwRequantSrc renders the depthwise+requant source for one shift,
-// scalar or 4-wide.
-func dwRequantSrc(shift uint, packed bool) string {
-	scale := fmt.Sprintf("%.1f", float64(uint64(1)<<shift))
-	if packed {
-		return fmt.Sprintf(dw4RequantSourceTmpl, scale)
+// dwSrc renders one layer's depthwise convolution: scalar, or 4-wide
+// (int8 only), with the int8 requant by 2^shift when quant.
+func dwSrc(lanes int, quant bool, shift uint) string {
+	if !quant {
+		return fmt.Sprintf(dwSourceTmpl, "acc")
 	}
-	return fmt.Sprintf(dwRequantSourceTmpl, scale)
+	ret := requant(scaleLit(shift), lanes)
+	if lanes == 4 {
+		return fmt.Sprintf(dw4RequantSourceTmpl, ret)
+	}
+	return fmt.Sprintf(dwSourceTmpl, ret)
 }
 
 // pool4Source is 4-wide max-pooling over the C4 layout.

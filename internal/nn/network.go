@@ -278,11 +278,11 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 			w := relayout(l.w, pix*curShape.C, l.out, pix*curShape.C, outPad.C)
 			w = relayout(w, pix, curShape.C*outPad.C, pix, curPad.C*outPad.C)
 			uni := map[string]float32{"u_cols": f(outPad.C), "u_k": f(k)}
-			name, src, src4 := "nn-gemm", gemmSource, ""
+			name, src, src4 := "nn-gemm", gemmSrc(false), ""
 			uniforms := []string{"u_cols", "u_k"}
 			if quant {
 				uni["u_scale"] = f(1 << m.layers[li+1].shift)
-				name, src, src4 = "nn-gemm-rq", gemmRequantSource, gemm4RequantSource
+				name, src, src4 = "nn-gemm-rq", gemmSrc(true), gemm4RequantSource
 				uniforms = append(uniforms, "u_scale")
 			}
 			gemmK, err := kern(name, src, src4, []string{"x", "w", "bias"}, uniforms, false, true)
@@ -298,12 +298,13 @@ func (m *Model) build(dev *core.Device, batch int, tapAll bool, lanes int) (*Net
 			if err := checkAcc(l.name, taps); err != nil {
 				return nil, err
 			}
-			name, src := "nn-dwconv", dwSource
+			name, shift := "nn-dwconv", uint(0)
 			if quant {
 				// The requant scale is baked into the source (uniform
-				// budget — see dwRequantSourceTmpl).
-				name, src = "nn-dwconv-rq", dwRequantSrc(m.layers[li+1].shift, lanes == 4)
+				// budget — see dwSourceTmpl).
+				name, shift = "nn-dwconv-rq", m.layers[li+1].shift
 			}
+			src := dwSrc(lanes, quant, shift)
 			dwK, err := kern(name, src, src, []string{"x", "w", "bias"},
 				[]string{"u_on", "u_owc", "u_c", "u_taps", "u_kw", "u_stride", "u_inh", "u_inw"}, false, true)
 			if err != nil {

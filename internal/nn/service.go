@@ -39,12 +39,12 @@ type Service struct {
 	model *Model
 	q     *sched.Queue
 	nets  sync.Map // *core.Device -> *Network
-	key   string   // coalescing group key (the service's identity)
 
 	mu       sync.Mutex
 	retry    sched.RetryPolicy
 	deadline time.Duration
-	maxBatch int // continuous-batching cap in images; 0 = off
+	maxBatch int    // continuous-batching cap in images; 0 = off
+	key      string // coalescing group key; "" = off
 }
 
 // NewService wraps a queue in an inference service for the model.
@@ -52,11 +52,7 @@ func NewService(m *Model, q *sched.Queue) (*Service, error) {
 	if err := m.Err(); err != nil {
 		return nil, err
 	}
-	s := &Service{model: m, q: q}
-	// The service's own identity keys coalescing, so two services over the
-	// same queue — even of one model — never share a launch.
-	s.key = fmt.Sprintf("nn:%p", s)
-	return s, nil
+	return &Service{model: m, q: q}, nil
 }
 
 // SetRetry opts every subsequent request into the queue's automatic retry
@@ -78,19 +74,28 @@ func (s *Service) SetDeadline(d time.Duration) {
 
 // SetContinuousBatching opts every subsequent request into queue-level
 // request coalescing: same-service requests arriving within the queue's
-// batching window (sched.Config.BatchWindow) are executed together, in
-// runs of up to maxBatch images on the device's one network, with no
-// padding: a run of k images computes exactly k. Outputs are
+// batching window (sched.Config.BatchWindow) are executed together. The
+// queue's dispatcher forms each launch of up to maxBatch images
+// (sched.GroupSpec.MaxRows), and the launch runs as one pass of exactly
+// its images on the device's one network, with no padding. Outputs are
 // bit-identical to solo inference: each image's result depends only on
 // its own rows of the batched tensors, a property the N1 experiment's
 // batched-vs-solo differential asserts.
 //
 // 0 disables coalescing (the default): each request then runs alone at
-// its exact count. A single request larger than the cap still runs at
-// its exact count.
+// its exact count. A single request larger than the cap still runs alone
+// at its exact count.
 func (s *Service) SetContinuousBatching(maxBatch int) {
+	maxBatch = max(maxBatch, 0)
+	// The service's own identity and its cap key coalescing, so two
+	// services over one queue, even of one model, never share a launch,
+	// and neither do requests sent under different caps.
+	key := ""
+	if maxBatch > 0 {
+		key = fmt.Sprintf("nn:%p:%d", s, maxBatch)
+	}
 	s.mu.Lock()
-	s.maxBatch = max(maxBatch, 0)
+	s.maxBatch, s.key = maxBatch, key
 	s.mu.Unlock()
 }
 
@@ -124,14 +129,10 @@ func (s *Service) InferBatch(ctx context.Context, images interface{}, count int)
 		return nil, err
 	}
 	s.mu.Lock()
-	retry, deadline, maxBatch := s.retry, s.deadline, s.maxBatch
+	retry, deadline, maxBatch, key := s.retry, s.deadline, s.maxBatch, s.key
 	s.mu.Unlock()
 	// With continuous batching off the group is keyless, so the request
 	// never coalesces and runs alone at its exact count.
-	key := ""
-	if maxBatch > 0 {
-		key = s.key
-	}
 	return s.q.Submit(ctx, sched.JobSpec{
 		Retry:    retry,
 		Deadline: deadline,
@@ -139,6 +140,8 @@ func (s *Service) InferBatch(ctx context.Context, images interface{}, count int)
 			Key:     key,
 			Label:   "nn-infer",
 			Payload: &inferRequest{images: images, count: count},
+			Rows:    count,
+			MaxRows: maxBatch,
 			Run: func(dev *core.Device, payloads []interface{}, sp *obs.Span) ([]interface{}, core.RunStats, error) {
 				return s.runCoalesced(dev, payloads, maxBatch, sp)
 			},
@@ -153,57 +156,40 @@ type inferRequest struct {
 	count  int
 }
 
-// runCoalesced executes a unit of requests on one device. Consecutive
-// requests are greedily packed into chunks of at most maxBatch images (a
-// single larger request, or any request when maxBatch is 0, runs alone);
-// each chunk runs as one pass of exactly its images on the device's
-// network. Each chunk's fused passes are recorded as children of the
-// launch span sp (nil when untraced). Returns one output per request (in
-// payload order) and the summed draw counts.
+// runCoalesced executes a unit of requests on one device as one run of
+// exactly their images on the device's network: the queue's dispatcher
+// already capped the unit at maxBatch images (or handed a single larger
+// request alone). The run's fused passes are recorded as children of the
+// launch span sp (nil when untraced). Returns one output per request, in
+// payload order, and the run's draw counts.
 func (s *Service) runCoalesced(dev *core.Device, payloads []interface{}, maxBatch int, sp *obs.Span) ([]interface{}, core.RunStats, error) {
 	reqs := make([]*inferRequest, len(payloads))
+	images := 0
 	for i, p := range payloads {
 		reqs[i] = p.(*inferRequest)
+		images += reqs[i].count
 	}
+	net, err := s.netFor(dev, images, maxBatch)
+	if err != nil {
+		return nil, core.RunStats{}, err
+	}
+	res, err := net.Run(s.packInput(reqs, images))
+	if err != nil {
+		return nil, core.RunStats{}, err
+	}
+	attachPassSpans(sp, res.Stats)
+	perImage := core.HostLen(res.Output) / images
 	outs := make([]interface{}, len(reqs))
-	var rs core.RunStats
-	passAt := sp.Start()
-	for start := 0; start < len(reqs); {
-		end, images := start, 0
-		for end < len(reqs) {
-			n := reqs[end].count
-			if end > start && images+n > maxBatch {
-				break
-			}
-			images += n
-			end++
-			if images >= maxBatch {
-				break
-			}
-		}
-		net, err := s.netFor(dev, images, maxBatch)
-		if err != nil {
-			return nil, rs, err
-		}
-		res, err := net.Run(s.packInput(reqs[start:end], images))
-		if err != nil {
-			return nil, rs, err
-		}
-		rs.Draw.Add(&res.Stats.Draw)
-		passAt = attachPassSpans(sp, res.Stats, passAt)
-		perImage := core.HostLen(res.Output) / images
-		off := 0
-		for i := start; i < end; i++ {
-			n := reqs[i].count * perImage
-			outs[i] = core.SubHostSlice(res.Output, off, n)
-			off += n
-		}
-		start = end
+	off := 0
+	for i, r := range reqs {
+		n := r.count * perImage
+		outs[i] = core.SubHostSlice(res.Output, off, n)
+		off += n
 	}
-	return outs, rs, nil
+	return outs, core.RunStats{Draw: res.Stats.Draw}, nil
 }
 
-// packInput lays the chunk's images consecutively into one host slice of
+// packInput lays the unit's images consecutively into one host slice of
 // the model's element type. A lone request passes through uncopied.
 func (s *Service) packInput(reqs []*inferRequest, images int) interface{} {
 	if len(reqs) == 1 {
@@ -220,16 +206,17 @@ func (s *Service) packInput(reqs []*inferRequest, images int) interface{} {
 }
 
 // attachPassSpans records one child span per executed pipeline pass under
-// the launch span, laid out sequentially on the modeled timeline from off
-// — the per-layer breakdown the scheduler cannot see inside a group
-// runner — and returns where the last pass ends. A fused pass
+// the launch span, laid out sequentially on the modeled timeline from the
+// launch's start — the per-layer breakdown the scheduler cannot see inside
+// a group runner. A fused pass
 // ("conv1+relu1+pool1") is one child, as it was one draw; its modeled time
 // sits on its first member's StageTimes entry (the others are zero by the
 // charging rule, so the children still sum to Time). No-op on a nil span.
-func attachPassSpans(sp *obs.Span, st core.PipelineStats, off time.Time) time.Time {
+func attachPassSpans(sp *obs.Span, st core.PipelineStats) {
 	if sp == nil {
-		return off
+		return
 	}
+	off := sp.Start()
 	head := 0
 	for _, pass := range st.ExecStages {
 		members := strings.Count(pass, "+") + 1
@@ -241,7 +228,6 @@ func attachPassSpans(sp *obs.Span, st core.PipelineStats, off time.Time) time.Ti
 		off = off.Add(d)
 		head += members
 	}
-	return off
 }
 
 // Infer submits a single-image inference.

@@ -467,3 +467,118 @@ func TestServiceContinuousBatching(t *testing.T) {
 		t.Fatalf("service holds networks of capacities %v, want one of 6", caps)
 	}
 }
+
+// TestServiceBurstSpreadsOverPool serves a burst in lenet-serve's pool
+// shape — 2 devices, the queue's default MaxBatch, continuous batching
+// capped at 8 — and checks that the dispatcher alone sizes each launch:
+// 16 outstanding single-image requests form 2 launches of 8 on 2 distinct
+// devices, each one pass whose modeled execute equals a solo 8-image
+// request's launch of the same images, and every output is bit-identical
+// to solo inference.
+func TestServiceBurstSpreadsOverPool(t *testing.T) {
+	const requests, maxBatch = 16, 8
+	m := DemoLeNetInt8(20160316)
+	xs := DemoInputInt8(5, requests)
+	per := DemoShape.N()
+
+	// Ground truth: every image through a batch-1 network.
+	dev := openTest(t)
+	solo, err := m.Build(dev, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int8, 0, requests*DemoClasses)
+	for r := 0; r < requests; r++ {
+		res, err := solo.Run(xs[r*per : (r+1)*per])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res.Output.([]int8)...)
+	}
+	solo.Close()
+	dev.Close()
+
+	// serve opens a 2-device queue with the service, runs submit and
+	// returns the jobs' stats in submission order.
+	serve := func(maxBatch int, window time.Duration, submit func(*Service) ([]*sched.Job, error)) ([]sched.JobStats, sched.QueueStats) {
+		t.Helper()
+		q, err := sched.OpenQueue(sched.Config{Devices: 2, BatchWindow: window,
+			Device: core.Config{RasterWorkers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		svc, err := NewService(m, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		svc.SetContinuousBatching(maxBatch)
+		jobs, err := submit(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats []sched.JobStats
+		for r, j := range jobs {
+			res, err := j.Wait(nil)
+			if err != nil {
+				t.Fatalf("request %d: %v", r, err)
+			}
+			// One call's requests are equal-sized, so request r's images
+			// start at image r·len(out)/DemoClasses.
+			out := res.Output.([]int8)
+			for k, v := range out {
+				if w := want[r*len(out)+k]; v != w {
+					t.Fatalf("request %d out %d: %d != %d (must be bit-identical)", r, k, v, w)
+				}
+			}
+			stats = append(stats, res.Stats)
+		}
+		return stats, q.Stats()
+	}
+
+	// Each launch's reference: its 8 images as one solo request, each on a
+	// fresh device as the burst's launches are.
+	ref, _ := serve(0, 0, func(svc *Service) ([]*sched.Job, error) {
+		var jobs []*sched.Job
+		for off := 0; off < requests; off += maxBatch {
+			j, err := svc.InferBatch(nil, xs[off*per:(off+maxBatch)*per], maxBatch)
+			if err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, j)
+		}
+		return jobs, nil
+	})
+
+	// The window only guards against a slow host splitting the burst: it
+	// flushes all 16 requests at once.
+	stats, qs := serve(maxBatch, 250*time.Millisecond, func(svc *Service) ([]*sched.Job, error) {
+		jobs := make([]*sched.Job, requests)
+		for r := range jobs {
+			var err error
+			if jobs[r], err = svc.Infer(nil, xs[r*per:(r+1)*per]); err != nil {
+				return nil, err
+			}
+		}
+		return jobs, nil
+	})
+	for r, st := range stats {
+		launch := r / maxBatch
+		if st.BatchSize != maxBatch {
+			t.Fatalf("request %d: BatchSize %d, want a launch of %d", r, st.BatchSize, maxBatch)
+		}
+		if got, w := st.Time.Execute, ref[launch].Time.Execute; got != w {
+			t.Errorf("request %d: launch execute %v, want one 8-image pass's %v", r, got, w)
+		}
+		if first := stats[launch*maxBatch].Device; st.Device != first {
+			t.Fatalf("request %d: ran on device %d, its launch on %d", r, st.Device, first)
+		}
+	}
+	if stats[0].Device == stats[maxBatch].Device {
+		t.Fatalf("both launches ran on device %d, want one per device", stats[0].Device)
+	}
+	if qs.Launches != requests/maxBatch {
+		t.Fatalf("queue ran %d launches, want %d", qs.Launches, requests/maxBatch)
+	}
+}

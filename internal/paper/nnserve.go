@@ -90,9 +90,11 @@ func soloOutputs[T float32 | int8](m *nn.Model, images []T, n int) ([][]T, error
 
 // cbRequests/cbMaxBatch fix the continuous-batching race's shape: 16
 // single-image requests over one device with a continuous-batching cap
-// of 8. With sched.Config.MaxBatch = 8 the dispatcher's early-flush bound
-// (MaxBatch × workers × 2 = 16) is hit exactly by the submission burst,
-// so the batched run deterministically executes as 2 launches of 8.
+// of 8. The cap alone sizes each launch (the dispatcher ends a unit at 8
+// images), so the batched run executes as 2 launches of 8. The batched
+// arm's sched.Config.MaxBatch = 8 sets only the dispatcher's early-flush
+// bound (MaxBatch × workers × 2 = 16), which the submission burst hits
+// exactly, so the burst flushes at once rather than at the window.
 const (
 	cbRequests = 16
 	cbMaxBatch = 8
@@ -123,8 +125,6 @@ func measureContinuousBatching(res *NNServeResult) error {
 			// burst nondeterministically.
 			cfg.MaxBatch = cbMaxBatch
 			cfg.BatchWindow = 250 * time.Millisecond
-		} else {
-			cfg.MaxBatch = 1
 		}
 		q, err := sched.OpenQueue(cfg)
 		if err != nil {

@@ -167,7 +167,8 @@ func TestGroupKeysStayDisjoint(t *testing.T) {
 	}
 }
 
-// TestGroupValidation pins the JobSpec rules for group jobs, and that a
+// TestGroupValidation pins the JobSpec rules for group jobs (row counts
+// are never negative), and that a
 // keyless group is valid and runs solo: never coalesced, even with
 // same-Run jobs buffered beside it inside a batching window.
 func TestGroupValidation(t *testing.T) {
@@ -187,14 +188,18 @@ func TestGroupValidation(t *testing.T) {
 		{"group and named kernel", JobSpec{Group: &GroupSpec{Run: run}, Kernel: core.KernelSpec{Name: "x"}}},
 		{"group and kernel outputs", JobSpec{Group: &GroupSpec{Run: run},
 			Kernel: core.KernelSpec{Outputs: []core.OutputSpec{{Name: "a"}, {Name: "b"}}}}},
+		{"negative rows", JobSpec{Group: &GroupSpec{Key: "k", Run: run, Rows: -1}}},
+		{"negative max rows", JobSpec{Group: &GroupSpec{Key: "k", Run: run, MaxRows: -4}}},
 	}
 	for _, tc := range cases {
 		if _, err := newJob(context.Background(), tc.spec); err == nil {
 			t.Errorf("%s: no validation error", tc.name)
 		}
 	}
-	if _, err := newJob(context.Background(), JobSpec{Group: &GroupSpec{Key: "k", Run: run}}); err != nil {
-		t.Errorf("valid group spec rejected: %v", err)
+	for _, g := range []GroupSpec{{Key: "k", Run: run}, {Key: "k", Run: run, Rows: 3, MaxRows: 8}} {
+		if _, err := newJob(context.Background(), JobSpec{Group: &g}); err != nil {
+			t.Errorf("valid group spec %+v rejected: %v", g, err)
+		}
 	}
 
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, BatchWindow: 20 * time.Millisecond,
@@ -351,5 +356,84 @@ func TestDrainRacesBatchWindow(t *testing.T) {
 	}
 	if st := q.Stats(); st.Completed != submitters*perG {
 		t.Fatalf("queue counted %d completions, want %d", st.Completed, submitters*perG)
+	}
+}
+
+// TestGroupLaunchRows pins how the dispatcher forms launches of row-capped
+// groups: a unit ends before a member that would take it past
+// GroupSpec.MaxRows, a member over the cap runs alone, Config.MaxBatch
+// still caps the jobs per unit, and MaxRows 0 leaves MaxBatch the only
+// bound. Every case's jobs land in one flush (inside the batching window,
+// or at the early-flush bound), so the units are deterministic.
+func TestGroupLaunchRows(t *testing.T) {
+	ones := func(n int) []int {
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = 1
+		}
+		return rows
+	}
+	cases := []struct {
+		name              string
+		maxBatch, maxRows int
+		rows              []int
+		want              [][]int // each launch's member rows, in order
+	}{
+		{"ones under cap 8", 16, 8, ones(10), [][]int{ones(8), ones(2)}},
+		{"mixed under cap 4", 16, 4, []int{2, 3, 4}, [][]int{{2}, {3}, {4}}},
+		{"oversized member alone", 16, 4, []int{1, 6, 1}, [][]int{{1}, {6}, {1}}},
+		{"MaxBatch binds first", 4, 8, ones(8), [][]int{ones(4), ones(4)}},
+		{"no row cap", 4, 0, []int{3, 3, 3, 3, 3}, [][]int{{3, 3, 3, 3}, {3}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := OpenQueue(Config{Devices: 1, MaxBatch: tc.maxBatch, BatchWindow: 100 * time.Millisecond,
+				Device: core.Config{RasterWorkers: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			var mu sync.Mutex
+			var launches [][]int
+			run := func(dev *core.Device, payloads []interface{}, _ *obs.Span) ([]interface{}, core.RunStats, error) {
+				rows := make([]int, len(payloads))
+				for i, p := range payloads {
+					rows[i] = p.(int)
+				}
+				mu.Lock()
+				launches = append(launches, rows)
+				mu.Unlock()
+				return payloads, core.RunStats{}, nil
+			}
+			jobs := make([]*Job, len(tc.rows))
+			for i, r := range tc.rows {
+				if jobs[i], err = q.Submit(nil, JobSpec{Group: &GroupSpec{
+					Key: "rows", Payload: r, Rows: r, MaxRows: tc.maxRows, Run: run,
+				}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var sizes []int // each job's launch size
+			for _, l := range tc.want {
+				for range l {
+					sizes = append(sizes, len(l))
+				}
+			}
+			for i, j := range jobs {
+				res, err := j.Wait(nil)
+				if err != nil {
+					t.Fatalf("job %d: %v", i, err)
+				}
+				if res.Output.(int) != tc.rows[i] || res.Stats.BatchSize != sizes[i] {
+					t.Fatalf("job %d: output %v, BatchSize %d; want %d, %d",
+						i, res.Output, res.Stats.BatchSize, tc.rows[i], sizes[i])
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if fmt.Sprint(launches) != fmt.Sprint(tc.want) {
+				t.Fatalf("launch rows %v, want %v", launches, tc.want)
+			}
+		})
 	}
 }

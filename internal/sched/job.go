@@ -80,8 +80,9 @@ type JobSpec struct {
 // JobSpec.Group). Jobs with equal non-empty Keys coalesce: same-key jobs
 // buffered together (within Config.BatchWindow, or while the pool is
 // behind) are handed to one Run invocation on one device, which executes
-// every member in a single batched pass. An empty Key makes the job a
-// group of one that never coalesces.
+// every member in a single batched pass; the dispatcher caps a unit at
+// Config.MaxBatch jobs and MaxRows rows, so Run never splits it. An empty
+// Key makes the job a group of one that never coalesces.
 type GroupSpec struct {
 	// Key identifies the logical pipeline; only jobs with equal keys
 	// coalesce, and "" never coalesces. Submitters typically derive it
@@ -93,6 +94,11 @@ type GroupSpec struct {
 	Label string
 	// Payload is this request's input, passed to Run in member order.
 	Payload interface{}
+	// Rows is how many rows (images, say) the payload carries; 0 means 1.
+	Rows int
+	// MaxRows caps the rows of one launch (a member over it runs alone);
+	// 0 means no cap. Same-key jobs must carry the same MaxRows.
+	MaxRows int
 	// Run executes the launch on the worker's device with the payloads of
 	// every member of the unit (len ≥ 1, in dispatch order) and returns
 	// one output per payload, in the same order. Every member of a group
@@ -279,7 +285,8 @@ func newJob(ctx context.Context, spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// checkGroupJob validates a group job: a Run closure and no kernel fields.
+// checkGroupJob validates a group job: a Run closure, row counts >= 0 and
+// no kernel fields.
 func checkGroupJob(spec *JobSpec) error {
 	if spec.Batchable {
 		return fmt.Errorf("sched: group jobs cannot set Batchable (group jobs coalesce through GroupSpec.Key)")
@@ -291,6 +298,9 @@ func checkGroupJob(spec *JobSpec) error {
 	}
 	if spec.Group.Run == nil {
 		return fmt.Errorf("sched: group job: nil GroupSpec.Run")
+	}
+	if spec.Group.Rows < 0 || spec.Group.MaxRows < 0 {
+		return fmt.Errorf("sched: group job: negative Rows %d or MaxRows %d", spec.Group.Rows, spec.Group.MaxRows)
 	}
 	return nil
 }

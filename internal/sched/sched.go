@@ -35,11 +35,12 @@
 //     upload/readback overhead — the dominant cost of a small kernel)
 //     instead of M; outputs are bit-identical to solo execution because
 //     the packed layout changes where an element lives, never the
-//     arithmetic applied to it. Group jobs coalesce by GroupSpec.Key. A
-//     job with no key (a non-batchable kernel job, a keyless group) always
-//     runs alone. Batching is adaptive: jobs coalesce only when the queue
-//     actually has same-key work waiting (or within Config.BatchWindow),
-//     so an idle queue adds no latency.
+//     arithmetic applied to it. Group jobs coalesce by GroupSpec.Key, at
+//     most GroupSpec.MaxRows rows per launch. A job with no key (a
+//     non-batchable kernel job, a keyless group) always runs alone.
+//     Batching is adaptive: jobs coalesce only when the queue actually
+//     has same-key work waiting (or within Config.BatchWindow), so an
+//     idle queue adds no latency.
 //
 // QueueStats aggregates the per-device vc4 timelines into a service-level
 // view: modeled makespan across the pool, per-device busy time and wall
@@ -78,7 +79,8 @@ type Config struct {
 	// full (backpressure). 0 means 1024.
 	MaxPending int
 	// MaxBatch caps how many jobs coalesce into one launch; 0 means 64,
-	// and 1 runs every job as its own launch.
+	// and 1 runs every job as its own launch (GroupSpec.MaxRows may end a
+	// unit sooner). MaxBatch × Devices × 2 buffered jobs flush at once.
 	MaxBatch int
 	// BatchWindow enables continuous batching: the dispatcher holds
 	// coalescible jobs (Batchable kernel jobs and keyed Group jobs) for up to
@@ -464,10 +466,7 @@ func (q *Queue) dispatch() {
 		for _, key := range order {
 			jobs := groups[key]
 			for len(jobs) > 0 {
-				n := len(jobs)
-				if n > q.cfg.MaxBatch {
-					n = q.cfg.MaxBatch
-				}
+				n := unitLen(jobs, q.cfg.MaxBatch)
 				assign(&workUnit{jobs: jobs[:n:n]})
 				jobs = jobs[n:]
 			}
@@ -531,4 +530,20 @@ func (q *Queue) dispatch() {
 			windowC = windowT.C
 		}
 	}
+}
+
+// unitLen returns how many of one key's buffered jobs the next launch
+// takes: at most maxBatch, and as many as fit a row-capped group's MaxRows
+// (Rows 0 counting as 1; a first member over the cap runs alone).
+func unitLen(jobs []*Job, maxBatch int) int {
+	n := min(len(jobs), maxBatch)
+	if g := jobs[0].spec.Group; g != nil && g.MaxRows > 0 {
+		rows := 0
+		for i, j := range jobs[:n] {
+			if rows += max(j.spec.Group.Rows, 1); i > 0 && rows > g.MaxRows {
+				return i
+			}
+		}
+	}
+	return n
 }
