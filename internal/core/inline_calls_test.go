@@ -18,10 +18,10 @@ import (
 // loop-free codec code the bytecode compiler must inline.
 var kernelFunc = regexp.MustCompile(`^gc_(kernel(_\w+)?|fk\d+)$`)
 
-// TestCodecHelpersInlined compiles the fragment shader of every kernel
-// the served networks and the paper's T1 kernels declare, fuse and
-// compose, and checks that no call to a codec helper is left in the code.
-func TestCodecHelpersInlined(t *testing.T) {
+// kernelCorpus returns the fragment shader of every kernel the served
+// networks and the paper's T1 kernels declare, fuse and compose.
+func kernelCorpus(t *testing.T) []string {
+	t.Helper()
 	dev, err := core.Open(core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -79,16 +79,28 @@ float gc_kernel(float idx) {
 	if len(srcs) < 20 {
 		t.Fatalf("corpus has %d fragment shaders, want every stage and fused kernel", len(srcs))
 	}
+	return srcs
+}
+
+func compileFragment(t *testing.T, src string) *shader.Compiled {
+	t.Helper()
+	prog, errs := glsl.CompileSource(src, glsl.StageFragment, glsl.CheckOptions{})
+	if err := errs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := shader.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCodecHelpersInlined checks that no call to a codec helper is left
+// in the code of any kernel in the corpus.
+func TestCodecHelpersInlined(t *testing.T) {
 	calls := 0
-	for _, src := range srcs {
-		prog, errs := glsl.CompileSource(src, glsl.StageFragment, glsl.CheckOptions{})
-		if err := errs.Err(); err != nil {
-			t.Fatal(err)
-		}
-		c, err := shader.Compile(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, src := range kernelCorpus(t) {
+		c := compileFragment(t, src)
 		for _, name := range c.Callees() {
 			if !kernelFunc.MatchString(name) {
 				t.Fatalf("a call to %s is left in the code of:\n%s", name, src)
@@ -96,5 +108,51 @@ float gc_kernel(float idx) {
 			calls++
 		}
 	}
-	t.Logf("%d fragment shaders, %d kernel calls left", len(srcs), calls)
+	t.Logf("%d kernel calls left", calls)
+}
+
+var (
+	// vec4Decode is the first line of a decoder whose bytes come from one
+	// floor(t * 255.0 ± vec4(C)): Int8x4, Int32, Uint32 and Float32.
+	vec4Decode = regexp.MustCompile(`(?m)^(?:float|vec4) gc_decode\w*\(vec4 t\) \{\n\t(?:vec4 b = |return )floor\(t \* 255\.0 [+-] vec4\(`)
+	anyDecode  = regexp.MustCompile(`(?m)^(?:float|vec4) gc_decode\w*\(vec4 t\) \{`)
+)
+
+// TestVec4DecodesFused checks that in every kernel of the corpus whose
+// decoders are vec4 decodes, every texel fetch compiles into one fused
+// fetch-and-decode step, that scalar decodes are left alone, and that the
+// program binary of every kernel restores.
+func TestVec4DecodesFused(t *testing.T) {
+	vec4Kernels, fused := 0, 0
+	for _, src := range kernelCorpus(t) {
+		c := compileFragment(t, src)
+		// A served kernel whose binary the validator rejects would only
+		// recompile from source, silently: require every one to restore.
+		if blob, err := c.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		} else if _, err := shader.UnmarshalCompiled(blob); err != nil {
+			t.Fatalf("program binary rejected (%v) for:\n%s", err, src)
+		}
+		f, total := c.Fetches()
+		nvec4, ndec := len(vec4Decode.FindAllString(src, -1)), len(anyDecode.FindAllString(src, -1))
+		switch {
+		case nvec4 == ndec:
+			if total == 0 || f != total {
+				t.Fatalf("%d of %d fetches fused in:\n%s", f, total, src)
+			}
+			vec4Kernels++
+			fused += f
+		case nvec4 == 0:
+			if f != 0 {
+				t.Fatalf("%d fetches fused with a scalar decode in:\n%s", f, src)
+			}
+		default:
+			t.Fatalf("kernel mixes vec4 and scalar decoders:\n%s", src)
+		}
+	}
+	// Float32 LeNet, int8-vec4 LeNet and MobileNet, and T1 in both types.
+	if vec4Kernels < 20 {
+		t.Fatalf("%d kernels decode vec4 texels, want every float32, int8-vec4 and T1 kernel", vec4Kernels)
+	}
+	t.Logf("%d kernels, %d fused fetches", vec4Kernels, fused)
 }

@@ -1,6 +1,10 @@
 package gles
 
-import "math"
+import (
+	"math"
+
+	"glescompute/internal/shader"
+)
 
 // Texture is a texture object. All formats are stored internally as RGBA8 —
 // exactly the only sized storage ES 2.0 guarantees, which is what forces
@@ -463,15 +467,22 @@ func (c *Context) SampleCube(unit int, s, t, r float32) [4]float32 {
 }
 
 // boundTex is one texture unit resolved for sampling: the complete
-// texture its sampler reads and the filter footprint, or a nil tex when
-// the unit samples as opaque black (unbound or incomplete).
+// texture its sampler reads, the filter footprint and the filter it
+// selects, or a nil tex when the unit samples as opaque black (unbound or
+// incomplete). It stays small: Context.Sample2D returns one per fetch.
 type boundTex struct {
 	tex      *Texture
 	minified bool
+	linear   bool
 }
 
 // bindUnit resolves the 2D (or cube) binding of a texture unit under the
-// current texture and viewport state.
+// current texture and viewport state. The filter comes from minFilter
+// under minification and magFilter under magnification, per the GL
+// footprint rule. Mipmap selection always uses the base level (no
+// derivatives in this implementation); mip filters behave like their
+// within-level counterparts (LINEAR_MIPMAP_* filters linearly,
+// NEAREST_MIPMAP_* point-samples).
 func (c *Context) bindUnit(unit int, cube bool) boundTex {
 	if unit < 0 || unit >= len(c.texUnits) {
 		return boundTex{}
@@ -484,13 +495,20 @@ func (c *Context) bindUnit(unit int, cube bool) boundTex {
 	if tex == nil || !tex.complete() {
 		return boundTex{}
 	}
-	return boundTex{tex: tex, minified: c.minified(tex)}
+	b := boundTex{tex: tex, minified: c.minified(tex)}
+	filter := tex.magFilter
+	if b.minified {
+		filter = tex.minFilter
+	}
+	b.linear = filter == LINEAR || filter == LINEAR_MIPMAP_NEAREST || filter == LINEAR_MIPMAP_LINEAR
+	return b
 }
 
 // samplerTable is a draw's texture units, resolved once before shading:
 // texture bindings, completeness and viewport cannot change during a
-// draw, so every fetch skips the map lookup and the completeness check.
-// It is read-only while workers shade, so they share it.
+// draw, so every fetch skips the map lookup, the completeness check and
+// the filter choice. It is read-only while workers shade, so they share
+// it.
 type samplerTable struct {
 	tex2D, cube []boundTex
 }
@@ -516,6 +534,21 @@ func (st *samplerTable) Sample2D(unit int, s, t float32) [4]float32 {
 	return st.tex2D[unit].sample2D(s, t)
 }
 
+// Texel2D implements shader.TextureSampler: a nearest-filtered unit
+// serves the bytes of the texel Sample2D would normalize.
+func (st *samplerTable) Texel2D(unit int, s, t float32) ([4]byte, bool) {
+	if unit < 0 || unit >= len(st.tex2D) {
+		return [4]byte{}, false
+	}
+	b := &st.tex2D[unit]
+	if b.tex == nil || b.linear {
+		return [4]byte{}, false
+	}
+	lv := &b.tex.levels[0]
+	o := lv.offset(lv.nearest(s, t, b.tex.wrapS, b.tex.wrapT))
+	return [4]byte(lv.data[o : o+4]), true
+}
+
 // SampleCube implements shader.TextureSampler.
 func (st *samplerTable) SampleCube(unit int, s, t, r float32) [4]float32 {
 	if unit < 0 || unit >= len(st.cube) {
@@ -528,7 +561,7 @@ func (b boundTex) sample2D(s, t float32) [4]float32 {
 	if b.tex == nil {
 		return [4]float32{0, 0, 0, 1}
 	}
-	return b.tex.sample(s, t, b.minified)
+	return b.sample(s, t)
 }
 
 // sampleCube selects the major-axis face, but this implementation stores
@@ -549,36 +582,29 @@ func (b boundTex) sampleCube(s, t, r float32) [4]float32 {
 	default:
 		u, v = (s/at+1)/2, (r/at+1)/2
 	}
-	return b.tex.sample(u, v, b.minified)
+	return b.sample(u, v)
 }
 
-// sample performs filtered sampling at normalized coordinates. The filter
-// comes from minFilter under minification and magFilter under
-// magnification, per the GL footprint rule. Mipmap selection always uses
-// the base level (no derivatives in this implementation); mip filters
-// behave like their within-level counterparts (LINEAR_MIPMAP_* filters
-// linearly, NEAREST_MIPMAP_* point-samples).
-func (t *Texture) sample(s, tc float32, minified bool) [4]float32 {
-	lv := &t.levels[0]
-	filter := t.magFilter
-	if minified {
-		filter = t.minFilter
+// sample filters the base level at normalized coordinates.
+func (b *boundTex) sample(s, t float32) [4]float32 {
+	lv := &b.tex.levels[0]
+	if b.linear {
+		return lv.sampleLinear(s, t, b.tex.wrapS, b.tex.wrapT)
 	}
-	linear := filter == LINEAR || filter == LINEAR_MIPMAP_NEAREST || filter == LINEAR_MIPMAP_LINEAR
-	if linear {
-		return lv.sampleLinear(s, tc, t.wrapS, t.wrapT)
-	}
-	return lv.sampleNearest(s, tc, t.wrapS, t.wrapT)
+	return lv.sampleNearest(s, t, b.tex.wrapS, b.tex.wrapT)
 }
+
+// offset is the byte offset of texel (x, y).
+func (l *texLevel) offset(x, y int) int { return (y*l.width + x) * 4 }
 
 func (l *texLevel) texelAt(x, y int) [4]float32 {
-	o := (y*l.width + x) * 4
+	o := l.offset(x, y)
 	// Equation (1) of the paper: f = c / (2^8 - 1).
 	return [4]float32{
-		float32(l.data[o+0]) / 255,
-		float32(l.data[o+1]) / 255,
-		float32(l.data[o+2]) / 255,
-		float32(l.data[o+3]) / 255,
+		shader.Unorm8(l.data[o+0]),
+		shader.Unorm8(l.data[o+1]),
+		shader.Unorm8(l.data[o+2]),
+		shader.Unorm8(l.data[o+3]),
 	}
 }
 
@@ -604,10 +630,16 @@ func wrapCoord(i, n int, wrap uint32) int {
 	}
 }
 
+// nearest addresses the texel nearest (s, t) under the wrap modes: the
+// one addressing rule of point sampling, for normalized and byte fetches.
+func (l *texLevel) nearest(s, t float32, wrapS, wrapT uint32) (x, y int) {
+	x = int(math.Floor(float64(s) * float64(l.width)))
+	y = int(math.Floor(float64(t) * float64(l.height)))
+	return wrapCoord(x, l.width, wrapS), wrapCoord(y, l.height, wrapT)
+}
+
 func (l *texLevel) sampleNearest(s, t float32, wrapS, wrapT uint32) [4]float32 {
-	x := int(math.Floor(float64(s) * float64(l.width)))
-	y := int(math.Floor(float64(t) * float64(l.height)))
-	return l.texelAt(wrapCoord(x, l.width, wrapS), wrapCoord(y, l.height, wrapT))
+	return l.texelAt(l.nearest(s, t, wrapS, wrapT))
 }
 
 func (l *texLevel) sampleLinear(s, t float32, wrapS, wrapT uint32) [4]float32 {

@@ -473,8 +473,9 @@ func TestServiceContinuousBatching(t *testing.T) {
 // capped at 8 — and checks that the dispatcher alone sizes each launch:
 // 16 outstanding single-image requests form 2 launches of 8 on 2 distinct
 // devices, each one pass whose modeled execute equals a solo 8-image
-// request's launch of the same images, and every output is bit-identical
-// to solo inference.
+// request's launch of the same images, each flushed as soon as it is
+// full rather than at the end of the batching window, and every output
+// is bit-identical to solo inference.
 func TestServiceBurstSpreadsOverPool(t *testing.T) {
 	const requests, maxBatch = 16, 8
 	m := DemoLeNetInt8(20160316)
@@ -551,9 +552,10 @@ func TestServiceBurstSpreadsOverPool(t *testing.T) {
 		return jobs, nil
 	})
 
-	// The window only guards against a slow host splitting the burst: it
-	// flushes all 16 requests at once.
-	stats, qs := serve(maxBatch, 250*time.Millisecond, func(svc *Service) ([]*sched.Job, error) {
+	// The window only guards against a slow host splitting the burst: a
+	// launch that is full flushes at once, without waiting it out.
+	const window = 250 * time.Millisecond
+	stats, qs := serve(maxBatch, window, func(svc *Service) ([]*sched.Job, error) {
 		jobs := make([]*sched.Job, requests)
 		for r := range jobs {
 			var err error
@@ -573,6 +575,9 @@ func TestServiceBurstSpreadsOverPool(t *testing.T) {
 		}
 		if first := stats[launch*maxBatch].Device; st.Device != first {
 			t.Fatalf("request %d: ran on device %d, its launch on %d", r, st.Device, first)
+		}
+		if st.QueueWait >= window/2 {
+			t.Errorf("request %d: queued %v, want a full launch to start well within the %v window", r, st.QueueWait, window)
 		}
 	}
 	if stats[0].Device == stats[maxBatch].Device {

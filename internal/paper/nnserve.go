@@ -91,10 +91,8 @@ func soloOutputs[T float32 | int8](m *nn.Model, images []T, n int) ([][]T, error
 // cbRequests/cbMaxBatch fix the continuous-batching race's shape: 16
 // single-image requests over one device with a continuous-batching cap
 // of 8. The cap alone sizes each launch (the dispatcher ends a unit at 8
-// images), so the batched run executes as 2 launches of 8. The batched
-// arm's sched.Config.MaxBatch = 8 sets only the dispatcher's early-flush
-// bound (MaxBatch × workers × 2 = 16), which the submission burst hits
-// exactly, so the burst flushes at once rather than at the window.
+// images, and flushes it as soon as it is full), so the batched run
+// executes as 2 launches of 8.
 const (
 	cbRequests = 16
 	cbMaxBatch = 8
@@ -119,11 +117,10 @@ func measureContinuousBatching(res *NNServeResult) error {
 	runCfg := func(continuous bool) (modeledUS float64, launches uint64, err error) {
 		cfg := sched.Config{Devices: 1, Device: core.Config{RasterWorkers: 1}}
 		if continuous {
-			// The window is a flush deadline, not a delay: the 16-request
-			// burst hits the early-flush bound long before it expires, so a
-			// generous window only guards against a slow host splitting the
-			// burst nondeterministically.
-			cfg.MaxBatch = cbMaxBatch
+			// The window is a flush deadline, not a delay: each launch of
+			// the 16-request burst flushes once full, long before it
+			// expires, so a generous window only guards against a slow
+			// host splitting the burst nondeterministically.
 			cfg.BatchWindow = 250 * time.Millisecond
 		}
 		q, err := sched.OpenQueue(cfg)

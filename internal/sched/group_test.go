@@ -363,8 +363,9 @@ func TestDrainRacesBatchWindow(t *testing.T) {
 // groups: a unit ends before a member that would take it past
 // GroupSpec.MaxRows, a member over the cap runs alone, Config.MaxBatch
 // still caps the jobs per unit, and MaxRows 0 leaves MaxBatch the only
-// bound. Every case's jobs land in one flush (inside the batching window,
-// or at the early-flush bound), so the units are deterministic.
+// bound. Every case's jobs are submitted inside one batching window; a
+// launch starts once full and a tail waits out the window, so the units
+// do not depend on how many jobs each wake-up of the dispatcher sees.
 func TestGroupLaunchRows(t *testing.T) {
 	ones := func(n int) []int {
 		rows := make([]int, n)
@@ -435,5 +436,72 @@ func TestGroupLaunchRows(t *testing.T) {
 				t.Fatalf("launch rows %v, want %v", launches, tc.want)
 			}
 		})
+	}
+}
+
+// TestFullLaunchLeavesTailsBuffered queues 11 jobs of one row-capped key
+// (cap 8) and 1 of another behind a blocked dispatcher, so it reads them
+// in one wake-up, then, once the first launch has run, submits 5 and 1
+// more. The full launch of 8 starts
+// at once; the tail of 3 and the other key stay buffered under the
+// running window, so the burst runs as 8+8 and the other key's 2 jobs
+// share one launch.
+func TestFullLaunchLeavesTailsBuffered(t *testing.T) {
+	q, err := OpenQueue(Config{Devices: 1, BatchWindow: 500 * time.Millisecond,
+		Device: core.Config{RasterWorkers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	var mu sync.Mutex
+	launches := map[string][]int{}
+	spec := func(key string) JobSpec {
+		return JobSpec{Group: &GroupSpec{Key: key, Payload: 0, Rows: 1, MaxRows: 8,
+			Run: func(dev *core.Device, payloads []interface{}, _ *obs.Span) ([]interface{}, core.RunStats, error) {
+				mu.Lock()
+				launches[key] = append(launches[key], len(payloads))
+				mu.Unlock()
+				return payloads, core.RunStats{}, nil
+			}}}
+	}
+	// The gate holds the device, two keyless jobs fill its channel and a
+	// third blocks the dispatcher in assign, so everything submitted next
+	// waits unread in the submission queue.
+	release := make(chan struct{})
+	var jobs []*Job
+	submit := func(s JobSpec) {
+		j, err := q.Submit(nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	submit(gateJob(release))
+	for i := 0; i < 3; i++ {
+		submit(quickJob(i))
+	}
+	for i := 0; i < 11; i++ {
+		submit(spec("burst"))
+	}
+	submit(spec("other"))
+	close(release)
+	// The first launch runs before the rest of the burst is submitted, so
+	// the dispatcher has read the first 12 jobs on their own.
+	if _, err := jobs[4].Wait(nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		submit(spec("burst"))
+	}
+	submit(spec("other"))
+	for i, j := range jobs {
+		if _, err := j.Wait(nil); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := fmt.Sprint(launches["burst"], launches["other"]); got != "[8 8] [2]" {
+		t.Fatalf("launches burst, other = %s, want [8 8] [2]", got)
 	}
 }

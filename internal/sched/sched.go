@@ -80,7 +80,9 @@ type Config struct {
 	MaxPending int
 	// MaxBatch caps how many jobs coalesce into one launch; 0 means 64,
 	// and 1 runs every job as its own launch (GroupSpec.MaxRows may end a
-	// unit sooner). MaxBatch × Devices × 2 buffered jobs flush at once.
+	// unit sooner). Under a BatchWindow, a launch that fills (MaxBatch
+	// jobs, or MaxRows rows) starts at once while the rest keep waiting,
+	// and MaxBatch × Devices × 2 buffered jobs of any keys flush at once.
 	MaxBatch int
 	// BatchWindow enables continuous batching: the dispatcher holds
 	// coalescible jobs (Batchable kernel jobs and keyed Group jobs) for up to
@@ -413,6 +415,7 @@ func (q *Queue) dispatch() {
 	groups := map[string][]*Job{}
 	prio := map[string]Priority{} // highest member priority per buffered key
 	buffered := 0
+	ready := false // some key's buffered jobs fill one launch
 	rr := 0
 	// assign hands a unit to the least-loaded live device. Dead devices
 	// are skipped (graceful degradation); when the whole pool is dead the
@@ -458,30 +461,46 @@ func (q *Queue) dispatch() {
 		}
 		groups[j.key] = append(groups[j.key], j)
 		buffered++
+		if _, full := unitLen(groups[j.key], q.cfg.MaxBatch); full {
+			ready = true
+		}
 	}
-	flush := func() {
-		// Higher-priority keys flush (and so launch) first; within a
-		// class, arrival order is preserved.
+	// flush hands buffered units to devices, higher-priority keys first;
+	// within a class, arrival order is preserved. fullOnly hands out only
+	// full units and leaves each key's tail buffered.
+	flush := func(fullOnly bool) {
 		sort.SliceStable(order, func(a, b int) bool { return prio[order[a]] > prio[order[b]] })
+		kept := order[:0]
 		for _, key := range order {
 			jobs := groups[key]
 			for len(jobs) > 0 {
-				n := unitLen(jobs, q.cfg.MaxBatch)
+				n, full := unitLen(jobs, q.cfg.MaxBatch)
+				if fullOnly && !full {
+					break
+				}
 				assign(&workUnit{jobs: jobs[:n:n]})
 				jobs = jobs[n:]
+				buffered -= n
+			}
+			if len(jobs) > 0 {
+				groups[key] = jobs
+				kept = append(kept, key)
+				continue
 			}
 			delete(groups, key)
 			delete(prio, key)
 		}
-		order = order[:0]
-		buffered = 0
+		order = kept
+		ready = false
 	}
 	bound := q.cfg.MaxBatch * len(q.workers) * 2
 	// Continuous batching: with a window configured, buffered coalescible
 	// jobs are not flushed as soon as the channel momentarily empties —
 	// they wait out the window (measured from the first job buffered since
-	// the last flush) for same-key arrivals. The safety bound still flushes
-	// a flooded dispatcher early.
+	// the buffer was last empty) for same-key arrivals. A launch that is full starts
+	// at once (waiting could not grow it), while each key's tail waits out
+	// the window; the job-count bound still flushes a flooded dispatcher
+	// early.
 	window := q.cfg.BatchWindow
 	var windowT *time.Timer
 	var windowC <-chan time.Time
@@ -498,12 +517,12 @@ func (q *Queue) dispatch() {
 		case j, ok = <-q.pending:
 		case <-windowC:
 			windowT, windowC = nil, nil
-			flush()
+			flush(false)
 			continue
 		}
 		if !ok {
 			stopWindow()
-			flush()
+			flush(false)
 			return
 		}
 		q.met.pending.Set(int64(len(q.pending)))
@@ -514,7 +533,7 @@ func (q *Queue) dispatch() {
 			case j2, ok2 := <-q.pending:
 				if !ok2 {
 					stopWindow()
-					flush()
+					flush(false)
 					return
 				}
 				add(j2)
@@ -524,8 +543,15 @@ func (q *Queue) dispatch() {
 		}
 		if window <= 0 || buffered >= bound {
 			stopWindow()
-			flush()
-		} else if buffered > 0 && windowC == nil {
+			flush(false)
+			continue
+		}
+		if ready {
+			flush(true)
+		}
+		if buffered == 0 {
+			stopWindow()
+		} else if windowC == nil {
 			windowT = time.NewTimer(window)
 			windowC = windowT.C
 		}
@@ -534,16 +560,19 @@ func (q *Queue) dispatch() {
 
 // unitLen returns how many of one key's buffered jobs the next launch
 // takes: at most maxBatch, and as many as fit a row-capped group's MaxRows
-// (Rows 0 counting as 1; a first member over the cap runs alone).
-func unitLen(jobs []*Job, maxBatch int) int {
-	n := min(len(jobs), maxBatch)
+// (Rows 0 counting as 1; a first member over the cap runs alone). full
+// reports that no later job could join that launch.
+func unitLen(jobs []*Job, maxBatch int) (n int, full bool) {
+	n = min(len(jobs), maxBatch)
+	full = n == maxBatch
 	if g := jobs[0].spec.Group; g != nil && g.MaxRows > 0 {
 		rows := 0
 		for i, j := range jobs[:n] {
 			if rows += max(j.spec.Group.Rows, 1); i > 0 && rows > g.MaxRows {
-				return i
+				return i, true
 			}
 		}
+		full = full || rows >= g.MaxRows
 	}
-	return n
+	return n, full
 }

@@ -146,9 +146,10 @@ type Compiled struct {
 	initEntry int32
 	mainEntry int32
 
-	stats    []Stats    // opStats flush table
-	poss     []glsl.Pos // positions for runtime (loop guard) errors
-	builtins []builtinDesc
+	stats      []Stats    // opStats flush table
+	poss       []glsl.Pos // positions for runtime (loop guard) errors
+	builtins   []builtinDesc
+	texDecodes []texDecode // opTexDecode side entries
 
 	nregs      int32
 	globalBase int32
@@ -187,6 +188,27 @@ func (c *Compiled) Callees() []string {
 		}
 	}
 	return names
+}
+
+// Fetches counts the 2D texel fetches in the code, and how many of them
+// are fused with a vec4 codec decode into one opTexDecode (diagnostics).
+func (c *Compiled) Fetches() (fused, total int) {
+	for _, in := range c.code {
+		switch in.op {
+		case opTexDecode:
+			fused++
+			total++
+		case opTex2D:
+			total++
+		case opBuiltin:
+			switch c.builtins[in.aux].id {
+			case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod,
+				glsl.BTexture2DProj3, glsl.BTexture2DProj4, glsl.BTexture2DProjLod3, glsl.BTexture2DProjLod4:
+				total++
+			}
+		}
+	}
+	return fused, total
 }
 
 // compileError aborts compilation via panic/recover; Compile converts it

@@ -11,10 +11,11 @@ import (
 
 // FuzzProgramBinary feeds arbitrary bytes to UnmarshalCompiled, the
 // decoder behind the on-disk compile cache (an untrusted boundary). It
-// must never panic, and every blob it accepts must re-marshal to the
+// must never panic; every blob it accepts must re-marshal to the
 // identical bytes, so an accepted blob carries no state the format cannot
-// express. The seeds are the program binaries of the GLSL corpus in
-// internal/glsl/testdata; past findings live in testdata/fuzz.
+// express, and must run once on a VM without panicking. The seeds are the
+// program binaries of the GLSL corpus in internal/glsl/testdata and of a
+// fused texel decode; past findings live in testdata/fuzz.
 //
 //	go test -run '^$' -fuzz FuzzProgramBinary -fuzztime 20s ./internal/shader
 func FuzzProgramBinary(f *testing.F) {
@@ -23,6 +24,30 @@ func FuzzProgramBinary(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	add := func(name, src string, stage glsl.ShaderStage) {
+		prog, errs := glsl.CompileSource(src, stage, glsl.CheckOptions{})
+		if errs.Err() != nil {
+			f.Fatalf("%s: %v", name, errs)
+		}
+		c, err := Compile(prog)
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		blob, err := c.MarshalBinary()
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		if _, err := UnmarshalCompiled(blob); err != nil {
+			f.Fatalf("%s: a compiled program's binary is rejected: %v", name, err)
+		}
+		f.Add(blob)
+	}
+	add("texel decode", `
+precision highp float;
+uniform sampler2D u_a;
+varying vec2 v_uv;
+vec4 dec(vec4 t) { return floor(t * 255.0 - vec4(127.5)); }
+void main() { gl_FragColor = dec(texture2D(u_a, v_uv)) / 255.0; }`, glsl.StageFragment)
 	for _, e := range entries {
 		stage := glsl.StageFragment
 		switch filepath.Ext(e.Name()) {
@@ -36,19 +61,7 @@ func FuzzProgramBinary(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		prog, errs := glsl.CompileSource(string(src), stage, glsl.CheckOptions{})
-		if errs.Err() != nil {
-			f.Fatalf("%s: %v", e.Name(), errs)
-		}
-		c, err := Compile(prog)
-		if err != nil {
-			f.Fatalf("%s: %v", e.Name(), err)
-		}
-		blob, err := c.MarshalBinary()
-		if err != nil {
-			f.Fatalf("%s: %v", e.Name(), err)
-		}
-		f.Add(blob)
+		add(e.Name(), string(src), stage)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := UnmarshalCompiled(data)
@@ -68,6 +81,13 @@ func FuzzProgramBinary(f *testing.F) {
 				n++
 			}
 			t.Fatalf("accepted %d-byte blob re-marshals to %d bytes, first difference at byte %d", len(data), len(out), n)
+		}
+		// A runtime error is fine (a corrupt program may loop or discard);
+		// a panic is not.
+		vm := NewVM(c, diffSampler{}, ExactSFU)
+		vm.MaxLoopIter = 8
+		if err := vm.InitGlobals(); err == nil {
+			vm.Run()
 		}
 	})
 }

@@ -12,9 +12,26 @@ type TextureSampler interface {
 	// Sample2D samples the 2D texture bound to the given unit at
 	// normalized coordinates (s,t), returning RGBA in [0,1].
 	Sample2D(unit int, s, t float32) [4]float32
+	// Texel2D returns the RGBA8 bytes of the one texel Sample2D(unit, s, t)
+	// reads, when that sample is exactly those bytes through Unorm8
+	// (nearest filtering of a complete texture). ok=false sends the
+	// caller to Sample2D.
+	Texel2D(unit int, s, t float32) (rgba [4]byte, ok bool)
 	// SampleCube samples the cube texture bound to the given unit.
 	SampleCube(unit int, s, t, r float32) [4]float32
 }
+
+// unorm8 holds Equation (1) of the paper, f = c / (2^8 - 1), for every
+// byte c: the value an RGBA8 texel channel samples as.
+var unorm8 = func() (t [256]float32) {
+	for c := range t {
+		t[c] = float32(c) / 255
+	}
+	return t
+}()
+
+// Unorm8 returns the normalized value of texel byte c (Equation (1)).
+func Unorm8(c byte) float32 { return unorm8[c] }
 
 // nullSampler returns opaque black, the GL behaviour for incomplete
 // textures.
@@ -23,6 +40,7 @@ type nullSampler struct{}
 func (nullSampler) Sample2D(int, float32, float32) [4]float32 {
 	return [4]float32{0, 0, 0, 1}
 }
+func (nullSampler) Texel2D(int, float32, float32) ([4]byte, bool) { return [4]byte{}, false }
 func (nullSampler) SampleCube(int, float32, float32, float32) [4]float32 {
 	return [4]float32{0, 0, 0, 1}
 }

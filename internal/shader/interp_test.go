@@ -20,6 +20,9 @@ func (s *fakeSampler) Sample2D(unit int, u, v float32) [4]float32 {
 	return [4]float32{u, v, float32(unit), 1}
 }
 
+// Texel2D sends the VM to Sample2D: a fake texel need not be bytes.
+func (s *fakeSampler) Texel2D(int, float32, float32) ([4]byte, bool) { return [4]byte{}, false }
+
 func (s *fakeSampler) SampleCube(unit int, x, y, z float32) [4]float32 {
 	return [4]float32{x, y, z, 1}
 }

@@ -26,7 +26,7 @@ import (
 // BinaryFormatVersion identifies the Compiled wire format. Bump it whenever
 // the instruction set, the Stats layout, or any serialized structure
 // changes shape; stale blobs then unmarshal to ErrBinaryVersion.
-const BinaryFormatVersion = 1
+const BinaryFormatVersion = 2
 
 var binaryMagic = [4]byte{'G', 'C', 'P', 'B'}
 
@@ -150,6 +150,20 @@ func (c *Compiled) MarshalBinary() ([]byte, error) {
 		w.i32(b.an)
 		w.i32(b.dim)
 	}
+	w.u32(uint32(len(c.texDecodes)))
+	for i := range c.texDecodes {
+		d := &c.texDecodes[i]
+		for _, r := range d.writes() {
+			w.i32(r[0])
+		}
+		w.f32(d.kv)
+		w.f32(d.cv)
+		if d.sub {
+			w.u8(1)
+		} else {
+			w.u8(0)
+		}
+	}
 
 	w.i32(c.nregs)
 	w.i32(c.globalBase)
@@ -173,7 +187,6 @@ func (c *Compiled) MarshalBinary() ([]byte, error) {
 		w.i32(fi.entry)
 	}
 	w.i32(c.nloops)
-	w.i32(c.maxDepth)
 	return w.buf, nil
 }
 
@@ -424,6 +437,18 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 		b.an = r.i32()
 		b.dim = r.i32()
 	}
+	ntd := r.count(41)
+	c.texDecodes = make([]texDecode, ntd)
+	for i := 0; i < ntd; i++ {
+		d := &c.texDecodes[i]
+		for _, p := range []*int32{&d.tex, &d.k, &d.mul, &d.c, &d.cmov, &d.splat, &d.sum, &d.out} {
+			*p = r.i32()
+		}
+		d.kv = r.f32()
+		d.cv = r.f32()
+		d.sub = r.flag()
+		d.tab = decodeTables[decodeShape{d.kv, d.cv, d.sub}]
+	}
 
 	c.nregs = r.i32()
 	c.globalBase = r.i32()
@@ -447,7 +472,7 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 		c.funcs[i] = &funcInfo{entry: r.i32()}
 	}
 	c.nloops = r.i32()
-	c.maxDepth = r.i32()
+	c.maxDepth = int32(nfn) + 2 // as Compile sizes it
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -460,14 +485,27 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 	return c, nil
 }
 
-// validate sanity-checks cross-references a hostile blob could break, so a
-// corrupt cache entry fails closed instead of crashing a VM mid-draw.
+// validate sanity-checks every register operand and cross-reference a
+// hostile blob could break, so a corrupt cache entry fails closed instead
+// of crashing a VM mid-draw. What it cannot check, the VM checks as it
+// runs: computed (indirect) addresses and call depth.
 func (c *Compiled) validate() error {
 	ncode := int32(len(c.code))
-	if c.nregs < 0 || c.nregs > 1<<24 {
+	// Every VM allocates the register file; real programs use a few
+	// hundred registers.
+	if c.nregs < 0 || c.nregs > 1<<16 {
 		return fmt.Errorf("shader: program binary: register file size %d out of range", c.nregs)
 	}
-	if c.initEntry < 0 || c.initEntry > ncode || c.mainEntry < 0 || c.mainEntry > ncode {
+	// in reports whether registers [base, base+n) exist; a field the
+	// instruction does not read (n == 0) may hold anything, such as
+	// opDynAddr's -1 for "no base register".
+	in := func(base, n int32) bool {
+		return n == 0 || base >= 0 && n > 0 && int64(base)+int64(n) <= int64(c.nregs)
+	}
+	if ncode == 0 || !terminates(c.code[ncode-1].op) {
+		return fmt.Errorf("shader: program binary: code does not end in a return or jump")
+	}
+	if c.initEntry < 0 || c.initEntry >= ncode || c.mainEntry < 0 || c.mainEntry >= ncode {
 		return fmt.Errorf("shader: program binary: entry point out of range")
 	}
 	if c.globalBase < 0 || c.globalEnd < c.globalBase || c.globalEnd > c.nregs {
@@ -479,36 +517,269 @@ func (c *Compiled) validate() error {
 		}
 	}
 	for _, r := range c.mutatedRanges {
-		// Entries are {offset, length} pairs (see buildMutatedRanges).
-		if r[0] < 0 || r[1] < 0 || r[0]+r[1] > c.nregs {
-			return fmt.Errorf("shader: program binary: mutated range at %d length %d outside register file", r[0], r[1])
+		// Entries are {offset, length} pairs (see buildMutatedRanges),
+		// restored from the snapshot of the global window.
+		if r[0] < c.globalBase || r[1] < 0 || int64(r[0])+int64(r[1]) > int64(c.globalEnd) {
+			return fmt.Errorf("shader: program binary: mutated range at %d length %d outside the global window", r[0], r[1])
+		}
+	}
+	for slot, n := range builtinSlotSizes(c.Prog.Stage) {
+		if !in(c.builtinOff[slot], n) {
+			return fmt.Errorf("shader: program binary: builtin slot %d at %d outside register file", slot, c.builtinOff[slot])
 		}
 	}
 	for _, fi := range c.funcs {
-		if fi.entry < 0 || fi.entry > ncode {
+		if fi.entry < 0 || fi.entry >= ncode {
 			return fmt.Errorf("shader: program binary: function entry %d out of range", fi.entry)
 		}
 	}
-	for i := range c.code {
-		in := &c.code[i]
-		switch in.op {
-		case opStats:
-			if int(in.aux) >= len(c.stats) || in.aux < 0 {
-				return fmt.Errorf("shader: program binary: opStats references stats entry %d of %d", in.aux, len(c.stats))
+	// NewVM sizes its loop counters from this: each loop compiles to at
+	// least a reset and a guard.
+	if c.nloops < 0 || c.nloops > ncode {
+		return fmt.Errorf("shader: program binary: %d loops in %d instructions", c.nloops, ncode)
+	}
+	for i := range c.builtins {
+		d := &c.builtins[i]
+		if d.nargs < 1 || d.nargs > 3 {
+			return fmt.Errorf("shader: program binary: builtin descriptor %d has %d arguments", i, d.nargs)
+		}
+		dst, args := builtinSpans(d)
+		ok := in(d.dst, dst)
+		for k, n := range args {
+			ok = ok && in(d.args[k], n)
+		}
+		if !ok {
+			return fmt.Errorf("shader: program binary: builtin descriptor %d reaches outside register file", i)
+		}
+	}
+	for i := range c.texDecodes {
+		if c.texDecodes[i].tab == nil {
+			return fmt.Errorf("shader: program binary: texel decode %d is no codec's shape", i)
+		}
+		for _, r := range c.texDecodes[i].writes() {
+			if !in(r[0], r[1]) {
+				return fmt.Errorf("shader: program binary: texel decode %d writes outside register file", i)
 			}
-		case opCall:
-			if int(in.aux) >= len(c.funcs) || in.aux < 0 {
-				return fmt.Errorf("shader: program binary: opCall references function %d of %d", in.aux, len(c.funcs))
+		}
+	}
+	guarded := make(map[int32]bool) // loop ids that have their guard
+	for pc := range c.code {
+		op := &c.code[pc]
+		if err := c.checkTables(op, ncode); err != nil {
+			return err
+		}
+		switch op.op {
+		case opLoopGuard:
+			if guarded[op.aux] {
+				return fmt.Errorf("shader: program binary: loop %d has two guards", op.aux)
 			}
-		case opBuiltin:
-			if int(in.aux) >= len(c.builtins) || in.aux < 0 {
-				return fmt.Errorf("shader: program binary: opBuiltin references descriptor %d of %d", in.aux, len(c.builtins))
+			guarded[op.aux] = true
+		case opLoopReset:
+			// Compile resets a loop's counter once, just before its guard;
+			// a reset anywhere else could restart a loop from inside it.
+			next := pc + 1
+			for next < len(c.code) && c.code[next].op == opStats {
+				next++
 			}
-		case opJmp, opJz, opJnz:
-			if in.aux < 0 || in.aux > ncode {
-				return fmt.Errorf("shader: program binary: jump target %d out of range", in.aux)
+			if next == len(c.code) || c.code[next].op != opLoopGuard || c.code[next].aux != op.aux {
+				return fmt.Errorf("shader: program binary: loop %d reset at %d does not precede its guard", op.aux, pc)
+			}
+		}
+		if (op.op == opJmp || op.op == opJz || op.op == opJnz) && op.aux <= int32(pc) && c.code[op.aux].op != opLoopGuard {
+			// Compile's only backward jumps are loop back edges, to the
+			// loop's guard; any other could spin without a guard.
+			return fmt.Errorf("shader: program binary: backward jump at %d bypasses a loop guard", pc)
+		}
+		dst, a, b, cc, ok := opSpans(op)
+		if !ok {
+			return fmt.Errorf("shader: program binary: unknown opcode %d at %d", op.op, pc)
+		}
+		if !in(op.dst, dst) || !in(op.a, a) || !in(op.b, b) || !in(op.c, cc) {
+			return fmt.Errorf("shader: program binary: instruction %d (opcode %d) reaches outside register file", pc, op.op)
+		}
+		if op.op == opMulAdd {
+			// The add's other operand is packed beside the flag bits.
+			n := op.n
+			if op.aux&(1<<4) != 0 && op.aux&(2<<2) != 0 || op.aux&(1<<4) == 0 && op.aux&(1<<2) != 0 {
+				n = 1
+			}
+			if !in(op.aux>>5, n) {
+				return fmt.Errorf("shader: program binary: instruction %d (opMulAdd) reaches outside register file", pc)
 			}
 		}
 	}
 	return nil
+}
+
+// terminates reports whether op never falls through to the next pc.
+func terminates(op opcode) bool {
+	return op == opRet || op == opJmp || op == opDiscard
+}
+
+// checkTables checks the table index or jump target an instruction
+// carries in aux (and opLoopGuard's position index).
+func (c *Compiled) checkTables(in *instr, ncode int32) error {
+	var n int
+	switch in.op {
+	case opStats:
+		n = len(c.stats)
+	case opCall:
+		n = len(c.funcs)
+	case opBuiltin:
+		n = len(c.builtins)
+	case opLoopReset:
+		n = int(c.nloops)
+	case opLoopGuard:
+		n = int(c.nloops)
+		if in.b < 0 || int(in.b) >= len(c.poss) {
+			return fmt.Errorf("shader: program binary: loop guard references position %d of %d", in.b, len(c.poss))
+		}
+	case opTexDecode:
+		n = len(c.texDecodes)
+		if in.aux >= 0 && int(in.aux) < n && in.dst != c.texDecodes[in.aux].out {
+			return fmt.Errorf("shader: program binary: texel decode result %d disagrees with its entry", in.dst)
+		}
+	case opJmp, opJz, opJnz:
+		n = int(ncode)
+	default:
+		return nil
+	}
+	if in.aux < 0 || int(in.aux) >= n {
+		return fmt.Errorf("shader: program binary: opcode %d references entry %d of %d", in.op, in.aux, n)
+	}
+	return nil
+}
+
+// builtinSlotSizes is the register width of each builtin slot a stage
+// uses (layoutBuiltins).
+func builtinSlotSizes(stage glsl.ShaderStage) map[int]int32 {
+	if stage == glsl.StageVertex {
+		return map[int]int32{glsl.BVSlotPosition: 4, glsl.BVSlotPointSize: 1}
+	}
+	return map[int]int32{
+		glsl.BVSlotFragCoord: 4, glsl.BVSlotFrontFacing: 1, glsl.BVSlotPointCoord: 2,
+		glsl.BVSlotFragColor: 4, glsl.BVSlotFragData: 4 * glsl.MaxDrawBuffers,
+	}
+}
+
+// builtinSpans returns how many registers execBuiltin writes at d.dst
+// (at least the nc it zeroes first) and reads at each argument. Every
+// argument is checked, read or not: Compile leaves unused ones at
+// register 0.
+func builtinSpans(d *builtinDesc) (dst int32, args [3]int32) {
+	nc := maxI32(d.nc, 1)
+	dst, args = nc, [3]int32{nc, nc, nc}
+	switch d.id {
+	case glsl.BLength, glsl.BDistance, glsl.BDot, glsl.BAny, glsl.BAll:
+		args = [3]int32{d.an, d.an, d.an}
+	case glsl.BNormalize, glsl.BFaceforward, glsl.BReflect, glsl.BRefract, glsl.BNot,
+		glsl.BLessThan, glsl.BLessThanEqual, glsl.BGreaterThan, glsl.BGreaterThanEqual, glsl.BEqual, glsl.BNotEqual:
+		dst, args = maxI32(nc, d.an), [3]int32{d.an, d.an, d.an}
+	case glsl.BCross:
+		dst, args = maxI32(nc, 3), [3]int32{3, 3, 0}
+	case glsl.BMatrixCompMult:
+		n := d.dim * d.dim
+		if d.dim < 0 || d.dim > 4 {
+			n = -1
+		}
+		dst, args = maxI32(nc, n), [3]int32{n, n, 0}
+	case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod:
+		dst, args = maxI32(nc, 4), [3]int32{1, 2, 0}
+	case glsl.BTexture2DProj3, glsl.BTexture2DProjLod3, glsl.BTextureCube, glsl.BTextureCubeBias, glsl.BTextureCubeLod:
+		dst, args = maxI32(nc, 4), [3]int32{1, 3, 0}
+	case glsl.BTexture2DProj4, glsl.BTexture2DProjLod4:
+		dst, args = maxI32(nc, 4), [3]int32{1, 4, 0}
+	}
+	return dst, args
+}
+
+// opSpans returns how many registers an instruction reaches at dst, a, b
+// and c (0 where it reaches none, or where the address is computed at run
+// time), or ok=false for an opcode the VM does not execute.
+func opSpans(in *instr) (dst, a, b, c int32, ok bool) {
+	// -1 fails every range check. n is a component count (or, for
+	// opMov, opZero and the indirect ops, an aggregate's size); matrix
+	// ops square it, and GLSL ES matrices are at most 4×4.
+	n, nn := in.n, int32(-1)
+	if n < 0 || n > 1<<16 {
+		n = -1
+	}
+	if n >= 0 && n <= 4 {
+		nn = n * n
+	}
+	// bc is the width of an operand that broadcasts when its aux bit is set.
+	bc := func(bit int32) int32 {
+		if in.aux&bit != 0 {
+			return 1
+		}
+		return n
+	}
+	switch in.op {
+	case opNop, opStats, opJmp, opCall, opRet, opDiscard, opLoopReset, opLoopGuard, opBuiltin:
+	case opJz, opJnz, opDiscardHalt:
+		a = 1
+	case opLoadImm, opDiscardTake:
+		dst = 1
+	case opZero:
+		dst = n
+	case opMov, opNeg, opConvInt, opConvBool, opBFloor, opBFract:
+		dst, a = n, n
+	case opSplat:
+		dst, a = n, 1
+	case opSwizLoad:
+		dst, a = n, swizSpan(in.aux, n)
+	case opSwizStore:
+		dst, a = swizSpan(in.aux, n), n
+	case opLoadInd, opLoadIndC:
+		dst, a = n, 1
+	case opStoreInd, opStoreIndC:
+		a, b = 1, n
+	case opDynAddr, opDynPick:
+		dst, a = 1, 1
+		if in.b >= 0 {
+			b = 1
+		}
+	case opAddrOff, opNot, opBoolNorm:
+		dst, a = 1, 1
+	case opAdd, opSub, opMul, opDivF, opDivI, opBMod, opBMin, opBMax, opBStep:
+		dst, a, b = n, bc(1), bc(2)
+	case opMulImm, opAddImm:
+		dst, a, b, c = n, bc(1), bc(2), 1
+	case opMulAdd:
+		dst, a, b, c = n, bc(1), bc(2), n
+	case opBClamp:
+		dst, a, b, c = n, n, bc(1), bc(2)
+	case opXorXor, opLt, opLe, opGt, opGe:
+		dst, a, b = 1, 1, 1
+	case opEqV, opNeV, opBDot:
+		dst, a, b = 1, n, n
+	case opMatDiag:
+		dst, a = nn, 1
+	case opMatMulMM:
+		dst, a, b = nn, nn, nn
+	case opMatMulMV:
+		dst, a, b = n, nn, n
+	case opMatMulVM:
+		dst, a, b = n, n, nn
+	case opTex2D:
+		dst, a, b = 4, 1, 2
+	case opTexDecode:
+		dst, a, b = 4, 1, 2
+	default:
+		return 0, 0, 0, 0, false
+	}
+	return dst, a, b, c, true
+}
+
+// swizSpan is one past the highest register offset a swizzle of n
+// components packed in aux reaches.
+func swizSpan(aux, n int32) int32 {
+	if n < 0 {
+		return -1
+	}
+	span := int32(0)
+	for i := int32(0); i < n; i++ {
+		span = maxI32(span, (aux>>(4*i))&0xf+1)
+	}
+	return span
 }

@@ -23,6 +23,15 @@ package shader
 //     instructions, so every jump target, function entry and the
 //     init/main entries are retargeted over the compacted stream.
 //
+//  3. Texel decode fusion (same compaction): the eight instructions
+//     Compile emits for a vec4 codec decode, floor(texture2D(s, st) * K
+//     ± vec4(C)), become one opTexDecode, for the (K, C, op) shapes the
+//     codecs emit. When the sampler serves the texel's bytes
+//     (TextureSampler.Texel2D), every value the run would compute is a
+//     lookup in that shape's 256-entry table, built at package init by
+//     the same float32 operations; otherwise the op samples through
+//     Sample2D and does the arithmetic inline.
+//
 // Correctness contract (same as compile.go): the rewritten program must be
 // bit-identical to the generic stream in both outputs and Stats.
 //
@@ -42,33 +51,42 @@ package shader
 //     product, because liveness of those temps is not tracked. The
 //     product is rounded to float32 through an explicit conversion so
 //     the Go compiler cannot contract the multiply-add into an FMA.
-//   - A pair is only fused when its second instruction is not a jump
-//     target (including opCall return addresses at pc+1), so control can
-//     never enter the middle of a superinstruction.
+//   - opTexDecode writes every register of the run it replaces (the texel,
+//     K's register, the product, C's register, its moved copy, the splat,
+//     the sum and the floor), and only fuses a run whose written ranges
+//     are pairwise disjoint, so the order of its writes cannot matter.
+//   - A run is only fused when none of its instructions but the first is
+//     a jump target (including opCall return addresses at pc+1), so
+//     control can never enter the middle of a superinstruction.
 
-import "glescompute/internal/glsl"
+import (
+	"math"
+
+	"glescompute/internal/glsl"
+)
 
 // Specialized opcodes, appended after the generic set (compile.go).
 const (
-	opTex2D  opcode = 100 + iota // dst..dst+3 = Sample2D(unit=regs[a], regs[b], regs[b+1])
-	opBFloor                     // regs[dst+i] = floor(regs[a+i])
-	opBFract                     // regs[dst+i] = fract(regs[a+i])
-	opBMod                       // componentwise GLSL mod; aux bit0/bit1 broadcast a/b
-	opBMin                       // componentwise min; aux broadcast bits
-	opBMax                       // componentwise max; aux broadcast bits
-	opBClamp                     // clamp(a, b, c); aux bit0/bit1 broadcast b/c
-	opBStep                      // step(edge=a, x=b); aux broadcast bits
-	opBDot                       // regs[dst] = dot(a, b) over n components
-	opMulImm                     // regs[c] = imm; then opMul dst,a,b
-	opAddImm                     // regs[c] = imm; then opAdd dst,a,b
-	opMulAdd                     // regs[c+i] = a*b; regs[dst+i] = sum with packed operand (see exec)
+	opTex2D     opcode = 100 + iota // dst..dst+3 = Sample2D(unit=regs[a], regs[b], regs[b+1])
+	opBFloor                        // regs[dst+i] = floor(regs[a+i])
+	opBFract                        // regs[dst+i] = fract(regs[a+i])
+	opBMod                          // componentwise GLSL mod; aux bit0/bit1 broadcast a/b
+	opBMin                          // componentwise min; aux broadcast bits
+	opBMax                          // componentwise max; aux broadcast bits
+	opBClamp                        // clamp(a, b, c); aux bit0/bit1 broadcast b/c
+	opBStep                         // step(edge=a, x=b); aux broadcast bits
+	opBDot                          // regs[dst] = dot(a, b) over n components
+	opMulImm                        // regs[c] = imm; then opMul dst,a,b
+	opAddImm                        // regs[c] = imm; then opAdd dst,a,b
+	opMulAdd                        // regs[c+i] = a*b; regs[dst+i] = sum with packed operand (see exec)
+	opTexDecode                     // dst..dst+3 = floor(texel(unit=regs[a], regs[b], regs[b+1]) * K ± C); aux = texDecodes index
 )
 
 // specialize rewrites c.code in place after Compile. It never changes
 // observable behaviour; it only collapses dispatch.
 func specialize(c *Compiled) {
 	specializeBuiltins(c)
-	fusePairs(c)
+	fuseRuns(c)
 }
 
 // ---- Pass 1: direct builtin opcodes (1:1, in place) ----
@@ -113,7 +131,9 @@ func specializeBuiltins(c *Compiled) {
 		}
 		switch d.id {
 		case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod:
-			if builtinAliases(d, 4) {
+			// The fetch reads one unit register and two coordinates,
+			// whatever its result width.
+			if rangesOverlap(d.dst, 4, d.args[0], 1) || rangesOverlap(d.dst, 4, d.args[1], 2) {
 				continue
 			}
 			*in = instr{op: opTex2D, dst: d.dst, a: d.args[0], b: d.args[1], aux: in.aux}
@@ -167,13 +187,14 @@ func specializeBuiltins(c *Compiled) {
 	}
 }
 
-// ---- Pass 2: superinstruction fusion with compaction ----
+// ---- Passes 2 and 3: superinstruction fusion with compaction ----
 
-// jumpTargets returns the set of pcs control can land on from anywhere but
+// jumpTargets marks, by pc, where control can land from anywhere but
 // straight-line fallthrough: jump targets, function entries, the init/main
 // entries, and opCall return addresses.
-func jumpTargets(c *Compiled) map[int32]bool {
-	t := map[int32]bool{c.initEntry: true, c.mainEntry: true}
+func jumpTargets(c *Compiled) []bool {
+	t := make([]bool, len(c.code)+1)
+	t[c.initEntry], t[c.mainEntry] = true, true
 	for _, fi := range c.funcs {
 		t[fi.entry] = true
 	}
@@ -261,22 +282,51 @@ func fuseAt(code []instr, pc int) (instr, bool) {
 	return instr{}, false
 }
 
-func fusePairs(c *Compiled) {
+// straight reports whether code[pc+1:pc+n] exists and can only be entered
+// by falling through from code[pc] (targets has one entry per pc, plus
+// one for the end of the code).
+func straight(targets []bool, pc, n int) bool {
+	if pc+n >= len(targets) {
+		return false
+	}
+	for k := 1; k < n; k++ {
+		if targets[pc+k] {
+			return false
+		}
+	}
+	return true
+}
+
+func fuseRuns(c *Compiled) {
 	targets := jumpTargets(c)
 	old := c.code
 	newCode := make([]instr, 0, len(old))
 	oldToNew := make([]int32, len(old)+1)
 	for pc := 0; pc < len(old); pc++ {
 		oldToNew[pc] = int32(len(newCode))
-		if pc+1 < len(old) && !targets[int32(pc+1)] {
-			if fused, ok := fuseAt(old, pc); ok {
-				newCode = append(newCode, fused)
-				pc++
-				oldToNew[pc] = int32(len(newCode) - 1)
-				continue
+		n := 0
+		var fused instr
+		if old[pc].op == opTex2D && straight(targets, pc, texDecodeLen) {
+			if d, ok := texDecodeAt(old[pc : pc+texDecodeLen]); ok {
+				fused = instr{op: opTexDecode, dst: d.out, a: old[pc].a, b: old[pc].b, aux: int32(len(c.texDecodes))}
+				c.texDecodes = append(c.texDecodes, d)
+				n = texDecodeLen
 			}
 		}
-		newCode = append(newCode, old[pc])
+		if n == 0 && straight(targets, pc, 2) {
+			if f, ok := fuseAt(old, pc); ok {
+				fused, n = f, 2
+			}
+		}
+		if n == 0 {
+			newCode = append(newCode, old[pc])
+			continue
+		}
+		newCode = append(newCode, fused)
+		for k := 1; k < n; k++ {
+			oldToNew[pc+k] = int32(len(newCode) - 1)
+		}
+		pc += n - 1
 	}
 	oldToNew[len(old)] = int32(len(newCode))
 
@@ -293,4 +343,110 @@ func fusePairs(c *Compiled) {
 		fi.entry = oldToNew[fi.entry]
 	}
 	c.code = newCode
+}
+
+// ---- Texel decode fusion ----
+
+// texDecodeLen is the length of the run Compile emits for
+// floor(texture2D(s, st) * K ± vec4(C)):
+//
+//	opTex2D   T = texel
+//	opLoadImm k = K
+//	opMul     M = T * k        (k broadcast)
+//	opLoadImm c = C
+//	opMov     x = c            (the vec4 constructor's argument)
+//	opSplat   V = x
+//	opSub     S = M - V        (or opAdd S = M + V)
+//	opBFloor  F = floor(S)
+const texDecodeLen = 8
+
+// texDecode is the side entry of one opTexDecode site: the base of every
+// register range the run writes (out is also the instruction's dst), and
+// its constants.
+type texDecode struct {
+	tex, k, mul, c, cmov, splat, sum, out int32
+	kv, cv                                float32
+	sub                                   bool
+	tab                                   *decodeTable // the shape's table
+}
+
+// texDecodeAt matches run against the decode shape and returns its side
+// entry. It refuses a shape no codec emits, and any run whose written
+// ranges overlap: the fused op writes them in a different order than the
+// run does.
+func texDecodeAt(run []instr) (texDecode, bool) {
+	tex, ld, mul, lc, mov, spl, sum, fl := &run[0], &run[1], &run[2], &run[3], &run[4], &run[5], &run[6], &run[7]
+	if tex.op != opTex2D || ld.op != opLoadImm || lc.op != opLoadImm ||
+		mul.op != opMul || mul.a != tex.dst || mul.b != ld.dst || mul.aux != 2 || mul.n != 4 ||
+		mov.op != opMov || mov.a != lc.dst || mov.n != 1 ||
+		spl.op != opSplat || spl.a != mov.dst || spl.n != 4 ||
+		sum.op != opSub && sum.op != opAdd || sum.a != mul.dst || sum.b != spl.dst || sum.aux != 0 || sum.n != 4 ||
+		fl.op != opBFloor || fl.a != sum.dst || fl.n != 4 {
+		return texDecode{}, false
+	}
+	d := texDecode{
+		tex: tex.dst, k: ld.dst, mul: mul.dst, c: lc.dst, cmov: mov.dst, splat: spl.dst, sum: sum.dst, out: fl.dst,
+		kv: ld.imm, cv: lc.imm, sub: sum.op == opSub,
+	}
+	d.tab = decodeTables[decodeShape{d.kv, d.cv, d.sub}]
+	if d.tab == nil || d.overlaps() {
+		return texDecode{}, false
+	}
+	return d, true
+}
+
+// writes lists the register ranges the fused op writes, {base, width}.
+func (d *texDecode) writes() [8][2]int32 {
+	return [8][2]int32{{d.tex, 4}, {d.k, 1}, {d.mul, 4}, {d.c, 1}, {d.cmov, 1}, {d.splat, 4}, {d.sum, 4}, {d.out, 4}}
+}
+
+func (d *texDecode) overlaps() bool {
+	w := d.writes()
+	for i := range w {
+		for j := i + 1; j < len(w); j++ {
+			if rangesOverlap(w[i][0], w[i][1], w[j][0], w[j][1]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// decodeTable holds, for each byte b, the product, the sum and the floor
+// the decode run computes from the texel value Unorm8(b).
+type decodeTable struct {
+	mul, sum, out [256]float32
+}
+
+// decodeShape is a decode's constants: floor(t*k - c) (sub) or
+// floor(t*k + c).
+type decodeShape struct {
+	k, c float32
+	sub  bool
+}
+
+// decodeTables holds the table of every vec4 decode the codecs emit
+// (codec.GLSLDecoder): Int8x4's lanes, and the byte reconstruction that
+// Int32, Uint32 and Float32 share. It is filled once, at package init,
+// and only read afterwards, so the devices that compile concurrently
+// share it without a lock, and no program binary can add to it.
+var decodeTables = map[decodeShape]*decodeTable{
+	{255, 127.5, true}: newDecodeTable(255, 127.5, true),
+	{255, 0.5, false}:  newDecodeTable(255, 0.5, false),
+}
+
+// newDecodeTable computes the table of one shape. Each entry is the
+// float32 operation the run performs, rounded by an explicit conversion
+// so it is never contracted into an FMA.
+func newDecodeTable(k, c float32, sub bool) *decodeTable {
+	tab := &decodeTable{}
+	for b := range tab.mul {
+		m := float32(unorm8[b] * k)
+		s := float32(m + c)
+		if sub {
+			s = float32(m - c)
+		}
+		tab.mul[b], tab.sum[b], tab.out[b] = m, s, float32(math.Floor(float64(s)))
+	}
+	return tab
 }

@@ -156,3 +156,50 @@ void main() {
 	gl_FragColor = vec4(fract(v * 0.001), f, q / 255.0, s * 0.5);
 }`, glsl.StageFragment), 24)
 }
+
+// TestTexDecodeFusionFires compiles every vec4 codec decoder the runtime
+// generates and asserts each fetch and its decode became one
+// opTexDecode, then runs them through the interpreter/VM differential,
+// whose sampler serves bytes, so the table path is the one compared.
+func TestTexDecodeFusionFires(t *testing.T) {
+	decoders := map[string]string{
+		// codec.GLSLDecoder's vec4 shapes (Int8x4; Int32, Uint32 and
+		// Float32 share the byte reconstruction).
+		"int8x4": "vec4 dec(vec4 t) {\n\treturn floor(t * 255.0 - vec4(127.5));\n}\n",
+		"int32": "float dec1(vec4 t) {\n\tvec4 b = floor(t * 255.0 + vec4(0.5));\n" +
+			"\tif (b.a < 128.0) { return b.r + b.g * 256.0; }\n\treturn -(b.b + b.a);\n}\n" +
+			"vec4 dec(vec4 t) { return vec4(dec1(t)); }\n",
+	}
+	for name, dec := range decoders {
+		src := "precision highp float;\nuniform sampler2D u_a;\nuniform sampler2D u_b;\nvarying vec2 v_uv;\n" + dec + `
+void main() {
+	vec4 x = dec(texture2D(u_a, v_uv));
+	vec4 y = dec(texture2D(u_b, v_uv.yx * 3.0 - 1.0));
+	gl_FragColor = (x + y) / 512.0;
+}`
+		c := compileFrag(t, src)
+		if fused, total := c.Fetches(); fused != 2 || total != 2 || opCount(c, opTexDecode) != 2 {
+			t.Errorf("%s: %d of %d fetches fused, want both", name, fused, total)
+		}
+		runDifferential(t, compileSrc(t, src, glsl.StageFragment), 24)
+	}
+}
+
+// TestTexDecodeNeedsStraightRun checks that a run that is not exactly a
+// codec's decode stays unfused: one whose product is not what the sum
+// reads, and one whose constants no codec emits.
+func TestTexDecodeNeedsStraightRun(t *testing.T) {
+	for _, expr := range []string{"floor(t * 255.0 - vec4(t.x))", "floor(t * 3.0 + vec4(0.25))"} {
+		src := `
+precision highp float;
+uniform sampler2D u_a;
+varying vec2 v_uv;
+vec4 dec(vec4 t) { return ` + expr + `; }
+void main() { gl_FragColor = dec(texture2D(u_a, v_uv)) / 255.0; }`
+		c := compileFrag(t, src)
+		if fused, total := c.Fetches(); fused != 0 || total != 1 {
+			t.Errorf("%s: %d of %d fetches fused, want none", expr, fused, total)
+		}
+		runDifferential(t, compileSrc(t, src, glsl.StageFragment), 8)
+	}
+}

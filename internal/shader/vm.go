@@ -137,6 +137,10 @@ func (vm *VM) exec(entry int32) (bool, error) {
 				continue
 			}
 		case opCall:
+			if sp == len(vm.callStack) {
+				// Only a corrupt program binary recurses (GLSL ES forbids it).
+				return false, &RuntimeError{Msg: "vm: call depth exceeds " + strconv.Itoa(sp)}
+			}
 			vm.callStack[sp] = pc + 1
 			sp++
 			pc = vm.c.funcs[in.aux].entry
@@ -198,18 +202,30 @@ func (vm *VM) exec(entry int32) (bool, error) {
 				regs[in.dst+(in.aux>>(4*i))&0xf] = regs[in.a+i]
 			}
 		case opLoadInd:
-			ad := int32(regs[in.a])
+			ad, ok := indirect(regs, in.a, in.n)
+			if !ok {
+				return false, errIndirect
+			}
 			copy(regs[in.dst:in.dst+in.n], regs[ad:ad+in.n])
 		case opStoreInd:
-			ad := int32(regs[in.a])
+			ad, ok := indirect(regs, in.a, in.n)
+			if !ok {
+				return false, errIndirect
+			}
 			copy(regs[ad:ad+in.n], regs[in.b:in.b+in.n])
 		case opLoadIndC:
-			ad := int32(regs[in.a])
+			ad, ok := indirect(regs, in.a, swizSpan(in.aux, in.n))
+			if !ok {
+				return false, errIndirect
+			}
 			for i := int32(0); i < in.n; i++ {
 				regs[in.dst+i] = regs[ad+(in.aux>>(4*i))&0xf]
 			}
 		case opStoreIndC:
-			ad := int32(regs[in.a])
+			ad, ok := indirect(regs, in.a, swizSpan(in.aux, in.n))
+			if !ok {
+				return false, errIndirect
+			}
 			for i := int32(0); i < in.n; i++ {
 				regs[ad+(in.aux>>(4*i))&0xf] = regs[in.b+i]
 			}
@@ -451,12 +467,55 @@ func (vm *VM) exec(entry int32) (bool, error) {
 					regs[d+i] = bcast(regs, other, i, aaux&1 != 0) + bcast(regs, mdst, i, aaux&2 != 0)
 				}
 			}
+		case opTexDecode:
+			d := &vm.c.texDecodes[in.aux]
+			unit, s, t := int(regs[in.a]), regs[in.b], regs[in.b+1]
+			regs[d.k], regs[d.c], regs[d.cmov] = d.kv, d.cv, d.cv
+			if px, ok := vm.Textures.Texel2D(unit, s, t); ok {
+				tab := d.tab
+				for i, b := range px {
+					j := int32(i)
+					regs[d.tex+j] = unorm8[b]
+					regs[d.mul+j] = tab.mul[b]
+					regs[d.splat+j] = d.cv
+					regs[d.sum+j] = tab.sum[b]
+					regs[d.out+j] = tab.out[b]
+				}
+			} else {
+				rgba := vm.Textures.Sample2D(unit, s, t)
+				for i, v := range rgba {
+					j := int32(i)
+					// Explicit float32 conversions: each step is rounded
+					// on its own, as the unfused run stores it.
+					m := float32(v * d.kv)
+					sum := float32(m + d.cv)
+					if d.sub {
+						sum = float32(m - d.cv)
+					}
+					regs[d.tex+j] = v
+					regs[d.mul+j] = m
+					regs[d.splat+j] = d.cv
+					regs[d.sum+j] = sum
+					regs[d.out+j] = float32(math.Floor(float64(sum)))
+				}
+			}
 		default:
 			return false, &RuntimeError{Msg: "vm: unknown opcode " + strconv.Itoa(int(in.op))}
 		}
 		pc++
 	}
 }
+
+// indirect reads the address in regs[a] and reports whether span
+// registers from it exist. Compile's addresses always do (opDynAddr
+// clamps the index); a corrupt program binary's need not, and program
+// binaries cannot be checked for computed addresses before they run.
+func indirect(regs []float32, a, span int32) (int32, bool) {
+	ad := int32(regs[a])
+	return ad, ad >= 0 && span >= 0 && int64(ad)+int64(span) <= int64(len(regs))
+}
+
+var errIndirect = &RuntimeError{Msg: "vm: indirect address outside the register file"}
 
 func bcast(regs []float32, base, i int32, scalar bool) float32 {
 	if scalar {

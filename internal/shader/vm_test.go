@@ -19,17 +19,18 @@ import (
 )
 
 // diffSampler is a deterministic pure-function sampler shared by both
-// executors.
+// executors. Its texels are bytes, so the VM's fused decodes read them
+// through Texel2D while the interpreter normalizes them through Sample2D.
 type diffSampler struct{}
 
 func (diffSampler) Sample2D(unit int, s, t float32) [4]float32 {
+	px, _ := diffSampler{}.Texel2D(unit, s, t)
+	return [4]float32{Unorm8(px[0]), Unorm8(px[1]), Unorm8(px[2]), Unorm8(px[3])}
+}
+
+func (diffSampler) Texel2D(unit int, s, t float32) ([4]byte, bool) {
 	h := math.Float32bits(s)*2654435761 ^ math.Float32bits(t)*40503 ^ uint32(unit)*97
-	return [4]float32{
-		float32(h&0xff) / 255,
-		float32((h>>8)&0xff) / 255,
-		float32((h>>16)&0xff) / 255,
-		float32((h>>24)&0xff) / 255,
-	}
+	return [4]byte{byte(h), byte(h >> 8), byte(h >> 16), byte(h >> 24)}, true
 }
 
 func (diffSampler) SampleCube(unit int, x, y, z float32) [4]float32 {
