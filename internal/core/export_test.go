@@ -20,6 +20,17 @@ func CachedSources(d *Device) []string {
 	return out
 }
 
+// KernelFragments returns, by kernel name, the complete fragment shader of
+// the first output of every kernel in d's compile-once cache (kernels that
+// share a name, such as one layer kind's stage kernels, share an entry).
+func KernelFragments(d *Device) map[string][]string {
+	out := make(map[string][]string)
+	for _, k := range d.kernelCache {
+		out[k.spec.Name] = append(out[k.spec.Name], generateFragmentShader(k.spec, k.spec.Outputs[0]))
+	}
+	return out
+}
+
 // FragmentSources returns the complete fragment shader of every output of
 // every kernel in d's compile-once cache.
 func FragmentSources(d *Device) []string {

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"regexp"
+	"sort"
 	"testing"
 
 	"glescompute/internal/codec"
@@ -155,4 +157,61 @@ func TestVec4DecodesFused(t *testing.T) {
 		t.Fatalf("%d kernels decode vec4 texels, want every float32, int8-vec4 and T1 kernel", vec4Kernels)
 	}
 	t.Logf("%d kernels, %d fused fetches", vec4Kernels, fused)
+}
+
+// TestLoopTripDispatches pins how many instructions one trip around the
+// inner loop of each int8-vec4 LeNet conv and GEMM kernel runs when no
+// conditional body inside it does (shader.Compiled.LoopTrips), and
+// requires that no opStats is left on that path: every region a trip
+// runs is counted by the branch or back edge that ends it. The fused conv
+// kernels also carry the pool's loop, which calls the conv member. Before
+// the loop steps were fused, these trips ran 29 (conv1), 49 (conv2), 50
+// (fc) and 47 (pool) instructions.
+func TestLoopTripDispatches(t *testing.T) {
+	dev, err := core.Open(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	net, err := nn.DemoLeNetInt8(7).BuildLanes(dev, 1, false, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	if _, err := net.PlannedPasses(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][][]int{
+		"conv1+relu1+pool1": {{32, 10}},
+		"conv2+relu2+pool2": {{32, 19}},
+		"fc1+relu3":         {{20}},
+		"fc2+relu4":         {{20}},
+		// The stage kernels the fused ones are planned from: conv1 and
+		// conv2, and the one GEMM fc1, fc2 and fc3 share (fc3 runs it).
+		"nn-conv-rq": {{10}, {19}},
+		"nn-gemm-rq": {{20}},
+	}
+	kernels := core.KernelFragments(dev)
+	for name, trips := range want {
+		srcs := kernels[name]
+		if len(srcs) != len(trips) {
+			t.Fatalf("%s: %d kernels, want %d", name, len(srcs), len(trips))
+		}
+		var got [][]int
+		for _, src := range srcs {
+			var lens []int
+			for _, trip := range compileFragment(t, src).LoopTrips() {
+				if trip.Stats != 0 {
+					t.Errorf("%s: a loop trip runs %d opStats", name, trip.Stats)
+				}
+				lens = append(lens, trip.Instrs)
+			}
+			got = append(got, lens)
+		}
+		// Same-name kernels come out of the cache in no fixed order.
+		sort.Slice(got, func(i, j int) bool { return fmt.Sprint(got[i]) < fmt.Sprint(got[j]) })
+		if fmt.Sprint(got) != fmt.Sprint(trips) {
+			t.Errorf("%s: loop trips of %v instructions, want %v", name, got, trips)
+		}
+	}
 }

@@ -175,9 +175,12 @@ func TestTraceFaultAnnotations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q.Drain()
-	st := q.Stats()
+	// Read the stats and the metrics at one point, after Close has waited
+	// for every worker: a worker replaces its faulted device after its
+	// unit's jobs have finished, so a snapshot taken after Drain can miss
+	// a Faults++ or Reopens++ that the metrics, read later, include.
 	q.Close()
+	st := q.Stats()
 	if plan.Stats().Total() == 0 {
 		t.Fatal("no faults fired — the test exercised nothing")
 	}

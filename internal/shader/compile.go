@@ -11,9 +11,13 @@ package shader
 // that are bit-identical to the interpreter AND accumulate an identical
 // Stats struct, because the vc4 timing model (and therefore every modeled
 // speedup this repo reports) is derived from those counters. Operation
-// counts are folded at compile time into a table of Stats deltas flushed
-// at basic-block boundaries, so the VM pays a single opStats instruction
-// per straight-line region instead of per-operation bookkeeping.
+// counts are folded at compile time into a table of Stats deltas, one per
+// straight-line region, and the VM only counts how often each region ran:
+// every control transfer (branch, back edge, call, return, discard)
+// carries the index of the region it ends in instr.n, and a region that
+// falls through into a jump target ends in an opStats. The VM
+// folds counts × deltas into its Stats when the draw reads them
+// (VM.StatsRef), which is exact because both are integers.
 //
 // Register allocation is fully static: GLSL ES 1.00 forbids recursion (the
 // checker enforces it), so every function's parameters, locals, scratch
@@ -35,15 +39,15 @@ type opcode int32
 
 const (
 	opNop       opcode = iota
-	opStats            // Stats.AddStats(statTable[aux])
-	opJmp              // pc = aux
-	opJz               // if regs[a] == 0: pc = aux
-	opJnz              // if regs[a] != 0: pc = aux
-	opCall             // push pc+1; pc = funcEntry[aux]
-	opRet              // pop pc, or finish when the call stack is empty
-	opDiscard          // abort the invocation as discarded
-	opLoopReset        // loopIters[aux] = 0
-	opLoopGuard        // loopIters[aux]++ with runaway check; b = pos table index
+	opStats            // count one run of stats-table entry aux
+	opJmp              // count entry n; pc = aux (forward only)
+	opJz               // count entry n; if regs[a] == 0: pc = aux (forward only)
+	opJnz              // count entry n; if regs[a] != 0: pc = aux (forward only)
+	opCall             // count entry n; push pc+1; pc = funcEntry[aux]
+	opRet              // count entry n; pop pc, or finish when the call stack is empty
+	opDiscard          // count entry n; abort the invocation as discarded
+	opLoopReset        // loopIters[aux] = 0; the next pc is the loop's head
+	opLoopBack         // count entry n; loopIters[b]++ with runaway check; pc = aux (the head)
 	opLoadImm          // regs[dst] = imm
 	opZero             // regs[dst:dst+n] = 0
 	opMov              // regs[dst:dst+n] = regs[a:a+n] (memmove semantics)
@@ -80,7 +84,7 @@ const (
 	opMatMulVM
 	opBuiltin     // aux = builtin descriptor index
 	opDiscardTake // regs[dst] = pending-discard flag; clear the flag
-	opDiscardHalt // if regs[a] != 0: finish the invocation as discarded
+	opDiscardHalt // count entry n; if regs[a] != 0: finish the invocation as discarded
 )
 
 // instr is one VM instruction. All operands are absolute register indices
@@ -124,6 +128,7 @@ type funcInfo struct {
 	// Inliner facts, filled once by discover.
 	inline   bool   // calls compile as the body at the call site
 	discards bool   // can discard, directly or through a callee
+	pure     bool   // writes only its own frame, directly and through its callees
 	size     int    // AST nodes, counting inlined callees' bodies
 	returns  int    // return statements in the body
 	written  []bool // by parameter index: the body writes the parameter
@@ -146,8 +151,8 @@ type Compiled struct {
 	initEntry int32
 	mainEntry int32
 
-	stats      []Stats    // opStats flush table
-	poss       []glsl.Pos // positions for runtime (loop guard) errors
+	stats      []Stats    // per-region Stats deltas, counted by index
+	poss       []glsl.Pos // by loop id: the loop's position, for runaway errors
 	builtins   []builtinDesc
 	texDecodes []texDecode // opTexDecode side entries
 
@@ -163,7 +168,6 @@ type Compiled struct {
 	mutatedRanges [][2]int32
 
 	funcs    []*funcInfo
-	nloops   int32
 	maxDepth int32
 }
 
@@ -209,6 +213,60 @@ func (c *Compiled) Fetches() (fused, total int) {
 		}
 	}
 	return fused, total
+}
+
+// LoopTrip describes one trip around an innermost loop when no
+// conditional body inside the loop runs (diagnostics): the path from the
+// loop's head to its back edge that takes every forward branch staying
+// inside the loop and falls through every other.
+type LoopTrip struct {
+	Instrs int // instructions on the path, the back edge included
+	Stats  int // how many of them are opStats
+}
+
+// LoopTrips reports the trip of every innermost loop, in code order.
+func (c *Compiled) LoopTrips() []LoopTrip {
+	var trips []LoopTrip
+	for back, in := range c.code {
+		if in.op != opLoopBack && in.op != opLoopStep {
+			continue
+		}
+		head, inner := in.aux, true
+		for pc := head; pc < int32(back); pc++ {
+			if op := c.code[pc].op; op == opLoopBack || op == opLoopStep {
+				inner = false
+			}
+		}
+		if !inner {
+			continue
+		}
+		if t, ok := c.trip(head, int32(back)); ok {
+			trips = append(trips, t)
+		}
+	}
+	return trips
+}
+
+// trip walks one trip from head to the back edge at back; ok is false
+// when the walk leaves the loop instead.
+func (c *Compiled) trip(head, back int32) (t LoopTrip, ok bool) {
+	for pc := head; ; {
+		in := &c.code[pc]
+		t.Instrs++
+		if in.op == opStats {
+			t.Stats++
+		}
+		switch {
+		case pc == back:
+			return t, true
+		case branches(in.op) && in.aux > pc && in.aux <= back:
+			pc = in.aux
+		case terminates(in.op):
+			return t, false
+		default:
+			pc++
+		}
+	}
 }
 
 // compileError aborts compilation via panic/recover; Compile converts it
@@ -407,11 +465,17 @@ func (cc *compiler) discover(fd *glsl.FuncDecl) *funcInfo {
 	cc.frames[fd] = fi
 	cc.order = append(cc.order, fi)
 	fi.written = make([]bool, len(fd.Params))
+	fi.pure = true
+	for _, p := range fd.Params {
+		fi.pure = fi.pure && p.Dir == glsl.DirIn
+	}
 	mark := func(id *glsl.Ident) {
 		switch {
 		case id.Ref == nil:
+			fi.pure = fi.pure && id.BRef == nil
 		case id.Ref.Storage == glsl.StorageGlobal:
 			cc.mutated[id.Ref.Slot] = true
+			fi.pure = false
 		default:
 			for i, p := range fd.Params {
 				if id.Ref == p {
@@ -435,6 +499,7 @@ func (cc *compiler) discover(fd *glsl.FuncDecl) *funcInfo {
 			if n.Kind == glsl.CallUser {
 				callee := cc.discover(n.Func)
 				fi.discards = fi.discards || callee.discards
+				fi.pure = fi.pure && callee.pure
 				if callee.inline {
 					fi.size += callee.size
 				}
@@ -453,24 +518,39 @@ func (cc *compiler) emit(in instr) int32 {
 	return int32(len(cc.code) - 1)
 }
 
-func (cc *compiler) flushStats() {
-	if cc.pending == (Stats{}) {
-		return
-	}
+// takeStats ends the current region: it returns the stats-table index of
+// the counts pending since the last region ended (the all-zero entry when
+// there are none) and starts a new region.
+func (cc *compiler) takeStats() int32 {
 	idx, ok := cc.statIdx[cc.pending]
 	if !ok {
 		idx = int32(len(cc.comp.stats))
 		cc.comp.stats = append(cc.comp.stats, cc.pending)
 		cc.statIdx[cc.pending] = idx
 	}
-	cc.emit(instr{op: opStats, aux: idx})
 	cc.pending = Stats{}
+	return idx
+}
+
+// flushStats ends the current region with an opStats, unless it counted
+// nothing. Control transfers end theirs themselves (takeStats).
+func (cc *compiler) flushStats() {
+	if cc.pending != (Stats{}) {
+		cc.emit(instr{op: opStats, aux: cc.takeStats()})
+	}
 }
 
 func (cc *compiler) newLabel() *label { return &label{pc: -1} }
 
+// bind places l at the next pc. A label some jump targets starts a region,
+// so the fallthrough's counts are flushed first; a label nothing jumps to
+// (a for loop's post without a continue) is no boundary. Loop heads, the
+// only labels jumped to after binding, are bound right after the loop's
+// opLoopReset (see loopHead).
 func (cc *compiler) bind(l *label) {
-	cc.flushStats()
+	if len(l.fixes) > 0 {
+		cc.flushStats()
+	}
 	l.pc = int32(len(cc.code))
 	for _, at := range l.fixes {
 		cc.code[at].aux = l.pc
@@ -478,17 +558,32 @@ func (cc *compiler) bind(l *label) {
 	l.fixes = nil
 }
 
+// jump emits a forward branch to l that ends the current region.
 func (cc *compiler) jump(op opcode, cond int32, l *label) {
-	cc.flushStats()
-	at := cc.emit(instr{op: op, a: cond, aux: l.pc})
+	at := cc.emit(instr{op: op, a: cond, n: cc.takeStats(), aux: l.pc})
 	if l.pc < 0 {
 		l.fixes = append(l.fixes, at)
 	}
 }
 
-func (cc *compiler) posIndex(p glsl.Pos) int32 {
-	cc.comp.poss = append(cc.comp.poss, p)
-	return int32(len(cc.comp.poss) - 1)
+// loopHead opens a loop at pos: it ends the region before the loop, resets
+// the loop's counter and returns the loop's id and its head, which the
+// loop's single back edge (loopBack) targets.
+func (cc *compiler) loopHead(pos glsl.Pos) (int32, *label) {
+	id := int32(len(cc.comp.poss))
+	cc.comp.poss = append(cc.comp.poss, pos)
+	cc.flushStats()
+	cc.emit(instr{op: opLoopReset, aux: id})
+	head := cc.newLabel()
+	cc.bind(head)
+	return id, head
+}
+
+// loopBack emits loop id's back edge, which ends the current region and
+// runs the loop's runaway guard: the interpreter checks it before every
+// iteration after the first, which is every arrival over a back edge.
+func (cc *compiler) loopBack(id int32, head *label) {
+	cc.emit(instr{op: opLoopBack, b: id, n: cc.takeStats(), aux: head.pc})
 }
 
 // temp allocates n scratch registers in the current frame.
@@ -541,8 +636,7 @@ func (cc *compiler) compileFunction(fi *funcInfo) {
 		cc.emit(instr{op: opZero, dst: fi.retBase, n: fi.retSize})
 	}
 	cc.compileStmt(fi.fd.Body)
-	cc.flushStats()
-	cc.emit(instr{op: opRet})
+	cc.emit(instr{op: opRet, n: cc.takeStats()})
 	cc.comp.nregs = fi.tempBase + fi.tempMax
 	if fi.fd == cc.prog.Entry {
 		cc.comp.mainEntry = fi.entry
@@ -579,8 +673,7 @@ func (cc *compiler) compileInit() {
 		r, _ := cc.compileExpr(g.Init)
 		cc.emit(instr{op: opMov, dst: base, a: r, n: size})
 	}
-	cc.flushStats()
-	cc.emit(instr{op: opRet})
+	cc.emit(instr{op: opRet, n: cc.takeStats()})
 	cc.comp.nregs = fi.tempBase + fi.tempMax
 }
 
@@ -663,12 +756,8 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		if n.InitStmt != nil {
 			cc.compileStmt(n.InitStmt)
 		}
-		loopID := cc.comp.nloops
-		cc.comp.nloops++
-		head, post, exit := cc.newLabel(), cc.newLabel(), cc.newLabel()
-		cc.emit(instr{op: opLoopReset, aux: loopID})
-		cc.bind(head)
-		cc.emit(instr{op: opLoopGuard, aux: loopID, b: cc.posIndex(n.Pos)})
+		loopID, head := cc.loopHead(n.Pos)
+		post, exit := cc.newLabel(), cc.newLabel()
 		if n.Cond != nil {
 			cond, _ := cc.compileExpr(n.Cond)
 			cc.pending.Branch++
@@ -681,37 +770,31 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		if n.Post != nil {
 			cc.compileExpr(n.Post)
 		}
-		cc.jump(opJmp, 0, head)
+		cc.loopBack(loopID, head)
 		cc.bind(exit)
 	case *glsl.WhileStmt:
-		loopID := cc.comp.nloops
-		cc.comp.nloops++
-		head, exit := cc.newLabel(), cc.newLabel()
-		cc.emit(instr{op: opLoopReset, aux: loopID})
-		cc.bind(head)
-		cc.emit(instr{op: opLoopGuard, aux: loopID, b: cc.posIndex(n.Pos)})
+		loopID, head := cc.loopHead(n.Pos)
+		cont, exit := cc.newLabel(), cc.newLabel()
 		cond, _ := cc.compileExpr(n.Cond)
 		cc.pending.Branch++
 		cc.jump(opJz, cond, exit)
-		cc.loops = append(cc.loops, loopCtx{breakL: exit, continueL: head})
+		cc.loops = append(cc.loops, loopCtx{breakL: exit, continueL: cont})
 		cc.compileStmt(n.Body)
 		cc.loops = cc.loops[:len(cc.loops)-1]
-		cc.jump(opJmp, 0, head)
+		cc.bind(cont)
+		cc.loopBack(loopID, head)
 		cc.bind(exit)
 	case *glsl.DoWhileStmt:
-		loopID := cc.comp.nloops
-		cc.comp.nloops++
-		head, condL, exit := cc.newLabel(), cc.newLabel(), cc.newLabel()
-		cc.emit(instr{op: opLoopReset, aux: loopID})
-		cc.bind(head)
-		cc.emit(instr{op: opLoopGuard, aux: loopID, b: cc.posIndex(n.Pos)})
+		loopID, head := cc.loopHead(n.Pos)
+		condL, exit := cc.newLabel(), cc.newLabel()
 		cc.loops = append(cc.loops, loopCtx{breakL: exit, continueL: condL})
 		cc.compileStmt(n.Body)
 		cc.loops = cc.loops[:len(cc.loops)-1]
 		cc.bind(condL)
 		cond, _ := cc.compileExpr(n.Cond)
 		cc.pending.Branch++
-		cc.jump(opJnz, cond, head)
+		cc.jump(opJz, cond, exit)
+		cc.loopBack(loopID, head)
 		cc.bind(exit)
 	case *glsl.ReturnStmt:
 		if site := cc.inl; site != nil {
@@ -730,8 +813,7 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 			r, _ := cc.compileExpr(n.X)
 			cc.emit(instr{op: opMov, dst: cc.fn.retBase, a: r, n: cc.fn.retSize})
 		}
-		cc.flushStats()
-		cc.emit(instr{op: opRet})
+		cc.emit(instr{op: opRet, n: cc.takeStats()})
 	case *glsl.BreakStmt:
 		if len(cc.loops) == 0 {
 			cc.fail(n.NodePos(), "break outside loop")
@@ -743,8 +825,7 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		}
 		cc.jump(opJmp, 0, cc.loops[len(cc.loops)-1].continueL)
 	case *glsl.DiscardStmt:
-		cc.flushStats()
-		cc.emit(instr{op: opDiscard})
+		cc.emit(instr{op: opDiscard, n: cc.takeStats()})
 	default:
 		cc.fail(s.NodePos(), "unknown statement %T", s)
 	}
@@ -752,11 +833,13 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 
 // ---- Expressions ----
 
-// hasSideEffects reports whether evaluating e can mutate program state
-// (assignments, increments, or user function calls, which may write
-// globals and out parameters). Used to decide when an operand read from
-// variable storage must be materialized before a sibling runs.
-func hasSideEffects(e glsl.Expr) bool {
+// hasSideEffects reports whether evaluating e can mutate variable storage
+// (assignments, increments, or calls to user functions that write a
+// global, a builtin or an out parameter). Used to decide when an operand
+// read from variable storage must be materialized before a sibling runs.
+// A pure callee writes only its own static frame and scratch, which no
+// caller's variable shares: GLSL ES has no recursion.
+func (cc *compiler) hasSideEffects(e glsl.Expr) bool {
 	return anyNode(e, func(n glsl.Node) bool {
 		switch n := n.(type) {
 		case *glsl.AssignExpr:
@@ -764,7 +847,11 @@ func hasSideEffects(e glsl.Expr) bool {
 		case *glsl.UnaryExpr:
 			return n.Op == glsl.TokInc || n.Op == glsl.TokDec
 		case *glsl.CallExpr:
-			return n.Kind == glsl.CallUser
+			if n.Kind != glsl.CallUser {
+				return false
+			}
+			fi := cc.frames[n.Func]
+			return fi == nil || !fi.pure
 		}
 		return false
 	})
@@ -874,7 +961,7 @@ func (cc *compiler) compileField(n *glsl.FieldExpr) (int32, bool) {
 func (cc *compiler) compileIndex(n *glsl.IndexExpr) (int32, bool) {
 	x, xdir := cc.compileExpr(n.X)
 	xt := n.X.Type()
-	if xdir && hasSideEffects(n.Index) {
+	if xdir && cc.hasSideEffects(n.Index) {
 		// The interpreter evaluates x to a value before the index runs.
 		x = cc.materialize(x, true, flatSize(xt))
 		xdir = false
@@ -1029,7 +1116,7 @@ func (cc *compiler) compileBinary(n *glsl.BinaryExpr) (int32, bool) {
 		return out, false
 	}
 	x, xdir := cc.compileExpr(n.X)
-	if xdir && hasSideEffects(n.Y) {
+	if xdir && cc.hasSideEffects(n.Y) {
 		x = cc.materialize(x, true, flatSize(n.X.Type()))
 	}
 	y, _ := cc.compileExpr(n.Y)
@@ -1276,7 +1363,7 @@ func (cc *compiler) compileAssign(n *glsl.AssignExpr) (int32, bool) {
 	rhs, rhsDir := cc.compileExpr(n.RHS)
 	// The interpreter evaluates the RHS to a value before resolving the
 	// destination; materialize it if resolving the LHS can mutate state.
-	if rhsDir && hasSideEffects(n.LHS) {
+	if rhsDir && cc.hasSideEffects(n.LHS) {
 		rhs = cc.materialize(rhs, true, flatSize(n.RHS.Type()))
 		rhsDir = false
 	}
@@ -1335,7 +1422,7 @@ func (cc *compiler) compileArgs(args []glsl.Expr) []int32 {
 		r, dir := cc.compileExpr(a)
 		if dir {
 			for _, later := range args[i+1:] {
-				if hasSideEffects(later) {
+				if cc.hasSideEffects(later) {
 					r = cc.materialize(r, true, flatSize(a.Type()))
 					break
 				}
@@ -1442,8 +1529,7 @@ func (cc *compiler) compileUserCall(n *glsl.CallExpr) (int32, bool) {
 		cc.writeBack(n, fi)
 		return ret, false
 	}
-	cc.flushStats()
-	cc.emit(instr{op: opCall, aux: fi.index})
+	cc.emit(instr{op: opCall, n: cc.takeStats(), aux: fi.index})
 	// A discard in the callee's own body unwinds exactly one level in the
 	// interpreter: this call's out/inout writebacks (and their Stats) still
 	// run, then the invocation aborts. Capture the flag, run the epilogue,
@@ -1461,8 +1547,7 @@ func (cc *compiler) compileUserCall(n *glsl.CallExpr) (int32, bool) {
 	}
 	cc.writeBack(n, fi)
 	if fi.discards {
-		cc.flushStats()
-		cc.emit(instr{op: opDiscardHalt, a: dflag})
+		cc.emit(instr{op: opDiscardHalt, a: dflag, n: cc.takeStats()})
 	}
 	return ret, false
 }
@@ -1497,7 +1582,7 @@ func (cc *compiler) passArgs(n *glsl.CallExpr, fi *funcInfo) []int32 {
 		r, dir := cc.compileExpr(a)
 		if dir {
 			for _, later := range n.Args[i+1:] {
-				if hasSideEffects(later) {
+				if cc.hasSideEffects(later) {
 					r, dir = cc.materialize(r, true, psize), false
 					break
 				}

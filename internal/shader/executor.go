@@ -111,9 +111,6 @@ func anyComponentNonZero(v Value) bool {
 
 // ---- VM (bytecode) implementation ----
 
-// StatsRef returns the VM's counters.
-func (vm *VM) StatsRef() *Stats { return &vm.Stats }
-
 // ReadGlobalFlat copies a global's registers out.
 func (vm *VM) ReadGlobalFlat(d *glsl.VarDecl, out []float32) {
 	off := vm.c.globalOff[d.Slot]

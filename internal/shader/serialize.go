@@ -26,7 +26,7 @@ import (
 // BinaryFormatVersion identifies the Compiled wire format. Bump it whenever
 // the instruction set, the Stats layout, or any serialized structure
 // changes shape; stale blobs then unmarshal to ErrBinaryVersion.
-const BinaryFormatVersion = 2
+const BinaryFormatVersion = 3
 
 var binaryMagic = [4]byte{'G', 'C', 'P', 'B'}
 
@@ -156,6 +156,7 @@ func (c *Compiled) MarshalBinary() ([]byte, error) {
 		for _, r := range d.writes() {
 			w.i32(r[0])
 		}
+		w.i32(d.fwd)
 		w.f32(d.kv)
 		w.f32(d.cv)
 		if d.sub {
@@ -186,7 +187,6 @@ func (c *Compiled) MarshalBinary() ([]byte, error) {
 	for _, fi := range c.funcs {
 		w.i32(fi.entry)
 	}
-	w.i32(c.nloops)
 	return w.buf, nil
 }
 
@@ -437,11 +437,11 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 		b.an = r.i32()
 		b.dim = r.i32()
 	}
-	ntd := r.count(41)
+	ntd := r.count(45)
 	c.texDecodes = make([]texDecode, ntd)
 	for i := 0; i < ntd; i++ {
 		d := &c.texDecodes[i]
-		for _, p := range []*int32{&d.tex, &d.k, &d.mul, &d.c, &d.cmov, &d.splat, &d.sum, &d.out} {
+		for _, p := range []*int32{&d.tex, &d.k, &d.mul, &d.c, &d.cmov, &d.splat, &d.sum, &d.out, &d.fwd} {
 			*p = r.i32()
 		}
 		d.kv = r.f32()
@@ -471,7 +471,6 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 	for i := 0; i < nfn; i++ {
 		c.funcs[i] = &funcInfo{entry: r.i32()}
 	}
-	c.nloops = r.i32()
 	c.maxDepth = int32(nfn) + 2 // as Compile sizes it
 	if r.err != nil {
 		return nil, r.err
@@ -533,10 +532,10 @@ func (c *Compiled) validate() error {
 			return fmt.Errorf("shader: program binary: function entry %d out of range", fi.entry)
 		}
 	}
-	// NewVM sizes its loop counters from this: each loop compiles to at
-	// least a reset and a guard.
-	if c.nloops < 0 || c.nloops > ncode {
-		return fmt.Errorf("shader: program binary: %d loops in %d instructions", c.nloops, ncode)
+	// NewVM sizes its loop counters from the loop positions: each loop
+	// compiles to at least a reset and a back edge.
+	if len(c.poss) > len(c.code) {
+		return fmt.Errorf("shader: program binary: %d loops in %d instructions", len(c.poss), ncode)
 	}
 	for i := range c.builtins {
 		d := &c.builtins[i]
@@ -553,41 +552,46 @@ func (c *Compiled) validate() error {
 		}
 	}
 	for i := range c.texDecodes {
-		if c.texDecodes[i].tab == nil {
+		d := &c.texDecodes[i]
+		if d.tab == nil {
 			return fmt.Errorf("shader: program binary: texel decode %d is no codec's shape", i)
 		}
-		for _, r := range c.texDecodes[i].writes() {
+		for _, r := range d.writes() {
 			if !in(r[0], r[1]) {
 				return fmt.Errorf("shader: program binary: texel decode %d writes outside register file", i)
 			}
 		}
+		if d.fwd != -1 && !in(d.fwd, 4) {
+			return fmt.Errorf("shader: program binary: texel decode %d stores outside register file", i)
+		}
 	}
-	guarded := make(map[int32]bool) // loop ids that have their guard
+	// Loop structure. Compile resets each loop's counter once, just before
+	// the loop's head, and gives the loop one back edge, to that head,
+	// which runs the runaway guard; every other jump is forward. A reset
+	// anywhere else could restart a loop from inside it, and any other
+	// backward jump could spin without a guard.
+	resets := make(map[int32]bool)
+	backs := make(map[int32]bool)
 	for pc := range c.code {
 		op := &c.code[pc]
 		if err := c.checkTables(op, ncode); err != nil {
 			return err
 		}
-		switch op.op {
-		case opLoopGuard:
-			if guarded[op.aux] {
-				return fmt.Errorf("shader: program binary: loop %d has two guards", op.aux)
+		switch {
+		case op.op == opLoopReset:
+			if resets[op.aux] {
+				return fmt.Errorf("shader: program binary: loop %d has two resets", op.aux)
 			}
-			guarded[op.aux] = true
-		case opLoopReset:
-			// Compile resets a loop's counter once, just before its guard;
-			// a reset anywhere else could restart a loop from inside it.
-			next := pc + 1
-			for next < len(c.code) && c.code[next].op == opStats {
-				next++
+			resets[op.aux] = true
+		case op.op == opLoopBack || op.op == opLoopStep:
+			if backs[op.b] {
+				return fmt.Errorf("shader: program binary: loop %d has two back edges", op.b)
 			}
-			if next == len(c.code) || c.code[next].op != opLoopGuard || c.code[next].aux != op.aux {
-				return fmt.Errorf("shader: program binary: loop %d reset at %d does not precede its guard", op.aux, pc)
+			backs[op.b] = true
+			if op.aux < 1 || op.aux > int32(pc) || c.code[op.aux-1].op != opLoopReset || c.code[op.aux-1].aux != op.b {
+				return fmt.Errorf("shader: program binary: back edge at %d does not return to the head of loop %d", pc, op.b)
 			}
-		}
-		if (op.op == opJmp || op.op == opJz || op.op == opJnz) && op.aux <= int32(pc) && c.code[op.aux].op != opLoopGuard {
-			// Compile's only backward jumps are loop back edges, to the
-			// loop's guard; any other could spin without a guard.
+		case branches(op.op) && op.aux <= int32(pc):
 			return fmt.Errorf("shader: program binary: backward jump at %d bypasses a loop guard", pc)
 		}
 		dst, a, b, cc, ok := opSpans(op)
@@ -597,14 +601,15 @@ func (c *Compiled) validate() error {
 		if !in(op.dst, dst) || !in(op.a, a) || !in(op.b, b) || !in(op.c, cc) {
 			return fmt.Errorf("shader: program binary: instruction %d (opcode %d) reaches outside register file", pc, op.op)
 		}
-		if op.op == opMulAdd {
-			// The add's other operand is packed beside the flag bits.
+		if op.op == opMulAdd || op.op == opMulAcc {
+			// The add's other operand is packed beside the flag bits;
+			// opMulAcc also stores the sum there.
 			n := op.n
-			if op.aux&(1<<4) != 0 && op.aux&(2<<2) != 0 || op.aux&(1<<4) == 0 && op.aux&(1<<2) != 0 {
+			if op.op == opMulAdd && (op.aux&(1<<4) != 0 && op.aux&(2<<2) != 0 || op.aux&(1<<4) == 0 && op.aux&(1<<2) != 0) {
 				n = 1
 			}
 			if !in(op.aux>>5, n) {
-				return fmt.Errorf("shader: program binary: instruction %d (opMulAdd) reaches outside register file", pc)
+				return fmt.Errorf("shader: program binary: instruction %d (opcode %d) reaches outside register file", pc, op.op)
 			}
 		}
 	}
@@ -617,8 +622,12 @@ func terminates(op opcode) bool {
 }
 
 // checkTables checks the table index or jump target an instruction
-// carries in aux (and opLoopGuard's position index).
+// carries in aux, the stats index of a control transfer, and a back
+// edge's loop id.
 func (c *Compiled) checkTables(in *instr, ncode int32) error {
+	if endsRegion(in.op) && (in.n < 0 || int(in.n) >= len(c.stats)) {
+		return fmt.Errorf("shader: program binary: opcode %d counts stats entry %d of %d", in.op, in.n, len(c.stats))
+	}
 	var n int
 	switch in.op {
 	case opStats:
@@ -628,21 +637,20 @@ func (c *Compiled) checkTables(in *instr, ncode int32) error {
 	case opBuiltin:
 		n = len(c.builtins)
 	case opLoopReset:
-		n = int(c.nloops)
-	case opLoopGuard:
-		n = int(c.nloops)
-		if in.b < 0 || int(in.b) >= len(c.poss) {
-			return fmt.Errorf("shader: program binary: loop guard references position %d of %d", in.b, len(c.poss))
-		}
+		n = len(c.poss)
 	case opTexDecode:
 		n = len(c.texDecodes)
 		if in.aux >= 0 && int(in.aux) < n && in.dst != c.texDecodes[in.aux].out {
 			return fmt.Errorf("shader: program binary: texel decode result %d disagrees with its entry", in.dst)
 		}
-	case opJmp, opJz, opJnz:
-		n = int(ncode)
 	default:
-		return nil
+		if !branches(in.op) {
+			return nil
+		}
+		if (in.op == opLoopBack || in.op == opLoopStep) && (in.b < 0 || int(in.b) >= len(c.poss)) {
+			return fmt.Errorf("shader: program binary: back edge of loop %d of %d", in.b, len(c.poss))
+		}
+		n = int(ncode)
 	}
 	if in.aux < 0 || int(in.aux) >= n {
 		return fmt.Errorf("shader: program binary: opcode %d references entry %d of %d", in.op, in.aux, n)
@@ -715,9 +723,16 @@ func opSpans(in *instr) (dst, a, b, c int32, ok bool) {
 		return n
 	}
 	switch in.op {
-	case opNop, opStats, opJmp, opCall, opRet, opDiscard, opLoopReset, opLoopGuard, opBuiltin:
+	case opNop, opStats, opJmp, opCall, opRet, opDiscard, opLoopReset, opLoopBack, opBuiltin:
 	case opJz, opJnz, opDiscardHalt:
 		a = 1
+	case opBrLt, opBrLe, opBrGt, opBrGe:
+		dst, a, b = 1, 1, 1
+		if in.c >= 0 {
+			c = 1
+		}
+	case opLoopStep:
+		dst, a, c = 1, 1, 1
 	case opLoadImm, opDiscardTake:
 		dst = 1
 	case opZero:
@@ -743,9 +758,11 @@ func opSpans(in *instr) (dst, a, b, c int32, ok bool) {
 		dst, a = 1, 1
 	case opAdd, opSub, opMul, opDivF, opDivI, opBMod, opBMin, opBMax, opBStep:
 		dst, a, b = n, bc(1), bc(2)
+	case opAddMov:
+		dst, a, b, c = n, bc(1), bc(2), n
 	case opMulImm, opAddImm:
 		dst, a, b, c = n, bc(1), bc(2), 1
-	case opMulAdd:
+	case opMulAdd, opMulAcc:
 		dst, a, b, c = n, bc(1), bc(2), n
 	case opBClamp:
 		dst, a, b, c = n, n, bc(1), bc(2)

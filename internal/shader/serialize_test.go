@@ -6,9 +6,9 @@ import (
 )
 
 // TestProgramBinaryRejectsBadOperands patches one register operand, table
-// reference or decode shape of a valid program at a time and requires
-// UnmarshalCompiled to reject the blob: a VM running it would index
-// outside its register file or tables mid-draw.
+// reference, decode shape or loop link of a valid program at a time and
+// requires UnmarshalCompiled to reject the blob: a VM running it would
+// index outside its register file or tables mid-draw, or loop unguarded.
 func TestProgramBinaryRejectsBadOperands(t *testing.T) {
 	c := compileFrag(t, `
 precision highp float;
@@ -17,11 +17,17 @@ varying vec2 v_uv;
 vec4 dec(vec4 t) { return floor(t * 255.0 - vec4(127.5)); }
 void main() {
 	vec4 x = dec(texture2D(u_a, v_uv));
+	vec4 acc = vec4(0.0);
+	vec2 st = v_uv;
+	for (float k = 0.0; k < 4.0; k += 1.0) {
+		acc += x.x * dec(texture2D(u_a, st));
+		st.x += x.y;
+	}
 	if (x.x > 0.0) { x.y = 1.0; }
-	gl_FragColor = vec4(sin(x.x), x.yzw) / 255.0;
+	gl_FragColor = vec4(sin(x.x), x.yzw) / 255.0 + acc;
 }`)
-	if len(c.texDecodes) == 0 || len(c.builtins) == 0 {
-		t.Fatal("program has no fused decode or builtin descriptor to patch")
+	if len(c.texDecodes) == 0 || len(c.builtins) == 0 || c.texDecodes[0].fwd < 0 {
+		t.Fatal("program has no forwarded decode or builtin descriptor to patch")
 	}
 	blob, err := c.MarshalBinary()
 	if err != nil {
@@ -55,7 +61,21 @@ void main() {
 		{"builtin arity", func(p *Compiled) { p.builtins[0].nargs = 4 }},
 		{"component count", func(p *Compiled) { p.code[firstOf(opMov)].n = -1 }},
 		{"unknown opcode", func(p *Compiled) { p.code[0].op = 99 }},
-		{"jump past the end", func(p *Compiled) { p.code[firstOf(opJz)].aux = int32(len(p.code)) }},
+		{"jump past the end", func(p *Compiled) { p.code[firstOf(opBrGt)].aux = int32(len(p.code)) }},
+		{"backward jump", func(p *Compiled) { p.code[firstOf(opBrGt)].aux = 0 }},
+		{"branch stats entry", func(p *Compiled) { p.code[firstOf(opBrGt)].n = int32(len(p.stats)) }},
+		{"return stats entry", func(p *Compiled) { p.code[firstOf(opRet)].n = -1 }},
+		{"stats entry", func(p *Compiled) { p.code[firstOf(opStats)].aux = int32(len(p.stats)) }},
+		{"compare immediate register", func(p *Compiled) { p.code[firstOf(opBrLt)].c = p.nregs }},
+		{"compare result register", func(p *Compiled) { p.code[firstOf(opBrLt)].dst = -2 }},
+		{"forward register", func(p *Compiled) { p.code[firstOf(opAddMov)].c = p.nregs }},
+		{"accumulator", func(p *Compiled) { p.code[firstOf(opMulAcc)].aux |= (p.nregs - 2) << 5 }},
+		{"decode forward register", func(p *Compiled) { p.texDecodes[0].fwd = p.nregs - 3 }},
+		{"loop step register", func(p *Compiled) { p.code[firstOf(opLoopStep)].a = p.nregs }},
+		{"back edge loop", func(p *Compiled) { p.code[firstOf(opLoopStep)].b = int32(len(p.poss)) }},
+		{"back edge stats entry", func(p *Compiled) { p.code[firstOf(opLoopStep)].n = int32(len(p.stats)) }},
+		{"back edge past its head", func(p *Compiled) { p.code[firstOf(opLoopStep)].aux++ }},
+		{"second reset", func(p *Compiled) { p.code[firstOf(opLoopStep)-1] = p.code[firstOf(opLoopReset)] }},
 		{"entry past the end", func(p *Compiled) { p.mainEntry = int32(len(p.code)) }},
 		{"mutated range outside globals", func(p *Compiled) { p.mutatedRanges = append(p.mutatedRanges, [2]int32{0, 1}) }},
 		{"builtin slot", func(p *Compiled) { p.builtinOff[0] = p.nregs - 1 }},

@@ -32,12 +32,23 @@ package shader
 //     the same float32 operations; otherwise the op samples through
 //     Sample2D and does the arithmetic inline.
 //
+//  4. Loop-step fusion (same compaction): a compare and the opJz that
+//     tests it, with the opLoadImm of a compared constant, become one
+//     compare-and-branch (opBrLt..opBrGe); v += K before a loop's back
+//     edge folds into it (opLoopStep); and the move that stores a
+//     result into its variable folds into the op that produced it
+//     (opAddMov, opMulAcc, opTexDecode's fwd).
+//
 // Correctness contract (same as compile.go): the rewritten program must be
 // bit-identical to the generic stream in both outputs and Stats.
 //
-//   - Stats are untouched: the opStats flush tables are compile-time
-//     folded and no opStats instruction is ever fused or moved relative
-//     to its basic block.
+//   - Stats are untouched: Compile folds each straight-line region's
+//     counts into one table entry, and the op that ends a region counts
+//     it (the control transfer's n, or an opStats before a jump target).
+//     A fused op that ends in a branch counts the region its opJz or
+//     back edge counted, and every other fused run lies inside one
+//     region, so no count moves to another region. An opStats is never
+//     fused.
 //   - Builtin destination registers never alias their argument registers
 //     (the destination temp is allocated after every argument is
 //     evaluated, and scratch temps grow monotonically within a
@@ -55,6 +66,12 @@ package shader
 //     K's register, the product, C's register, its moved copy, the splat,
 //     the sum and the floor), and only fuses a run whose written ranges
 //     are pairwise disjoint, so the order of its writes cannot matter.
+//   - The loop-step fusions also write every register their run writes:
+//     the immediate, the compare's result, the temporary a forwarded
+//     result was computed in. A forwarded result is copied after all of
+//     it is computed, as the move did, and a forward whose target
+//     partially overlaps the result is refused (the copy is component by
+//     component, the move a memmove).
 //   - A run is only fused when none of its instructions but the first is
 //     a jump target (including opCall return addresses at pc+1), so
 //     control can never enter the middle of a superinstruction.
@@ -80,7 +97,30 @@ const (
 	opAddImm                        // regs[c] = imm; then opAdd dst,a,b
 	opMulAdd                        // regs[c+i] = a*b; regs[dst+i] = sum with packed operand (see exec)
 	opTexDecode                     // dst..dst+3 = floor(texel(unit=regs[a], regs[b], regs[b+1]) * K ± C); aux = texDecodes index
+	opAddMov                        // opAdd; then regs[c:c+n] = regs[dst:dst+n]
+	opMulAcc                        // opMulAdd; then the sum is stored back into the packed operand (acc += a*b)
+	opBrLt                          // [regs[c] = imm if c >= 0]; regs[dst] = regs[a] < regs[b]; count entry n; if false: pc = aux
+	opBrLe                          // as opBrLt with <=
+	opBrGt                          // as opBrLt with >
+	opBrGe                          // as opBrLt with >=
+	opLoopStep                      // regs[c] = imm; regs[dst] = regs[a] + regs[c]; regs[a] = regs[dst]; then opLoopBack
 )
+
+// endsRegion reports whether op counts the stats region it ends (the
+// table index in n).
+func endsRegion(op opcode) bool {
+	return branches(op) || op == opCall || op == opRet || op == opDiscard || op == opDiscardHalt
+}
+
+// branches reports whether op transfers control to aux (the ops jumps
+// retarget, and whose aux a jump target validation reads).
+func branches(op opcode) bool {
+	switch op {
+	case opJmp, opJz, opJnz, opLoopBack, opBrLt, opBrLe, opBrGt, opBrGe, opLoopStep:
+		return true
+	}
+	return false
+}
 
 // specialize rewrites c.code in place after Compile. It never changes
 // observable behaviour; it only collapses dispatch.
@@ -199,20 +239,150 @@ func jumpTargets(c *Compiled) []bool {
 		t[fi.entry] = true
 	}
 	for pc, in := range c.code {
-		switch in.op {
-		case opJmp, opJz, opJnz:
+		switch {
+		case branches(in.op):
 			t[in.aux] = true
-		case opCall:
+		case in.op == opCall:
 			t[int32(pc)+1] = true
 		}
 	}
 	return t
 }
 
-// fuseAt returns the superinstruction replacing code[pc] and code[pc+1],
-// or ok=false when the pair does not fuse.
-func fuseAt(code []instr, pc int) (instr, bool) {
-	in1, in2 := &code[pc], &code[pc+1]
+// fuseAt returns the superinstruction replacing the n instructions from
+// code[pc], or n = 0 when none fuses there. Longer runs are tried first.
+func fuseAt(c *Compiled, code []instr, targets []bool, pc int) (instr, int) {
+	run := func(n int) []instr {
+		if !straight(targets, pc, n) {
+			return nil
+		}
+		return code[pc : pc+n]
+	}
+	// The longer runs start with a fetch or an immediate: look at the
+	// opcode before walking the jump targets (this runs at every pc).
+	switch code[pc].op {
+	case opTex2D:
+		if r := run(texDecodeLen); r != nil {
+			if d, ok := texDecodeAt(r); ok {
+				n := texDecodeLen
+				if r := run(n + 1); r != nil {
+					if to, ok := forwardTo(&r[n], d.out, 4); ok {
+						d.fwd, n = to, n+1
+					}
+				}
+				c.texDecodes = append(c.texDecodes, d)
+				return instr{op: opTexDecode, dst: d.out, a: r[0].a, b: r[0].b, aux: int32(len(c.texDecodes) - 1)}, n
+			}
+		}
+	case opLoadImm:
+		if r := run(4); r != nil {
+			if f, ok := loopStepAt(r); ok {
+				return f, 4
+			}
+		}
+		if r := run(3); r != nil {
+			if f, ok := branchAt(r[1:], &r[0]); ok {
+				return f, 3
+			}
+		}
+	}
+	r := run(2)
+	if r == nil {
+		return instr{}, 0
+	}
+	if f, ok := branchAt(r, nil); ok {
+		return f, 2
+	}
+	if f, ok := pairAt(&r[0], &r[1]); ok {
+		if f.op == opMulAdd {
+			// acc += a*b: the sum's move back into the add's other operand
+			// folds in too.
+			if r := run(3); r != nil {
+				if to, ok := forwardTo(&r[2], f.dst, f.n); ok && to == f.aux>>5 {
+					f.op = opMulAcc
+					return f, 3
+				}
+			}
+		}
+		return f, 2
+	}
+	if r[0].op == opAdd {
+		if to, ok := forwardTo(&r[1], r[0].dst, r[0].n); ok {
+			f := r[0]
+			f.op, f.c = opAddMov, to
+			return f, 2
+		}
+	}
+	return instr{}, 0
+}
+
+// forwardTo reports where m copies the n registers at src, when m is the
+// move that stores a statement's result into its variable: an opMov of
+// exactly that range, or a one-component opSwizStore (v.x = ...).
+func forwardTo(m *instr, src, n int32) (int32, bool) {
+	var to int32
+	switch {
+	case m.op == opMov && m.a == src && m.n == n:
+		to = m.dst
+	case m.op == opSwizStore && m.a == src && m.n == 1 && n == 1:
+		to = m.dst + m.aux&0xf
+	default:
+		return 0, false
+	}
+	// The fused op copies component by component, the move as a memmove:
+	// they agree unless the two ranges partially overlap.
+	if to != src && rangesOverlap(to, n, src, n) {
+		return 0, false
+	}
+	return to, true
+}
+
+// branchAt fuses a compare and the opJz that tests it, and the opLoadImm
+// before them (ld, or nil) that loads one of the compared operands, into
+// one compare-and-branch. The fused op writes the immediate and the
+// compare's result like the run, and counts the opJz's region.
+func branchAt(r []instr, ld *instr) (instr, bool) {
+	cmp, jz := &r[0], &r[1]
+	var op opcode
+	switch cmp.op {
+	case opLt:
+		op = opBrLt
+	case opLe:
+		op = opBrLe
+	case opGt:
+		op = opBrGt
+	case opGe:
+		op = opBrGe
+	default:
+		return instr{}, false
+	}
+	if jz.op != opJz || jz.a != cmp.dst {
+		return instr{}, false
+	}
+	f := instr{op: op, dst: cmp.dst, a: cmp.a, b: cmp.b, c: -1, n: jz.n, aux: jz.aux}
+	if ld != nil {
+		if ld.op != opLoadImm || ld.dst != cmp.a && ld.dst != cmp.b {
+			return instr{}, false
+		}
+		f.c, f.imm = ld.dst, ld.imm
+	}
+	return f, true
+}
+
+// loopStepAt fuses a loop's back edge with the increment before it,
+// v += K compiled as opLoadImm k = K; opAdd t = v + k; opMov v = t.
+func loopStepAt(r []instr) (instr, bool) {
+	ld, add, mov, back := &r[0], &r[1], &r[2], &r[3]
+	if ld.op != opLoadImm || add.op != opAdd || add.n != 1 || add.aux != 0 || add.b != ld.dst ||
+		mov.op != opMov || mov.n != 1 || mov.a != add.dst || mov.dst != add.a || back.op != opLoopBack {
+		return instr{}, false
+	}
+	return instr{op: opLoopStep, dst: add.dst, a: add.a, b: back.b, c: ld.dst, n: back.n, aux: back.aux, imm: ld.imm}, true
+}
+
+// pairAt returns the superinstruction replacing the pair in1, in2, or
+// ok=false when the pair does not fuse.
+func pairAt(in1, in2 *instr) (instr, bool) {
 	switch {
 	case in1.op == opLoadImm && (in2.op == opMul || in2.op == opAdd):
 		// The immediate's register keeps its store (liveness is unknown),
@@ -304,20 +474,7 @@ func fuseRuns(c *Compiled) {
 	oldToNew := make([]int32, len(old)+1)
 	for pc := 0; pc < len(old); pc++ {
 		oldToNew[pc] = int32(len(newCode))
-		n := 0
-		var fused instr
-		if old[pc].op == opTex2D && straight(targets, pc, texDecodeLen) {
-			if d, ok := texDecodeAt(old[pc : pc+texDecodeLen]); ok {
-				fused = instr{op: opTexDecode, dst: d.out, a: old[pc].a, b: old[pc].b, aux: int32(len(c.texDecodes))}
-				c.texDecodes = append(c.texDecodes, d)
-				n = texDecodeLen
-			}
-		}
-		if n == 0 && straight(targets, pc, 2) {
-			if f, ok := fuseAt(old, pc); ok {
-				fused, n = f, 2
-			}
-		}
+		fused, n := fuseAt(c, old, targets, pc)
 		if n == 0 {
 			newCode = append(newCode, old[pc])
 			continue
@@ -332,8 +489,7 @@ func fuseRuns(c *Compiled) {
 
 	// Retarget control flow over the compacted stream.
 	for i := range newCode {
-		switch newCode[i].op {
-		case opJmp, opJz, opJnz:
+		if branches(newCode[i].op) {
 			newCode[i].aux = oldToNew[newCode[i].aux]
 		}
 	}
@@ -362,9 +518,11 @@ const texDecodeLen = 8
 
 // texDecode is the side entry of one opTexDecode site: the base of every
 // register range the run writes (out is also the instruction's dst), and
-// its constants.
+// its constants. fwd is the variable the decoded vec4 is then stored in
+// (vec4 x = decode(...)), or -1.
 type texDecode struct {
 	tex, k, mul, c, cmov, splat, sum, out int32
+	fwd                                   int32
 	kv, cv                                float32
 	sub                                   bool
 	tab                                   *decodeTable // the shape's table
@@ -385,7 +543,7 @@ func texDecodeAt(run []instr) (texDecode, bool) {
 		return texDecode{}, false
 	}
 	d := texDecode{
-		tex: tex.dst, k: ld.dst, mul: mul.dst, c: lc.dst, cmov: mov.dst, splat: spl.dst, sum: sum.dst, out: fl.dst,
+		tex: tex.dst, k: ld.dst, mul: mul.dst, c: lc.dst, cmov: mov.dst, splat: spl.dst, sum: sum.dst, out: fl.dst, fwd: -1,
 		kv: ld.imm, cv: lc.imm, sub: sum.op == opSub,
 	}
 	d.tab = decodeTables[decodeShape{d.kv, d.cv, d.sub}]

@@ -83,6 +83,56 @@ void main() {
 	if opCount(c, opMulAdd) == 0 {
 		t.Error("no opMulAdd: mul+add chains not fused")
 	}
+
+	// A loop's step: its bound tests become compare-and-branches, its
+	// increment folds into the back edge, and each statement's result
+	// move folds into the op that produced it.
+	src := `
+precision highp float;
+uniform sampler2D u_a;
+uniform float u_n;
+varying vec2 v_uv;
+vec4 dec(vec4 t) { return floor(t * 255.0 - vec4(127.5)); }
+void main() {
+	vec4 acc = vec4(0.0);
+	vec2 st = v_uv;
+	float s = 0.0;
+	for (float k = 0.0; k < 64.0; k += 1.0) {
+		if (k >= u_n) { break; }
+		vec4 x = dec(texture2D(u_a, st));
+		acc += x.y * x;
+		st.x += v_uv.y;
+		st.y += st.x;
+		s = s + x.z;
+	}
+	for (int i = 0; i < 3; i++) { s += float(i); }
+	gl_FragColor = acc / 4096.0 + vec4(s / 4096.0);
+}`
+	c = compileFrag(t, src)
+	for _, tc := range []struct {
+		name string
+		op   opcode
+	}{
+		{"bound test with its immediate", opBrLt}, {"bound test on a uniform", opBrGe},
+		{"increment and back edge", opLoopStep}, {"back edge after i++", opLoopBack},
+		{"acc += a*b", opMulAcc}, {"add into a variable", opAddMov},
+	} {
+		if opCount(c, tc.op) == 0 {
+			t.Errorf("%s: not fused", tc.name)
+		}
+	}
+	for pc, in := range c.code {
+		if in.op == opBrLt && in.c < 0 || in.op == opBrGe && in.c >= 0 {
+			t.Errorf("compare-and-branch at %d: immediate register %d", pc, in.c)
+		}
+	}
+	if len(c.texDecodes) != 1 || c.texDecodes[0].fwd < 0 {
+		t.Error("the decoded vec4's move into its variable is not folded")
+	}
+	if trips := c.LoopTrips(); len(trips) != 2 || trips[0].Stats != 0 {
+		t.Errorf("loop trips %+v, want two, the first counting no opStats", trips)
+	}
+	runDifferential(t, compileSrc(t, src, glsl.StageFragment), 24)
 }
 
 // TestSpecializeJumpSoundness compiles control-flow-heavy shaders whose

@@ -38,6 +38,23 @@ func (s *Stats) AddStats(o *Stats) {
 	s.Invocations += o.Invocations
 }
 
+// AddScaled accumulates k copies of o into s: the counts of a region that
+// ran k times.
+func (s *Stats) AddScaled(o *Stats, k uint64) {
+	s.Add += o.Add * k
+	s.Mul += o.Mul * k
+	s.Div += o.Div * k
+	s.Cmp += o.Cmp * k
+	s.Logic += o.Logic * k
+	s.Mov += o.Mov * k
+	s.Select += o.Select * k
+	s.SFU += o.SFU * k
+	s.Tex += o.Tex * k
+	s.Branch += o.Branch * k
+	s.Call += o.Call * k
+	s.Invocations += o.Invocations * k
+}
+
 // Sub removes o from s: the work counted between two snapshots.
 func (s *Stats) Sub(o *Stats) {
 	s.Add -= o.Add

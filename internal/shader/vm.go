@@ -5,7 +5,9 @@ package shader
 // it does for the interpreter); Run executes main() with zero heap
 // allocation per invocation. All arithmetic reproduces the interpreter in
 // eval.go/builtins_exec.go bit-for-bit — the differential tests in
-// vm_test.go and internal/paper enforce it.
+// vm_test.go and internal/paper enforce it. Stats are counted per region,
+// not per operation: the op that ends a straight-line region bumps that
+// region's count, and StatsRef folds the counts into Stats (compile.go).
 
 import (
 	"math"
@@ -19,10 +21,15 @@ import (
 type VM struct {
 	Textures TextureSampler
 	SFU      SFUConfig
-	Stats    Stats
 
 	// MaxLoopIter guards against runaway shaders, like Exec.MaxLoopIter.
 	MaxLoopIter int
+
+	// stats holds the counters folded so far; hits counts, by stats-table
+	// index, the regions run since the last fold. Only StatsRef reads
+	// stats, and it folds first.
+	stats Stats
+	hits  []uint64
 
 	c         *Compiled
 	regs      []float32
@@ -45,9 +52,10 @@ func NewVM(c *Compiled, tex TextureSampler, sfu SFUConfig) *VM {
 		Textures:  tex,
 		SFU:       sfu,
 		c:         c,
+		hits:      make([]uint64, len(c.stats)),
 		regs:      make([]float32, c.nregs),
 		callStack: make([]int32, c.maxDepth),
-		loopIters: make([]int, c.nloops),
+		loopIters: make([]int, len(c.poss)),
 	}
 	// Builtin register defaults, mirroring NewExec.
 	if c.Prog.Stage == glsl.StageVertex {
@@ -66,6 +74,19 @@ func (vm *VM) loopLimit() int {
 		return vm.MaxLoopIter
 	}
 	return DefaultMaxLoopIter
+}
+
+// StatsRef folds the regions run since the last call into the VM's
+// counters (each region's Stats delta times its count) and returns them.
+// The draw loop calls it once per worker per draw.
+func (vm *VM) StatsRef() *Stats {
+	for i, h := range vm.hits {
+		if h != 0 {
+			vm.stats.AddScaled(&vm.c.stats[i], h)
+			vm.hits[i] = 0
+		}
+	}
+	return &vm.stats
 }
 
 // InitGlobals runs the file-scope initializer segment and snapshots global
@@ -107,13 +128,15 @@ func (vm *VM) Run() (bool, error) {
 			copy(vm.regs[off:off+n], vm.snap[off-vm.c.globalBase:off-vm.c.globalBase+n])
 		}
 	}
-	vm.Stats.Invocations++
+	vm.stats.Invocations++
 	return vm.exec(vm.c.mainEntry)
 }
 
 func (vm *VM) exec(entry int32) (bool, error) {
 	code := vm.c.code
 	regs := vm.regs
+	hits := vm.hits
+	limit := vm.loopLimit()
 	pc := entry
 	sp := 0
 	vm.discarding = false
@@ -122,21 +145,25 @@ func (vm *VM) exec(entry int32) (bool, error) {
 		switch in.op {
 		case opNop:
 		case opStats:
-			vm.Stats.AddStats(&vm.c.stats[in.aux])
+			hits[in.aux]++
 		case opJmp:
+			hits[in.n]++
 			pc = in.aux
 			continue
 		case opJz:
+			hits[in.n]++
 			if regs[in.a] == 0 {
 				pc = in.aux
 				continue
 			}
 		case opJnz:
+			hits[in.n]++
 			if regs[in.a] != 0 {
 				pc = in.aux
 				continue
 			}
 		case opCall:
+			hits[in.n]++
 			if sp == len(vm.callStack) {
 				// Only a corrupt program binary recurses (GLSL ES forbids it).
 				return false, &RuntimeError{Msg: "vm: call depth exceeds " + strconv.Itoa(sp)}
@@ -146,6 +173,7 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			pc = vm.c.funcs[in.aux].entry
 			continue
 		case opRet:
+			hits[in.n]++
 			if sp == 0 {
 				return false, nil
 			}
@@ -156,6 +184,7 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			// Discard in main finishes immediately; in a callee it unwinds
 			// one level so the call site's writeback epilogue (and its
 			// Stats) still runs, like the interpreter's ctrlDiscard path.
+			hits[in.n]++
 			if sp == 0 {
 				return true, nil
 			}
@@ -167,19 +196,19 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			regs[in.dst] = b2f(vm.discarding)
 			vm.discarding = false
 		case opDiscardHalt:
+			hits[in.n]++
 			if regs[in.a] != 0 {
 				return true, nil
 			}
 		case opLoopReset:
 			vm.loopIters[in.aux] = 0
-		case opLoopGuard:
-			if vm.loopIters[in.aux] > vm.loopLimit() {
-				return false, &RuntimeError{
-					Pos: vm.c.poss[in.b],
-					Msg: "loop exceeded " + strconv.Itoa(vm.loopLimit()) + " iterations (runaway shader)",
-				}
+		case opLoopBack:
+			hits[in.n]++
+			if vm.loopIters[in.b]++; vm.loopIters[in.b] > limit {
+				return false, vm.runaway(in.b)
 			}
-			vm.loopIters[in.aux]++
+			pc = in.aux
+			continue
 		case opLoadImm:
 			regs[in.dst] = in.imm
 		case opZero:
@@ -187,7 +216,11 @@ func (vm *VM) exec(entry int32) (bool, error) {
 				regs[in.dst+i] = 0
 			}
 		case opMov:
-			copy(regs[in.dst:in.dst+in.n], regs[in.a:in.a+in.n])
+			if in.n == 1 {
+				regs[in.dst] = regs[in.a]
+			} else {
+				copy(regs[in.dst:in.dst+in.n], regs[in.a:in.a+in.n])
+			}
 		case opSplat:
 			v := regs[in.a]
 			for i := int32(0); i < in.n; i++ {
@@ -247,7 +280,7 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			idx := clampIndex(int(int32(regs[in.a])), limit)
 			comp := (in.aux >> (8 + 4*int32(idx))) & 0xf
 			regs[in.dst] = float32(base + comp)
-		case opAdd:
+		case opAdd, opAddMov:
 			d, x, y := in.dst, in.a, in.b
 			if in.aux == 0 {
 				for i := int32(0); i < in.n; i++ {
@@ -256,6 +289,11 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			} else {
 				for i := int32(0); i < in.n; i++ {
 					regs[d+i] = bcast(regs, x, i, in.aux&1 != 0) + bcast(regs, y, i, in.aux&2 != 0)
+				}
+			}
+			if in.op == opAddMov {
+				for i := int32(0); i < in.n; i++ {
+					regs[in.c+i] = regs[d+i]
 				}
 			}
 		case opSub:
@@ -450,7 +488,7 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			for i := int32(0); i < in.n; i++ {
 				regs[d+i] = bcast(regs, x, i, in.aux&1 != 0) + bcast(regs, y, i, in.aux&2 != 0)
 			}
-		case opMulAdd:
+		case opMulAdd, opMulAcc:
 			d, x, y, mdst := in.dst, in.a, in.b, in.c
 			maux := in.aux & 3
 			aaux := (in.aux >> 2) & 3
@@ -467,6 +505,46 @@ func (vm *VM) exec(entry int32) (bool, error) {
 					regs[d+i] = bcast(regs, other, i, aaux&1 != 0) + bcast(regs, mdst, i, aaux&2 != 0)
 				}
 			}
+			if in.op == opMulAcc {
+				// acc += a*b: the sum is stored back into the add's other
+				// operand, the accumulator.
+				for i := int32(0); i < in.n; i++ {
+					regs[other+i] = regs[d+i]
+				}
+			}
+		case opBrLt, opBrLe, opBrGt, opBrGe:
+			if in.c >= 0 {
+				regs[in.c] = in.imm
+			}
+			x, y := regs[in.a], regs[in.b]
+			var r bool
+			switch in.op {
+			case opBrLt:
+				r = x < y
+			case opBrLe:
+				r = x <= y
+			case opBrGt:
+				r = x > y
+			default:
+				r = x >= y
+			}
+			regs[in.dst] = b2f(r)
+			hits[in.n]++
+			if !r {
+				pc = in.aux
+				continue
+			}
+		case opLoopStep:
+			regs[in.c] = in.imm
+			v := regs[in.a] + regs[in.c]
+			regs[in.dst] = v
+			regs[in.a] = v
+			hits[in.n]++
+			if vm.loopIters[in.b]++; vm.loopIters[in.b] > limit {
+				return false, vm.runaway(in.b)
+			}
+			pc = in.aux
+			continue
 		case opTexDecode:
 			d := &vm.c.texDecodes[in.aux]
 			unit, s, t := int(regs[in.a]), regs[in.b], regs[in.b+1]
@@ -499,10 +577,22 @@ func (vm *VM) exec(entry int32) (bool, error) {
 					regs[d.out+j] = float32(math.Floor(float64(sum)))
 				}
 			}
+			if d.fwd >= 0 {
+				regs[d.fwd], regs[d.fwd+1], regs[d.fwd+2], regs[d.fwd+3] = regs[d.out], regs[d.out+1], regs[d.out+2], regs[d.out+3]
+			}
 		default:
 			return false, &RuntimeError{Msg: "vm: unknown opcode " + strconv.Itoa(int(in.op))}
 		}
 		pc++
+	}
+}
+
+// runaway is the error of loop id once a back edge has taken it past the
+// iteration limit, like the interpreter's per-iteration check.
+func (vm *VM) runaway(id int32) error {
+	return &RuntimeError{
+		Pos: vm.c.poss[id],
+		Msg: "loop exceeded " + strconv.Itoa(vm.loopLimit()) + " iterations (runaway shader)",
 	}
 }
 
