@@ -87,14 +87,21 @@ func fillValue(t *glsl.Type, g *lcg) Value {
 // divergence.
 func runDifferential(t *testing.T, prog *glsl.Program, invocations int) {
 	t.Helper()
+	differential(t, prog, invocations, 1<<16)
+}
+
+// differential is runDifferential with both engines' loop guard at
+// maxLoopIter.
+func differential(t *testing.T, prog *glsl.Program, invocations, maxLoopIter int) {
+	t.Helper()
 	comp, err := Compile(prog)
 	if err != nil {
 		t.Fatalf("bytecode compile failed: %v", err)
 	}
 	ex := NewExec(prog, diffSampler{}, DefaultSFU)
 	vm := NewVM(comp, diffSampler{}, DefaultSFU)
-	ex.MaxLoopIter = 1 << 16
-	vm.MaxLoopIter = 1 << 16
+	ex.MaxLoopIter = maxLoopIter
+	vm.MaxLoopIter = maxLoopIter
 	var both [2]Executor
 	both[0], both[1] = ex, vm
 
