@@ -13,24 +13,29 @@ import (
 // shapes the codecs emit: Int8x4's floor(t * 255.0 - vec4(127.5)) and
 // the byte reconstruction floor(t * 255.0 + vec4(0.5)) of Uint32. The
 // third decoder reads its texel again after the decode, so the texel the
-// fused step leaves in its register is observable too.
+// fused step leaves in its register is observable too. The fourth takes
+// the scaled texel as its argument and reads it again, so its decode
+// shape must not fuse: the fused step would leave the product unwritten.
 var texDecodeFS = "precision highp float;\n" +
 	"uniform sampler2D u_tex;\n" +
 	"uniform vec2 u_st;\n" +
 	"vec4 g_lanes;\n" +
 	"float g_word;\n" +
 	"vec4 g_keep;\n" +
+	"vec4 g_scaled;\n" +
 	codec.GLSLDecoder(codec.Int8x4, "dec_lanes") +
 	codec.GLSLDecoder(codec.Uint32, "dec_word") + `
 vec4 dec_keep(vec4 t) {
 	vec4 b = floor(t * 255.0 + vec4(0.5));
 	return b + t;
 }
+vec4 dec_scaled(vec4 p) { return floor(p - vec4(127.5)) + p; }
 void main() {
 	g_lanes = dec_lanes(texture2D(u_tex, u_st));
 	g_word = dec_word(texture2D(u_tex, u_st));
 	g_keep = dec_keep(texture2D(u_tex, u_st));
-	gl_FragColor = g_lanes / 128.0 + vec4(g_word / 4294967296.0) + g_keep / 512.0;
+	g_scaled = dec_scaled(texture2D(u_tex, u_st) * 255.0);
+	gl_FragColor = g_lanes / 128.0 + vec4(g_word / 4294967296.0) + g_keep / 512.0 + g_scaled / 1024.0;
 }
 `
 
@@ -48,8 +53,8 @@ func TestTexDecodeMatchesInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused, total := code.Fetches(); fused != 3 || total != 3 {
-		t.Fatalf("%d of %d fetches fused, want all", fused, total)
+	if fused, total := code.Fetches(); fused != 3 || total != 4 {
+		t.Fatalf("%d of %d fetches fused, want all but dec_scaled's", fused, total)
 	}
 	var uTex, uSt *glsl.VarDecl
 	for _, d := range prog.Uniforms {

@@ -19,6 +19,14 @@ package shader
 // folds counts × deltas into its Stats when the draw reads them
 // (VM.StatsRef), which is exact because both are integers.
 //
+// Compile also chooses the direct and fused forms of specialize.go as it
+// emits each shape, with no pass afterwards. A fused op writes only its
+// result and the registers a later instruction can read: it may leave a
+// register unwritten only when that register is a temporary at or above
+// the consuming expression's tempTop mark (the watermark), and it may
+// replace only code emitted since the last jump target, control transfer
+// or opStats (the fence).
+//
 // Register allocation is fully static: GLSL ES 1.00 forbids recursion (the
 // checker enforces it), so every function's parameters, locals, scratch
 // temporaries and return slot live at fixed offsets for the whole program.
@@ -151,10 +159,9 @@ type Compiled struct {
 	initEntry int32
 	mainEntry int32
 
-	stats      []Stats    // per-region Stats deltas, counted by index
-	poss       []glsl.Pos // by loop id: the loop's position, for runaway errors
-	builtins   []builtinDesc
-	texDecodes []texDecode // opTexDecode side entries
+	stats    []Stats    // per-region Stats deltas, counted by index
+	poss     []glsl.Pos // by loop id: the loop's position, for runaway errors
+	builtins []builtinDesc
 
 	nregs      int32
 	globalBase int32
@@ -281,6 +288,9 @@ type compiler struct {
 	code    []instr
 	pending Stats
 	statIdx map[Stats]int32
+	// fence is the first pc a fused form may rewrite: nothing jumps into
+	// the code from there on (specialize.go).
+	fence int32
 
 	fn      *funcInfo // frame whose scratch area temps come from
 	tempTop int32
@@ -376,9 +386,6 @@ func Compile(prog *glsl.Program) (c *Compiled, err error) {
 
 	c.code = cc.code
 	cc.buildMutatedRanges()
-	// Collapse dispatch on the hot paths (direct builtin opcodes,
-	// superinstructions); bit-identical by construction, see specialize.go.
-	specialize(c)
 	return c, nil
 }
 
@@ -515,6 +522,9 @@ func (cc *compiler) discover(fd *glsl.FuncDecl) *funcInfo {
 
 func (cc *compiler) emit(in instr) int32 {
 	cc.code = append(cc.code, in)
+	if endsRegion(in.op) || in.op == opStats {
+		cc.fence = int32(len(cc.code))
+	}
 	return int32(len(cc.code) - 1)
 }
 
@@ -550,6 +560,7 @@ func (cc *compiler) newLabel() *label { return &label{pc: -1} }
 func (cc *compiler) bind(l *label) {
 	if len(l.fixes) > 0 {
 		cc.flushStats()
+		cc.fence = int32(len(cc.code))
 	}
 	l.pc = int32(len(cc.code))
 	for _, at := range l.fixes {
@@ -558,9 +569,10 @@ func (cc *compiler) bind(l *label) {
 	l.fixes = nil
 }
 
-// jump emits a forward branch to l that ends the current region.
-func (cc *compiler) jump(op opcode, cond int32, l *label) {
-	at := cc.emit(instr{op: op, a: cond, n: cc.takeStats(), aux: l.pc})
+// jump emits in, a forward branch to l that ends the current region.
+func (cc *compiler) jump(in instr, l *label) {
+	in.n, in.aux = cc.takeStats(), l.pc
+	at := cc.emit(in)
 	if l.pc < 0 {
 		l.fixes = append(l.fixes, at)
 	}
@@ -576,17 +588,27 @@ func (cc *compiler) loopHead(pos glsl.Pos) (int32, *label) {
 	cc.emit(instr{op: opLoopReset, aux: id})
 	head := cc.newLabel()
 	cc.bind(head)
+	cc.fence = head.pc
 	return id, head
 }
 
 // loopBack emits loop id's back edge, which ends the current region and
 // runs the loop's runaway guard: the interpreter checks it before every
-// iteration after the first, which is every arrival over a back edge.
+// iteration after the first, which is every arrival over a back edge. An
+// increment v += K just before it folds into it (opLoopStep).
 func (cc *compiler) loopBack(id int32, head *label) {
-	cc.emit(instr{op: opLoopBack, b: id, n: cc.takeStats(), aux: head.pc})
+	back := instr{op: opLoopBack, b: id}
+	if t := cc.tail(1); t != nil && t[0].op == opAddImm && t[0].n == 1 && t[0].dst == t[0].a {
+		back = instr{op: opLoopStep, a: t[0].a, b: id, imm: t[0].imm}
+		cc.code = cc.code[:len(cc.code)-1]
+	}
+	back.n, back.aux = cc.takeStats(), head.pc
+	cc.emit(back)
 }
 
-// temp allocates n scratch registers in the current frame.
+// temp allocates n scratch registers in the current frame. Temporaries
+// grow monotonically within a statement and compileStmt releases them at
+// its end: the watermark the fused forms rely on (specialize.go).
 func (cc *compiler) temp(n int32) int32 {
 	r := cc.fn.tempBase + cc.tempTop
 	cc.tempTop += n
@@ -670,8 +692,9 @@ func (cc *compiler) compileInit() {
 			}
 			continue
 		}
+		mark := cc.tempTop
 		r, _ := cc.compileExpr(g.Init)
-		cc.emit(instr{op: opMov, dst: base, a: r, n: size})
+		cc.move(base, r, size, mark)
 	}
 	cc.emit(instr{op: opRet, n: cc.takeStats()})
 	cc.comp.nregs = fi.tempBase + fi.tempMax
@@ -731,21 +754,21 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 			sub := cc.tempTop
 			r, _ := cc.compileExpr(v.Init)
 			cc.pending.Mov += uint64(v.DeclType.ComponentCount())
-			cc.emit(instr{op: opMov, dst: dst, a: r, n: size})
+			cc.move(dst, r, size, sub)
 			cc.tempTop = sub
 		}
 	case *glsl.ExprStmt:
-		cc.compileExpr(n.X)
+		cc.compileEffect(n.X)
 	case *glsl.EmptyStmt:
 	case *glsl.IfStmt:
 		cond, _ := cc.compileExpr(n.Cond)
 		cc.pending.Branch++
 		elseL := cc.newLabel()
 		endL := cc.newLabel()
-		cc.jump(opJz, cond, elseL)
+		cc.branchUnless(cond, mark, elseL)
 		cc.compileStmt(n.Then)
 		if n.Else != nil {
-			cc.jump(opJmp, 0, endL)
+			cc.jump(instr{op: opJmp}, endL)
 			cc.bind(elseL)
 			cc.compileStmt(n.Else)
 			cc.bind(endL)
@@ -761,14 +784,14 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		if n.Cond != nil {
 			cond, _ := cc.compileExpr(n.Cond)
 			cc.pending.Branch++
-			cc.jump(opJz, cond, exit)
+			cc.branchUnless(cond, mark, exit)
 		}
 		cc.loops = append(cc.loops, loopCtx{breakL: exit, continueL: post})
 		cc.compileStmt(n.Body)
 		cc.loops = cc.loops[:len(cc.loops)-1]
 		cc.bind(post)
 		if n.Post != nil {
-			cc.compileExpr(n.Post)
+			cc.compileEffect(n.Post)
 		}
 		cc.loopBack(loopID, head)
 		cc.bind(exit)
@@ -777,7 +800,7 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		cont, exit := cc.newLabel(), cc.newLabel()
 		cond, _ := cc.compileExpr(n.Cond)
 		cc.pending.Branch++
-		cc.jump(opJz, cond, exit)
+		cc.branchUnless(cond, mark, exit)
 		cc.loops = append(cc.loops, loopCtx{breakL: exit, continueL: cont})
 		cc.compileStmt(n.Body)
 		cc.loops = cc.loops[:len(cc.loops)-1]
@@ -793,7 +816,7 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		cc.bind(condL)
 		cond, _ := cc.compileExpr(n.Cond)
 		cc.pending.Branch++
-		cc.jump(opJz, cond, exit)
+		cc.branchUnless(cond, mark, exit)
 		cc.loopBack(loopID, head)
 		cc.bind(exit)
 	case *glsl.ReturnStmt:
@@ -802,28 +825,28 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 			// body; in tail position it just falls through.
 			if n.X != nil {
 				r, _ := cc.compileExpr(n.X)
-				cc.emit(instr{op: opMov, dst: site.result, a: r, n: site.size})
+				cc.move(site.result, r, site.size, mark)
 			}
 			if n != site.tail {
-				cc.jump(opJmp, 0, site.end)
+				cc.jump(instr{op: opJmp}, site.end)
 			}
 			return
 		}
 		if n.X != nil {
 			r, _ := cc.compileExpr(n.X)
-			cc.emit(instr{op: opMov, dst: cc.fn.retBase, a: r, n: cc.fn.retSize})
+			cc.move(cc.fn.retBase, r, cc.fn.retSize, mark)
 		}
 		cc.emit(instr{op: opRet, n: cc.takeStats()})
 	case *glsl.BreakStmt:
 		if len(cc.loops) == 0 {
 			cc.fail(n.NodePos(), "break outside loop")
 		}
-		cc.jump(opJmp, 0, cc.loops[len(cc.loops)-1].breakL)
+		cc.jump(instr{op: opJmp}, cc.loops[len(cc.loops)-1].breakL)
 	case *glsl.ContinueStmt:
 		if len(cc.loops) == 0 {
 			cc.fail(n.NodePos(), "continue outside loop")
 		}
-		cc.jump(opJmp, 0, cc.loops[len(cc.loops)-1].continueL)
+		cc.jump(instr{op: opJmp}, cc.loops[len(cc.loops)-1].continueL)
 	case *glsl.DiscardStmt:
 		cc.emit(instr{op: opDiscard, n: cc.takeStats()})
 	default:
@@ -905,16 +928,17 @@ func (cc *compiler) compileExpr(e glsl.Expr) (reg int32, direct bool) {
 	case *glsl.UnaryExpr:
 		return cc.compileUnary(n)
 	case *glsl.CondExpr:
+		mark := cc.tempTop
 		cond, _ := cc.compileExpr(n.Cond)
 		cc.pending.Select += uint64(n.Type().ComponentCount())
 		size := flatSize(n.Type())
 		out := cc.temp(size)
 		elseL, endL := cc.newLabel(), cc.newLabel()
-		cc.jump(opJz, cond, elseL)
-		mark := cc.tempTop
+		cc.branchUnless(cond, mark, elseL)
+		mark = cc.tempTop
 		tr, _ := cc.compileExpr(n.Then)
 		cc.emit(instr{op: opMov, dst: out, a: tr, n: size})
-		cc.jump(opJmp, 0, endL)
+		cc.jump(instr{op: opJmp}, endL)
 		cc.bind(elseL)
 		cc.tempTop = mark // branches are exclusive; share scratch space
 		er, _ := cc.compileExpr(n.Else)
@@ -922,7 +946,7 @@ func (cc *compiler) compileExpr(e glsl.Expr) (reg int32, direct bool) {
 		cc.bind(endL)
 		return out, false
 	case *glsl.AssignExpr:
-		return cc.compileAssign(n)
+		return cc.compileAssign(n, true)
 	case *glsl.SequenceExpr:
 		cc.compileExpr(n.X)
 		return cc.compileExpr(n.Y)
@@ -1045,6 +1069,7 @@ func (cc *compiler) emitDynAddr(idxReg, baseReg, baseConst, stride, limit int32)
 
 func (cc *compiler) compileUnary(n *glsl.UnaryExpr) (int32, bool) {
 	if n.Op == glsl.TokInc || n.Op == glsl.TokDec {
+		mark := cc.tempTop
 		curR, curDir := cc.compileExpr(n.X)
 		nc := compCount(n.X.Type())
 		cur := cc.materialize(curR, curDir, nc)
@@ -1058,9 +1083,9 @@ func (cc *compiler) compileUnary(n *glsl.UnaryExpr) (int32, bool) {
 		if n.X.Type().ComponentType().Kind == glsl.KInt {
 			oneT = glsl.TypeInt
 		}
-		next := cc.emitBinaryOp(op, cur, one, n.X.Type(), oneT, n.X.Type())
+		next := cc.emitBinaryOp(op, cur, one, n.X.Type(), oneT, n.X.Type(), mark)
 		lv := cc.compileLValue(n.X)
-		cc.store(lv, next, false, n.X.Type())
+		cc.store(lv, next, false, -1)
 		if n.Postfix {
 			return cur, false
 		}
@@ -1087,16 +1112,17 @@ func (cc *compiler) compileUnary(n *glsl.UnaryExpr) (int32, bool) {
 }
 
 func (cc *compiler) compileBinary(n *glsl.BinaryExpr) (int32, bool) {
+	mark := cc.tempTop
 	switch n.Op {
 	case glsl.TokAndAnd:
 		x, _ := cc.compileExpr(n.X)
 		cc.pending.Logic++
 		out := cc.temp(1)
 		falseL, endL := cc.newLabel(), cc.newLabel()
-		cc.jump(opJz, x, falseL)
+		cc.branchUnless(x, mark, falseL)
 		y, _ := cc.compileExpr(n.Y)
 		cc.emit(instr{op: opBoolNorm, dst: out, a: y})
-		cc.jump(opJmp, 0, endL)
+		cc.jump(instr{op: opJmp}, endL)
 		cc.bind(falseL)
 		cc.emit(instr{op: opLoadImm, dst: out, imm: 0})
 		cc.bind(endL)
@@ -1106,10 +1132,10 @@ func (cc *compiler) compileBinary(n *glsl.BinaryExpr) (int32, bool) {
 		cc.pending.Logic++
 		out := cc.temp(1)
 		trueL, endL := cc.newLabel(), cc.newLabel()
-		cc.jump(opJnz, x, trueL)
+		cc.jump(instr{op: opJnz, a: x}, trueL)
 		y, _ := cc.compileExpr(n.Y)
 		cc.emit(instr{op: opBoolNorm, dst: out, a: y})
-		cc.jump(opJmp, 0, endL)
+		cc.jump(instr{op: opJmp}, endL)
 		cc.bind(trueL)
 		cc.emit(instr{op: opLoadImm, dst: out, imm: 1})
 		cc.bind(endL)
@@ -1120,12 +1146,12 @@ func (cc *compiler) compileBinary(n *glsl.BinaryExpr) (int32, bool) {
 		x = cc.materialize(x, true, flatSize(n.X.Type()))
 	}
 	y, _ := cc.compileExpr(n.Y)
-	return cc.emitBinaryOp(n.Op, x, y, n.X.Type(), n.Y.Type(), n.Type()), false
+	return cc.emitBinaryOp(n.Op, x, y, n.X.Type(), n.Y.Type(), n.Type(), mark), false
 }
 
 // emitBinaryOp mirrors the interpreter's applyBinary, including its Stats
-// accounting.
-func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *glsl.Type) int32 {
+// accounting. Its operands were computed since mark (emitArith).
+func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *glsl.Type, mark int32) int32 {
 	switch op {
 	case glsl.TokXorXor:
 		cc.pending.Logic++
@@ -1213,7 +1239,7 @@ func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *gl
 		cc.fail(glsl.Pos{}, "unsupported binary operator %s", op)
 	}
 	out := cc.temp(nc)
-	cc.emit(instr{op: o, dst: out, a: x, b: y, n: nc, aux: aux})
+	cc.emitArith(instr{op: o, dst: out, a: x, b: y, n: nc, aux: aux}, mark)
 	return out
 }
 
@@ -1338,11 +1364,13 @@ func (cc *compiler) compileLValue(e glsl.Expr) lplace {
 }
 
 // store writes src into the compiled place, mirroring Exec.store (raw
-// component copy, no conversions, no Stats).
-func (cc *compiler) store(lv lplace, src int32, srcDirect bool, t *glsl.Type) {
+// component copy, no conversions, no Stats). A static place takes src's
+// value from the op that computed it when src is dead past mark (move); a
+// negative mark keeps src written.
+func (cc *compiler) store(lv lplace, src int32, srcDirect bool, mark int32) {
 	if lv.comps == nil {
 		if lv.addr < 0 {
-			cc.emit(instr{op: opMov, dst: lv.base, a: src, n: lv.size})
+			cc.move(lv.base, src, lv.size, mark)
 		} else {
 			cc.emit(instr{op: opStoreInd, a: lv.addr, b: src, n: lv.size})
 		}
@@ -1352,14 +1380,31 @@ func (cc *compiler) store(lv lplace, src int32, srcDirect bool, t *glsl.Type) {
 	// source so overlapping selections (v.xy = v.yx) behave like the
 	// interpreter's evaluate-then-store.
 	src = cc.materialize(src, srcDirect, int32(len(lv.comps)))
+	n := int32(len(lv.comps))
 	if lv.addr < 0 {
-		cc.emit(instr{op: opSwizStore, dst: lv.base, a: src, n: int32(len(lv.comps)), aux: packSwz(lv.comps)})
+		// Adjacent ascending components are one range.
+		if !contiguous(lv.comps) || !cc.forward(lv.base+int32(lv.comps[0]), src, n, mark) {
+			cc.emit(instr{op: opSwizStore, dst: lv.base, a: src, n: n, aux: packSwz(lv.comps)})
+		}
 	} else {
 		cc.emit(instr{op: opStoreIndC, a: lv.addr, b: src, n: int32(len(lv.comps)), aux: packSwz(lv.comps)})
 	}
 }
 
-func (cc *compiler) compileAssign(n *glsl.AssignExpr) (int32, bool) {
+// compileEffect compiles e for its side effects: an assignment's value is
+// not kept, so its result may go straight into the assigned variable.
+func (cc *compiler) compileEffect(e glsl.Expr) {
+	if n, ok := e.(*glsl.AssignExpr); ok {
+		cc.compileAssign(n, false)
+		return
+	}
+	cc.compileExpr(e)
+}
+
+// compileAssign compiles an assignment; keep reports that its value is
+// read.
+func (cc *compiler) compileAssign(n *glsl.AssignExpr, keep bool) (int32, bool) {
+	mark := cc.tempTop
 	rhs, rhsDir := cc.compileExpr(n.RHS)
 	// The interpreter evaluates the RHS to a value before resolving the
 	// destination; materialize it if resolving the LHS can mutate state.
@@ -1377,14 +1422,18 @@ func (cc *compiler) compileAssign(n *glsl.AssignExpr) (int32, bool) {
 			glsl.TokStarAssign:  glsl.TokStar,
 			glsl.TokSlashAssign: glsl.TokSlash,
 		}[n.Op]
-		rhs = cc.emitBinaryOp(op, cur, rhs, n.LHS.Type(), n.RHS.Type(), n.Type())
+		rhs = cc.emitBinaryOp(op, cur, rhs, n.LHS.Type(), n.RHS.Type(), n.Type(), mark)
 		rhsDir = false
+	}
+	cc.pending.Mov += uint64(maxI(1, n.Type().ComponentCount()))
+	if !keep {
+		cc.store(lv, rhs, rhsDir, mark)
+		return 0, false
 	}
 	// The interpreter materializes the RHS value before storing; do the
 	// same so the assignment result survives the store.
 	rhs = cc.materialize(rhs, rhsDir, flatSize(n.Type()))
-	cc.pending.Mov += uint64(maxI(1, n.Type().ComponentCount()))
-	cc.store(lv, rhs, false, n.Type())
+	cc.store(lv, rhs, false, -1)
 	return rhs, false
 }
 
@@ -1579,6 +1628,7 @@ func (cc *compiler) passArgs(n *glsl.CallExpr, fi *funcInfo) []int32 {
 		if p.Dir == glsl.DirOut {
 			continue
 		}
+		mark := cc.tempTop
 		r, dir := cc.compileExpr(a)
 		if dir {
 			for _, later := range n.Args[i+1:] {
@@ -1594,7 +1644,7 @@ func (cc *compiler) passArgs(n *glsl.CallExpr, fi *funcInfo) []int32 {
 		case indirect:
 			staged[i] = cc.materialize(r, dir, psize)
 		default:
-			cc.emit(instr{op: opMov, dst: params[i], a: r, n: psize})
+			cc.move(params[i], r, psize, mark)
 			staged[i] = -1
 		}
 	}
@@ -1677,7 +1727,7 @@ func (cc *compiler) writeBack(n *glsl.CallExpr, fi *funcInfo) {
 	}
 	for _, wb := range wbs {
 		lv := cc.compileLValue(wb.arg)
-		cc.store(lv, wb.tmp, false, wb.decl.DeclType)
+		cc.store(lv, wb.tmp, false, -1)
 		cc.pending.Mov += uint64(maxI(1, wb.decl.DeclType.ComponentCount()))
 	}
 }
@@ -1690,6 +1740,7 @@ func (cc *compiler) compileBuiltin(n *glsl.CallExpr) (int32, bool) {
 	if len(n.Args) > 3 {
 		cc.fail(n.Pos, "builtin %q has more than 3 arguments", n.Callee)
 	}
+	mark := cc.tempTop
 	args := cc.compileArgs(n.Args)
 	d := builtinDesc{
 		id:    sig.ID,
@@ -1711,8 +1762,9 @@ func (cc *compiler) compileBuiltin(n *glsl.CallExpr) (int32, bool) {
 		cc.fail(n.Pos, "builtin %q not implemented by the bytecode compiler", n.Callee)
 	}
 	cc.pending.AddStats(&cost)
-	cc.comp.builtins = append(cc.comp.builtins, d)
-	cc.emit(instr{op: opBuiltin, aux: int32(len(cc.comp.builtins) - 1)})
+	if d.id != glsl.BFloor || !cc.texDecode(&d, mark) {
+		cc.emitBuiltin(&d)
+	}
 	return out, false
 }
 

@@ -56,8 +56,10 @@ type fragGen struct {
 // fragHead declares the inputs and helpers every generated program has.
 // g reads its in parameter again after the fusable p * 2.0; h decodes its
 // parameter (itself a product) and reads it again; dec and dec2 are the
-// codec decode shapes (dec2 reads its texel again); k2 returns early;
-// spin has a loop, so its calls stay calls.
+// codec decode shapes (dec2 reads its texel again); k2 returns early, and
+// its last return loads a literal that reaches the caller, to be added or
+// multiplied, through a label with no opStats before it; spin has a loop,
+// so its calls stay calls.
 const fragHead = `precision highp float;
 uniform sampler2D u_s;
 uniform float u_a;
@@ -65,7 +67,7 @@ uniform vec4 u_v;
 varying vec2 v_uv;
 vec4 g_keep;
 float g(float p) { return p * 2.0 + p; }
-float k2(float p, float q) { if (p < q) { return p * q + 1.0; } return p - q; }
+float k2(float p, float q) { if (p < q) { return p - q; } return 2.0; }
 vec4 h(vec4 p) { return floor(p - vec4(127.5)) + p; }
 vec4 dec(vec4 t) { return floor(t * 255.0 - vec4(127.5)); }
 vec4 dec2(vec4 t) { vec4 b = floor(t * 255.0 + vec4(0.5)); return b + t; }
@@ -210,7 +212,7 @@ func (g *fragGen) float(d int) string {
 	case 5:
 		return "g(" + g.float(d-1) + ")"
 	case 6:
-		return "k2(" + g.float(d-1) + ", " + g.float(d-1) + ")"
+		return "(k2(" + g.float(d-1) + ", " + g.float(d-1) + ") " + g.one([]string{"+", "*"}) + " " + g.floatLeaf() + ")"
 	case 7:
 		return g.vec(d-1) + "." + g.one([]string{"x", "y", "z", "w"})
 	case 8:

@@ -26,7 +26,7 @@ import (
 // BinaryFormatVersion identifies the Compiled wire format. Bump it whenever
 // the instruction set, the Stats layout, or any serialized structure
 // changes shape; stale blobs then unmarshal to ErrBinaryVersion.
-const BinaryFormatVersion = 3
+const BinaryFormatVersion = 4
 
 var binaryMagic = [4]byte{'G', 'C', 'P', 'B'}
 
@@ -149,21 +149,6 @@ func (c *Compiled) MarshalBinary() ([]byte, error) {
 		w.i32(b.nc)
 		w.i32(b.an)
 		w.i32(b.dim)
-	}
-	w.u32(uint32(len(c.texDecodes)))
-	for i := range c.texDecodes {
-		d := &c.texDecodes[i]
-		for _, r := range d.writes() {
-			w.i32(r[0])
-		}
-		w.i32(d.fwd)
-		w.f32(d.kv)
-		w.f32(d.cv)
-		if d.sub {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
 	}
 
 	w.i32(c.nregs)
@@ -437,18 +422,6 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 		b.an = r.i32()
 		b.dim = r.i32()
 	}
-	ntd := r.count(45)
-	c.texDecodes = make([]texDecode, ntd)
-	for i := 0; i < ntd; i++ {
-		d := &c.texDecodes[i]
-		for _, p := range []*int32{&d.tex, &d.k, &d.mul, &d.c, &d.cmov, &d.splat, &d.sum, &d.out, &d.fwd} {
-			*p = r.i32()
-		}
-		d.kv = r.f32()
-		d.cv = r.f32()
-		d.sub = r.flag()
-		d.tab = decodeTables[decodeShape{d.kv, d.cv, d.sub}]
-	}
 
 	c.nregs = r.i32()
 	c.globalBase = r.i32()
@@ -551,20 +524,6 @@ func (c *Compiled) validate() error {
 			return fmt.Errorf("shader: program binary: builtin descriptor %d reaches outside register file", i)
 		}
 	}
-	for i := range c.texDecodes {
-		d := &c.texDecodes[i]
-		if d.tab == nil {
-			return fmt.Errorf("shader: program binary: texel decode %d is no codec's shape", i)
-		}
-		for _, r := range d.writes() {
-			if !in(r[0], r[1]) {
-				return fmt.Errorf("shader: program binary: texel decode %d writes outside register file", i)
-			}
-		}
-		if d.fwd != -1 && !in(d.fwd, 4) {
-			return fmt.Errorf("shader: program binary: texel decode %d stores outside register file", i)
-		}
-	}
 	// Loop structure. Compile resets each loop's counter once, just before
 	// the loop's head, and gives the loop one back edge, to that head,
 	// which runs the runaway guard; every other jump is forward. A reset
@@ -601,17 +560,6 @@ func (c *Compiled) validate() error {
 		if !in(op.dst, dst) || !in(op.a, a) || !in(op.b, b) || !in(op.c, cc) {
 			return fmt.Errorf("shader: program binary: instruction %d (opcode %d) reaches outside register file", pc, op.op)
 		}
-		if op.op == opMulAdd || op.op == opMulAcc {
-			// The add's other operand is packed beside the flag bits;
-			// opMulAcc also stores the sum there.
-			n := op.n
-			if op.op == opMulAdd && (op.aux&(1<<4) != 0 && op.aux&(2<<2) != 0 || op.aux&(1<<4) == 0 && op.aux&(1<<2) != 0) {
-				n = 1
-			}
-			if !in(op.aux>>5, n) {
-				return fmt.Errorf("shader: program binary: instruction %d (opcode %d) reaches outside register file", pc, op.op)
-			}
-		}
 	}
 	return nil
 }
@@ -621,9 +569,10 @@ func terminates(op opcode) bool {
 	return op == opRet || op == opJmp || op == opDiscard
 }
 
-// checkTables checks the table index or jump target an instruction
-// carries in aux, the stats index of a control transfer, and a back
-// edge's loop id.
+// checkTables checks the table index (stats entry, function, builtin
+// descriptor, loop or decode shape) or jump target an instruction carries
+// in aux, the stats index of a control transfer, and a back edge's loop
+// id.
 func (c *Compiled) checkTables(in *instr, ncode int32) error {
 	if endsRegion(in.op) && (in.n < 0 || int(in.n) >= len(c.stats)) {
 		return fmt.Errorf("shader: program binary: opcode %d counts stats entry %d of %d", in.op, in.n, len(c.stats))
@@ -639,10 +588,7 @@ func (c *Compiled) checkTables(in *instr, ncode int32) error {
 	case opLoopReset:
 		n = len(c.poss)
 	case opTexDecode:
-		n = len(c.texDecodes)
-		if in.aux >= 0 && int(in.aux) < n && in.dst != c.texDecodes[in.aux].out {
-			return fmt.Errorf("shader: program binary: texel decode result %d disagrees with its entry", in.dst)
-		}
+		n = len(decodeTables)
 	default:
 		if !branches(in.op) {
 			return nil
@@ -727,12 +673,12 @@ func opSpans(in *instr) (dst, a, b, c int32, ok bool) {
 	case opJz, opJnz, opDiscardHalt:
 		a = 1
 	case opBrLt, opBrLe, opBrGt, opBrGe:
-		dst, a, b = 1, 1, 1
-		if in.c >= 0 {
-			c = 1
+		a = 1
+		if in.b >= 0 {
+			b = 1
 		}
 	case opLoopStep:
-		dst, a, c = 1, 1, 1
+		a = 1
 	case opLoadImm, opDiscardTake:
 		dst = 1
 	case opZero:
@@ -758,12 +704,10 @@ func opSpans(in *instr) (dst, a, b, c int32, ok bool) {
 		dst, a = 1, 1
 	case opAdd, opSub, opMul, opDivF, opDivI, opBMod, opBMin, opBMax, opBStep:
 		dst, a, b = n, bc(1), bc(2)
-	case opAddMov:
-		dst, a, b, c = n, bc(1), bc(2), n
 	case opMulImm, opAddImm:
-		dst, a, b, c = n, bc(1), bc(2), 1
-	case opMulAdd, opMulAcc:
-		dst, a, b, c = n, bc(1), bc(2), n
+		dst, a = n, bc(1)
+	case opMulAdd:
+		dst, a, b, c = n, bc(1), bc(2), bc(4)
 	case opBClamp:
 		dst, a, b, c = n, n, bc(1), bc(2)
 	case opXorXor, opLt, opLe, opGt, opGe:
@@ -781,7 +725,7 @@ func opSpans(in *instr) (dst, a, b, c int32, ok bool) {
 	case opTex2D:
 		dst, a, b = 4, 1, 2
 	case opTexDecode:
-		dst, a, b = 4, 1, 2
+		dst, a, b, c = 4, 1, 2, 4
 	default:
 		return 0, 0, 0, 0, false
 	}

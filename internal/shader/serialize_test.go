@@ -23,11 +23,11 @@ void main() {
 		acc += x.x * dec(texture2D(u_a, st));
 		st.x += x.y;
 	}
-	if (x.x > 0.0) { x.y = 1.0; }
-	gl_FragColor = vec4(sin(x.x), x.yzw) / 255.0 + acc;
+	if (x.x > x.w) { x.y = 1.0; }
+	gl_FragColor = vec4(sin(x.x * 2.0), x.yzw) / 255.0 + acc;
 }`)
-	if len(c.texDecodes) == 0 || len(c.builtins) == 0 || c.texDecodes[0].fwd < 0 {
-		t.Fatal("program has no forwarded decode or builtin descriptor to patch")
+	if opCount(c, opTexDecode) == 0 || len(c.builtins) == 0 {
+		t.Fatal("program has no fused decode or builtin descriptor to patch")
 	}
 	blob, err := c.MarshalBinary()
 	if err != nil {
@@ -54,9 +54,9 @@ void main() {
 		{"first instruction dst", func(p *Compiled) { p.code[0].dst = p.nregs + 1000 }},
 		{"negative operand", func(p *Compiled) { p.code[firstOf(opTexDecode)].b = -1 }},
 		{"coordinate past the end", func(p *Compiled) { p.code[firstOf(opTexDecode)].b = p.nregs - 1 }},
-		{"decode entry register", func(p *Compiled) { p.texDecodes[0].sum = p.nregs - 2 }},
-		{"decode shape no codec emits", func(p *Compiled) { p.texDecodes[0].cv = 0.25 }},
-		{"decode entry index", func(p *Compiled) { p.code[firstOf(opTexDecode)].aux = int32(len(p.texDecodes)) }},
+		{"texel register", func(p *Compiled) { p.code[firstOf(opTexDecode)].c = p.nregs - 2 }},
+		{"decode shape no codec emits", func(p *Compiled) { p.code[firstOf(opTexDecode)].aux = int32(len(decodeTables)) }},
+		{"negative decode shape", func(p *Compiled) { p.code[firstOf(opTexDecode)].aux = -1 }},
 		{"builtin argument", func(p *Compiled) { p.builtins[0].args[0] = p.nregs }},
 		{"builtin arity", func(p *Compiled) { p.builtins[0].nargs = 4 }},
 		{"component count", func(p *Compiled) { p.code[firstOf(opMov)].n = -1 }},
@@ -66,11 +66,12 @@ void main() {
 		{"branch stats entry", func(p *Compiled) { p.code[firstOf(opBrGt)].n = int32(len(p.stats)) }},
 		{"return stats entry", func(p *Compiled) { p.code[firstOf(opRet)].n = -1 }},
 		{"stats entry", func(p *Compiled) { p.code[firstOf(opStats)].aux = int32(len(p.stats)) }},
-		{"compare immediate register", func(p *Compiled) { p.code[firstOf(opBrLt)].c = p.nregs }},
-		{"compare result register", func(p *Compiled) { p.code[firstOf(opBrLt)].dst = -2 }},
-		{"forward register", func(p *Compiled) { p.code[firstOf(opAddMov)].c = p.nregs }},
-		{"accumulator", func(p *Compiled) { p.code[firstOf(opMulAcc)].aux |= (p.nregs - 2) << 5 }},
-		{"decode forward register", func(p *Compiled) { p.texDecodes[0].fwd = p.nregs - 3 }},
+		{"compare operand against its immediate", func(p *Compiled) { p.code[firstOf(opBrLt)].a = p.nregs }},
+		{"compare operand register", func(p *Compiled) { p.code[firstOf(opBrGt)].b = p.nregs }},
+		{"immediate operand register", func(p *Compiled) { p.code[firstOf(opMulImm)].a = p.nregs }},
+		{"add into a variable", func(p *Compiled) { p.code[firstOf(opAdd)].dst = p.nregs }},
+		{"accumulator", func(p *Compiled) { p.code[firstOf(opMulAdd)].c = p.nregs - 2 }},
+		{"decode result register", func(p *Compiled) { p.code[firstOf(opTexDecode)].dst = p.nregs - 3 }},
 		{"loop step register", func(p *Compiled) { p.code[firstOf(opLoopStep)].a = p.nregs }},
 		{"back edge loop", func(p *Compiled) { p.code[firstOf(opLoopStep)].b = int32(len(p.poss)) }},
 		{"back edge stats entry", func(p *Compiled) { p.code[firstOf(opLoopStep)].n = int32(len(p.stats)) }},
@@ -82,7 +83,6 @@ void main() {
 	} {
 		p := *c
 		p.code = append([]instr(nil), c.code...)
-		p.texDecodes = append([]texDecode(nil), c.texDecodes...)
 		p.builtins = append([]builtinDesc(nil), c.builtins...)
 		tc.patch(&p)
 		bad, err := p.MarshalBinary()

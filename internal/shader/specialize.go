@@ -1,80 +1,69 @@
 package shader
 
-// Dispatch specialization for the bytecode VM. Compile emits fully generic
-// instructions: every builtin call goes through one opBuiltin dispatch into
-// execBuiltin's table-driven descriptor path, and every arithmetic operation
-// is its own trip around the interpreter loop. For the fused mega-kernels
-// the pipeline planner generates, that dispatch overhead dominates — the
-// codec spine of such a kernel is a long straight line of texture2D /
-// floor / fract / mod arithmetic, executed once per fragment.
+// Direct and fused forms of the bytecode. Compile chooses each one in the
+// emitter that builds its shape, so no pass runs after it:
 //
-// specialize rewrites the code stream after compilation:
+//  1. Direct builtins: the builtins on the codec decode→ALU→encode spine
+//     (texture2D, floor, fract, mod, min, max, clamp, step, dot) compile to
+//     their own opcodes, executed inline by the VM loop without the
+//     descriptor load, the closure-based argument fetch and the builtin
+//     switch of opBuiltin (emitBuiltin).
+//  2. Immediate operands: a literal loaded just before the add, subtract or
+//     multiply that reads it becomes that op's immediate (opAddImm,
+//     opMulImm; v - K is v + -K), and a product the add reads just after it
+//     is computed becomes opMulAdd (emitArith).
+//  3. Compare-and-branch: a compare just computed for a conditional jump
+//     becomes the branch (opBrLt..opBrGe), with an immediate operand loaded
+//     just before it folded in (branchUnless); v += K just before a loop's
+//     back edge folds into it (opLoopStep, loopBack).
+//  4. Result into its variable: a statement that stores a result just
+//     computed into its variable has the op that computed it write the
+//     variable (move).
+//  5. Texel decode: floor(t * K ± vec4(C)) over a fetch just emitted
+//     becomes one opTexDecode, for the (K, C, ±) shapes the codecs emit
+//     (texDecode). When the sampler serves the texel's bytes
+//     (TextureSampler.Texel2D), the decode is a lookup in that shape's
+//     256-entry table, built at package init by the same float32
+//     operations; otherwise the op samples through Sample2D and does the
+//     arithmetic inline.
 //
-//  1. Builtin specialization (in place, 1:1): the builtins on the codec
-//     decode→ALU→encode spine (texture2D, floor, fract, mod, min, max,
-//     clamp, step, dot) become direct opcodes executed inline by the VM
-//     loop, skipping the descriptor load, the closure-based argument
-//     fetch, and the 60-way builtin switch.
+// Correctness contract (same as compile.go): the program must be
+// bit-identical, in outputs and Stats, to the one Compile emits without
+// these forms.
 //
-//  2. Superinstruction fusion (with code compaction): adjacent
-//     opLoadImm+opMul/opAdd pairs become opMulImm/opAddImm, and
-//     opMul+opAdd chains (a*b+c) become opMulAdd, halving dispatches on
-//     the scale/bias arithmetic the codecs are made of. Fusion removes
-//     instructions, so every jump target, function entry and the
-//     init/main entries are retargeted over the compacted stream.
-//
-//  3. Texel decode fusion (same compaction): the eight instructions
-//     Compile emits for a vec4 codec decode, floor(texture2D(s, st) * K
-//     ± vec4(C)), become one opTexDecode, for the (K, C, op) shapes the
-//     codecs emit. When the sampler serves the texel's bytes
-//     (TextureSampler.Texel2D), every value the run would compute is a
-//     lookup in that shape's 256-entry table, built at package init by
-//     the same float32 operations; otherwise the op samples through
-//     Sample2D and does the arithmetic inline.
-//
-//  4. Loop-step fusion (same compaction): a compare and the opJz that
-//     tests it, with the opLoadImm of a compared constant, become one
-//     compare-and-branch (opBrLt..opBrGe); v += K before a loop's back
-//     edge folds into it (opLoopStep); and the move that stores a
-//     result into its variable folds into the op that produced it
-//     (opAddMov, opMulAcc, opTexDecode's fwd).
-//
-// Correctness contract (same as compile.go): the rewritten program must be
-// bit-identical to the generic stream in both outputs and Stats.
-//
-//   - Stats are untouched: Compile folds each straight-line region's
-//     counts into one table entry, and the op that ends a region counts
-//     it (the control transfer's n, or an opStats before a jump target).
-//     A fused op that ends in a branch counts the region its opJz or
-//     back edge counted, and every other fused run lies inside one
-//     region, so no count moves to another region. An opStats is never
-//     fused.
-//   - Builtin destination registers never alias their argument registers
-//     (the destination temp is allocated after every argument is
-//     evaluated, and scratch temps grow monotonically within a
-//     statement), so skipping execBuiltin's defensive zero-the-dst
-//     prologue is exact for builtins that write every output component
-//     unconditionally — which all specialized ones do. The specializer
-//     still verifies non-aliasing per site and falls back to the generic
-//     opcode if it ever fails to hold.
-//   - Fused pairs preserve the memory image: opMulImm/opAddImm still
-//     store the immediate to its register, and opMulAdd still stores the
-//     product, because liveness of those temps is not tracked. The
-//     product is rounded to float32 through an explicit conversion so
-//     the Go compiler cannot contract the multiply-add into an FMA.
-//   - opTexDecode writes every register of the run it replaces (the texel,
-//     K's register, the product, C's register, its moved copy, the splat,
-//     the sum and the floor), and only fuses a run whose written ranges
-//     are pairwise disjoint, so the order of its writes cannot matter.
-//   - The loop-step fusions also write every register their run writes:
-//     the immediate, the compare's result, the temporary a forwarded
-//     result was computed in. A forwarded result is copied after all of
-//     it is computed, as the move did, and a forward whose target
-//     partially overlaps the result is refused (the copy is component by
-//     component, the move a memmove).
-//   - A run is only fused when none of its instructions but the first is
-//     a jump target (including opCall return addresses at pc+1), so
-//     control can never enter the middle of a superinstruction.
+//   - Stats come only from Compile's pending counts, whatever instructions
+//     carry them: each straight-line region's counts are one table entry,
+//     counted by the op that ends the region. A fused op that ends in a
+//     branch counts the region its jump or back edge counted; every other
+//     fused op lies inside one region.
+//   - The watermark: a fused op writes only its result and the registers a
+//     later instruction can read. Scratch temporaries grow monotonically
+//     within a statement and are released at its end, so a temporary
+//     allocated while the consuming expression compiles, at or above that
+//     expression's tempTop mark, is never read after it (dead). A form is
+//     chosen only when every register it leaves unwritten is such a
+//     temporary. An inlined in parameter bound to its argument's temporary
+//     lies below the mark of every expression of the body, so an op that
+//     computed it keeps writing it.
+//   - The fence: a fused form replaces the tail of the code emitted since
+//     the last bound jump target (a label some jump uses, or a loop's
+//     head), control transfer or opStats (compiler.fence). Nothing can
+//     jump into that tail, so control never enters a fused op anywhere but
+//     at its start, and no jump needs retargeting.
+//   - A result written into its variable instead of a fresh temporary: lane
+//     i of a lane-wise op reads lane i of each operand (lane 0 of a
+//     broadcast one) before it writes lane i, so the variable gets the
+//     same values unless an operand is overwritten before a later lane
+//     reads it: a broadcast operand inside the destination, or an operand
+//     that partially overlaps it. Either refuses the form.
+//   - Direct builtins write every output component unconditionally, into a
+//     fresh temporary allocated after every argument is evaluated, so no
+//     argument aliases it and skipping execBuiltin's zero-the-destination
+//     prologue is exact.
+//   - Float32 addition and multiplication commute exactly, so an immediate
+//     or a product may be either operand. opMulAdd rounds its product
+//     through an explicit conversion so the Go compiler cannot contract
+//     the multiply-add into an FMA.
 
 import (
 	"math"
@@ -82,7 +71,7 @@ import (
 	"glescompute/internal/glsl"
 )
 
-// Specialized opcodes, appended after the generic set (compile.go).
+// Direct and fused opcodes, appended after the generic set (compile.go).
 const (
 	opTex2D     opcode = 100 + iota // dst..dst+3 = Sample2D(unit=regs[a], regs[b], regs[b+1])
 	opBFloor                        // regs[dst+i] = floor(regs[a+i])
@@ -93,17 +82,15 @@ const (
 	opBClamp                        // clamp(a, b, c); aux bit0/bit1 broadcast b/c
 	opBStep                         // step(edge=a, x=b); aux broadcast bits
 	opBDot                          // regs[dst] = dot(a, b) over n components
-	opMulImm                        // regs[c] = imm; then opMul dst,a,b
-	opAddImm                        // regs[c] = imm; then opAdd dst,a,b
-	opMulAdd                        // regs[c+i] = a*b; regs[dst+i] = sum with packed operand (see exec)
-	opTexDecode                     // dst..dst+3 = floor(texel(unit=regs[a], regs[b], regs[b+1]) * K ± C); aux = texDecodes index
-	opAddMov                        // opAdd; then regs[c:c+n] = regs[dst:dst+n]
-	opMulAcc                        // opMulAdd; then the sum is stored back into the packed operand (acc += a*b)
-	opBrLt                          // [regs[c] = imm if c >= 0]; regs[dst] = regs[a] < regs[b]; count entry n; if false: pc = aux
+	opMulImm                        // regs[dst+i] = regs[a+i] * imm; aux bit0 broadcasts a
+	opAddImm                        // regs[dst+i] = regs[a+i] + imm; aux bit0 broadcasts a
+	opMulAdd                        // regs[dst+i] = regs[a+i]*regs[b+i] + regs[c+i]; aux bits 0/1/2 broadcast a/b/c
+	opTexDecode                     // c..c+3 = texel(unit=regs[a], regs[b], regs[b+1]); dst..dst+3 = floor(texel * K ± C) of decodeTables[aux]
+	opBrLt                          // count entry n; if !(regs[a] < y): pc = aux, where y = regs[b], or imm when b < 0
 	opBrLe                          // as opBrLt with <=
 	opBrGt                          // as opBrLt with >
 	opBrGe                          // as opBrLt with >=
-	opLoopStep                      // regs[c] = imm; regs[dst] = regs[a] + regs[c]; regs[a] = regs[dst]; then opLoopBack
+	opLoopStep                      // regs[a] += imm; then opLoopBack
 )
 
 // endsRegion reports whether op counts the stats region it ends (the
@@ -112,8 +99,7 @@ func endsRegion(op opcode) bool {
 	return branches(op) || op == opCall || op == opRet || op == opDiscard || op == opDiscardHalt
 }
 
-// branches reports whether op transfers control to aux (the ops jumps
-// retarget, and whose aux a jump target validation reads).
+// branches reports whether op transfers control to aux.
 func branches(op opcode) bool {
 	switch op {
 	case opJmp, opJz, opJnz, opLoopBack, opBrLt, opBrLe, opBrGt, opBrGe, opLoopStep:
@@ -122,458 +108,240 @@ func branches(op opcode) bool {
 	return false
 }
 
-// specialize rewrites c.code in place after Compile. It never changes
-// observable behaviour; it only collapses dispatch.
-func specialize(c *Compiled) {
-	specializeBuiltins(c)
-	fuseRuns(c)
-}
-
-// ---- Pass 1: direct builtin opcodes (1:1, in place) ----
-
 // rangesOverlap reports whether [a, a+an) and [b, b+bn) intersect.
 func rangesOverlap(a, an, b, bn int32) bool {
 	return a < b+bn && b < a+an
 }
 
-// builtinAliases reports whether the destination range of d overlaps any
-// argument range — never true for code Compile emits (see file comment),
-// but checked so specialization degrades instead of miscompiling.
-func builtinAliases(d *builtinDesc, dn int32) bool {
-	for k := int32(0); k < d.nargs; k++ {
-		an := d.nc
-		if d.scalar[k] {
-			an = 1
-		}
-		if d.id == glsl.BDot {
-			an = d.an
-		}
-		if rangesOverlap(d.dst, dn, d.args[k], an) {
-			return true
-		}
+// tail returns the last n instructions when all of them were emitted since
+// the fence, and nil otherwise.
+func (cc *compiler) tail(n int) []instr {
+	if len(cc.code)-n < int(cc.fence) {
+		return nil
 	}
-	return false
+	return cc.code[len(cc.code)-n:]
 }
 
-func specializeBuiltins(c *Compiled) {
-	for pc := range c.code {
-		in := &c.code[pc]
-		if in.op != opBuiltin {
-			continue
-		}
-		d := &c.builtins[in.aux]
-		var aux int32
-		if d.scalar[1] {
-			aux |= 1
-		}
-		if d.scalar[2] {
-			aux |= 2
-		}
-		switch d.id {
-		case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod:
-			// The fetch reads one unit register and two coordinates,
-			// whatever its result width.
-			if rangesOverlap(d.dst, 4, d.args[0], 1) || rangesOverlap(d.dst, 4, d.args[1], 2) {
-				continue
-			}
-			*in = instr{op: opTex2D, dst: d.dst, a: d.args[0], b: d.args[1], aux: in.aux}
-		case glsl.BFloor, glsl.BFract:
-			if builtinAliases(d, d.nc) {
-				continue
-			}
-			op := opBFloor
-			if d.id == glsl.BFract {
-				op = opBFract
-			}
-			*in = instr{op: op, dst: d.dst, a: d.args[0], n: d.nc}
-		case glsl.BMod, glsl.BMin, glsl.BMax, glsl.BStep:
-			if builtinAliases(d, d.nc) {
-				continue
-			}
-			// These read both operands through comp(): scalar broadcast on
-			// either side.
-			var o opcode
-			switch d.id {
-			case glsl.BMod:
-				o = opBMod
-			case glsl.BMin:
-				o = opBMin
-			case glsl.BMax:
-				o = opBMax
-			case glsl.BStep:
-				o = opBStep
-			}
-			a2 := int32(0)
-			if d.scalar[0] {
-				a2 |= 1
-			}
-			if d.scalar[1] {
-				a2 |= 2
-			}
-			*in = instr{op: o, dst: d.dst, a: d.args[0], b: d.args[1], n: d.nc, aux: a2}
-		case glsl.BClamp:
-			if builtinAliases(d, d.nc) {
-				continue
-			}
-			// clamp's first argument is the full-width genType (arg(), not
-			// comp()); only the bounds broadcast.
-			*in = instr{op: opBClamp, dst: d.dst, a: d.args[0], b: d.args[1], c: d.args[2], n: d.nc, aux: aux}
-		case glsl.BDot:
-			if builtinAliases(d, 1) {
-				continue
-			}
-			*in = instr{op: opBDot, dst: d.dst, a: d.args[0], b: d.args[1], n: d.an}
-		}
-	}
-}
-
-// ---- Passes 2 and 3: superinstruction fusion with compaction ----
-
-// jumpTargets marks, by pc, where control can land from anywhere but
-// straight-line fallthrough: jump targets, function entries, the init/main
-// entries, and opCall return addresses.
-func jumpTargets(c *Compiled) []bool {
-	t := make([]bool, len(c.code)+1)
-	t[c.initEntry], t[c.mainEntry] = true, true
-	for _, fi := range c.funcs {
-		t[fi.entry] = true
-	}
-	for pc, in := range c.code {
-		switch {
-		case branches(in.op):
-			t[in.aux] = true
-		case in.op == opCall:
-			t[int32(pc)+1] = true
-		}
-	}
-	return t
-}
-
-// fuseAt returns the superinstruction replacing the n instructions from
-// code[pc], or n = 0 when none fuses there. Longer runs are tried first.
-func fuseAt(c *Compiled, code []instr, targets []bool, pc int) (instr, int) {
-	run := func(n int) []instr {
-		if !straight(targets, pc, n) {
-			return nil
-		}
-		return code[pc : pc+n]
-	}
-	// The longer runs start with a fetch or an immediate: look at the
-	// opcode before walking the jump targets (this runs at every pc).
-	switch code[pc].op {
-	case opTex2D:
-		if r := run(texDecodeLen); r != nil {
-			if d, ok := texDecodeAt(r); ok {
-				n := texDecodeLen
-				if r := run(n + 1); r != nil {
-					if to, ok := forwardTo(&r[n], d.out, 4); ok {
-						d.fwd, n = to, n+1
-					}
-				}
-				c.texDecodes = append(c.texDecodes, d)
-				return instr{op: opTexDecode, dst: d.out, a: r[0].a, b: r[0].b, aux: int32(len(c.texDecodes) - 1)}, n
-			}
-		}
-	case opLoadImm:
-		if r := run(4); r != nil {
-			if f, ok := loopStepAt(r); ok {
-				return f, 4
-			}
-		}
-		if r := run(3); r != nil {
-			if f, ok := branchAt(r[1:], &r[0]); ok {
-				return f, 3
-			}
-		}
-	}
-	r := run(2)
-	if r == nil {
-		return instr{}, 0
-	}
-	if f, ok := branchAt(r, nil); ok {
-		return f, 2
-	}
-	if f, ok := pairAt(&r[0], &r[1]); ok {
-		if f.op == opMulAdd {
-			// acc += a*b: the sum's move back into the add's other operand
-			// folds in too.
-			if r := run(3); r != nil {
-				if to, ok := forwardTo(&r[2], f.dst, f.n); ok && to == f.aux>>5 {
-					f.op = opMulAcc
-					return f, 3
-				}
-			}
-		}
-		return f, 2
-	}
-	if r[0].op == opAdd {
-		if to, ok := forwardTo(&r[1], r[0].dst, r[0].n); ok {
-			f := r[0]
-			f.op, f.c = opAddMov, to
-			return f, 2
-		}
-	}
-	return instr{}, 0
-}
-
-// forwardTo reports where m copies the n registers at src, when m is the
-// move that stores a statement's result into its variable: an opMov of
-// exactly that range, or a one-component opSwizStore (v.x = ...).
-func forwardTo(m *instr, src, n int32) (int32, bool) {
-	var to int32
-	switch {
-	case m.op == opMov && m.a == src && m.n == n:
-		to = m.dst
-	case m.op == opSwizStore && m.a == src && m.n == 1 && n == 1:
-		to = m.dst + m.aux&0xf
-	default:
-		return 0, false
-	}
-	// The fused op copies component by component, the move as a memmove:
-	// they agree unless the two ranges partially overlap.
-	if to != src && rangesOverlap(to, n, src, n) {
-		return 0, false
-	}
-	return to, true
-}
-
-// branchAt fuses a compare and the opJz that tests it, and the opLoadImm
-// before them (ld, or nil) that loads one of the compared operands, into
-// one compare-and-branch. The fused op writes the immediate and the
-// compare's result like the run, and counts the opJz's region.
-func branchAt(r []instr, ld *instr) (instr, bool) {
-	cmp, jz := &r[0], &r[1]
-	var op opcode
-	switch cmp.op {
-	case opLt:
-		op = opBrLt
-	case opLe:
-		op = opBrLe
-	case opGt:
-		op = opBrGt
-	case opGe:
-		op = opBrGe
-	default:
-		return instr{}, false
-	}
-	if jz.op != opJz || jz.a != cmp.dst {
-		return instr{}, false
-	}
-	f := instr{op: op, dst: cmp.dst, a: cmp.a, b: cmp.b, c: -1, n: jz.n, aux: jz.aux}
-	if ld != nil {
-		if ld.op != opLoadImm || ld.dst != cmp.a && ld.dst != cmp.b {
-			return instr{}, false
-		}
-		f.c, f.imm = ld.dst, ld.imm
-	}
-	return f, true
-}
-
-// loopStepAt fuses a loop's back edge with the increment before it,
-// v += K compiled as opLoadImm k = K; opAdd t = v + k; opMov v = t.
-func loopStepAt(r []instr) (instr, bool) {
-	ld, add, mov, back := &r[0], &r[1], &r[2], &r[3]
-	if ld.op != opLoadImm || add.op != opAdd || add.n != 1 || add.aux != 0 || add.b != ld.dst ||
-		mov.op != opMov || mov.n != 1 || mov.a != add.dst || mov.dst != add.a || back.op != opLoopBack {
-		return instr{}, false
-	}
-	return instr{op: opLoopStep, dst: add.dst, a: add.a, b: back.b, c: ld.dst, n: back.n, aux: back.aux, imm: ld.imm}, true
-}
-
-// pairAt returns the superinstruction replacing the pair in1, in2, or
-// ok=false when the pair does not fuse.
-func pairAt(in1, in2 *instr) (instr, bool) {
-	switch {
-	case in1.op == opLoadImm && (in2.op == opMul || in2.op == opAdd):
-		// The immediate's register keeps its store (liveness is unknown),
-		// so the fused op is exactly "regs[c] = imm; <arith>".
-		if in2.a != in1.dst && in2.b != in1.dst {
-			return instr{}, false
-		}
-		out := *in2
-		if in2.op == opMul {
-			out.op = opMulImm
-		} else {
-			out.op = opAddImm
-		}
-		out.c = in1.dst
-		out.imm = in1.imm
-		return out, true
-	case in1.op == opMul && in2.op == opAdd && in1.n == in2.n:
-		// a*b+c / c+a*b. The add must consume the product non-broadcast
-		// (or be width 1, where broadcast is a no-op), and its other
-		// operand must not partially overlap the product range — the fused
-		// loop interleaves the component writes and reads.
-		n := in1.n
-		var other int32
-		var addLeft bool
-		switch {
-		case in2.a == in1.dst && (in2.aux&1 == 0 || n == 1):
-			other, addLeft = in2.b, true
-		case in2.b == in1.dst && (in2.aux&2 == 0 || n == 1):
-			other, addLeft = in2.a, false
-		default:
-			return instr{}, false
-		}
-		otherN := n
-		if addLeft && in2.aux&2 != 0 || !addLeft && in2.aux&1 != 0 {
-			otherN = 1
-		}
-		if other != in1.dst && rangesOverlap(in1.dst, n, other, otherN) {
-			return instr{}, false
-		}
-		// The sum's destination must not overlap the product or the mul
-		// operands: the original stream completes the whole multiply before
-		// the add starts, while the fused loop interleaves them. Compile's
-		// monotonic temp allocation never produces such overlap, but verify.
-		an, bn := n, n
-		if in1.aux&1 != 0 {
-			an = 1
-		}
-		if in1.aux&2 != 0 {
-			bn = 1
-		}
-		if rangesOverlap(in2.dst, n, in1.dst, n) ||
-			rangesOverlap(in2.dst, n, in1.a, an) ||
-			rangesOverlap(in2.dst, n, in1.b, bn) {
-			return instr{}, false
-		}
-		// Operand registers stay below 1<<26 in any real program; packing
-		// them beside the flag bits keeps the instr struct unchanged.
-		if other >= 1<<26 {
-			return instr{}, false
-		}
-		aux := in1.aux&3 | (in2.aux&3)<<2 | other<<5
-		if addLeft {
-			aux |= 1 << 4
-		}
-		return instr{op: opMulAdd, dst: in2.dst, a: in1.a, b: in1.b, c: in1.dst, n: n, aux: aux}, true
-	}
-	return instr{}, false
-}
-
-// straight reports whether code[pc+1:pc+n] exists and can only be entered
-// by falling through from code[pc] (targets has one entry per pc, plus
-// one for the end of the code).
-func straight(targets []bool, pc, n int) bool {
-	if pc+n >= len(targets) {
-		return false
-	}
-	for k := 1; k < n; k++ {
-		if targets[pc+k] {
+// dead reports whether every register in rs is a temporary allocated at or
+// above mark, which nothing reads after the expression that set mark.
+func (cc *compiler) dead(mark int32, rs ...int32) bool {
+	for _, r := range rs {
+		if r < cc.fn.tempBase+mark {
 			return false
 		}
 	}
 	return true
 }
 
-func fuseRuns(c *Compiled) {
-	targets := jumpTargets(c)
-	old := c.code
-	newCode := make([]instr, 0, len(old))
-	oldToNew := make([]int32, len(old)+1)
-	for pc := 0; pc < len(old); pc++ {
-		oldToNew[pc] = int32(len(newCode))
-		fused, n := fuseAt(c, old, targets, pc)
-		if n == 0 {
-			newCode = append(newCode, old[pc])
-			continue
-		}
-		newCode = append(newCode, fused)
-		for k := 1; k < n; k++ {
-			oldToNew[pc+k] = int32(len(newCode) - 1)
-		}
-		pc += n - 1
-	}
-	oldToNew[len(old)] = int32(len(newCode))
-
-	// Retarget control flow over the compacted stream.
-	for i := range newCode {
-		if branches(newCode[i].op) {
-			newCode[i].aux = oldToNew[newCode[i].aux]
+// emitBuiltin emits the call d describes: a direct opcode for the codec
+// spine's builtins, opBuiltin with a descriptor for the others.
+func (cc *compiler) emitBuiltin(d *builtinDesc) {
+	var bc [3]int32 // argument k broadcasts
+	for k, s := range d.scalar {
+		if s {
+			bc[k] = 1
 		}
 	}
-	c.initEntry = oldToNew[c.initEntry]
-	c.mainEntry = oldToNew[c.mainEntry]
-	for _, fi := range c.funcs {
-		fi.entry = oldToNew[fi.entry]
+	in := instr{dst: d.dst, a: d.args[0], b: d.args[1], n: d.nc, aux: bc[0] | bc[1]<<1}
+	switch d.id {
+	case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod:
+		// The fetch reads one unit register and two coordinates, whatever
+		// its bias or level.
+		in = instr{op: opTex2D, dst: d.dst, a: d.args[0], b: d.args[1]}
+	case glsl.BFloor:
+		in = instr{op: opBFloor, dst: d.dst, a: d.args[0], n: d.nc}
+	case glsl.BFract:
+		in = instr{op: opBFract, dst: d.dst, a: d.args[0], n: d.nc}
+	case glsl.BMod:
+		in.op = opBMod
+	case glsl.BMin:
+		in.op = opBMin
+	case glsl.BMax:
+		in.op = opBMax
+	case glsl.BStep:
+		in.op = opBStep
+	case glsl.BClamp:
+		// clamp's first argument is the full-width genType; only the
+		// bounds broadcast.
+		in.op, in.c, in.aux = opBClamp, d.args[2], bc[1]|bc[2]<<1
+	case glsl.BDot:
+		in.op, in.n, in.aux = opBDot, d.an, 0
+	default:
+		cc.comp.builtins = append(cc.comp.builtins, *d)
+		in = instr{op: opBuiltin, aux: int32(len(cc.comp.builtins) - 1)}
 	}
-	c.code = newCode
+	cc.emit(in)
 }
 
-// ---- Texel decode fusion ----
+// emitArith emits in, a componentwise arithmetic op whose operands were
+// computed since mark, folding in the op that computed one of them just
+// before: a literal an add, subtract or multiply reads becomes its
+// immediate, and a product an add reads becomes opMulAdd. Neither the
+// literal nor the product is written.
+func (cc *compiler) emitArith(in instr, mark int32) {
+	t := cc.tail(1)
+	if t == nil || !cc.dead(mark, t[0].dst) || in.a == in.b {
+		cc.emit(in)
+		return
+	}
+	p := &t[0]
+	// The operand p computed, and the other one with its broadcast bit.
+	other, obc := in.b, in.aux>>1&1
+	pbc := in.aux & 1
+	switch p.dst {
+	case in.a:
+	case in.b:
+		other, obc, pbc = in.a, in.aux&1, in.aux>>1&1
+	default:
+		cc.emit(in)
+		return
+	}
+	switch {
+	case p.op == opLoadImm && (in.op == opAdd || in.op == opMul || in.op == opSub && p.dst == in.b):
+		f := instr{op: opAddImm, dst: in.dst, a: other, n: in.n, aux: obc, imm: p.imm}
+		switch in.op {
+		case opMul:
+			f.op = opMulImm
+		case opSub:
+			f.imm = -p.imm
+		}
+		*p = f
+	case p.op == opMul && in.op == opAdd && p.n == in.n && (pbc == 0 || in.n == 1):
+		*p = instr{op: opMulAdd, dst: in.dst, a: p.a, b: p.b, c: other, n: in.n, aux: p.aux&3 | obc<<2}
+	default:
+		cc.emit(in)
+	}
+}
 
-// texDecodeLen is the length of the run Compile emits for
-// floor(texture2D(s, st) * K ± vec4(C)):
+// compareBranch is the compare-and-branch of each compare, and the one
+// that tests the same relation with the operands swapped.
+var compareBranch = map[opcode][2]opcode{
+	opLt: {opBrLt, opBrGt}, opLe: {opBrLe, opBrGe},
+	opGt: {opBrGt, opBrLt}, opGe: {opBrGe, opBrLe},
+}
+
+// branchUnless ends the region with a jump to l taken when the bool in
+// cond, computed since mark, is false. A compare that just computed cond
+// becomes the branch, with an immediate operand loaded just before it
+// folded in; neither the compare's result nor the immediate is written.
+func (cc *compiler) branchUnless(cond, mark int32, l *label) {
+	t := cc.tail(1)
+	var ops [2]opcode
+	ok := t != nil && t[0].dst == cond && cc.dead(mark, cond)
+	if ok {
+		ops, ok = compareBranch[t[0].op]
+	}
+	if !ok {
+		cc.jump(instr{op: opJz, a: cond}, l)
+		return
+	}
+	br := instr{op: ops[0], a: t[0].a, b: t[0].b}
+	cc.code = cc.code[:len(cc.code)-1]
+	if t := cc.tail(1); t != nil && t[0].op == opLoadImm && cc.dead(mark, t[0].dst) && br.a != br.b {
+		switch t[0].dst {
+		case br.a:
+			br.op, br.a, br.b, br.imm = ops[1], br.b, -1, t[0].imm
+			cc.code = cc.code[:len(cc.code)-1]
+		case br.b:
+			br.b, br.imm = -1, t[0].imm
+			cc.code = cc.code[:len(cc.code)-1]
+		}
+	}
+	cc.jump(br, l)
+}
+
+// move stores the n registers at src into to. When the op just emitted
+// computed src, a temporary at or above mark, that op writes to instead,
+// unless writing there would overwrite an operand before it is read. A
+// negative mark keeps src written: its value is read again.
+func (cc *compiler) move(to, src, n, mark int32) {
+	if !cc.forward(to, src, n, mark) {
+		cc.emit(instr{op: opMov, dst: to, a: src, n: n})
+	}
+}
+
+// forward is move without the fallback: it reports whether the op just
+// emitted now writes src's value into to.
+func (cc *compiler) forward(to, src, n, mark int32) bool {
+	t := cc.tail(1)
+	if mark < 0 || t == nil || t[0].dst != src || to == src || !cc.dead(mark, src) {
+		return false
+	}
+	p := &t[0]
+	// Each register operand with its broadcast bit; the ops are lane-wise.
+	var ops [][2]int32
+	w := p.n
+	switch p.op {
+	case opLoadImm:
+		w = 1
+	case opAdd, opSub, opMul:
+		ops = [][2]int32{{p.a, p.aux & 1}, {p.b, p.aux >> 1 & 1}}
+	case opAddImm, opMulImm:
+		ops = [][2]int32{{p.a, p.aux & 1}}
+	case opMulAdd:
+		ops = [][2]int32{{p.a, p.aux & 1}, {p.b, p.aux >> 1 & 1}, {p.c, p.aux >> 2 & 1}}
+	case opTexDecode:
+		// It reads its unit and coordinates before it writes anything, and
+		// also writes the texel.
+		if n != 4 || rangesOverlap(to, n, p.c, 4) {
+			return false
+		}
+		p.dst = to
+		return true
+	default:
+		return false
+	}
+	if w != n {
+		return false
+	}
+	for _, o := range ops {
+		w := n
+		if o[1] != 0 {
+			w = 1
+		}
+		if rangesOverlap(to, n, o[0], w) && (o[0] != to || w != n) {
+			return false
+		}
+	}
+	p.dst = to
+	return true
+}
+
+// texDecode emits d, a vec4 floor whose argument was computed since mark,
+// as one opTexDecode when the last six instructions compute that argument
+// as a codec's decode of a fetch:
 //
 //	opTex2D   T = texel
-//	opLoadImm k = K
-//	opMul     M = T * k        (k broadcast)
+//	opMulImm  M = T * K
 //	opLoadImm c = C
 //	opMov     x = c            (the vec4 constructor's argument)
 //	opSplat   V = x
 //	opSub     S = M - V        (or opAdd S = M + V)
-//	opBFloor  F = floor(S)
-const texDecodeLen = 8
-
-// texDecode is the side entry of one opTexDecode site: the base of every
-// register range the run writes (out is also the instruction's dst), and
-// its constants. fwd is the variable the decoded vec4 is then stored in
-// (vec4 x = decode(...)), or -1.
-type texDecode struct {
-	tex, k, mul, c, cmov, splat, sum, out int32
-	fwd                                   int32
-	kv, cv                                float32
-	sub                                   bool
-	tab                                   *decodeTable // the shape's table
-}
-
-// texDecodeAt matches run against the decode shape and returns its side
-// entry. It refuses a shape no codec emits, and any run whose written
-// ranges overlap: the fused op writes them in a different order than the
-// run does.
-func texDecodeAt(run []instr) (texDecode, bool) {
-	tex, ld, mul, lc, mov, spl, sum, fl := &run[0], &run[1], &run[2], &run[3], &run[4], &run[5], &run[6], &run[7]
-	if tex.op != opTex2D || ld.op != opLoadImm || lc.op != opLoadImm ||
-		mul.op != opMul || mul.a != tex.dst || mul.b != ld.dst || mul.aux != 2 || mul.n != 4 ||
-		mov.op != opMov || mov.a != lc.dst || mov.n != 1 ||
+//
+// and every register but the texel's is dead. The texel stays written: an
+// inlined decoder reads it through its parameter, which may be read again.
+func (cc *compiler) texDecode(d *builtinDesc, mark int32) bool {
+	r := cc.tail(6)
+	if r == nil || d.nc != 4 {
+		return false
+	}
+	tex, mul, lc, mov, spl, sum := r[0], r[1], r[2], r[3], r[4], r[5]
+	if tex.op != opTex2D || mul.op != opMulImm || mul.a != tex.dst || mul.aux != 0 || mul.n != 4 ||
+		lc.op != opLoadImm || mov.op != opMov || mov.a != lc.dst || mov.n != 1 ||
 		spl.op != opSplat || spl.a != mov.dst || spl.n != 4 ||
 		sum.op != opSub && sum.op != opAdd || sum.a != mul.dst || sum.b != spl.dst || sum.aux != 0 || sum.n != 4 ||
-		fl.op != opBFloor || fl.a != sum.dst || fl.n != 4 {
-		return texDecode{}, false
+		d.args[0] != sum.dst || !cc.dead(mark, mul.dst, lc.dst, mov.dst, spl.dst, sum.dst) {
+		return false
 	}
-	d := texDecode{
-		tex: tex.dst, k: ld.dst, mul: mul.dst, c: lc.dst, cmov: mov.dst, splat: spl.dst, sum: sum.dst, out: fl.dst, fwd: -1,
-		kv: ld.imm, cv: lc.imm, sub: sum.op == opSub,
-	}
-	d.tab = decodeTables[decodeShape{d.kv, d.cv, d.sub}]
-	if d.tab == nil || d.overlaps() {
-		return texDecode{}, false
-	}
-	return d, true
-}
-
-// writes lists the register ranges the fused op writes, {base, width}.
-func (d *texDecode) writes() [8][2]int32 {
-	return [8][2]int32{{d.tex, 4}, {d.k, 1}, {d.mul, 4}, {d.c, 1}, {d.cmov, 1}, {d.splat, 4}, {d.sum, 4}, {d.out, 4}}
-}
-
-func (d *texDecode) overlaps() bool {
-	w := d.writes()
-	for i := range w {
-		for j := i + 1; j < len(w); j++ {
-			if rangesOverlap(w[i][0], w[i][1], w[j][0], w[j][1]) {
-				return true
-			}
+	shape := decodeShape{mul.imm, lc.imm, sum.op == opSub}
+	for i := range decodeTables {
+		if decodeTables[i].decodeShape == shape {
+			cc.code = cc.code[:len(cc.code)-len(r)]
+			cc.emit(instr{op: opTexDecode, dst: d.dst, a: tex.a, b: tex.b, c: tex.dst, aux: int32(i)})
+			return true
 		}
 	}
 	return false
-}
-
-// decodeTable holds, for each byte b, the product, the sum and the floor
-// the decode run computes from the texel value Unorm8(b).
-type decodeTable struct {
-	mul, sum, out [256]float32
 }
 
 // decodeShape is a decode's constants: floor(t*k - c) (sub) or
@@ -583,28 +351,42 @@ type decodeShape struct {
 	sub  bool
 }
 
-// decodeTables holds the table of every vec4 decode the codecs emit
-// (codec.GLSLDecoder): Int8x4's lanes, and the byte reconstruction that
-// Int32, Uint32 and Float32 share. It is filled once, at package init,
-// and only read afterwards, so the devices that compile concurrently
-// share it without a lock, and no program binary can add to it.
-var decodeTables = map[decodeShape]*decodeTable{
-	{255, 127.5, true}: newDecodeTable(255, 127.5, true),
-	{255, 0.5, false}:  newDecodeTable(255, 0.5, false),
+// decodeTable holds, for each byte b, the decode of the texel value
+// Unorm8(b) in one shape.
+type decodeTable struct {
+	decodeShape
+	out [256]float32
 }
 
-// newDecodeTable computes the table of one shape. Each entry is the
-// float32 operation the run performs, rounded by an explicit conversion
+// decodeTables holds the table of every vec4 decode the codecs emit
+// (codec.GLSLDecoder): Int8x4's lanes, and the byte reconstruction that
+// Int32, Uint32 and Float32 share. An opTexDecode names its shape by index.
+// It is filled once, at package init, and only read afterwards, so the
+// devices that compile concurrently share it without a lock, and no
+// program binary can add to it.
+var decodeTables = [...]decodeTable{
+	newDecodeTable(decodeShape{255, 127.5, true}),
+	newDecodeTable(decodeShape{255, 0.5, false}),
+}
+
+// newDecodeTable computes the table of one shape. Each step is the float32
+// operation the unfused decode performs, rounded by an explicit conversion
 // so it is never contracted into an FMA.
-func newDecodeTable(k, c float32, sub bool) *decodeTable {
-	tab := &decodeTable{}
-	for b := range tab.mul {
-		m := float32(unorm8[b] * k)
-		s := float32(m + c)
-		if sub {
-			s = float32(m - c)
-		}
-		tab.mul[b], tab.sum[b], tab.out[b] = m, s, float32(math.Floor(float64(s)))
+func newDecodeTable(s decodeShape) decodeTable {
+	tab := decodeTable{decodeShape: s}
+	for b := range tab.out {
+		tab.out[b] = s.decode(unorm8[b])
 	}
 	return tab
+}
+
+// decode computes floor(v*k ± c) as the unfused run does, one rounded
+// float32 step at a time.
+func (s *decodeShape) decode(v float32) float32 {
+	m := float32(v * s.k)
+	sum := float32(m + s.c)
+	if s.sub {
+		sum = float32(m - s.c)
+	}
+	return float32(math.Floor(float64(sum)))
 }

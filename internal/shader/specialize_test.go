@@ -1,10 +1,10 @@
 package shader
 
-// specialize_test.go pins the specialization pass itself: the direct
-// opcodes actually fire on codec-spine shapes (a silent fallback to the
-// generic path would pass every differential while losing the dispatch
-// win), jump retargeting over the compacted stream stays sound, and the
-// rewritten programs remain bit-identical to the reference interpreter.
+// specialize_test.go pins the direct and fused forms Compile emits: they
+// actually fire on codec-spine shapes (a silent fallback to the generic
+// path would pass every differential while losing the dispatch win), they
+// stay out where a register they skip is read again, no jump lands inside
+// one, and the programs remain bit-identical to the reference interpreter.
 
 import (
 	"testing"
@@ -115,31 +115,94 @@ void main() {
 	}{
 		{"bound test with its immediate", opBrLt}, {"bound test on a uniform", opBrGe},
 		{"increment and back edge", opLoopStep}, {"back edge after i++", opLoopBack},
-		{"acc += a*b", opMulAcc}, {"add into a variable", opAddMov},
 	} {
 		if opCount(c, tc.op) == 0 {
 			t.Errorf("%s: not fused", tc.name)
 		}
 	}
+	// acc += a*b and s = s + x.z: the sum is written straight into the
+	// variable it is added to.
+	var mulAcc, addInto bool
+	for _, in := range c.code {
+		mulAcc = mulAcc || in.op == opMulAdd && in.dst == in.c
+		addInto = addInto || in.op == opAdd && (in.dst == in.a || in.dst == in.b)
+	}
+	if !mulAcc {
+		t.Error("acc += a*b: not fused")
+	}
+	if !addInto {
+		t.Error("add into a variable: not fused")
+	}
 	for pc, in := range c.code {
-		if in.op == opBrLt && in.c < 0 || in.op == opBrGe && in.c >= 0 {
-			t.Errorf("compare-and-branch at %d: immediate register %d", pc, in.c)
+		if in.op == opBrLt && in.b >= 0 || in.op == opBrGe && in.b < 0 {
+			t.Errorf("compare-and-branch at %d: right operand register %d", pc, in.b)
 		}
 	}
-	if len(c.texDecodes) != 1 || c.texDecodes[0].fwd < 0 {
-		t.Error("the decoded vec4's move into its variable is not folded")
+	if opCount(c, opTexDecode) != 1 {
+		t.Errorf("%d texel decodes, want 1", opCount(c, opTexDecode))
+	}
+	for _, d := range c.code {
+		for _, m := range c.code {
+			if d.op == opTexDecode && m.op == opMov && m.a == d.dst {
+				t.Error("the decoded vec4 is moved into its variable, not written there")
+			}
+		}
 	}
 	if trips := c.LoopTrips(); len(trips) != 2 || trips[0].Stats != 0 {
 		t.Errorf("loop trips %+v, want two, the first counting no opStats", trips)
+	}
+	runDifferential(t, compileSrc(t, src, glsl.StageFragment), 24)
+
+	// Where a fused form would leave unwritten a register that is read
+	// again, or write a result over an operand it still reads, the
+	// unfused ops stay: h's scaled texel is its argument, read again after
+	// the decode shape (no opTexDecode); g2's product is its argument,
+	// read again after p + u_b (an opMul stays); v.x is a broadcast operand
+	// inside v (the sum goes through a temporary).
+	src = `
+precision highp float;
+uniform sampler2D u_a;
+uniform float u_b;
+uniform vec4 u_v;
+float g(float p) { return p * 2.0 + p; }
+float g2(float p) { return p + u_b + p; }
+vec4 h(vec4 p) { return floor(p - vec4(127.5)) + p; }
+void main() {
+	vec4 v = u_v;
+	vec4 w = u_v.wzyx;
+	vec4 acc = vec4(0.5);
+	v = v + w;
+	v = v.x + w;
+	acc += v * w;
+	acc += g(u_b * 3.0) * h(texture2D(u_a, u_v.xy) * 255.0);
+	gl_FragColor = acc + vec4(g2(u_b * u_v.x), v.y, w.z, 1.0);
+}`
+	c = compileFrag(t, src)
+	if fused, total := c.Fetches(); fused != 0 || total != 1 {
+		t.Errorf("%d of %d fetches fused, want none", fused, total)
+	}
+	if opCount(c, opMul) == 0 {
+		t.Error("g2's argument product is not written")
+	}
+	mulAcc, addInto = false, false
+	for pc, in := range c.code {
+		mulAcc = mulAcc || in.op == opMulAdd && in.dst == in.c
+		addInto = addInto || in.op == opAdd && in.dst == in.a && in.n == 4
+		if in.op == opAdd && in.n > 1 && in.aux&1 != 0 && rangesOverlap(in.dst, in.n, in.a, 1) {
+			t.Errorf("add at %d writes over its broadcast operand", pc)
+		}
+	}
+	if !mulAcc || !addInto {
+		t.Errorf("acc += v * w fused %v, v = v + w fused %v; want both", mulAcc, addInto)
 	}
 	runDifferential(t, compileSrc(t, src, glsl.StageFragment), 24)
 }
 
 // TestSpecializeJumpSoundness compiles control-flow-heavy shaders whose
 // bodies are dense with fusible pairs, and checks every jump aux, call
-// entry and the init/main entries land inside the compacted stream on an
-// instruction boundary — then runs the full interpreter/VM differential
-// so a mis-retargeted (but in-bounds) jump is caught by divergence.
+// entry and the init/main entries land inside the code — then runs the
+// full interpreter/VM differential, so a fused op that swallowed a jump
+// target (an in-bounds jump to the wrong place) is caught by divergence.
 func TestSpecializeJumpSoundness(t *testing.T) {
 	src := `
 precision highp float;
@@ -164,7 +227,7 @@ void main() {
 }`
 	c := compileFrag(t, src)
 	if opCount(c, opMulAdd)+opCount(c, opMulImm)+opCount(c, opAddImm) == 0 {
-		t.Fatal("loop body fused nothing — retargeting is untested")
+		t.Fatal("loop body fused nothing — jumps around fused ops are untested")
 	}
 	n := int32(len(c.code))
 	check := func(what string, target int32) {

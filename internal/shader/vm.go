@@ -8,6 +8,9 @@ package shader
 // vm_test.go and internal/paper enforce it. Stats are counted per region,
 // not per operation: the op that ends a straight-line region bumps that
 // region's count, and StatsRef folds the counts into Stats (compile.go).
+// A fused op writes only its result and the registers a later instruction
+// reads (the watermark and fence of specialize.go), so a temporary it
+// skips keeps whatever it held, and nothing reads it.
 
 import (
 	"math"
@@ -280,7 +283,7 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			idx := clampIndex(int(int32(regs[in.a])), limit)
 			comp := (in.aux >> (8 + 4*int32(idx))) & 0xf
 			regs[in.dst] = float32(base + comp)
-		case opAdd, opAddMov:
+		case opAdd:
 			d, x, y := in.dst, in.a, in.b
 			if in.aux == 0 {
 				for i := int32(0); i < in.n; i++ {
@@ -289,11 +292,6 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			} else {
 				for i := int32(0); i < in.n; i++ {
 					regs[d+i] = bcast(regs, x, i, in.aux&1 != 0) + bcast(regs, y, i, in.aux&2 != 0)
-				}
-			}
-			if in.op == opAddMov {
-				for i := int32(0); i < in.n; i++ {
-					regs[in.c+i] = regs[d+i]
 				}
 			}
 		case opSub:
@@ -425,10 +423,10 @@ func (vm *VM) exec(entry int32) (bool, error) {
 		case opBuiltin:
 			vm.execBuiltin(&vm.c.builtins[in.aux])
 
-		// ---- Specialized dispatch (specialize.go). Each case reproduces
-		// its generic execBuiltin/instruction-pair counterpart exactly;
-		// the zero-dst prologue is skipped only because specialization
-		// proved the destination cannot alias the arguments. ----
+		// ---- Direct and fused forms (specialize.go). Each case reproduces
+		// its generic execBuiltin or instruction-run counterpart exactly;
+		// the zero-dst prologue is skipped because Compile allocates a
+		// direct builtin's destination after its arguments. ----
 		case opTex2D:
 			unit := int(regs[in.a])
 			rgba := vm.Textures.Sample2D(unit, regs[in.b], regs[in.b+1])
@@ -477,46 +475,25 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			}
 			regs[in.dst] = s
 		case opMulImm:
-			regs[in.c] = in.imm
-			d, x, y := in.dst, in.a, in.b
 			for i := int32(0); i < in.n; i++ {
-				regs[d+i] = bcast(regs, x, i, in.aux&1 != 0) * bcast(regs, y, i, in.aux&2 != 0)
+				regs[in.dst+i] = bcast(regs, in.a, i, in.aux&1 != 0) * in.imm
 			}
 		case opAddImm:
-			regs[in.c] = in.imm
-			d, x, y := in.dst, in.a, in.b
 			for i := int32(0); i < in.n; i++ {
-				regs[d+i] = bcast(regs, x, i, in.aux&1 != 0) + bcast(regs, y, i, in.aux&2 != 0)
+				regs[in.dst+i] = bcast(regs, in.a, i, in.aux&1 != 0) + in.imm
 			}
-		case opMulAdd, opMulAcc:
-			d, x, y, mdst := in.dst, in.a, in.b, in.c
-			maux := in.aux & 3
-			aaux := (in.aux >> 2) & 3
-			addLeft := in.aux&(1<<4) != 0
-			other := in.aux >> 5
+		case opMulAdd:
 			for i := int32(0); i < in.n; i++ {
-				// Explicit float32 conversion: the stored product must be
-				// rounded, never contracted with the add into an FMA.
-				m := float32(bcast(regs, x, i, maux&1 != 0) * bcast(regs, y, i, maux&2 != 0))
-				regs[mdst+i] = m
-				if addLeft {
-					regs[d+i] = bcast(regs, mdst, i, aaux&1 != 0) + bcast(regs, other, i, aaux&2 != 0)
-				} else {
-					regs[d+i] = bcast(regs, other, i, aaux&1 != 0) + bcast(regs, mdst, i, aaux&2 != 0)
-				}
-			}
-			if in.op == opMulAcc {
-				// acc += a*b: the sum is stored back into the add's other
-				// operand, the accumulator.
-				for i := int32(0); i < in.n; i++ {
-					regs[other+i] = regs[d+i]
-				}
+				// Explicit float32 conversion: the product must be rounded,
+				// never contracted with the add into an FMA.
+				m := float32(bcast(regs, in.a, i, in.aux&1 != 0) * bcast(regs, in.b, i, in.aux&2 != 0))
+				regs[in.dst+i] = m + bcast(regs, in.c, i, in.aux&4 != 0)
 			}
 		case opBrLt, opBrLe, opBrGt, opBrGe:
-			if in.c >= 0 {
-				regs[in.c] = in.imm
+			x, y := regs[in.a], in.imm
+			if in.b >= 0 {
+				y = regs[in.b]
 			}
-			x, y := regs[in.a], regs[in.b]
 			var r bool
 			switch in.op {
 			case opBrLt:
@@ -528,17 +505,13 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			default:
 				r = x >= y
 			}
-			regs[in.dst] = b2f(r)
 			hits[in.n]++
 			if !r {
 				pc = in.aux
 				continue
 			}
 		case opLoopStep:
-			regs[in.c] = in.imm
-			v := regs[in.a] + regs[in.c]
-			regs[in.dst] = v
-			regs[in.a] = v
+			regs[in.a] += in.imm
 			hits[in.n]++
 			if vm.loopIters[in.b]++; vm.loopIters[in.b] > limit {
 				return false, vm.runaway(in.b)
@@ -546,39 +519,18 @@ func (vm *VM) exec(entry int32) (bool, error) {
 			pc = in.aux
 			continue
 		case opTexDecode:
-			d := &vm.c.texDecodes[in.aux]
+			tab := &decodeTables[in.aux]
 			unit, s, t := int(regs[in.a]), regs[in.b], regs[in.b+1]
-			regs[d.k], regs[d.c], regs[d.cmov] = d.kv, d.cv, d.cv
 			if px, ok := vm.Textures.Texel2D(unit, s, t); ok {
-				tab := d.tab
 				for i, b := range px {
-					j := int32(i)
-					regs[d.tex+j] = unorm8[b]
-					regs[d.mul+j] = tab.mul[b]
-					regs[d.splat+j] = d.cv
-					regs[d.sum+j] = tab.sum[b]
-					regs[d.out+j] = tab.out[b]
+					regs[in.c+int32(i)] = unorm8[b]
+					regs[in.dst+int32(i)] = tab.out[b]
 				}
 			} else {
-				rgba := vm.Textures.Sample2D(unit, s, t)
-				for i, v := range rgba {
-					j := int32(i)
-					// Explicit float32 conversions: each step is rounded
-					// on its own, as the unfused run stores it.
-					m := float32(v * d.kv)
-					sum := float32(m + d.cv)
-					if d.sub {
-						sum = float32(m - d.cv)
-					}
-					regs[d.tex+j] = v
-					regs[d.mul+j] = m
-					regs[d.splat+j] = d.cv
-					regs[d.sum+j] = sum
-					regs[d.out+j] = float32(math.Floor(float64(sum)))
+				for i, v := range vm.Textures.Sample2D(unit, s, t) {
+					regs[in.c+int32(i)] = v
+					regs[in.dst+int32(i)] = tab.decode(v)
 				}
-			}
-			if d.fwd >= 0 {
-				regs[d.fwd], regs[d.fwd+1], regs[d.fwd+2], regs[d.fwd+3] = regs[d.out], regs[d.out+1], regs[d.out+2], regs[d.out+3]
 			}
 		default:
 			return false, &RuntimeError{Msg: "vm: unknown opcode " + strconv.Itoa(int(in.op))}

@@ -782,6 +782,28 @@ void main() {
 	float r = wrap(gl_FragCoord.x - 2.0, o);
 	gl_FragColor = vec4(r, o, inc(u_b), 1.0);
 }`),
+		// An inlined in parameter bound to its argument's temporary is
+		// read again after an expression that could fuse over it: the op
+		// that computed the argument must keep writing it (the product in
+		// g2, the scaled texel in h, which must not fuse as a decode).
+		// Results stored into their variable, one through a broadcast
+		// operand inside the destination.
+		"argument-temps-read-again": frag(`
+uniform sampler2D u_s;
+float g(float p) { return p * 2.0 + p; }
+float g2(float p) { return p + u_b + p; }
+vec4 h(vec4 p) { return floor(p - vec4(127.5)) + p; }
+void main() {
+	float x = u_a;
+	vec4 v = u_v;
+	vec4 w = u_v.wzyx;
+	vec4 acc = vec4(0.5);
+	v = v + w;
+	v = v.x + w;
+	acc += v * w;
+	acc += g(x * 3.0) * h(texture2D(u_s, u_v.xy) * 255.0);
+	gl_FragColor = acc + vec4(g2(u_a * u_b), x, v.y, w.z);
+}`),
 		"swizzle-reads": frag(`
 vec4 id(vec4 v) { return v; }
 void main() {
